@@ -540,12 +540,13 @@ tierFeasible(const FormatOps &format, const pbd::ColumnView &column,
         // analytic enclosure leaves "below" possible at all.
         const bool below_possible =
             flush_log2 < thr && analytic.lo_log2 < thr;
-        // "Provably not below": the lower endpoint trails the
-        // computed value by the wobble, and the value realistically
-        // tracks the exact one, so the enclosure's upper end must
-        // clear the threshold by the wobble.
+        // "Provably not below": the computed lower endpoint subtracts
+        // the flush mass and then trails the value by the wobble, and
+        // the value realistically tracks the exact one, so the
+        // enclosure's upper end must clear 2^thr + 2^flush by the
+        // wobble.
         const bool at_or_above_possible =
-            analytic.hi_log2 - wobble_bits >= thr;
+            analytic.hi_log2 - wobble_bits >= log2Add(thr, flush_log2);
         if (below_possible || at_or_above_possible)
             return true;
     }

@@ -231,7 +231,7 @@ bool certifies(const ResultInterval &interval, const CertConfig &cert);
  * A-priori feasibility of one ladder tier for one column: false when
  * the tier provably cannot certify the answer regardless of what it
  * computes (Domain::None; a value tolerance tighter than the tier's
- * a-priori rounding bound; a decision the tier's flush floor or the
+ * a-priori rounding bound; a decision the tier's flush mass or the
  * column's analytic enclosure rules out). Used to route columns past
  * hopeless tiers — a perf policy only: bypassing never certifies
  * anything, and the final ladder tier is always evaluated.

@@ -1,9 +1,12 @@
 #include "pbd/screen.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
-#include <functional>
+#include <cstdint>
 #include <limits>
+#include <numbers>
 #include <stdexcept>
 #include <vector>
 
@@ -47,13 +50,15 @@ namespace
 
 /**
  * Padding (bits) covering every libm/summation rounding in an
- * endpoint computed as `raw` over an n-read column: two whole bits
- * of slack plus 2^-40 * n * (|raw| + 64), which over-covers the
- * worst case (n log2 calls each a few ulps of magnitudes up to
- * |raw|, plus the O(n*u*|raw|) error of the nonnegative sums) by
- * several orders of magnitude while staying negligible against the
- * enclosure widths that matter (a deep column's pad is milli-bits
- * against hundreds of bits of slack to the threshold).
+ * endpoint computed as `raw` over n nonzero reads: two whole bits
+ * of slack plus 2^-40 * n * (|raw| + 64). Every libm result an
+ * endpoint combines (lgamma, log2, log1p) has magnitude below
+ * n * (|raw| + 64) bits and is a few ulps off, and the nonnegative
+ * sum of the reads adds O(n*u) relative error, so the pad
+ * over-covers the worst case by several orders of magnitude while
+ * staying negligible against the enclosure widths that matter (a
+ * deep column's pad is milli-bits against hundreds of bits of slack
+ * to the threshold).
  */
 double
 endpointPad(size_t n, double raw)
@@ -65,66 +70,90 @@ endpointPad(size_t n, double raw)
                       -40);
 }
 
+/**
+ * Octaves of a probability in (0, 1]: its biased binary exponent.
+ * Subnormals share octave 0; octave kOctaves - 1 holds exactly p = 1.
+ */
+constexpr size_t kOctaves = 1024;
+
 } // namespace
 
 PValueBoundsLog2
 certifiedBoundsLog2(const ColumnView &column)
 {
     constexpr double kInf = std::numeric_limits<double>::infinity();
-    const std::span<const double> probs = column.success_probs;
-    const size_t n = probs.size();
-    const size_t k = column.k > 0 ? static_cast<size_t>(column.k) : 0;
+    constexpr double kLn2 = std::numbers::ln2;
 
     // Structural exacts first: P(X >= 0) = 1, P(X > N) = 0.
     if (column.k <= 0)
         return {0.0, 0.0};
+    const size_t n = column.success_probs.size();
+    const size_t k = static_cast<size_t>(column.k);
     if (k > n)
         return {-kInf, -kInf};
-    for (const double p : probs) {
+
+    // The one pass: validate every read, sum the nonzero ones, and
+    // file each into its octave, keeping the octave's read count and
+    // least probability, and the lowest octave filled.
+    std::array<size_t, kOctaves> count{};
+    std::array<double, kOctaves> least;
+    least.fill(1.0);
+    size_t bottom = kOctaves;
+    size_t nonzero = 0;
+    double sum_p = 0.0;
+    for (const double p : column.success_probs) {
         if (!(p >= 0.0) || p > 1.0)
             return {-kInf, kInf}; // invalid input: vacuous enclosure
-    }
-
-    // Upper endpoint: P(X >= K) <= e_K(p) <= C(N,K) * pbar^K
-    // (union bound + Maclaurin), in log2.
-    double sum_p = 0.0;
-    for (const double p : probs)
+        if (p == 0.0)
+            continue;
+        ++nonzero;
         sum_p += p;
-    double hi;
-    if (sum_p == 0.0) {
-        // Every probability is exactly zero and K >= 1: the event is
-        // impossible, exactly.
-        return {-kInf, -kInf};
+        const size_t octave =
+            static_cast<size_t>(std::bit_cast<uint64_t>(p) >> 52);
+        bottom = std::min(bottom, octave);
+        ++count[octave];
+        least[octave] = std::min(least[octave], p);
     }
-    const double log2_choose =
-        (std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0)) /
-        std::log(2.0);
-    hi = log2_choose +
-         static_cast<double>(k) *
-             std::log2(sum_p / static_cast<double>(n));
-    hi = std::min(hi + endpointPad(n, hi), 0.0); // p-values are <= 1
 
-    // Lower endpoint: the K most probable reads all succeed and the
-    // rest all fail — one outcome of the event, so its probability
-    // is a certified lower bound.
-    std::vector<double> sorted(probs.begin(), probs.end());
-    std::nth_element(sorted.begin(),
-                     sorted.begin() + static_cast<ptrdiff_t>(k - 1),
-                     sorted.end(), std::greater<double>());
-    double lo = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-        const double p = sorted[i];
-        const double factor = i < k ? p : 1.0 - p;
-        if (factor <= 0.0) {
-            lo = -kInf;
-            break;
-        }
-        lo += i < k ? std::log2(p)
-                    : std::log1p(-p) / std::log(2.0);
+    // Reads with p = 0 never succeed: with fewer than K others the
+    // event is impossible, exactly.
+    if (k > nonzero)
+        return {-kInf, -kInf};
+
+    const double kk = static_cast<double>(k);
+    const double lgamma_k1 = std::lgamma(kk + 1.0);
+    const auto log2Choose = [&](double m) {
+        return (std::lgamma(m + 1.0) - lgamma_k1 -
+                std::lgamma(m - kk + 1.0)) /
+               kLn2;
+    };
+
+    // Upper endpoint: P(X >= K) <= e_K(p) <= C(N',K) * pbar^K over
+    // the N' nonzero reads (union bound + Maclaurin), in log2.
+    const double nn = static_cast<double>(nonzero);
+    double hi = log2Choose(nn) + kk * std::log2(sum_p / nn);
+    hi = std::min(hi + endpointPad(nonzero, hi), 0.0); // p <= 1
+
+    // Lower endpoint: walk the octaves from p = 1 down. The m reads
+    // at or above octave e all have p >= t = least[e], so they
+    // dominate Binomial(m, t) and P(X >= K) >= C(m,K) t^K (1-t)^(m-K).
+    // At t = 1 the m >= K sure successes make the event sure: 2^0.
+    double lo = -kInf;
+    size_t m = 0;
+    for (size_t octave = kOctaves; octave-- > bottom;) {
+        if (count[octave] == 0)
+            continue;
+        m += count[octave];
+        if (m < k)
+            continue;
+        const double t = least[octave];
+        const double mm = static_cast<double>(m);
+        lo = std::max(lo, t == 1.0
+                              ? 0.0
+                              : log2Choose(mm) + kk * std::log2(t) +
+                                    (mm - kk) * std::log1p(-t) / kLn2);
     }
-    lo -= endpointPad(n, lo);
+    lo -= endpointPad(nonzero, lo);
     return {lo, hi};
 }
 

@@ -132,28 +132,39 @@ struct PValueBoundsLog2
 };
 
 /**
- * O(N log N) certified enclosure of P(X >= K) — the analytic tier of
- * the adaptive escalation ladder (engine/escalate.hh), and the
- * rigorous counterpart of pvalueLog2Estimate: where the
- * Cramér–Chernoff estimate is accurate but heuristic, these bounds
- * are loose but *sound*, so a decision threshold (LoFreq's 2^-200)
- * can be certified without running any DP at all.
+ * O(N) certified enclosure of P(X >= K) — the analytic tier of the
+ * adaptive escalation ladder (engine/escalate.hh), and the rigorous
+ * counterpart of pvalueLog2Estimate: where the Cramér–Chernoff
+ * estimate is accurate but heuristic, these bounds are loose but
+ * *sound*, so a decision threshold (LoFreq's 2^-200) can be
+ * certified without running any DP at all. One pass over the reads,
+ * with no heap allocation, gathers both endpoints; the libm calls
+ * run once per occupied binary octave of the probabilities, not
+ * once per read.
  *
+ * Reads with p = 0 never succeed and drop out; N' counts the rest.
  * Upper endpoint: the union bound P(X >= K) <= e_K(p) (the K-th
  * elementary symmetric polynomial) combined with Maclaurin's
- * inequality e_K <= C(N,K) * pbar^K, pbar the arithmetic mean.
- * Lower endpoint: the single outcome "the K most probable reads all
- * succeed and every other read fails", whose probability is a
- * product of known factors. Both endpoints are padded by 2 bits plus
- * a term covering every libm rounding in their own evaluation, so
- * the enclosure holds for the exact real-arithmetic p-value; the
+ * inequality e_K <= C(N',K) * pbar^K, pbar the mean of the nonzero
+ * probabilities.
+ * Lower endpoint: binomial dominance. The m reads with p_i >= t
+ * stochastically dominate Binomial(m, t): drive each read by its own
+ * independent uniform U_i, and 1{U_i < p_i} >= 1{U_i < t}. So
+ * P(X >= K) >= P(Binomial(m, t) >= K) >= C(m,K) t^K (1-t)^(m-K).
+ * The bound takes the best such term over the thresholds t = the
+ * least probability at or above each binary octave, which keeps the
+ * C(m,K) ways the event can happen instead of pricing one outcome;
+ * at t = 1 (at least K reads with p = 1) the event is sure and the
+ * term is 1. Both endpoints are padded by 2 bits plus a term
+ * covering every libm rounding in their own evaluation, so the
+ * enclosure holds for the exact real-arithmetic p-value; the
  * differential harness (tests/test_escalate.cc) audits this against
  * the BigFloat oracle over adversarial columns.
  *
- * Edge cases: K <= 0 gives the exact enclosure [1, 1]; K > N (an
- * impossible event) and all-zero probability columns give the exact
- * [0, 0]; any invalid probability (NaN, outside [0, 1]) yields the
- * vacuous enclosure (-inf, +inf].
+ * Edge cases: K <= 0 gives the exact enclosure [1, 1]; K > N' (an
+ * impossible event, including K > N and all-zero columns) gives the
+ * exact [0, 0]; any invalid probability (NaN, outside [0, 1]) yields
+ * the vacuous enclosure (-inf, +inf].
  */
 PValueBoundsLog2 certifiedBoundsLog2(const ColumnView &column);
 

@@ -25,18 +25,14 @@
 #include "hmm/generator.hh"
 #include "io/shard.hh"
 #include "pbd/dataset.hh"
+#include "../test_tmp.hh"
 
 namespace
 {
 
 using namespace pstat;
 using namespace pstat::engine;
-
-std::string
-tempPath(const std::string &name)
-{
-    return ::testing::TempDir() + name;
-}
+using pstat::test::tempPath;
 
 std::vector<pbd::Column>
 makeColumns(int n, uint64_t seed)

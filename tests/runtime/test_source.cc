@@ -12,18 +12,14 @@
 #include "io/shard.hh"
 #include "io/shard_stream.hh"
 #include "pbd/dataset.hh"
+#include "../test_tmp.hh"
 
 namespace
 {
 
 using namespace pstat;
 using namespace pstat::engine;
-
-std::string
-tempPath(const std::string &name)
-{
-    return ::testing::TempDir() + name;
-}
+using pstat::test::tempPath;
 
 std::vector<pbd::Column>
 makeColumns(int n, uint64_t seed)

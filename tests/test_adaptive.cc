@@ -58,6 +58,73 @@ iidColumn(int n, double p, int k)
     return col;
 }
 
+pbd::Column
+makeColumn(std::vector<double> probs, int k)
+{
+    pbd::Column col;
+    col.success_probs = std::move(probs);
+    col.k = k;
+    return col;
+}
+
+/**
+ * A seeded heterogeneous column. Most are short, with probabilities
+ * across twelve decades and some exact 0, exact 1 and subnormal
+ * reads; the rest are deep Phred-scale columns with a small K.
+ */
+pbd::Column
+heterogeneousColumn(stats::Rng &rng)
+{
+    pbd::Column col;
+    if (rng.chance(0.3)) {
+        const int n = static_cast<int>(rng.range(100, 600));
+        for (int i = 0; i < n; ++i) {
+            col.success_probs.push_back(
+                std::pow(10.0, -rng.uniform(15.0, 45.0) / 10.0));
+        }
+        col.k = static_cast<int>(rng.below(40));
+        return col;
+    }
+    const int n = 1 + static_cast<int>(rng.below(80));
+    for (int i = 0; i < n; ++i) {
+        const double roll = rng.uniform();
+        if (roll < 0.05)
+            col.success_probs.push_back(0.0);
+        else if (roll < 0.10)
+            col.success_probs.push_back(1.0);
+        else if (roll < 0.15)
+            col.success_probs.push_back(
+                std::exp2(rng.uniform(-1074.0, -1022.0)));
+        else
+            col.success_probs.push_back(
+                std::pow(10.0, rng.uniform(-12.0, 0.0)));
+    }
+    col.k = static_cast<int>(rng.below(static_cast<uint64_t>(n) + 2));
+    return col;
+}
+
+/**
+ * The analytic enclosure of a column holds its exact DP p-value: the
+ * exact [0, 0] for an impossible event, else finite endpoints
+ * around it.
+ */
+void
+expectEnclosesExact(const pbd::Column &col)
+{
+    const pbd::PValueBoundsLog2 bounds =
+        pbd::certifiedBoundsLog2(col.view());
+    const BigFloat exact =
+        pbd::pvalue<BigFloat>(col.success_probs, col.k);
+    if (exact.isZero()) {
+        EXPECT_EQ(bounds.lo_log2, -kInf);
+        EXPECT_EQ(bounds.hi_log2, -kInf);
+        return;
+    }
+    EXPECT_TRUE(std::isfinite(bounds.lo_log2));
+    EXPECT_LE(bounds.lo_log2, exact.log2Abs() + 1e-9);
+    EXPECT_GE(bounds.hi_log2, exact.log2Abs() - 1e-9);
+}
+
 TEST(Ladder, ParsesSpecsAgainstTheRegistry)
 {
     const auto ladder =
@@ -222,6 +289,104 @@ TEST(Intervals, AnalyticBoundsContainExactIidTail)
     }
 }
 
+TEST(Intervals, AnalyticBoundsContainExactHeterogeneousTail)
+{
+    stats::Rng rng(0x4e7e20b0dULL);
+    for (int trial = 0; trial < 300; ++trial) {
+        const pbd::Column col = heterogeneousColumn(rng);
+        SCOPED_TRACE(::testing::Message()
+                     << "trial " << trial << " n="
+                     << col.success_probs.size() << " k=" << col.k);
+        expectEnclosesExact(col);
+    }
+}
+
+TEST(Intervals, AnalyticBoundsEdgeReads)
+{
+    const auto boundsOf = [](std::vector<double> probs, int k) {
+        return pbd::certifiedBoundsLog2(
+            makeColumn(std::move(probs), k).view());
+    };
+    const double nan = std::nan("");
+
+    // Structural exacts and invalid input.
+    EXPECT_EQ(boundsOf({0.5, 0.25}, 0).lo_log2, 0.0);
+    EXPECT_EQ(boundsOf({0.5, 0.25}, 0).hi_log2, 0.0);
+    expectEnclosesExact(makeColumn({0.5, 0.25}, 3));
+    for (const double bad : {nan, -0.25, 1.5}) {
+        const pbd::PValueBoundsLog2 vac = boundsOf({0.5, bad}, 1);
+        EXPECT_EQ(vac.lo_log2, -kInf) << bad;
+        EXPECT_EQ(vac.hi_log2, kInf) << bad;
+    }
+
+    // Reads with p = 1: with fewer than K of them the bound is an
+    // ordinary finite enclosure; with exactly K or more the event is
+    // sure, and the lower endpoint is 1 less its pad.
+    expectEnclosesExact(makeColumn({1.0, 1.0, 0.5, 0.25}, 3));
+    for (const auto &probs :
+         {std::vector<double>{1.0, 1.0, 0.5, 0.25},
+          std::vector<double>{1.0, 1.0, 1.0, 0.5},
+          std::vector<double>{1.0, 1.0, 1.0, 1.0}}) {
+        const pbd::PValueBoundsLog2 sure = boundsOf(probs, 2);
+        EXPECT_EQ(sure.hi_log2, 0.0);
+        EXPECT_LE(sure.lo_log2, -2.0);
+        EXPECT_GT(sure.lo_log2, -2.01);
+    }
+
+    // Reads with p = 0 drop out: the enclosure is that of the other
+    // reads, and K above their count is the exact zero.
+    const pbd::PValueBoundsLog2 padded =
+        boundsOf({0.0, 0.25, 0.0, 0.5, 0.0}, 2);
+    const pbd::PValueBoundsLog2 bare = boundsOf({0.25, 0.5}, 2);
+    EXPECT_EQ(padded.lo_log2, bare.lo_log2);
+    EXPECT_EQ(padded.hi_log2, bare.hi_log2);
+    expectEnclosesExact(makeColumn({0.0, 0.25, 0.0}, 2));
+    expectEnclosesExact(makeColumn({0.0, 0.0, 0.0}, 1));
+
+    // Subnormal probabilities, and K = 1 and K = N.
+    const std::vector<double> subnormal{0x1p-1060, 0x1p-1070,
+                                        0x1p-1074};
+    expectEnclosesExact(makeColumn(subnormal, 1));
+    expectEnclosesExact(makeColumn(subnormal, 3));
+    const std::vector<double> mixed{0.9, 0.5, 1e-3, 1e-7, 0.25};
+    expectEnclosesExact(makeColumn(mixed, 1));
+    expectEnclosesExact(makeColumn(mixed, 5));
+}
+
+TEST(Adaptive, AnalyticTierCertifiesDeepBinomialColumn)
+{
+    // 2000 Phred-22 reads with K = 80: P(X >= 80) is about 2^-122,
+    // far above the 2^-200 call. One outcome of the event (80 given
+    // reads succeed, the rest fail) has probability about 2^-602:
+    // it drops the C(2000, 80) ~ 2^480 ways the event can happen, so
+    // a lower endpoint built on it left the enclosure straddling the
+    // threshold and sent the column to a DP tier. The binomial term
+    // keeps that factor and certifies the call with no kernel run.
+    const double p = std::pow(10.0, -2.2);
+    const pbd::Column col = iidColumn(2000, p, 80);
+    const double one_outcome_log2 =
+        80.0 * std::log2(p) + 1920.0 * std::log1p(-p) / M_LN2;
+    ASSERT_LT(one_outcome_log2, -200.0);
+
+    const pbd::PValueBoundsLog2 bounds =
+        pbd::certifiedBoundsLog2(col.view());
+    const double exact_log2 =
+        pbd::binomialTailExact(2000, p, 80).log2Abs();
+    EXPECT_LE(bounds.lo_log2, exact_log2);
+    EXPECT_GE(bounds.hi_log2, exact_log2);
+    EXPECT_GE(bounds.lo_log2, -200.0);
+
+    CertConfig cert;
+    cert.threshold_log2 = -200.0;
+    const engine::AdaptiveBatch batch =
+        sharedEngine().pvalueAdaptiveBatch(
+            engine::defaultLadder(), std::vector<pbd::Column>{col},
+            cert);
+    ASSERT_EQ(batch.results.size(), 1u);
+    EXPECT_EQ(batch.results[0].tier, engine::kTierAnalytic);
+    EXPECT_TRUE(batch.results[0].certified);
+}
+
 TEST(Adaptive, RejectsMalformedArguments)
 {
     const std::vector<pbd::Column> columns{iidColumn(10, 0.1, 2)};
@@ -351,6 +516,23 @@ TEST(Adaptive, FeasibilityRoutesPastHopelessTiers)
     EXPECT_FALSE(engine::tierFeasible(registry.at("posit32"),
                                       col.view(), bounds, thr,
                                       engine::SumPolicy::Plain));
+
+    // "At or above" is flush-aware: binary32's computed lower
+    // endpoint subtracts its flush mass (at least 2^-150) first, so
+    // an enclosure topping out at 2^-170 leaves binary32 nothing to
+    // certify, though 2^-170 clears 2^-200 by far more than the
+    // wobble. binary64's flush mass lies far below the threshold.
+    const engine::FormatOps &b32 = registry.at("binary32");
+    const pbd::PValueBoundsLog2 under_flush{-230.0, -170.0};
+    ASSERT_LT(under_flush.hi_log2, b32.errorModel().flush_abs_log2);
+    EXPECT_FALSE(engine::tierFeasible(b32, col.view(), under_flush,
+                                      thr, engine::SumPolicy::Plain));
+    EXPECT_TRUE(engine::tierFeasible(registry.at("binary64"),
+                                     col.view(), under_flush, thr,
+                                     engine::SumPolicy::Plain));
+    const pbd::PValueBoundsLog2 over_flush{-230.0, -100.0};
+    EXPECT_TRUE(engine::tierFeasible(b32, col.view(), over_flush, thr,
+                                     engine::SumPolicy::Plain));
 }
 
 TEST(Adaptive, ForwardBatchCertifiesSmallModels)

@@ -24,6 +24,7 @@
 #include "engine/plan.hh"
 #include "io/shard.hh"
 #include "pbd/dataset.hh"
+#include "test_tmp.hh"
 
 namespace
 {
@@ -60,7 +61,7 @@ makeShard(const std::string &name, int columns = 60)
     config.num_columns = columns;
     config.seed = 77;
     const auto ds = pbd::makeDataset(config, "cli");
-    const std::string path = ::testing::TempDir() + name;
+    const std::string path = test::tempPath(name);
     io::writeColumnShard(path, ds.columns);
     return path;
 }
@@ -99,7 +100,7 @@ TEST(Cli, UnknownOptionFails)
 TEST(Cli, MissingShardFails)
 {
     const std::string missing =
-        ::testing::TempDir() + "no_such_file.shard";
+        test::tempDir() + "no_such_file.shard";
     std::string err;
     EXPECT_EQ(runCli({"eval", "--format", "binary64",
                       missing.c_str()},
@@ -244,7 +245,7 @@ TEST(Cli, InfoPrintsColumnPayloadStats)
 TEST(Cli, InfoPrintsSequencePayloadStats)
 {
     const std::string path =
-        ::testing::TempDir() + "cli_info_seqs.shard";
+        test::tempDir() + "cli_info_seqs.shard";
     {
         io::ShardWriter writer(path, io::ShardPayload::Sequences);
         const std::vector<int> a{0, 1, 2, 3};
@@ -264,7 +265,7 @@ TEST(Cli, PlanDumpWritesADecodablePlanWithoutRunning)
 {
     const std::string shard = makeShard("cli_plandump.shard", 20);
     const std::string plan_path =
-        ::testing::TempDir() + "cli_dump.plan";
+        test::tempDir() + "cli_dump.plan";
     std::string out;
     EXPECT_EQ(runCli({"eval", "--format", "log", "--queue", "3",
                       "--plan-dump", plan_path.c_str(),
@@ -290,7 +291,7 @@ TEST(Cli, PlanFileReplayMatchesDirectFlags)
 {
     const std::string shard = makeShard("cli_replay.shard");
     const std::string plan_path =
-        ::testing::TempDir() + "cli_replay.plan";
+        test::tempDir() + "cli_replay.plan";
     std::string direct;
     EXPECT_EQ(runCli({"eval", "--format", "binary64", shard.c_str()},
                      &direct),
@@ -318,7 +319,7 @@ TEST(Cli, PlanFileReplayMatchesDirectFlags)
 TEST(Cli, PlanFileRejectsConflictingFlagsAndBadFiles)
 {
     const std::string plan_path =
-        ::testing::TempDir() + "cli_conflict.plan";
+        test::tempDir() + "cli_conflict.plan";
     std::string err;
     EXPECT_EQ(runCli({"eval", "--plan-file", plan_path.c_str(),
                       "--format", "log"},
@@ -329,13 +330,13 @@ TEST(Cli, PlanFileRejectsConflictingFlagsAndBadFiles)
     // Missing and corrupt plan files are data errors, not crashes.
     err.clear();
     EXPECT_EQ(runCli({"eval", "--plan-file",
-                      (::testing::TempDir() + "nope.plan").c_str()},
+                      (test::tempDir() + "nope.plan").c_str()},
                      nullptr, &err),
               1);
     EXPECT_FALSE(err.empty());
 
     const std::string garbage_path =
-        ::testing::TempDir() + "cli_garbage.plan";
+        test::tempDir() + "cli_garbage.plan";
     {
         std::FILE *f = std::fopen(garbage_path.c_str(), "wb");
         ASSERT_NE(f, nullptr);
@@ -353,7 +354,7 @@ TEST(Cli, ScreenPlanDumpRoundTripsThroughEval)
 {
     const std::string shard = makeShard("cli_screen_plan.shard");
     const std::string plan_path =
-        ::testing::TempDir() + "cli_screen.plan";
+        test::tempDir() + "cli_screen.plan";
     std::string direct;
     EXPECT_EQ(runCli({"screen", "--format", "log", "--guard-bits",
                       "32", shard.c_str()},
@@ -397,7 +398,7 @@ TEST(Cli, EvalWritesAndInfoPrintsAResultShard)
 {
     const std::string path = makeShard("cli_out_in.shard");
     const std::string out_path =
-        ::testing::TempDir() + "cli_out_results.shard";
+        test::tempDir() + "cli_out_results.shard";
     std::string out;
     EXPECT_EQ(runCli({"eval", "--format", "log", "-o",
                       out_path.c_str(), path.c_str()},
@@ -420,7 +421,7 @@ TEST(Cli, EvalRejectsAResultShardAsInput)
 {
     const std::string path = makeShard("cli_reject_in.shard");
     const std::string out_path =
-        ::testing::TempDir() + "cli_reject_results.shard";
+        test::tempDir() + "cli_reject_results.shard";
     ASSERT_EQ(runCli({"eval", "--format", "log", "-o",
                       out_path.c_str(), path.c_str()}),
               0);
@@ -435,7 +436,7 @@ TEST(Cli, EvalRejectsAResultShardAsInput)
 
     // Same guard on a --plan-file replay pointed at the wrong data.
     const std::string plan_path =
-        ::testing::TempDir() + "cli_reject_plan.bin";
+        test::tempDir() + "cli_reject_plan.bin";
     ASSERT_EQ(runCli({"eval", "--format", "log", "--plan-dump",
                       plan_path.c_str(), path.c_str()}),
               0);
@@ -451,14 +452,14 @@ TEST(Cli, PlanFileReplayComposesWithOut)
 {
     const std::string path = makeShard("cli_plan_out.shard");
     const std::string plan_path =
-        ::testing::TempDir() + "cli_plan_out.bin";
+        test::tempDir() + "cli_plan_out.bin";
     ASSERT_EQ(runCli({"eval", "--format", "log", "--plan-dump",
                       plan_path.c_str(), path.c_str()}),
               0);
     // --out is a runtime binding, not plan configuration, so it must
     // not trip the replay's conflicting-flags guard.
     const std::string out_path =
-        ::testing::TempDir() + "cli_plan_out_results.shard";
+        test::tempDir() + "cli_plan_out_results.shard";
     std::string out;
     EXPECT_EQ(runCli({"eval", "--plan-file", plan_path.c_str(), "-o",
                       out_path.c_str(), path.c_str()},
@@ -471,7 +472,7 @@ TEST(Cli, ScreenPersistsSkippedFlagsInTheResultShard)
 {
     const std::string path = makeShard("cli_screen_out.shard");
     const std::string out_path =
-        ::testing::TempDir() + "cli_screen_results.shard";
+        test::tempDir() + "cli_screen_results.shard";
     std::string out;
     EXPECT_EQ(runCli({"screen", "--format", "log", "-o",
                       out_path.c_str(), path.c_str()},
@@ -491,7 +492,7 @@ TEST(Cli, QueueCapEnvIsStrictlyParsed)
 {
     const std::string path = makeShard("cli_queuecap.shard");
     const std::string plan_path =
-        ::testing::TempDir() + "cli_queuecap_plan.bin";
+        test::tempDir() + "cli_queuecap_plan.bin";
 
     // A valid override lands in the built plan.
     ::setenv("PSTAT_QUEUE_CAP", "7", 1);

@@ -51,6 +51,7 @@
 #include "pbd/screen.hh"
 #include "prop_util.hh"
 #include "stats/rng.hh"
+#include "test_tmp.hh"
 
 namespace
 {
@@ -425,9 +426,8 @@ TEST(DiffEscalate, AdaptiveStreamMatchesBatch)
         const size_t end = (s + 1) * total / kShards;
         shard_columns[s].assign(set.columns.begin() + begin,
                                 set.columns.begin() + end);
-        const std::string path = ::testing::TempDir() +
-                                 "escalate_stream_" +
-                                 std::to_string(s) + ".shard";
+        const std::string path = test::tempPath(
+            "escalate_stream_" + std::to_string(s) + ".shard");
         io::writeColumnShard(path, shard_columns[s]);
         paths.push_back(path);
     }

@@ -41,12 +41,14 @@
 #include "serve/client.hh"
 #include "serve/frame.hh"
 #include "serve/server.hh"
+#include "test_tmp.hh"
 
 namespace
 {
 
 using namespace pstat;
 using namespace std::chrono_literals;
+using test::tempPath;
 
 /** Run the CLI in-process; captures stdout/stderr around the call. */
 int
@@ -99,12 +101,6 @@ makeRequest(uint64_t id, int columns,
     request.plan = plan;
     request.columns = makeColumns(columns, 100 + id);
     return request;
-}
-
-std::string
-tempPath(const std::string &name)
-{
-    return ::testing::TempDir() + name;
 }
 
 /** Poll `done` for up to `budget`; returns its final verdict. */

@@ -20,17 +20,13 @@
 #include "io/shard.hh"
 #include "pbd/dataset.hh"
 #include "pbd/pbd.hh"
+#include "test_tmp.hh"
 
 namespace
 {
 
 using namespace pstat;
-
-std::string
-tempPath(const std::string &name)
-{
-    return ::testing::TempDir() + name;
-}
+using test::tempPath;
 
 /** A small column mix incl. the k = 0 and empty-column edges. */
 std::vector<pbd::Column>

@@ -29,17 +29,13 @@
 #include "io/shard.hh"
 #include "io/shard_stream.hh"
 #include "pbd/dataset.hh"
+#include "test_tmp.hh"
 
 namespace
 {
 
 using namespace pstat;
-
-std::string
-tempPath(const std::string &name)
-{
-    return ::testing::TempDir() + name;
-}
+using test::tempPath;
 
 /** Write `count` small column shards; returns their paths. */
 std::vector<std::string>
