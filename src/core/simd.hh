@@ -11,10 +11,11 @@
  *     (4 x double / 8 x float), NEON (2 x double / 4 x float), and a
  *     scalar-array fallback (ArrayVec) that compiles everywhere. All
  *     expose the same tiny interface (load/store/broadcast, + - *,
- *     abs, compare-lt + select), and every operation is lane-wise —
- *     no horizontal instruction ever mixes lanes — so a kernel
- *     templated over a wrapper executes, per lane, exactly the
- *     scalar kernel's IEEE operation sequence. That is the whole
+ *     abs, compare-lt + select; min on ArrayVec and Avx2DoubleVec,
+ *     for the analytic bounds' read pass), and every operation is
+ *     lane-wise — no horizontal instruction ever mixes lanes — so a
+ *     kernel templated over a wrapper executes, per lane, exactly
+ *     the scalar kernel's IEEE operation sequence. That is the whole
  *     bit-identity argument for the SoA tile kernels
  *     (pbd::pvalueBatchSimd, hmm::forwardSimd): lane c of the vector
  *     run performs the same multiplies and adds, in the same order,
@@ -201,6 +202,20 @@ struct ArrayVec
         return out;
     }
 
+    /**
+     * Lane-wise `a < b ? a : b`: b when either lane is NaN or both
+     * are zeros of any sign — the rule of x86 minpd, which
+     * Avx2DoubleVec::min is.
+     */
+    static ArrayVec
+    min(const ArrayVec &a, const ArrayVec &b)
+    {
+        ArrayVec out;
+        for (int i = 0; i < W; ++i)
+            out.lane[i] = a.lane[i] < b.lane[i] ? a.lane[i] : b.lane[i];
+        return out;
+    }
+
     struct Mask
     {
         bool lane[W];
@@ -283,6 +298,12 @@ struct Avx2DoubleVec
     abs() const
     {
         return {_mm256_andnot_pd(_mm256_set1_pd(-0.0), r)};
+    }
+
+    static Avx2DoubleVec
+    min(const Avx2DoubleVec &a, const Avx2DoubleVec &b)
+    {
+        return {_mm256_min_pd(a.r, b.r)};
     }
 
     struct Mask

@@ -601,14 +601,20 @@ EvalEngine::adaptiveEval(
     // Analytic tier: O(N) certified bounds on every live column —
     // both a certifier in its own right (decision-mode columns far
     // from the threshold never touch the DP) and the routing input
-    // of the per-tier feasibility checks below.
+    // of the per-tier feasibility checks below. A threshold-only cert
+    // lets a column stop at the cheap enclosure once it decides (a
+    // decided column is never routed); analytic intervals never meet
+    // a tolerance, so tolerance certs keep the full walk's bounds.
     std::vector<pbd::PValueBoundsLog2> bounds(n);
+    const std::optional<double> decide_log2 =
+        cert.tol_rel_log2 ? std::nullopt : cert.threshold_log2;
     {
         StageTimer timer;
         std::vector<uint8_t> done(n, 0);
         parallelFor(pending.size(), [&](size_t j) {
             const size_t i = pending[j];
-            bounds[i] = pbd::certifiedBoundsLog2(column(i));
+            bounds[i] =
+                pbd::certifiedBoundsLog2(column(i), decide_log2);
             const ResultInterval iv = analyticInterval(bounds[i]);
             if (certifies(iv, cert)) {
                 out.results[i] =

@@ -1,13 +1,15 @@
 /**
  * @file
- * AVX2 instantiation of the Listing-2 SoA tile kernel. Compiled with
- * -mavx2 (see CMakeLists); callable only when
- * simd::isaSupported(Isa::Avx2) said yes at runtime.
+ * AVX2 instantiations of the Listing-2 SoA tile kernel and of the
+ * analytic bounds' read pass. Compiled with -mavx2 (see CMakeLists);
+ * callable only when simd::isaSupported(Isa::Avx2) said yes at
+ * runtime.
  */
 
 #include "core/simd.hh"
 #include "pbd/pbd_simd.hh"
 #include "pbd/pbd_simd_tile.hh"
+#include "pbd/read_pass.hh"
 
 namespace pstat::pbd::detail
 {
@@ -38,6 +40,12 @@ pvalueColumnRowsAvx2(const ColumnView &column, float *out,
 {
     *out =
         pvalueColumnRowsRun<simd::Avx2FloatVec>(column, compensated);
+}
+
+ReadStats
+readPassAvx2(std::span<const double> probs)
+{
+    return readPassRun<simd::Avx2DoubleVec>(probs);
 }
 
 } // namespace pstat::pbd::detail

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "pbd/pbd.hh"
+#include "pbd/read_pass.hh"
 
 namespace pstat::pbd
 {
@@ -54,7 +55,8 @@ namespace
  * of slack plus 2^-40 * n * (|raw| + 64). Every libm result an
  * endpoint combines (lgamma, log2, log1p) has magnitude below
  * n * (|raw| + 64) bits and is a few ulps off, and the nonnegative
- * sum of the reads adds O(n*u) relative error, so the pad
+ * sum of the reads adds O(n*u) relative error in any summation order
+ * (the read pass's striped one included), so the pad
  * over-covers the worst case by several orders of magnitude while
  * staying negligible against the enclosure widths that matter (a
  * deep column's pad is milli-bits against hundreds of bits of slack
@@ -76,10 +78,33 @@ endpointPad(size_t n, double raw)
  */
 constexpr size_t kOctaves = 1024;
 
+size_t
+octaveOf(double p)
+{
+    return static_cast<size_t>(std::bit_cast<uint64_t>(p) >> 52);
+}
+
 } // namespace
 
+namespace detail
+{
+
+ReadStats
+readPass(std::span<const double> probs, simd::Isa isa)
+{
+#if defined(PSTAT_SIMD_HAS_AVX2)
+    if (isa == simd::Isa::Avx2 && simd::isaSupported(simd::Isa::Avx2))
+        return readPassAvx2(probs);
+#endif
+    (void)isa;
+    return readPassRun<simd::ArrayVec<double, read_stripes>>(probs);
+}
+
+} // namespace detail
+
 PValueBoundsLog2
-certifiedBoundsLog2(const ColumnView &column)
+certifiedBoundsLog2(const ColumnView &column,
+                    std::optional<double> decide_log2)
 {
     constexpr double kInf = std::numeric_limits<double>::infinity();
     constexpr double kLn2 = std::numbers::ln2;
@@ -92,31 +117,15 @@ certifiedBoundsLog2(const ColumnView &column)
     if (k > n)
         return {-kInf, -kInf};
 
-    // The one pass: validate every read, sum the nonzero ones, and
-    // file each into its octave, keeping the octave's read count and
-    // least probability, and the lowest octave filled.
-    std::array<size_t, kOctaves> count{};
-    std::array<double, kOctaves> least;
-    least.fill(1.0);
-    size_t bottom = kOctaves;
-    size_t nonzero = 0;
-    double sum_p = 0.0;
-    for (const double p : column.success_probs) {
-        if (!(p >= 0.0) || p > 1.0)
-            return {-kInf, kInf}; // invalid input: vacuous enclosure
-        if (p == 0.0)
-            continue;
-        ++nonzero;
-        sum_p += p;
-        const size_t octave =
-            static_cast<size_t>(std::bit_cast<uint64_t>(p) >> 52);
-        bottom = std::min(bottom, octave);
-        ++count[octave];
-        least[octave] = std::min(least[octave], p);
-    }
+    // Stage 1, the read pass: validity, N', the sum, and t_min.
+    const detail::ReadStats reads =
+        detail::readPass(column.success_probs, simd::activeIsa());
+    if (!reads.valid)
+        return {-kInf, kInf}; // invalid input: vacuous enclosure
 
     // Reads with p = 0 never succeed: with fewer than K others the
     // event is impossible, exactly.
+    const size_t nonzero = reads.nonzero;
     if (k > nonzero)
         return {-kInf, -kInf};
 
@@ -127,34 +136,57 @@ certifiedBoundsLog2(const ColumnView &column)
                 std::lgamma(m - kk + 1.0)) /
                kLn2;
     };
+    // The m reads at or above t dominate Binomial(m, t), so
+    // P(X >= K) >= C(m,K) t^K (1-t)^(m-K); at t = 1 the m >= K sure
+    // successes make the event sure: 2^0.
+    const auto binomialTerm = [&](double m, double t) {
+        return t == 1.0 ? 0.0
+                        : log2Choose(m) + kk * std::log2(t) +
+                              (m - kk) * std::log1p(-t) / kLn2;
+    };
+    const auto padded = [&](double raw) {
+        return raw - endpointPad(nonzero, raw);
+    };
 
     // Upper endpoint: P(X >= K) <= e_K(p) <= C(N',K) * pbar^K over
     // the N' nonzero reads (union bound + Maclaurin), in log2.
     const double nn = static_cast<double>(nonzero);
-    double hi = log2Choose(nn) + kk * std::log2(sum_p / nn);
+    double hi = log2Choose(nn) + kk * std::log2(reads.sum / nn);
     hi = std::min(hi + endpointPad(nonzero, hi), 0.0); // p <= 1
 
-    // Lower endpoint: walk the octaves from p = 1 down. The m reads
-    // at or above octave e all have p >= t = least[e], so they
-    // dominate Binomial(m, t) and P(X >= K) >= C(m,K) t^K (1-t)^(m-K).
-    // At t = 1 the m >= K sure successes make the event sure: 2^0.
+    // The cheap lower endpoint: all N' reads are at or above t_min.
+    // It is the walk's bottom-octave term, so never above its result.
+    const double lo_cheap = padded(binomialTerm(nn, reads.least));
+    if (decide_log2 &&
+        (hi < *decide_log2 || lo_cheap >= *decide_log2))
+        return {lo_cheap, hi};
+
+    // Stage 2, the octave walk: file each nonzero read into its
+    // octave, keeping the octave's read count and least probability,
+    // then walk the octaves from p = 1 down to t_min's, taking the
+    // best term over t = the least read at or above each octave.
+    std::array<size_t, kOctaves> count{};
+    std::array<double, kOctaves> least;
+    least.fill(1.0);
+    for (const double p : column.success_probs) {
+        if (p == 0.0)
+            continue;
+        const size_t octave = octaveOf(p);
+        ++count[octave];
+        least[octave] = std::min(least[octave], p);
+    }
     double lo = -kInf;
     size_t m = 0;
+    const size_t bottom = octaveOf(reads.least);
     for (size_t octave = kOctaves; octave-- > bottom;) {
         if (count[octave] == 0)
             continue;
         m += count[octave];
-        if (m < k)
-            continue;
-        const double t = least[octave];
-        const double mm = static_cast<double>(m);
-        lo = std::max(lo, t == 1.0
-                              ? 0.0
-                              : log2Choose(mm) + kk * std::log2(t) +
-                                    (mm - kk) * std::log1p(-t) / kLn2);
+        if (m >= k)
+            lo = std::max(lo, binomialTerm(static_cast<double>(m),
+                                           least[octave]));
     }
-    lo -= endpointPad(nonzero, lo);
-    return {lo, hi};
+    return {padded(lo), hi};
 }
 
 size_t

@@ -28,6 +28,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -137,10 +138,9 @@ struct PValueBoundsLog2
  * counterpart of pvalueLog2Estimate: where the Cramér–Chernoff
  * estimate is accurate but heuristic, these bounds are loose but
  * *sound*, so a decision threshold (LoFreq's 2^-200) can be
- * certified without running any DP at all. One pass over the reads,
- * with no heap allocation, gathers both endpoints; the libm calls
- * run once per occupied binary octave of the probabilities, not
- * once per read.
+ * certified without running any DP at all. No heap allocation, and
+ * the libm calls run once per occupied binary octave of the
+ * probabilities, not once per read.
  *
  * Reads with p = 0 never succeed and drop out; N' counts the rest.
  * Upper endpoint: the union bound P(X >= K) <= e_K(p) (the K-th
@@ -151,22 +151,49 @@ struct PValueBoundsLog2
  * stochastically dominate Binomial(m, t): drive each read by its own
  * independent uniform U_i, and 1{U_i < p_i} >= 1{U_i < t}. So
  * P(X >= K) >= P(Binomial(m, t) >= K) >= C(m,K) t^K (1-t)^(m-K).
- * The bound takes the best such term over the thresholds t = the
- * least probability at or above each binary octave, which keeps the
- * C(m,K) ways the event can happen instead of pricing one outcome;
- * at t = 1 (at least K reads with p = 1) the event is sure and the
- * term is 1. Both endpoints are padded by 2 bits plus a term
- * covering every libm rounding in their own evaluation, so the
- * enclosure holds for the exact real-arithmetic p-value; the
- * differential harness (tests/test_escalate.cc) audits this against
- * the BigFloat oracle over adversarial columns.
+ * At t = 1 (at least K reads with p = 1) the event is sure and the
+ * term is 1.
+ *
+ * Two stages compute it:
+ *
+ *  1. The read pass, one branch-free vectorized sweep (on the
+ *     process's simd::activeIsa()), gathers validity, N', the sum of
+ *     the reads and t_min, the least nonzero read. The sum runs in a
+ *     fixed 4-stripe order — read i feeds stripe i % 4, the stripes
+ *     combine pairwise, ((s0 + s1) + (s2 + s3)), then the n % 4 tail
+ *     reads are added in index order — so every ISA returns the same
+ *     bits. From these come the upper endpoint and the cheap lower
+ *     endpoint, the single term m = N', t = t_min.
+ *  2. The octave walk files each read into its binary octave (count
+ *     and least probability only) and takes the best term over
+ *     t = the least probability at or above each octave, which keeps
+ *     the C(m,K) ways the event can happen instead of pricing one
+ *     outcome. The t_min term is its bottom octave's, so the walk's
+ *     lower endpoint is never below the cheap one.
+ *
+ * decide_log2, when given, is the caller's decision threshold: if
+ * the cheap enclosure already lies on one side of it (hi below it,
+ * or the cheap lower endpoint at or above it) the walk is skipped
+ * and that enclosure is returned. Its upper endpoint is the same
+ * bits either way, but its lower endpoint may be wider than the
+ * walk's — it answers the decision, not the magnitude. Without a
+ * threshold, or when the cheap enclosure straddles it, the walk
+ * always runs.
+ *
+ * Both endpoints are padded by 2 bits plus a term covering every
+ * libm rounding in their own evaluation and the summation error in
+ * any order, so the enclosure holds for the exact real-arithmetic
+ * p-value; the differential harness (tests/test_escalate.cc) audits
+ * this against the BigFloat oracle over adversarial columns.
  *
  * Edge cases: K <= 0 gives the exact enclosure [1, 1]; K > N' (an
  * impossible event, including K > N and all-zero columns) gives the
  * exact [0, 0]; any invalid probability (NaN, outside [0, 1]) yields
  * the vacuous enclosure (-inf, +inf].
  */
-PValueBoundsLog2 certifiedBoundsLog2(const ColumnView &column);
+PValueBoundsLog2
+certifiedBoundsLog2(const ColumnView &column,
+                    std::optional<double> decide_log2 = std::nullopt);
 
 /**
  * False-skip audit: the number of skipped columns whose exact

@@ -237,8 +237,11 @@ decodeRequestBody(std::span<const uint8_t> body)
             static_cast<size_t>(n) * sizeof(double),
             "column probabilities");
         column.success_probs.resize(n);
-        std::memcpy(column.success_probs.data(), probs.data(),
-                    probs.size());
+        // An empty vector's data() may be null, and memcpy's
+        // pointers must not be, even for a zero count.
+        if (!probs.empty())
+            std::memcpy(column.success_probs.data(), probs.data(),
+                        probs.size());
         request.columns.push_back(std::move(column));
     }
     cursor.expectEnd("request body");
@@ -326,7 +329,8 @@ decodeResponseBody(std::span<const uint8_t> body)
             static_cast<size_t>(path_count) * sizeof(int),
             "record path");
         record.path.resize(path_count);
-        std::memcpy(record.path.data(), path.data(), path.size());
+        if (!path.empty()) // as above: a null data() for no path
+            std::memcpy(record.path.data(), path.data(), path.size());
         cursor.skipPad8("record padding");
         response.records.push_back(std::move(record));
     }

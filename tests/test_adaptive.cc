@@ -16,7 +16,9 @@
 #pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 #endif
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -104,6 +106,49 @@ heterogeneousColumn(stats::Rng &rng)
 }
 
 /**
+ * A decision threshold only lets certifiedBoundsLog2 stop early: the
+ * upper endpoint keeps its bits, the lower one never rises, and the
+ * threshold is decided the same way (below / at or above / neither)
+ * as by the full walk. Thresholds sit at the default call, at the
+ * column's own endpoints (both sides of each comparison) and at the
+ * cheap lower endpoint, which an infinite threshold exposes: hi is
+ * always below it, so the cheap enclosure is what comes back.
+ */
+void
+expectEarlyExitAgrees(const pbd::Column &col)
+{
+    const pbd::PValueBoundsLog2 full =
+        pbd::certifiedBoundsLog2(col.view());
+    const double cheap_lo =
+        pbd::certifiedBoundsLog2(col.view(), kInf).lo_log2;
+    EXPECT_LE(cheap_lo, full.lo_log2);
+    const auto side = [](const pbd::PValueBoundsLog2 &b, double thr) {
+        return b.hi_log2 < thr ? -1 : b.lo_log2 >= thr ? 1 : 0;
+    };
+    for (const double thr :
+         {-200.0, -20.0, full.lo_log2,
+          std::nextafter(full.lo_log2, kInf), full.hi_log2,
+          std::nextafter(full.hi_log2, kInf),
+          0.5 * (full.lo_log2 + full.hi_log2), cheap_lo,
+          std::nextafter(cheap_lo, -kInf)}) {
+        if (!std::isfinite(thr))
+            continue;
+        const pbd::PValueBoundsLog2 early =
+            pbd::certifiedBoundsLog2(col.view(), thr);
+        SCOPED_TRACE(::testing::Message() << "thr=" << thr);
+        EXPECT_EQ(std::bit_cast<uint64_t>(early.hi_log2),
+                  std::bit_cast<uint64_t>(full.hi_log2));
+        EXPECT_LE(early.lo_log2, full.lo_log2);
+        EXPECT_EQ(side(early, thr), side(full, thr));
+        // A lower endpoint below the walk's means the walk was
+        // skipped, which only a decided threshold allows.
+        if (early.lo_log2 != full.lo_log2) {
+            EXPECT_NE(side(early, thr), 0);
+        }
+    }
+}
+
+/**
  * The analytic enclosure of a column holds its exact DP p-value: the
  * exact [0, 0] for an impossible event, else finite endpoints
  * around it.
@@ -111,6 +156,7 @@ heterogeneousColumn(stats::Rng &rng)
 void
 expectEnclosesExact(const pbd::Column &col)
 {
+    expectEarlyExitAgrees(col);
     const pbd::PValueBoundsLog2 bounds =
         pbd::certifiedBoundsLog2(col.view());
     const BigFloat exact =
@@ -272,6 +318,7 @@ TEST(Intervals, AnalyticBoundsContainExactIidTail)
             static_cast<uint64_t>(n) + 2));
         const double p = std::pow(10.0, rng.uniform(-8.0, 0.0));
         const pbd::Column col = iidColumn(n, p, k);
+        expectEarlyExitAgrees(col);
         const pbd::PValueBoundsLog2 bounds =
             pbd::certifiedBoundsLog2(col.view());
         const BigFloat exact = pbd::binomialTailExact(n, p, k);
@@ -317,6 +364,7 @@ TEST(Intervals, AnalyticBoundsEdgeReads)
         const pbd::PValueBoundsLog2 vac = boundsOf({0.5, bad}, 1);
         EXPECT_EQ(vac.lo_log2, -kInf) << bad;
         EXPECT_EQ(vac.hi_log2, kInf) << bad;
+        expectEarlyExitAgrees(makeColumn({0.5, bad}, 1));
     }
 
     // Reads with p = 1: with fewer than K of them the bound is an
@@ -327,6 +375,7 @@ TEST(Intervals, AnalyticBoundsEdgeReads)
          {std::vector<double>{1.0, 1.0, 0.5, 0.25},
           std::vector<double>{1.0, 1.0, 1.0, 0.5},
           std::vector<double>{1.0, 1.0, 1.0, 1.0}}) {
+        expectEarlyExitAgrees(makeColumn(probs, 2));
         const pbd::PValueBoundsLog2 sure = boundsOf(probs, 2);
         EXPECT_EQ(sure.hi_log2, 0.0);
         EXPECT_LE(sure.lo_log2, -2.0);
@@ -376,15 +425,33 @@ TEST(Adaptive, AnalyticTierCertifiesDeepBinomialColumn)
     EXPECT_GE(bounds.hi_log2, exact_log2);
     EXPECT_GE(bounds.lo_log2, -200.0);
 
+    // One read far below the bulk drags t_min to 1e-300, so the
+    // cheap lower endpoint (all 2001 reads at t_min) sinks below the
+    // call and the cheap enclosure straddles it. The octave walk
+    // still finds the bulk's term, and must run to certify.
+    pbd::Column dragged = col;
+    dragged.success_probs.push_back(1e-300);
+    const pbd::PValueBoundsLog2 dragged_full =
+        pbd::certifiedBoundsLog2(dragged.view());
+    const pbd::PValueBoundsLog2 dragged_cheap =
+        pbd::certifiedBoundsLog2(dragged.view(), kInf);
+    EXPECT_LT(dragged_cheap.lo_log2, -200.0);
+    EXPECT_GE(dragged_full.hi_log2, -200.0);
+    EXPECT_GE(dragged_full.lo_log2, -200.0);
+    EXPECT_EQ(pbd::certifiedBoundsLog2(dragged.view(), -200.0).lo_log2,
+              dragged_full.lo_log2);
+
     CertConfig cert;
     cert.threshold_log2 = -200.0;
     const engine::AdaptiveBatch batch =
         sharedEngine().pvalueAdaptiveBatch(
-            engine::defaultLadder(), std::vector<pbd::Column>{col},
-            cert);
-    ASSERT_EQ(batch.results.size(), 1u);
-    EXPECT_EQ(batch.results[0].tier, engine::kTierAnalytic);
-    EXPECT_TRUE(batch.results[0].certified);
+            engine::defaultLadder(),
+            std::vector<pbd::Column>{col, dragged}, cert);
+    ASSERT_EQ(batch.results.size(), 2u);
+    for (const engine::EscalationResult &result : batch.results) {
+        EXPECT_EQ(result.tier, engine::kTierAnalytic);
+        EXPECT_TRUE(result.certified);
+    }
 }
 
 TEST(Adaptive, RejectsMalformedArguments)

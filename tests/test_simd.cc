@@ -29,6 +29,7 @@
 #include "pbd/dataset.hh"
 #include "pbd/pbd.hh"
 #include "pbd/pbd_simd.hh"
+#include "pbd/read_pass.hh"
 #include "stats/rng.hh"
 
 namespace
@@ -410,6 +411,89 @@ TEST(SimdPbd, PortableTileMatchesOracleF64)
 TEST(SimdPbd, PortableTileMatchesOracleF32)
 {
     runPortableTileAgainstOracle<float, 8>();
+}
+
+// ---------------------------------------------------------------------------
+// The analytic bounds' read pass
+// ---------------------------------------------------------------------------
+
+TEST(SimdReadPass, BitIdenticalToArrayVecOnAdversarialReads)
+{
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    constexpr double denorm = std::numeric_limits<double>::denorm_min();
+    const std::vector<double> valid_pool{
+        0.0, -0.0, 1.0, denorm, 0x1p-1060, 0x1p-1022, 1e-300,
+        1e-12, 0.5, std::nextafter(1.0, 0.0)};
+    const std::vector<double> invalid_pool{
+        nan, -0.25, -denorm, -inf, std::nextafter(1.0, 2.0), 1.5, inf};
+
+    stats::Rng rng(0x5ead5eedULL);
+    size_t invalid_cases = 0;
+    for (size_t n : {0UL, 1UL, 2UL, 3UL, 4UL, 5UL, 6UL, 7UL, 8UL, 9UL,
+                     13UL, 17UL, 31UL, 100UL, 257UL}) {
+        for (int trial = 0; trial < 40; ++trial) {
+            std::vector<double> probs(n);
+            for (double &p : probs) {
+                p = rng.chance(0.5)
+                        ? valid_pool[rng.below(valid_pool.size())]
+                        : rng.uniform();
+            }
+            // A third of the columns carry one invalid read, tail
+            // positions included.
+            if (n > 0 && trial % 3 == 0) {
+                probs[rng.below(n)] =
+                    invalid_pool[rng.below(invalid_pool.size())];
+                ++invalid_cases;
+            }
+            SCOPED_TRACE(::testing::Message()
+                         << "n=" << n << " trial=" << trial);
+
+            const pbd::detail::ReadStats want =
+                pbd::detail::readPassRun<simd::ArrayVec<double, 4>>(
+                    probs);
+            for (simd::Isa isa : allIsas()) {
+                const pbd::detail::ReadStats got =
+                    pbd::detail::readPass(probs, isa);
+                EXPECT_EQ(got.valid, want.valid) << simd::isaName(isa);
+                EXPECT_EQ(got.nonzero, want.nonzero)
+                    << simd::isaName(isa);
+                EXPECT_TRUE(bitsEqual(got.sum, want.sum))
+                    << simd::isaName(isa);
+                EXPECT_TRUE(bitsEqual(got.least, want.least))
+                    << simd::isaName(isa);
+            }
+
+            // The reference itself: the documented statistics, with
+            // the sum in the documented stripe order.
+            bool valid = true;
+            size_t nonzero = 0;
+            double least = 1.0;
+            double stripe[4] = {0.0, 0.0, 0.0, 0.0};
+            const size_t body = n - n % 4;
+            for (size_t i = 0; i < n; ++i) {
+                const double p = probs[i];
+                valid = valid && p >= 0.0 && p <= 1.0;
+                if (p > 0.0) {
+                    ++nonzero;
+                    least = std::min(least, p);
+                }
+                if (i < body)
+                    stripe[i % 4] += p;
+            }
+            double sum =
+                (stripe[0] + stripe[1]) + (stripe[2] + stripe[3]);
+            for (size_t i = body; i < n; ++i)
+                sum += probs[i];
+            ASSERT_EQ(want.valid, valid);
+            if (valid) {
+                EXPECT_EQ(want.nonzero, nonzero);
+                EXPECT_TRUE(bitsEqual(want.sum, sum));
+                EXPECT_TRUE(bitsEqual(want.least, least));
+            }
+        }
+    }
+    EXPECT_GT(invalid_cases, 100u);
 }
 
 // ---------------------------------------------------------------------------
