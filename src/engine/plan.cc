@@ -99,6 +99,22 @@ struct Cursor
         return std::bit_cast<double>(u64(what));
     }
 
+    /**
+     * The count of a string list. Every string carries at least its
+     * 4-byte length, so a count the rest of the buffer cannot hold is
+     * rejected here, before a reserve() can ask for gigabytes.
+     */
+    uint32_t
+    count(const char *what)
+    {
+        const uint32_t n = u32(what);
+        if (n > (bytes.size() - pos) / 4)
+            throw PlanError(std::string("plan ") + what + " " +
+                            std::to_string(n) +
+                            " overruns the buffer");
+        return n;
+    }
+
     std::string
     str(const char *what)
     {
@@ -479,11 +495,11 @@ decodePlan(std::span<const uint8_t> bytes)
     plan.screen.threshold_log2 = cursor.f64("screen threshold");
     plan.screen.guard_band_log2 = cursor.f64("screen guard band");
     plan.format_id = cursor.str("format_id");
-    const uint32_t ladder_count = cursor.u32("ladder count");
+    const uint32_t ladder_count = cursor.count("ladder count");
     plan.ladder_ids.reserve(ladder_count);
     for (uint32_t i = 0; i < ladder_count; ++i)
         plan.ladder_ids.push_back(cursor.str("ladder tier"));
-    const uint32_t path_count = cursor.u32("shard path count");
+    const uint32_t path_count = cursor.count("shard path count");
     plan.shard_paths.reserve(path_count);
     for (uint32_t i = 0; i < path_count; ++i)
         plan.shard_paths.push_back(cursor.str("shard path"));

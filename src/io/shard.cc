@@ -10,6 +10,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "io/crc32_pclmul.hh"
+
 namespace pstat::io
 {
 
@@ -37,27 +39,80 @@ loadAt(const unsigned char *base, size_t offset)
     return value;
 }
 
+/**
+ * The slicing-by-8 tables of the reflected IEEE 802.3 (zlib)
+ * polynomial, built at compile time. crc_tables[0] is the classic
+ * bytewise table; crc_tables[k][b] advances the register past byte b
+ * followed by k zero bytes, so one step folds eight bytes through
+ * eight independent lookups.
+ */
+constexpr auto crc_tables = [] {
+    std::array<std::array<uint32_t, 256>, 8> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+        uint32_t c = i;
+        for (int bit = 0; bit < 8; ++bit)
+            c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+        t[0][i] = c;
+    }
+    for (size_t k = 1; k < t.size(); ++k)
+        for (uint32_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    return t;
+}();
+
+/** Slicing-by-8 over the raw (inverted) CRC register. */
+uint32_t
+crc32Slice8(uint32_t state, const unsigned char *p, size_t len)
+{
+    const auto &t = crc_tables;
+    for (; len >= 8; p += 8, len -= 8) {
+        const uint32_t lo = state ^ loadAt<uint32_t>(p, 0);
+        const uint32_t hi = loadAt<uint32_t>(p, 4);
+        state = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+                t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+                t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+                t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
+    for (; len > 0; ++p, --len)
+        state = t[0][(state ^ *p) & 0xffu] ^ (state >> 8);
+    return state;
+}
+
+/** True when crc32() may run the PCLMULQDQ kernel for `isa`. */
+bool
+pclmulUsable(simd::Isa isa)
+{
+#if defined(PSTAT_SIMD_HAS_PCLMUL) && defined(__GNUC__)
+    static const bool usable =
+        simd::isaSupported(simd::Isa::Avx2) &&
+        __builtin_cpu_supports("pclmul") != 0;
+    return isa == simd::Isa::Avx2 && usable;
+#else
+    (void)isa;
+    return false;
+#endif
+}
+
 } // namespace
+
+uint32_t
+crc32(uint32_t crc, const void *data, size_t len, simd::Isa isa)
+{
+    const auto *bytes = static_cast<const unsigned char *>(data);
+    uint32_t state = ~crc;
+    if (len >= 64 && pclmulUsable(isa)) {
+        const size_t folded = len & ~size_t{15};
+        state = detail::crc32FoldPclmul(state, bytes, folded);
+        bytes += folded;
+        len -= folded;
+    }
+    return ~crc32Slice8(state, bytes, len);
+}
 
 uint32_t
 crc32(uint32_t crc, const void *data, size_t len)
 {
-    // IEEE 802.3 (zlib) polynomial, table built once per process.
-    static const auto table = [] {
-        std::vector<uint32_t> t(256);
-        for (uint32_t i = 0; i < 256; ++i) {
-            uint32_t c = i;
-            for (int bit = 0; bit < 8; ++bit)
-                c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    crc ^= 0xffffffffu;
-    for (size_t i = 0; i < len; ++i)
-        crc = table[(crc ^ bytes[i]) & 0xffu] ^ (crc >> 8);
-    return crc ^ 0xffffffffu;
+    return crc32(crc, data, len, simd::activeIsa());
 }
 
 // ------------------------------------------------------------ writer
@@ -311,7 +366,9 @@ ShardReader::ShardReader(const std::string &path) : path_(path)
     payload_bytes_ = header.payload_bytes;
 
     const unsigned char *payload = base_ + sizeof(ShardHeader);
-    const uint32_t stored_crc = loadAt<uint32_t>(
+    // All eight trailer bytes: the CRC zero-extended, exactly as
+    // close() wrote it, so damage to the upper half fails here too.
+    const auto stored_crc = loadAt<uint64_t>(
         base_, sizeof(ShardHeader) + payload_bytes_);
     const uint32_t computed_crc = crc32(0, payload, payload_bytes_);
     if (stored_crc != computed_crc) {

@@ -53,6 +53,7 @@
 #include <string>
 #include <vector>
 
+#include "core/simd.hh"
 #include "pbd/dataset.hh"
 
 /**
@@ -147,9 +148,22 @@ inline constexpr size_t shard_trailer_bytes = 8;
 /**
  * CRC-32 (IEEE 802.3, the zlib polynomial) over a byte range,
  * resumable: feed the previous return value as `crc` to extend a
- * running checksum (start from 0).
+ * running checksum (start from 0). Runs on the process-wide
+ * simd::activeIsa(); see the Isa overload for the kernels.
  */
 uint32_t crc32(uint32_t crc, const void *data, size_t len);
+
+/**
+ * crc32() on a chosen ISA. Two kernels compute the same value: on
+ * Isa::Avx2 with a CPU that reports PCLMULQDQ, a carry-less-multiply
+ * folding kernel takes the largest multiple-of-16 prefix of any
+ * input of 64 bytes or more; everything else (Scalar, NEON, short
+ * inputs, the folded prefix's tail) runs slicing-by-8. An ISA this
+ * build or CPU cannot run falls back to slicing-by-8, so the result
+ * never depends on the ISA.
+ */
+uint32_t crc32(uint32_t crc, const void *data, size_t len,
+               simd::Isa isa);
 
 /**
  * Streams records into a shard file: a placeholder header first,

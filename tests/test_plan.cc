@@ -17,6 +17,7 @@
 #endif
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -200,6 +201,29 @@ TEST(Plan, RejectsTrailingBytes)
     } catch (const engine::PlanError &error) {
         EXPECT_NE(std::string(error.what()).find("trailing"),
                   std::string::npos);
+    }
+}
+
+TEST(Plan, HugeStringListCountIsRejectedNotAllocated)
+{
+    // A default plan ends with the ladder count, the shard path count
+    // and the empty simd string's length, then the trailer. A
+    // CRC-valid count of 2^32 - 1 must be a PlanError, not a
+    // bad_alloc from reserving that many strings.
+    for (const size_t from_end : {20u, 16u}) {
+        auto bytes = engine::encodePlan(engine::EvalPlan{});
+        const uint32_t huge = 0xffffffffu;
+        std::memcpy(bytes.data() + bytes.size() - from_end, &huge,
+                    sizeof(huge));
+        resealPlan(bytes);
+        try {
+            engine::decodePlan(bytes);
+            FAIL() << "accepted a count of " << huge;
+        } catch (const engine::PlanError &error) {
+            EXPECT_NE(std::string(error.what()).find("overruns"),
+                      std::string::npos)
+                << error.what();
+        }
     }
 }
 

@@ -4,7 +4,8 @@
  * recovery, per-format kernel bit-identity on mapped views), the
  * full corruption matrix (truncation, bad magic, unsupported
  * version, unknown payload tag, CRC mismatch, record overrun,
- * trailing bytes), zero-record files, and writer misuse.
+ * trailing bytes), zero-record files, writer misuse, and every
+ * CRC-32 kernel against a bit-at-a-time reference.
  */
 
 #include <bit>
@@ -20,6 +21,7 @@
 #include "io/shard.hh"
 #include "pbd/dataset.hh"
 #include "pbd/pbd.hh"
+#include "stats/rng.hh"
 #include "test_tmp.hh"
 
 namespace
@@ -277,6 +279,21 @@ TEST(Shard, CorruptedPayloadFailsTheCrc)
     expectShardError(path, "CRC");
 }
 
+TEST(Shard, CorruptedTrailerUpperBytesFailTheCrc)
+{
+    // The trailer is the CRC zero-extended to 8 bytes; its upper half
+    // is part of the check, as in decodePlan and readFrame.
+    const std::string path = tempPath("trailer.shard");
+    pbd::Column column;
+    column.success_probs = {0.25, 0.5};
+    column.k = 1;
+    io::writeColumnShard(path, std::span(&column, 1));
+    auto bytes = slurp(path);
+    bytes.back() ^= 0x5a;
+    spit(path, bytes);
+    expectShardError(path, "CRC");
+}
+
 TEST(Shard, RecordOverrunIsRejectedEvenWithAValidCrc)
 {
     // Craft corruption the CRC cannot catch: inflate the first
@@ -343,6 +360,63 @@ TEST(Shard, Crc32MatchesKnownVectors)
     const uint32_t chained =
         io::crc32(io::crc32(0, "strea", 5), "ming", 4);
     EXPECT_EQ(once, chained);
+}
+
+/**
+ * CRC-32 from its definition: the reflected IEEE polynomial applied
+ * one bit at a time, with no table.
+ */
+uint32_t
+crc32Bitwise(uint32_t crc, const unsigned char *data, size_t len)
+{
+    crc = ~crc;
+    for (size_t i = 0; i < len; ++i) {
+        crc ^= data[i];
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc >> 1) ^ ((crc & 1u) != 0 ? 0xedb88320u : 0u);
+    }
+    return ~crc;
+}
+
+TEST(Shard, Crc32EveryKernelMatchesTheBitwiseReference)
+{
+    // Lengths 0-300 cross the 8-byte slicing step and the 16- and
+    // 64-byte folding boundaries; 4 KiB and 64 KiB + 13 run the
+    // four-lane fold for many steps and then leave a tail.
+    stats::Rng rng(20261017);
+    std::vector<unsigned char> buf((64 << 10) + 13 + 16);
+    for (auto &byte : buf)
+        byte = static_cast<unsigned char>(rng());
+    std::vector<size_t> lengths;
+    for (size_t len = 0; len <= 300; ++len)
+        lengths.push_back(len);
+    lengths.push_back(4 << 10);
+    lengths.push_back((64 << 10) + 13);
+
+    for (const simd::Isa isa : simd::supportedIsas()) {
+        SCOPED_TRACE(simd::isaName(isa));
+        EXPECT_EQ(io::crc32(0, "123456789", 9, isa), 0xcbf43926u);
+        for (const size_t len : lengths) {
+            for (size_t offset = 0; offset < 16; ++offset) {
+                const unsigned char *data = buf.data() + offset;
+                const auto running = static_cast<uint32_t>(rng());
+                ASSERT_EQ(io::crc32(running, data, len, isa),
+                          crc32Bitwise(running, data, len))
+                    << "len " << len << " offset " << offset
+                    << " running crc " << running;
+            }
+        }
+        // Resuming at every split point of a 200-byte buffer gives
+        // the one-pass value, across the 16- and 64-byte boundaries.
+        const uint32_t whole = crc32Bitwise(0, buf.data(), 200);
+        for (size_t split = 0; split <= 200; ++split) {
+            const uint32_t head = io::crc32(0, buf.data(), split, isa);
+            ASSERT_EQ(io::crc32(head, buf.data() + split, 200 - split,
+                                isa),
+                      whole)
+                << "split " << split;
+        }
+    }
 }
 
 } // namespace
