@@ -120,16 +120,13 @@ runStream(const engine::FormatOps &format,
     plan.queue_capacity = queue_capacity;
     engine::PlanInputs inputs;
     inputs.format = &format;
-    inputs.sink = [&](size_t, const io::ShardReader &,
-                      std::span<const engine::EvalResult> results) {
-        out.results.insert(out.results.end(), results.begin(),
-                           results.end());
-    };
     // run() opens the shard stream itself, so the timer covers the
     // same span the hand-rolled pipeline did.
     const bench::WallTimer timer;
-    out.stats = engine.run(plan, inputs).stream;
+    engine::PlanRun run = engine.run(plan, inputs);
     out.wall_ms = timer.elapsedMs();
+    out.results = std::move(run.results);
+    out.stats = run.stream;
     return out;
 }
 
@@ -379,18 +376,12 @@ main()
             stream_plan.format_id = format.id();
             stream_plan.shard_paths = paths;
             stream_plan.queue_capacity = queue_capacity;
-            std::vector<engine::EvalResult> got;
             engine::PlanInputs stream_inputs;
             stream_inputs.model = &model;
             stream_inputs.format = &format;
-            stream_inputs.sink =
-                [&](size_t, const io::ShardReader &,
-                    std::span<const engine::EvalResult> results) {
-                    got.insert(got.end(), results.begin(),
-                               results.end());
-                };
             const bench::WallTimer stream_timer;
-            engine.run(stream_plan, stream_inputs);
+            const auto got =
+                engine.run(stream_plan, stream_inputs).results;
             const double stream_ms = stream_timer.elapsedMs();
             const bool identical = bitIdentical(got, want);
             all_bit_identical = all_bit_identical && identical;

@@ -41,6 +41,7 @@
 #include <filesystem>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -469,102 +470,58 @@ runInfo(const Args &args)
 // ----------------------------------------------------- plan execution
 
 /**
- * The optional `-o` result-shard sink of one plan execution. When
- * `out` is set, bind the returned sink into PlanInputs::result_sink;
- * reportResultShard prints the summary line after the run.
+ * The report of one `eval` / `screen` run, bound as the run's
+ * PlanInputs::sink so a streamed run holds one shard's results at a
+ * time: one line per shard as its results arrive, then the policy's
+ * `total:` line from the counts kept here (plus the per-tier table of
+ * the adaptive policies).
  */
-std::optional<engine::ShardFileSink>
-makeResultSink(const std::optional<std::string> &out,
-               const engine::EvalPlan &plan)
+class ReportSink final : public engine::ResultSink
 {
-    if (!out)
-        return std::nullopt;
-    return std::make_optional<engine::ShardFileSink>(
-        *out, plan.kernel, engine::resultFormatLabel(plan));
-}
+  public:
+    explicit ReportSink(const engine::EvalPlan &plan) : plan_(plan) {}
 
-/** The "wrote ..." line after a run that persisted a result shard. */
-void
-reportResultShard(const std::optional<std::string> &out,
-                  const std::optional<engine::ShardFileSink> &sink)
-{
-    if (out && sink)
-        std::printf("wrote %s: %zu result records\n", out->c_str(),
-                    sink->written());
-}
-
-/**
- * Execute a Fixed pvalue shard-stream plan with the classic `eval`
- * reporting (per-shard call counts, LoFreq 2^-200 calls).
- */
-int
-executeFixedPlan(const engine::EvalPlan &plan,
-                 const std::optional<std::string> &out)
-{
-    engine::EvalEngine engine(plan.threads,
-                              static_cast<size_t>(plan.grain));
-    const BigFloat threshold = apps::lofreqThreshold();
-    size_t calls = 0;
-    size_t invalid = 0;
-    size_t underflows = 0;
-
-    engine::PlanInputs inputs;
-    inputs.sink = [&](size_t, const io::ShardReader &shard,
-                      std::span<const engine::EvalResult> results) {
+    /** Fixed policy: LoFreq 2^-200 variant calls per shard. */
+    void
+    consumeResults(const engine::WorkBlock &block,
+                   std::span<const engine::EvalResult> results) override
+    {
         size_t shard_calls = 0;
         for (const auto &r : results) {
             if (r.invalid)
-                ++invalid;
+                ++invalid_;
             if (r.underflow)
-                ++underflows;
-            if (r.value.isFinite() && r.value < threshold)
+                ++underflows_;
+            if (r.value.isFinite() && r.value < threshold_)
                 ++shard_calls;
         }
-        calls += shard_calls;
+        calls_ += shard_calls;
         std::printf("%s: %zu columns, %zu calls\n",
-                    shard.path().c_str(), shard.size(), shard_calls);
-    };
-    auto result_sink = makeResultSink(out, plan);
-    if (result_sink)
-        inputs.result_sink = &*result_sink;
-    try {
-        const auto stats = engine.run(plan, inputs).stream;
-        std::printf("total: %zu shards, %zu columns, %zu variant "
-                    "calls (p < 2^-200), %zu invalid, %zu "
-                    "underflows [%s, %u lanes, peak queue %zu, peak "
-                    "mapped %zu bytes]\n",
-                    stats.shards, stats.items, calls, invalid,
-                    underflows, plan.format_id.c_str(),
-                    engine.threadCount(), stats.peak_queue_depth,
-                    stats.peak_mapped_bytes);
-        reportResultShard(out, result_sink);
-    } catch (const io::ShardError &error) {
-        std::fprintf(stderr, "pstat: %s\n", error.what());
-        return 1;
+                    block.shard->path().c_str(), block.shard->size(),
+                    shard_calls);
     }
-    return 0;
-}
 
-/**
- * Execute an Adaptive / ScreenedAdaptive pvalue shard-stream plan
- * with the classic `eval --adaptive` reporting (certified counts,
- * per-tier escalation table).
- */
-int
-executeAdaptivePlan(const engine::EvalPlan &plan,
-                    const std::optional<std::string> &out)
-{
-    engine::EvalEngine engine(plan.threads,
-                              static_cast<size_t>(plan.grain));
-    engine::AccuracyTally tally("adaptive");
-    size_t calls = 0;
-    size_t certified = 0;
-    size_t uncertified = 0;
-    size_t skipped_total = 0;
+    /** Screened policy: skips, DP runs and guard hits per shard. */
+    void
+    consumeScreened(const engine::WorkBlock &block,
+                    const engine::ScreenedPValueBatch &batch) override
+    {
+        screen_.columns += batch.stats.columns;
+        screen_.skipped += batch.stats.skipped;
+        screen_.evaluated += batch.stats.evaluated;
+        screen_.guard_band_hits += batch.stats.guard_band_hits;
+        std::printf("%s: %zu columns, %zu skipped, %zu evaluated, %zu "
+                    "guard hits\n",
+                    block.shard->path().c_str(), batch.stats.columns,
+                    batch.stats.skipped, batch.stats.evaluated,
+                    batch.stats.guard_band_hits);
+    }
 
-    engine::PlanInputs inputs;
-    inputs.adaptive_sink = [&](size_t, const io::ShardReader &shard,
-                               const engine::AdaptiveBatch &batch) {
+    /** Adaptive policies: certification and certified calls. */
+    void
+    consumeAdaptive(const engine::WorkBlock &block,
+                    const engine::AdaptiveBatch &batch) override
+    {
         size_t shard_calls = 0;
         if (batch.cert.threshold_log2) {
             const double t = *batch.cert.threshold_log2;
@@ -573,104 +530,86 @@ executeAdaptivePlan(const engine::EvalPlan &plan,
                     ++shard_calls;
             }
         }
-        calls += shard_calls;
-        certified += batch.certified;
-        uncertified += batch.uncertified;
-        size_t shard_skipped = 0;
+        calls_ += shard_calls;
+        certified_ += batch.certified;
+        uncertified_ += batch.uncertified;
         for (const uint8_t s : batch.skipped)
-            shard_skipped += s;
-        skipped_total += shard_skipped;
-        tally.recordTiers(batch.tiers);
+            skipped_ += s;
+        tiers_.recordTiers(batch.tiers);
         std::printf("%s: %zu columns, %zu certified, %zu "
                     "uncertified, %zu calls\n",
-                    shard.path().c_str(), shard.size(),
+                    block.shard->path().c_str(), block.shard->size(),
                     batch.certified, batch.uncertified, shard_calls);
-    };
-    auto result_sink = makeResultSink(out, plan);
-    if (result_sink)
-        inputs.result_sink = &*result_sink;
-    try {
-        const auto stats = engine.run(plan, inputs).stream;
+    }
+
+    /** The policy's `total:` line (and the adaptive tier table). */
+    void
+    printTotal(const engine::StreamStats &stats, unsigned lanes) const
+    {
+        switch (plan_.policy) {
+        case engine::PlanPolicy::Fixed:
+            std::printf("total: %zu shards, %zu columns, %zu variant "
+                        "calls (p < 2^-200), %zu invalid, %zu "
+                        "underflows [%s, %u lanes, peak queue %zu, "
+                        "peak mapped %zu bytes]\n",
+                        stats.shards, stats.items, calls_, invalid_,
+                        underflows_, plan_.format_id.c_str(), lanes,
+                        stats.peak_queue_depth, stats.peak_mapped_bytes);
+            return;
+        case engine::PlanPolicy::Screened: {
+            const double skip_frac =
+                screen_.columns > 0
+                    ? static_cast<double>(screen_.skipped) /
+                          static_cast<double>(screen_.columns)
+                    : 0.0;
+            std::printf("total: %zu shards, %zu columns, %zu skipped "
+                        "(%.1f%%), %zu evaluated, %zu guard hits "
+                        "[guard %g bits, %s, %u lanes]\n",
+                        stats.shards, screen_.columns, screen_.skipped,
+                        100.0 * skip_frac, screen_.evaluated,
+                        screen_.guard_band_hits,
+                        plan_.screen.guard_band_log2,
+                        plan_.format_id.c_str(), lanes);
+            return;
+        }
+        default:
+            break;
+        }
         std::printf("total: %zu shards, %zu columns, %zu certified, "
                     "%zu uncertified, %zu skipped",
-                    stats.shards, stats.items, certified, uncertified,
-                    skipped_total);
-        if (plan.cert.threshold_log2) {
-            std::printf(", %zu calls (p < 2^%g)", calls,
-                        *plan.cert.threshold_log2);
+                    stats.shards, stats.items, certified_, uncertified_,
+                    skipped_);
+        if (plan_.cert.threshold_log2) {
+            std::printf(", %zu calls (p < 2^%g)", calls_,
+                        *plan_.cert.threshold_log2);
         }
-        std::printf(" [%u lanes]\n", engine.threadCount());
-        for (const engine::TierStats &tier : tally.tierStats()) {
+        std::printf(" [%u lanes]\n", lanes);
+        for (const engine::TierStats &tier : tiers_.tierStats()) {
             std::printf("  tier %-10s %zu evaluated, %zu certified, "
                         "%zu bypassed, %.2f ms\n",
                         tier.format_id.c_str(), tier.evaluated,
                         tier.certified, tier.bypassed, tier.wall_ms);
         }
-        reportResultShard(out, result_sink);
-    } catch (const io::ShardError &error) {
-        std::fprintf(stderr, "pstat: %s\n", error.what());
-        return 1;
     }
-    return 0;
-}
 
-/**
- * Execute a Screened pvalue shard-stream plan with the classic
- * `screen` reporting (skip fractions, guard-band hits).
- */
-int
-executeScreenedPlan(const engine::EvalPlan &plan,
-                    const std::optional<std::string> &out)
-{
-    engine::EvalEngine engine(plan.threads,
-                              static_cast<size_t>(plan.grain));
-    pbd::ScreenStats totals;
-
-    engine::PlanInputs inputs;
-    inputs.screened_sink =
-        [&](size_t, const io::ShardReader &shard,
-            const engine::ScreenedPValueBatch &batch) {
-            totals.columns += batch.stats.columns;
-            totals.skipped += batch.stats.skipped;
-            totals.evaluated += batch.stats.evaluated;
-            totals.guard_band_hits += batch.stats.guard_band_hits;
-            std::printf("%s: %zu columns, %zu skipped, %zu "
-                        "evaluated, %zu guard hits\n",
-                        shard.path().c_str(), batch.stats.columns,
-                        batch.stats.skipped, batch.stats.evaluated,
-                        batch.stats.guard_band_hits);
-        };
-    auto result_sink = makeResultSink(out, plan);
-    if (result_sink)
-        inputs.result_sink = &*result_sink;
-    try {
-        const auto stats = engine.run(plan, inputs).stream;
-        const double skip_frac =
-            totals.columns > 0
-                ? static_cast<double>(totals.skipped) /
-                      static_cast<double>(totals.columns)
-                : 0.0;
-        std::printf("total: %zu shards, %zu columns, %zu skipped "
-                    "(%.1f%%), %zu evaluated, %zu guard hits "
-                    "[guard %g bits, %s, %u lanes]\n",
-                    stats.shards, totals.columns, totals.skipped,
-                    100.0 * skip_frac, totals.evaluated,
-                    totals.guard_band_hits,
-                    plan.screen.guard_band_log2,
-                    plan.format_id.c_str(), engine.threadCount());
-        reportResultShard(out, result_sink);
-    } catch (const io::ShardError &error) {
-        std::fprintf(stderr, "pstat: %s\n", error.what());
-        return 1;
-    }
-    return 0;
-}
+  private:
+    const engine::EvalPlan &plan_;
+    const BigFloat threshold_ = apps::lofreqThreshold();
+    size_t calls_ = 0;
+    size_t invalid_ = 0;
+    size_t underflows_ = 0;
+    pbd::ScreenStats screen_;
+    size_t certified_ = 0;
+    size_t uncertified_ = 0;
+    size_t skipped_ = 0;
+    engine::AccuracyTally tiers_{"adaptive"};
+};
 
 /**
  * Execute any CLI-supported plan: the pvalue shard-stream plans of
- * `eval` and `screen` (loaded or flag-built). Applies the plan's
- * SIMD provisioning knob first — the engine's ISA dispatch resolves
- * once per process, so this must precede the first kernel call.
+ * `eval` and `screen` (loaded or flag-built). A ReportSink prints the
+ * report; with `-o`, a ShardFileSink bound as the run's result_sink
+ * persists every result.
  */
 int
 executePlan(const engine::EvalPlan &plan,
@@ -707,16 +646,28 @@ executePlan(const engine::EvalPlan &plan,
             return 2;
         }
     }
-    if (!plan.simd.empty())
-        ::setenv("PSTAT_SIMD", plan.simd.c_str(), 1);
-    switch (plan.policy) {
-    case engine::PlanPolicy::Fixed:
-        return executeFixedPlan(plan, out);
-    case engine::PlanPolicy::Screened:
-        return executeScreenedPlan(plan, out);
-    default:
-        return executeAdaptivePlan(plan, out);
+
+    engine::EvalEngine engine;
+    ReportSink report(plan);
+    engine::PlanInputs inputs;
+    inputs.sink = &report;
+    std::optional<engine::ShardFileSink> result_sink;
+    if (out) {
+        result_sink.emplace(*out, plan.kernel,
+                            engine::resultFormatLabel(plan));
+        inputs.result_sink = &*result_sink;
     }
+    try {
+        const auto stats = engine.run(plan, inputs).stream;
+        report.printTotal(stats, engine.threadCount());
+        if (result_sink)
+            std::printf("wrote %s: %zu result records\n", out->c_str(),
+                        result_sink->written());
+    } catch (const io::ShardError &error) {
+        std::fprintf(stderr, "pstat: %s\n", error.what());
+        return 1;
+    }
+    return 0;
 }
 
 /**

@@ -722,7 +722,7 @@ EvalEngine::adaptiveEval(
 }
 
 AdaptiveBatch
-EvalEngine::forwardAdaptiveBatchImpl(const Ladder &ladder,
+EvalEngine::forwardAdaptiveStage(const Ladder &ladder,
                                  std::span<const ForwardJob> jobs,
                                  const CertConfig &cert,
                                  Dataflow dataflow)

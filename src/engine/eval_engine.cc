@@ -1,14 +1,9 @@
 #include "engine/eval_engine.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <utility>
 
 #include "core/accuracy.hh"
@@ -30,14 +25,6 @@ EvalEngine::~EvalEngine() = default;
 namespace
 {
 
-/** The wrapper-side SumPolicy -> PlanSum mapping (always pinned). */
-PlanSum
-planSum(SumPolicy sum)
-{
-    return sum == SumPolicy::Compensated ? PlanSum::Compensated
-                                         : PlanSum::Plain;
-}
-
 /** The executor-side PlanSum -> SumPolicy resolution. */
 SumPolicy
 resolveSum(PlanSum sum)
@@ -53,17 +40,6 @@ resolveSum(PlanSum sum)
     return defaultSumPolicy();
 }
 
-/** Registry ids of a borrowed ladder (wrapper -> plan direction). */
-std::vector<std::string>
-ladderIds(const Ladder &ladder)
-{
-    std::vector<std::string> ids;
-    ids.reserve(ladder.tiers.size());
-    for (const FormatOps *tier : ladder.tiers)
-        ids.push_back(tier->id());
-    return ids;
-}
-
 } // namespace
 
 PlanRun
@@ -76,10 +52,9 @@ EvalEngine::run(const EvalPlan &plan, const PlanInputs &inputs)
         plan.policy == PlanPolicy::ScreenedAdaptive;
 
     // Format / ladder resolution: a bound inputs.format / .ladder
-    // wins (the wrappers bind theirs so even a hypothetical
-    // off-registry FormatOps keeps working); otherwise the plan's
-    // ids resolve against the registry — the same singletons a
-    // direct caller would pass, so the results are identical.
+    // wins over the plan's ids; otherwise the ids resolve against
+    // the registry — the same singletons a caller would bind, so the
+    // results are identical.
     const FormatOps *format = inputs.format;
     if (format == nullptr && !adaptive)
         format = FormatRegistry::instance().find(plan.format_id);
@@ -102,20 +77,13 @@ EvalEngine::run(const EvalPlan &plan, const PlanInputs &inputs)
 
     PlanRun out;
 
-    // Sink resolution: accumulation into the PlanRun is the base
-    // route; a streamed plan with legacy per-shard callbacks routes
-    // through the callback adapter (unclaimed channels still fall
-    // back to accumulation); a bound inputs.result_sink is teed into
+    // Sink resolution: the caller's bound sink is the primary route
+    // and nothing accumulates; without one, results accumulate into
+    // the returned PlanRun. A bound inputs.result_sink is teed into
     // every delivery on top of either.
     AccumulateSink accumulate(out);
-    std::optional<CallbackSink> callbacks;
-    ResultSink *primary = &accumulate;
-    if (plan.source == PlanSource::ShardStream &&
-        (inputs.sink || inputs.screened_sink || inputs.adaptive_sink)) {
-        callbacks.emplace(inputs.sink, inputs.screened_sink,
-                          inputs.adaptive_sink, accumulate);
-        primary = &*callbacks;
-    }
+    ResultSink *primary =
+        inputs.sink != nullptr ? inputs.sink : &accumulate;
     std::optional<TeeSink> tee;
     ResultSink *sink = primary;
     if (inputs.result_sink != nullptr) {
@@ -189,27 +157,27 @@ EvalEngine::run(const EvalPlan &plan, const PlanInputs &inputs)
                     forwardFixedStage(*format, *block, plan.dataflow);
                 sink->consumeResults(*block, results);
             } else {
-                const AdaptiveBatch batch = forwardAdaptiveBatchImpl(
+                const AdaptiveBatch batch = forwardAdaptiveStage(
                     *ladder, block->jobs, plan.cert, plan.dataflow);
                 sink->consumeAdaptive(*block, batch);
             }
             break;
         case PlanKernel::Backward: {
             const std::vector<EvalResult> results =
-                backwardBatchImpl(*format, block->jobs, plan.dataflow);
+                backwardStage(*format, block->jobs, plan.dataflow);
             sink->consumeResults(*block, results);
             break;
         }
         case PlanKernel::Posterior: {
             const std::vector<PosteriorResult> posteriors =
-                posteriorBatchImpl(*format, block->jobs, plan.dataflow,
-                                   plan.renormalize);
+                posteriorStage(*format, block->jobs, plan.dataflow,
+                               plan.renormalize);
             sink->consumePosteriors(*block, posteriors);
             break;
         }
         case PlanKernel::Viterbi: {
             const std::vector<ViterbiResult> decodes =
-                viterbiBatchImpl(*format, block->jobs);
+                viterbiStage(*format, block->jobs);
             sink->consumeDecodes(*block, decodes);
             break;
         }
@@ -218,254 +186,6 @@ EvalEngine::run(const EvalPlan &plan, const PlanInputs &inputs)
     sink->finish();
     out.stream = source->stats();
     return out;
-}
-
-std::vector<EvalResult>
-EvalEngine::pvalueBatch(const FormatOps &format,
-                        std::span<const pbd::Column> columns,
-                        SumPolicy sum)
-{
-    AccuracyTally::noteLegacyApiCall("pvalueBatch");
-    EvalPlan plan;
-    plan.kernel = PlanKernel::PValue;
-    plan.source = PlanSource::Memory;
-    plan.policy = PlanPolicy::Fixed;
-    plan.format_id = format.id();
-    plan.sum = planSum(sum);
-    PlanInputs inputs;
-    inputs.columns = columns;
-    inputs.format = &format;
-    return run(plan, inputs).results;
-}
-
-ScreenedPValueBatch
-EvalEngine::pvalueScreenedBatch(const FormatOps &format,
-                                std::span<const pbd::Column> columns,
-                                const pbd::ScreenConfig &config,
-                                SumPolicy sum)
-{
-    AccuracyTally::noteLegacyApiCall("pvalueScreenedBatch");
-    EvalPlan plan;
-    plan.kernel = PlanKernel::PValue;
-    plan.source = PlanSource::Memory;
-    plan.policy = PlanPolicy::Screened;
-    plan.format_id = format.id();
-    plan.screen = config;
-    plan.sum = planSum(sum);
-    PlanInputs inputs;
-    inputs.columns = columns;
-    inputs.format = &format;
-    return run(plan, inputs).screened;
-}
-
-StreamStats
-EvalEngine::pvalueStream(const FormatOps &format,
-                         io::ShardStream &shards,
-                         const ShardResultSink &sink, SumPolicy sum)
-{
-    AccuracyTally::noteLegacyApiCall("pvalueStream");
-    EvalPlan plan;
-    plan.kernel = PlanKernel::PValue;
-    plan.source = PlanSource::ShardStream;
-    plan.policy = PlanPolicy::Fixed;
-    plan.format_id = format.id();
-    plan.sum = planSum(sum);
-    PlanInputs inputs;
-    inputs.stream = &shards;
-    inputs.format = &format;
-    inputs.sink = sink;
-    return run(plan, inputs).stream;
-}
-
-StreamStats
-EvalEngine::pvalueScreenedStream(const FormatOps &format,
-                                 io::ShardStream &shards,
-                                 const ScreenedShardSink &sink,
-                                 const pbd::ScreenConfig &config,
-                                 SumPolicy sum)
-{
-    AccuracyTally::noteLegacyApiCall("pvalueScreenedStream");
-    EvalPlan plan;
-    plan.kernel = PlanKernel::PValue;
-    plan.source = PlanSource::ShardStream;
-    plan.policy = PlanPolicy::Screened;
-    plan.format_id = format.id();
-    plan.screen = config;
-    plan.sum = planSum(sum);
-    PlanInputs inputs;
-    inputs.stream = &shards;
-    inputs.format = &format;
-    inputs.screened_sink = sink;
-    return run(plan, inputs).stream;
-}
-
-AdaptiveBatch
-EvalEngine::pvalueAdaptiveBatch(
-    const Ladder &ladder, std::span<const pbd::Column> columns,
-    const CertConfig &cert,
-    const std::optional<pbd::ScreenConfig> &screen, SumPolicy sum)
-{
-    AccuracyTally::noteLegacyApiCall("pvalueAdaptiveBatch");
-    // An explicitly empty ladder is a caller error (a plan's *empty
-    // ladder_ids* means the default ladder, so the check cannot wait
-    // for run()).
-    if (ladder.tiers.empty())
-        throw std::invalid_argument("adaptive ladder is empty");
-    EvalPlan plan;
-    plan.kernel = PlanKernel::PValue;
-    plan.source = PlanSource::Memory;
-    plan.policy = screen ? PlanPolicy::ScreenedAdaptive
-                         : PlanPolicy::Adaptive;
-    plan.ladder_ids = ladderIds(ladder);
-    plan.cert = cert;
-    if (screen)
-        plan.screen = *screen;
-    plan.sum = planSum(sum);
-    PlanInputs inputs;
-    inputs.columns = columns;
-    inputs.ladder = &ladder;
-    return run(plan, inputs).adaptive;
-}
-
-AdaptiveBatch
-EvalEngine::forwardAdaptiveBatch(const Ladder &ladder,
-                                 std::span<const ForwardJob> jobs,
-                                 const CertConfig &cert,
-                                 Dataflow dataflow)
-{
-    AccuracyTally::noteLegacyApiCall("forwardAdaptiveBatch");
-    if (ladder.tiers.empty())
-        throw std::invalid_argument("adaptive ladder is empty");
-    EvalPlan plan;
-    plan.kernel = PlanKernel::Forward;
-    plan.source = PlanSource::Memory;
-    plan.policy = PlanPolicy::Adaptive;
-    plan.ladder_ids = ladderIds(ladder);
-    plan.cert = cert;
-    plan.dataflow = dataflow;
-    PlanInputs inputs;
-    inputs.jobs = jobs;
-    inputs.ladder = &ladder;
-    return run(plan, inputs).adaptive;
-}
-
-StreamStats
-EvalEngine::pvalueAdaptiveStream(
-    const Ladder &ladder, io::ShardStream &shards,
-    const AdaptiveShardSink &sink, const CertConfig &cert,
-    const std::optional<pbd::ScreenConfig> &screen, SumPolicy sum)
-{
-    AccuracyTally::noteLegacyApiCall("pvalueAdaptiveStream");
-    if (ladder.tiers.empty())
-        throw std::invalid_argument("adaptive ladder is empty");
-    EvalPlan plan;
-    plan.kernel = PlanKernel::PValue;
-    plan.source = PlanSource::ShardStream;
-    plan.policy = screen ? PlanPolicy::ScreenedAdaptive
-                         : PlanPolicy::Adaptive;
-    plan.ladder_ids = ladderIds(ladder);
-    plan.cert = cert;
-    if (screen)
-        plan.screen = *screen;
-    plan.sum = planSum(sum);
-    PlanInputs inputs;
-    inputs.stream = &shards;
-    inputs.ladder = &ladder;
-    inputs.adaptive_sink = sink;
-    return run(plan, inputs).stream;
-}
-
-StreamStats
-EvalEngine::forwardStream(const FormatOps &format,
-                          const hmm::Model &model,
-                          io::ShardStream &shards,
-                          const ShardResultSink &sink,
-                          Dataflow dataflow)
-{
-    AccuracyTally::noteLegacyApiCall("forwardStream");
-    EvalPlan plan;
-    plan.kernel = PlanKernel::Forward;
-    plan.source = PlanSource::ShardStream;
-    plan.policy = PlanPolicy::Fixed;
-    plan.format_id = format.id();
-    plan.dataflow = dataflow;
-    PlanInputs inputs;
-    inputs.model = &model;
-    inputs.stream = &shards;
-    inputs.format = &format;
-    inputs.sink = sink;
-    return run(plan, inputs).stream;
-}
-
-std::vector<EvalResult>
-EvalEngine::forwardBatch(const FormatOps &format,
-                         std::span<const ForwardJob> jobs,
-                         Dataflow dataflow)
-{
-    AccuracyTally::noteLegacyApiCall("forwardBatch");
-    EvalPlan plan;
-    plan.kernel = PlanKernel::Forward;
-    plan.source = PlanSource::Memory;
-    plan.policy = PlanPolicy::Fixed;
-    plan.format_id = format.id();
-    plan.dataflow = dataflow;
-    PlanInputs inputs;
-    inputs.jobs = jobs;
-    inputs.format = &format;
-    return run(plan, inputs).results;
-}
-
-std::vector<EvalResult>
-EvalEngine::backwardBatch(const FormatOps &format,
-                          std::span<const ForwardJob> jobs,
-                          Dataflow dataflow)
-{
-    AccuracyTally::noteLegacyApiCall("backwardBatch");
-    EvalPlan plan;
-    plan.kernel = PlanKernel::Backward;
-    plan.source = PlanSource::Memory;
-    plan.policy = PlanPolicy::Fixed;
-    plan.format_id = format.id();
-    plan.dataflow = dataflow;
-    PlanInputs inputs;
-    inputs.jobs = jobs;
-    inputs.format = &format;
-    return run(plan, inputs).results;
-}
-
-std::vector<PosteriorResult>
-EvalEngine::posteriorBatch(const FormatOps &format,
-                           std::span<const ForwardJob> jobs,
-                           Dataflow dataflow, bool renormalize)
-{
-    AccuracyTally::noteLegacyApiCall("posteriorBatch");
-    EvalPlan plan;
-    plan.kernel = PlanKernel::Posterior;
-    plan.source = PlanSource::Memory;
-    plan.policy = PlanPolicy::Fixed;
-    plan.format_id = format.id();
-    plan.dataflow = dataflow;
-    plan.renormalize = renormalize;
-    PlanInputs inputs;
-    inputs.jobs = jobs;
-    inputs.format = &format;
-    return run(plan, inputs).posteriors;
-}
-
-std::vector<ViterbiResult>
-EvalEngine::viterbiBatch(const FormatOps &format,
-                         std::span<const ForwardJob> jobs)
-{
-    AccuracyTally::noteLegacyApiCall("viterbiBatch");
-    EvalPlan plan;
-    plan.kernel = PlanKernel::Viterbi;
-    plan.source = PlanSource::Memory;
-    plan.policy = PlanPolicy::Fixed;
-    plan.format_id = format.id();
-    PlanInputs inputs;
-    inputs.jobs = jobs;
-    inputs.format = &format;
-    return run(plan, inputs).decodes;
 }
 
 std::vector<EvalResult>
@@ -575,7 +295,7 @@ EvalEngine::forwardOracleBatch(std::span<const ForwardJob> jobs)
 }
 
 std::vector<EvalResult>
-EvalEngine::backwardBatchImpl(const FormatOps &format,
+EvalEngine::backwardStage(const FormatOps &format,
                           std::span<const ForwardJob> jobs,
                           Dataflow dataflow)
 {
@@ -599,7 +319,7 @@ EvalEngine::backwardOracleBatch(std::span<const ForwardJob> jobs)
 }
 
 std::vector<PosteriorResult>
-EvalEngine::posteriorBatchImpl(const FormatOps &format,
+EvalEngine::posteriorStage(const FormatOps &format,
                            std::span<const ForwardJob> jobs,
                            Dataflow dataflow, bool renormalize)
 {
@@ -626,7 +346,7 @@ EvalEngine::posteriorOracleBatch(std::span<const ForwardJob> jobs)
 }
 
 std::vector<ViterbiResult>
-EvalEngine::viterbiBatchImpl(const FormatOps &format,
+EvalEngine::viterbiStage(const FormatOps &format,
                          std::span<const ForwardJob> jobs)
 {
     std::vector<ViterbiResult> out(jobs.size());
@@ -688,45 +408,6 @@ AccuracyTally::add(const BigFloat &oracle, const EvalResult &result)
     if (bin >= 0)
         binned_[bin].push_back(err);
     return Outcome::Recorded;
-}
-
-namespace
-{
-
-/** Process-wide legacy wrapper call count (see legacyApiCalls). */
-std::atomic<uint64_t> legacy_api_calls{0};
-
-} // namespace
-
-uint64_t
-AccuracyTally::legacyApiCalls()
-{
-    return legacy_api_calls.load(std::memory_order_relaxed);
-}
-
-void
-AccuracyTally::resetLegacyApiCalls()
-{
-    legacy_api_calls.store(0, std::memory_order_relaxed);
-}
-
-void
-AccuracyTally::noteLegacyApiCall(const char *entry_point)
-{
-    legacy_api_calls.fetch_add(1, std::memory_order_relaxed);
-    // Re-read the knob every call (not a cached static): tests and
-    // long-lived hosts toggle it at run time around a workload.
-    if (std::getenv("PSTAT_WARN_LEGACY_API") == nullptr)
-        return;
-    static std::mutex warned_mutex;
-    static std::set<std::string> warned;
-    std::lock_guard<std::mutex> lock(warned_mutex);
-    if (warned.insert(entry_point).second) {
-        std::fprintf(stderr,
-                     "pstat: legacy entry point EvalEngine::%s — "
-                     "build an EvalPlan and call EvalEngine::run\n",
-                     entry_point);
-    }
 }
 
 void

@@ -8,14 +8,15 @@
  * layers — a JobSource yielding WorkBlocks (engine/job_source.hh),
  * the persistent chunk-claiming Executor (engine/executor.hh), and a
  * ResultSink receiving each block's results (engine/result_sink.hh)
- * — and evaluates whole batches of p-values (exact and screened, see
- * pbd/screen.hh) and the full HMM kernel family (forward, backward,
- * posterior marginals, Viterbi), each with its ScaledDD oracle
- * batch, through the type-erased FormatOps interface. Each item's
- * result lands in its own slot, so the batched output is
- * bit-identical to the serial per-item loops, just computed on every
- * core. AccuracyTally then folds results against oracle values
- * serially (deterministic order) using the core/accuracy.hh
+ * — behind one entry point, run(EvalPlan): whole batches of p-values
+ * (exact, screened, adaptive; see pbd/screen.hh and escalate.hh) and
+ * the full HMM kernel family (forward, backward, posterior marginals,
+ * Viterbi), through the type-erased FormatOps interface, plus the
+ * ScaledDD oracle batches the accuracy figures measure against. Each
+ * item's result lands in its own slot, so the batched output is
+ * bit-identical to the serial per-item FormatOps calls, just computed
+ * on every core. AccuracyTally then folds results against oracle
+ * values serially (deterministic order) using the core/accuracy.hh
  * measurement, replacing the per-format tally code that was
  * copy-pasted across the benches.
  */
@@ -39,33 +40,16 @@
 #include "pbd/screen.hh"
 #include "stats/summary.hh"
 
-/**
- * @def PSTAT_LEGACY_API
- * Deprecation hook of the legacy EvalEngine entry points. Empty by
- * default; building with -DPSTAT_DEPRECATE_LEGACY_API expands it to
- * `[[deprecated]]` so downstream call sites surface as compiler
- * warnings once a migration to EvalEngine::run(EvalPlan) starts. The
- * runtime companion is the PSTAT_WARN_LEGACY_API environment knob
- * (see AccuracyTally::legacyApiCalls), which counts and optionally
- * reports legacy calls without recompiling anything.
- */
-#ifdef PSTAT_DEPRECATE_LEGACY_API
-#define PSTAT_LEGACY_API                                              \
-    [[deprecated("build an EvalPlan and call EvalEngine::run")]]
-#else
-#define PSTAT_LEGACY_API
-#endif
-
 namespace pstat::engine
 {
 
 /**
  * Runtime bindings of one plan execution — everything a plan cannot
  * carry across a process boundary: the in-memory spans, the borrowed
- * HMM model, an already-open shard stream, and the per-shard result
- * sinks. All fields are optional; EvalEngine::run throws
- * std::invalid_argument when the plan needs a binding the caller did
- * not supply (e.g. a Forward shard-stream plan without a model).
+ * HMM model, an already-open shard stream, and the result sinks. All
+ * fields are optional; EvalEngine::run throws std::invalid_argument
+ * when the plan needs a binding the caller did not supply (e.g. a
+ * Forward shard-stream plan without a model).
  */
 struct PlanInputs
 {
@@ -91,18 +75,18 @@ struct PlanInputs
      * plan.ladder_ids (empty ids = defaultLadder()).
      */
     const Ladder *ladder = nullptr;
-    /** Per-shard delivery of a Fixed stream (else accumulated). */
-    ShardResultSink sink;
-    /** Per-shard delivery of a Screened stream (else accumulated). */
-    ScreenedShardSink screened_sink;
-    /** Per-shard delivery of an adaptive stream (else accumulated). */
-    AdaptiveShardSink adaptive_sink;
     /**
-     * Extra sink (borrowed) teed into every delivery in addition to
-     * the normal routing (accumulation / per-shard callbacks) — how
-     * a run persists a result shard (engine/result_sink.hh
-     * ShardFileSink) while still returning its PlanRun. Receives
-     * finish() after the last block.
+     * The primary route (borrowed): when bound, every block's results
+     * go here and the returned PlanRun accumulates none of them, so a
+     * streamed run holds O(shard) results, never O(dataset). When
+     * null, run() accumulates into the returned PlanRun.
+     */
+    ResultSink *sink = nullptr;
+    /**
+     * Extra sink (borrowed) teed into every delivery on top of the
+     * primary route, whichever it is — how a run persists a result
+     * shard (engine/result_sink.hh ShardFileSink) while still
+     * returning its PlanRun. Receives finish() after the last block.
      */
     ResultSink *result_sink = nullptr;
 };
@@ -180,47 +164,33 @@ class EvalEngine
     }
 
     /**
-     * The one evaluation pipeline: validate the plan (validatePlan,
+     * The one evaluation entry point: validate the plan (validatePlan,
      * plus binding-level checks against @p inputs), resolve its
      * format / ladder / summation policy, then compose the three
      * layers — the plan's source (memory spans or a shard stream)
      * yields WorkBlocks, each block runs its kernel x policy stage
-     * over the executor, and each block's results go to the resolved
-     * sink (accumulation into the returned PlanRun, the legacy
-     * per-shard callbacks, plus inputs.result_sink when bound).
-     * Every legacy entry point below is a thin wrapper that builds
-     * the equivalent plan and delegates here, so for each
-     * combination the results are bit-identical to the pre-plan
-     * entry points (ctest-enforced per registered format by
-     * tests/test_plan.cc).
+     * over the executor, and each block's results go to the primary
+     * route (inputs.sink when bound, else accumulation into the
+     * returned PlanRun), plus inputs.result_sink when bound. The
+     * fixed and screened stages run each item through the format's
+     * own per-item FormatOps call (or its bit-identical batch entry),
+     * so their results match the scalar per-item loop bit for bit
+     * from either source (ctest-enforced per registered format).
      *
-     * Plan knobs consumed here: kernel, source, policy, format_id /
-     * ladder_ids (unless overridden via inputs), cert, screen, sum
-     * (PlanSum::Default resolves defaultSumPolicy() now), dataflow,
-     * renormalize, shard_paths / queue_capacity (unless
-     * inputs.stream is bound). Provisioning knobs — threads, grain,
-     * simd — parameterize the engine the plan runs on and are the
-     * constructor's / process environment's job, not run()'s.
+     * Every plan field is consumed here: kernel, source, policy,
+     * format_id / ladder_ids (unless overridden via inputs), cert,
+     * screen, sum (PlanSum::Default resolves defaultSumPolicy() now),
+     * dataflow, renormalize, shard_paths / queue_capacity (unless
+     * inputs.stream is bound). Lanes, grain and SIMD backend are
+     * process settings (the constructor, PSTAT_THREADS, PSTAT_GRAIN,
+     * PSTAT_SIMD), not plan fields.
      *
      * Throws std::invalid_argument on an invalid plan, an unsupported
-     * combination, or a missing binding; propagates io errors from
-     * shard streaming.
+     * combination, or a missing binding (the adaptive stages throw it
+     * too on an empty bound ladder); propagates io errors from shard
+     * streaming.
      */
     PlanRun run(const EvalPlan &plan, const PlanInputs &inputs = {});
-
-    /**
-     * Listing-2 p-values of every column, in column order, under the
-     * chosen summation policy (defaulting to the process-wide
-     * PSTAT_COMPENSATED knob, so every engine-backed caller honors
-     * it without per-call-site wiring).
-     *
-     * Legacy wrapper: builds the PValue x Memory x Fixed plan and
-     * delegates to run().
-     */
-    PSTAT_LEGACY_API std::vector<EvalResult>
-    pvalueBatch(const FormatOps &format,
-                std::span<const pbd::Column> columns,
-                SumPolicy sum = defaultSumPolicy());
 
     /**
      * Oracle (ScaledDD) p-values of every column. The oracle batches
@@ -230,177 +200,13 @@ class EvalEngine
     std::vector<BigFloat>
     pvalueOracleBatch(std::span<const pbd::Column> columns);
 
-    /**
-     * Two-stage screened p-values of every column: the O(N)
-     * Cramér–Chernoff estimate runs on every column (over the
-     * pool), then the exact Listing-2 DP only on columns whose
-     * estimated log2 tail falls within the screen's guard band of
-     * the threshold (pbd/screen.hh has the decision logic). On
-     * every evaluated column the result is bit-identical to the
-     * corresponding pvalueBatch slot; skipped columns carry an
-     * order-of-magnitude placeholder and skipped[i] = 1.
-     *
-     * Legacy wrapper: builds the PValue x Memory x Screened plan and
-     * delegates to run().
-     */
-    PSTAT_LEGACY_API ScreenedPValueBatch
-    pvalueScreenedBatch(const FormatOps &format,
-                        std::span<const pbd::Column> columns,
-                        const pbd::ScreenConfig &config = {},
-                        SumPolicy sum = defaultSumPolicy());
-
-    /**
-     * Streamed p-value evaluation: pop Columns shards off the
-     * pipeline, evaluate each shard's columns over the worker pool
-     * (zero-copy, straight out of the mapping), and hand each
-     * shard's results to the sink before the shard is unmapped.
-     * Results are bit-identical to pvalueBatch on the same columns;
-     * peak memory is O(shard), bounded by the stream's queue
-     * capacity, never O(dataset).
-     *
-     * Legacy wrapper: builds the PValue x ShardStream x Fixed plan
-     * (binding the open stream and sink) and delegates to run().
-     */
-    PSTAT_LEGACY_API StreamStats
-    pvalueStream(const FormatOps &format, io::ShardStream &shards,
-                 const ShardResultSink &sink,
-                 SumPolicy sum = defaultSumPolicy());
-
-    /**
-     * Streamed two-stage screened evaluation over Columns shards:
-     * per shard, the estimate stage runs on every column and the
-     * exact DP only inside the guard band, exactly as
-     * pvalueScreenedBatch — each shard's batch (results, skip mask,
-     * estimates, stats) is bit-identical to pvalueScreenedBatch on
-     * that shard's columns. The sink's batch reference is only valid
-     * for the duration of the call.
-     *
-     * Legacy wrapper: builds the PValue x ShardStream x Screened
-     * plan and delegates to run().
-     */
-    PSTAT_LEGACY_API StreamStats
-    pvalueScreenedStream(const FormatOps &format,
-                         io::ShardStream &shards,
-                         const ScreenedShardSink &sink,
-                         const pbd::ScreenConfig &config = {},
-                         SumPolicy sum = defaultSumPolicy());
-
-    /**
-     * Adaptive precision escalation over a column batch
-     * (engine/escalate.hh): analytic bounds certify what they can,
-     * then columns climb the ladder cheapest-tier-first, each tier's
-     * result wrapped in a certified interval, until the CertConfig
-     * criteria hold or the ladder tops out. When @p screen is set,
-     * the two-stage screen of pvalueScreenedBatch runs first and
-     * skipped columns keep their placeholder — the skip mask takes
-     * precedence; skipped columns are never escalated. Throws
-     * std::invalid_argument on an empty ladder or a CertConfig with
-     * no criterion (or non-negative/non-finite ones).
-     *
-     * Legacy wrapper: builds the PValue x Memory x Adaptive (or
-     * ScreenedAdaptive) plan and delegates to run().
-     */
-    PSTAT_LEGACY_API AdaptiveBatch
-    pvalueAdaptiveBatch(const Ladder &ladder,
-                        std::span<const pbd::Column> columns,
-                        const CertConfig &cert,
-                        const std::optional<pbd::ScreenConfig> &screen =
-                            std::nullopt,
-                        SumPolicy sum = defaultSumPolicy());
-
-    /**
-     * Adaptive escalation of HMM forward likelihoods: each job climbs
-     * the ladder until its running-error interval
-     * (engine/escalate.hh forwardInterval) certifies the CertConfig
-     * criteria. No analytic tier or screen exists for sequences; the
-     * ladder's first certifiable tier does the first real work.
-     *
-     * Legacy wrapper: builds the Forward x Memory x Adaptive plan
-     * and delegates to run().
-     */
-    PSTAT_LEGACY_API AdaptiveBatch
-    forwardAdaptiveBatch(const Ladder &ladder,
-                         std::span<const ForwardJob> jobs,
-                         const CertConfig &cert,
-                         Dataflow dataflow = Dataflow::Accelerator);
-
-    /**
-     * Streamed adaptive escalation over Columns shards: per shard,
-     * the same pipeline as pvalueAdaptiveBatch (bit-identical
-     * results on the same columns), with peak memory O(shard). Each
-     * shard's AdaptiveBatch is handed to the sink before the shard
-     * is unmapped.
-     *
-     * Legacy wrapper: builds the PValue x ShardStream x Adaptive (or
-     * ScreenedAdaptive) plan and delegates to run().
-     */
-    PSTAT_LEGACY_API StreamStats
-    pvalueAdaptiveStream(const Ladder &ladder, io::ShardStream &shards,
-                         const AdaptiveShardSink &sink,
-                         const CertConfig &cert,
-                         const std::optional<pbd::ScreenConfig> &screen =
-                             std::nullopt,
-                         SumPolicy sum = defaultSumPolicy());
-
-    /**
-     * Streamed HMM forward evaluation over Sequences shards: every
-     * record is an observation sequence of the given (borrowed)
-     * model, evaluated over the pool. Results are bit-identical to
-     * forwardBatch on the same sequences.
-     *
-     * Legacy wrapper: builds the Forward x ShardStream x Fixed plan
-     * (binding the model, stream, and sink) and delegates to run().
-     */
-    PSTAT_LEGACY_API StreamStats
-    forwardStream(const FormatOps &format, const hmm::Model &model,
-                  io::ShardStream &shards,
-                  const ShardResultSink &sink,
-                  Dataflow dataflow = Dataflow::Accelerator);
-
-    /**
-     * Forward likelihood of every job, in job order.
-     *
-     * Legacy wrapper: builds the Forward x Memory x Fixed plan and
-     * delegates to run().
-     */
-    PSTAT_LEGACY_API std::vector<EvalResult>
-    forwardBatch(const FormatOps &format,
-                 std::span<const ForwardJob> jobs,
-                 Dataflow dataflow = Dataflow::Accelerator);
-
     /** Oracle (ScaledDD) forward likelihood of every job. */
     std::vector<BigFloat>
     forwardOracleBatch(std::span<const ForwardJob> jobs);
 
-    /**
-     * Backward likelihood of every job, in job order.
-     *
-     * Legacy wrapper: builds the Backward x Memory x Fixed plan and
-     * delegates to run().
-     */
-    PSTAT_LEGACY_API std::vector<EvalResult>
-    backwardBatch(const FormatOps &format,
-                  std::span<const ForwardJob> jobs,
-                  Dataflow dataflow = Dataflow::Accelerator);
-
     /** Oracle (ScaledDD) backward likelihood of every job. */
     std::vector<BigFloat>
     backwardOracleBatch(std::span<const ForwardJob> jobs);
-
-    /**
-     * Posterior state marginals of every job, in job order. Each
-     * result's gamma is the flattened T x H matrix of the job;
-     * results are bit-identical to calling format.hmmPosterior
-     * serially per job.
-     *
-     * Legacy wrapper: builds the Posterior x Memory x Fixed plan and
-     * delegates to run().
-     */
-    PSTAT_LEGACY_API std::vector<PosteriorResult>
-    posteriorBatch(const FormatOps &format,
-                   std::span<const ForwardJob> jobs,
-                   Dataflow dataflow = Dataflow::Accelerator,
-                   bool renormalize = false);
 
     /**
      * Oracle (ScaledDD, raw recursions — its range needs no
@@ -410,16 +216,6 @@ class EvalEngine
     std::vector<std::vector<BigFloat>>
     posteriorOracleBatch(std::span<const ForwardJob> jobs);
 
-    /**
-     * Viterbi decodes of every job, in job order.
-     *
-     * Legacy wrapper: builds the Viterbi x Memory x Fixed plan and
-     * delegates to run().
-     */
-    PSTAT_LEGACY_API std::vector<ViterbiResult>
-    viterbiBatch(const FormatOps &format,
-                 std::span<const ForwardJob> jobs);
-
     /** Oracle (ScaledDD) Viterbi paths of every job. */
     std::vector<std::vector<int>>
     viterbiOracleBatch(std::span<const ForwardJob> jobs);
@@ -428,9 +224,8 @@ class EvalEngine
     /**
      * @name Kernel stages of run()
      * One stage per kernel x policy shape, each evaluating one
-     * WorkBlock over the executor. Every stage body is exactly the
-     * corresponding pre-layer loop, so every wrapper is bit-identical
-     * to its pre-refactor self regardless of the block's source.
+     * WorkBlock over the executor with every item in its own slot,
+     * whatever the block's source.
      */
     ///@{
     std::vector<EvalResult>
@@ -440,27 +235,28 @@ class EvalEngine
     forwardFixedStage(const FormatOps &format, const WorkBlock &block,
                       Dataflow dataflow);
     AdaptiveBatch
-    forwardAdaptiveBatchImpl(const Ladder &ladder,
-                             std::span<const ForwardJob> jobs,
-                             const CertConfig &cert, Dataflow dataflow);
+    forwardAdaptiveStage(const Ladder &ladder,
+                         std::span<const ForwardJob> jobs,
+                         const CertConfig &cert, Dataflow dataflow);
     std::vector<EvalResult>
-    backwardBatchImpl(const FormatOps &format,
-                      std::span<const ForwardJob> jobs,
-                      Dataflow dataflow);
+    backwardStage(const FormatOps &format,
+                  std::span<const ForwardJob> jobs, Dataflow dataflow);
     std::vector<PosteriorResult>
-    posteriorBatchImpl(const FormatOps &format,
-                       std::span<const ForwardJob> jobs,
-                       Dataflow dataflow, bool renormalize);
+    posteriorStage(const FormatOps &format,
+                   std::span<const ForwardJob> jobs, Dataflow dataflow,
+                   bool renormalize);
     std::vector<ViterbiResult>
-    viterbiBatchImpl(const FormatOps &format,
-                     std::span<const ForwardJob> jobs);
+    viterbiStage(const FormatOps &format,
+                 std::span<const ForwardJob> jobs);
     ///@}
 
     /**
      * The one screened two-stage pipeline (estimate everywhere,
      * exact DP inside the guard band), over any column accessor —
-     * owned Columns (pvalueScreenedBatch) or mmap-backed views
-     * (pvalueScreenedStream) — so the two paths cannot drift.
+     * owned Columns or mmap-backed shard views — so the memory and
+     * stream sources cannot drift. Evaluated columns carry the
+     * format's exact DP result; skipped ones the magnitude
+     * placeholder 2^round(estimate).
      */
     ScreenedPValueBatch
     screenedEval(const FormatOps &format, size_t n,
@@ -468,9 +264,13 @@ class EvalEngine
                  const pbd::ScreenConfig &config, SumPolicy sum);
 
     /**
-     * The one adaptive escalation pipeline over any column accessor
-     * — owned Columns (pvalueAdaptiveBatch) or mmap-backed views
-     * (pvalueAdaptiveStream) — so the two paths cannot drift.
+     * The one adaptive escalation pipeline (engine/escalate.hh) over
+     * any column accessor: analytic bounds certify what they can,
+     * then columns climb the ladder cheapest-tier-first until the
+     * CertConfig criteria hold or the ladder tops out. With a
+     * screen, skipped columns keep their placeholder and are never
+     * escalated. Throws std::invalid_argument on an empty ladder or
+     * a CertConfig with no (or a malformed) criterion.
      */
     AdaptiveBatch
     adaptiveEval(const Ladder &ladder, size_t n,
@@ -558,31 +358,6 @@ class AccuracyTally
 
     /** Accumulated per-tier escalation tallies (see recordTiers). */
     const std::vector<TierStats> &tierStats() const { return tiers_; }
-
-    /**
-     * @name Legacy entry-point diagnostics
-     * Migration accounting of the PSTAT_LEGACY_API wrappers. Every
-     * legacy EvalEngine call bumps a process-wide counter; setting
-     * the PSTAT_WARN_LEGACY_API environment knob additionally prints
-     * one stderr diagnostic per distinct entry point, so a caller
-     * can be migrated to EvalEngine::run measurably — drive the
-     * workload, read the counter (or the warnings), repeat until
-     * zero. The counter lives with the rest of the accuracy/usage
-     * bookkeeping rather than inside the engine so that plain plan
-     * executions never touch it.
-     */
-    ///@{
-    /** Legacy wrapper calls since process start (or the last reset). */
-    static uint64_t legacyApiCalls();
-    /** Reset the legacy-call counter (tests). */
-    static void resetLegacyApiCalls();
-    /**
-     * Record one legacy wrapper call (called by the PSTAT_LEGACY_API
-     * wrappers; @p entry_point is the method name, warned once per
-     * distinct name under PSTAT_WARN_LEGACY_API).
-     */
-    static void noteLegacyApiCall(const char *entry_point);
-    ///@}
 
   private:
     std::string label_;

@@ -223,7 +223,8 @@ class FormatOps
      * Listing-2 PBD upper-tail p-value P(X >= k), accumulated with
      * the chosen summation policy. (No default argument here on
      * purpose: defaults on virtuals bind statically; policy
-     * defaulting lives in EvalEngine::pvalueBatch.)
+     * defaulting lives in the plan's PlanSum::Default, resolved by
+     * EvalEngine::run.)
      */
     virtual EvalResult pbdPValue(std::span<const double> success_probs,
                                  int k_threshold,

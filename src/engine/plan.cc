@@ -150,19 +150,6 @@ constexpr uint32_t flag_threshold = 1u << 2;
 constexpr uint32_t flag_known_mask =
     flag_renormalize | flag_tol | flag_threshold;
 
-const char *const simd_tokens[] = {"auto", "scalar", "avx2", "neon"};
-
-bool
-validSimdToken(const std::string &simd)
-{
-    if (simd.empty())
-        return true;
-    for (const char *token : simd_tokens)
-        if (simd == token)
-            return true;
-    return false;
-}
-
 [[noreturn]] void
 invalid(const std::string &message)
 {
@@ -184,9 +171,8 @@ EvalPlan::operator==(const EvalPlan &other) const
                     other.screen.threshold_log2) &&
            sameBits(screen.guard_band_log2,
                     other.screen.guard_band_log2) &&
-           threads == other.threads && grain == other.grain &&
            sum == other.sum && dataflow == other.dataflow &&
-           renormalize == other.renormalize && simd == other.simd &&
+           renormalize == other.renormalize &&
            shard_paths == other.shard_paths &&
            queue_capacity == other.queue_capacity;
 }
@@ -260,9 +246,8 @@ validatePlan(const EvalPlan &plan)
     const bool adaptive = plan.policy == PlanPolicy::Adaptive ||
                           plan.policy == PlanPolicy::ScreenedAdaptive;
 
-    // The supported kernel x source x policy matrix. Everything the
-    // legacy surface could express is expressible; everything else
-    // fails loudly here instead of deep inside a stage.
+    // The supported kernel x source x policy matrix. Everything
+    // outside it fails loudly here instead of deep inside a stage.
     if (screened && plan.kernel != PlanKernel::PValue)
         invalid(std::string("the screen applies to the pvalue kernel "
                             "only, not ") +
@@ -310,9 +295,6 @@ validatePlan(const EvalPlan &plan)
     if (plan.source == PlanSource::ShardStream &&
         plan.queue_capacity == 0)
         invalid("queue_capacity must be positive");
-    if (!validSimdToken(plan.simd))
-        invalid("unknown simd token \"" + plan.simd +
-                "\" (want auto|scalar|avx2|neon or empty)");
 }
 
 std::string
@@ -362,15 +344,9 @@ describePlan(const EvalPlan &plan)
                       plan.screen.guard_band_log2);
         out += buf;
     }
-    if (plan.threads != 0)
-        out += ", threads " + std::to_string(plan.threads);
-    if (plan.grain != 0)
-        out += ", grain " + std::to_string(plan.grain);
     if (plan.sum != PlanSum::Default)
         out += plan.sum == PlanSum::Plain ? ", sum plain"
                                           : ", sum compensated";
-    if (!plan.simd.empty())
-        out += ", simd " + plan.simd;
     return out;
 }
 
@@ -411,8 +387,6 @@ encodePlan(const EvalPlan &plan)
     if (plan.cert.threshold_log2)
         flags |= flag_threshold;
     appendU32(out, flags);
-    appendU32(out, plan.threads);
-    appendU64(out, plan.grain);
     appendU64(out, plan.queue_capacity);
     // Absent optionals serialize as 0.0 so equal plans always encode
     // to equal bytes (the flags word carries the presence).
@@ -427,7 +401,6 @@ encodePlan(const EvalPlan &plan)
     appendU32(out, static_cast<uint32_t>(plan.shard_paths.size()));
     for (const std::string &path : plan.shard_paths)
         appendStr(out, path);
-    appendStr(out, plan.simd);
     // The shard-trailer convention: CRC-32 of every preceding byte,
     // zero-extended to 8 bytes.
     const uint32_t crc = io::crc32(0, out.data(), out.size());
@@ -483,8 +456,6 @@ decodePlan(std::span<const uint8_t> bytes)
     if ((flags & ~flag_known_mask) != 0)
         throw PlanError("plan carries unknown flag bits");
     plan.renormalize = (flags & flag_renormalize) != 0;
-    plan.threads = cursor.u32("threads");
-    plan.grain = cursor.u64("grain");
     plan.queue_capacity = cursor.u64("queue_capacity");
     const double tol = cursor.f64("tol_rel_log2");
     const double threshold = cursor.f64("threshold_log2");
@@ -503,7 +474,6 @@ decodePlan(std::span<const uint8_t> bytes)
     plan.shard_paths.reserve(path_count);
     for (uint32_t i = 0; i < path_count; ++i)
         plan.shard_paths.push_back(cursor.str("shard path"));
-    plan.simd = cursor.str("simd");
     if (cursor.pos != trailer_pos)
         throw PlanError("plan carries " +
                         std::to_string(trailer_pos - cursor.pos) +

@@ -18,13 +18,15 @@
  *    registry format, the two-stage screen, the adaptive escalation
  *    ladder, or screen + ladder composed), with the ScreenConfig /
  *    CertConfig / ladder tiers folded into the plan;
- *  - **execution knobs**: lanes, scheduling grain, SIMD backend,
- *    summation policy and HMM dataflow.
+ *  - **execution knobs**: summation policy, HMM dataflow and
+ *    posterior renormalization — the knobs that decide result bits.
  *
- * EvalEngine::run(plan, inputs) (eval_engine.hh) is the one pipeline
- * that executes a plan; every legacy entry point is now a thin
- * wrapper that builds the equivalent plan. A plan also has a
- * versioned binary encoding (encodePlan / decodePlan, shard-style
+ * EvalEngine::run(plan, inputs) (eval_engine.hh) is the one entry
+ * point that executes a plan, and it reads every field. Lanes,
+ * scheduling grain and SIMD backend are not plan fields: they move
+ * time, never bits, and stay process settings (PSTAT_THREADS,
+ * PSTAT_GRAIN, PSTAT_SIMD; ServerConfig for the daemon). A plan
+ * also has a versioned binary encoding (encodePlan / decodePlan, shard-style
  * magic + version + CRC-32 trailer, see io/shard.hh) so the same
  * description can be dumped for debugging (`pstat eval --plan-dump`)
  * today and travel over a socket to a `pstat serve` daemon or a
@@ -134,18 +136,6 @@ struct EvalPlan
     /** Screen configuration of Screened / ScreenedAdaptive. */
     pbd::ScreenConfig screen;
 
-    /**
-     * Worker lanes of the executing engine; 0 inherits the executor's
-     * default (PSTAT_THREADS / hardware concurrency). Like grain and
-     * simd, this is a provisioning knob: it parameterizes the engine
-     * the plan runs on (pstat's executePlan constructs one from it)
-     * rather than re-threading an already-built pool.
-     */
-    uint32_t threads = 0;
-
-    /** Scheduling grain; 0 inherits PSTAT_GRAIN / per-batch auto. */
-    uint64_t grain = 0;
-
     /** Summation policy of the PBD kernel. */
     PlanSum sum = PlanSum::Default;
 
@@ -154,16 +144,6 @@ struct EvalPlan
 
     /** Per-step renormalization of the Posterior kernel. */
     bool renormalize = false;
-
-    /**
-     * SIMD backend request: "" inherits the executor's PSTAT_SIMD,
-     * else one of "auto", "scalar", "avx2", "neon". A provisioning
-     * knob like threads: the ISA dispatch is resolved once per
-     * process, so the executor applies this before its first kernel
-     * dispatch (results are bit-identical across backends by the
-     * simd.hh contract — this knob moves time, never bits).
-     */
-    std::string simd;
 
     /** Shard files of a ShardStream source, evaluated in order. */
     std::vector<std::string> shard_paths;
@@ -191,8 +171,8 @@ const char *planPolicyName(PlanPolicy policy);
  * std::invalid_argument with a caller-actionable message on the
  * first violation: an unknown format or ladder tier, a screened
  * non-p-value kernel, an adaptive certification with no criterion
- * (or a non-negative tolerance), a zero queue capacity, an unknown
- * SIMD token. Valid plans return normally. Binding-level checks
+ * (or a non-negative tolerance), a zero queue capacity. Valid plans
+ * return normally. Binding-level checks
  * (does the caller actually supply columns / a model?) happen in
  * EvalEngine::run, because they depend on PlanInputs.
  */
@@ -219,7 +199,7 @@ std::string resultFormatLabel(const EvalPlan &plan);
 inline constexpr char plan_magic[8] = {'P', 'S', 'T', 'P',
                                        'L', 'A', 'N', '1'};
 /** Current plan encoding version; decoders reject anything else. */
-inline constexpr uint32_t plan_version = 1;
+inline constexpr uint32_t plan_version = 2;
 
 /**
  * Versioned binary encoding of a plan, following the shard record

@@ -9,7 +9,7 @@ namespace pstat::engine
 namespace
 {
 
-/** Fold one shard's screened batch into the sink-less accumulator. */
+/** Fold one shard's screened batch into the accumulated PlanRun. */
 void
 mergeScreened(ScreenedPValueBatch &total,
               const ScreenedPValueBatch &batch)
@@ -28,7 +28,7 @@ mergeScreened(ScreenedPValueBatch &total,
     total.stats.guard_band_hits += batch.stats.guard_band_hits;
 }
 
-/** Fold one shard's adaptive batch into the sink-less accumulator
+/** Fold one shard's adaptive batch into the accumulated PlanRun
  *  (tier tallies merged by format_id in first-seen order, exactly
  *  like AccuracyTally::recordTiers). */
 void
@@ -151,86 +151,6 @@ AccumulateSink::consumeDecodes(const WorkBlock &,
                         decodes.end());
 }
 
-// ------------------------------------------------------------ tally
-
-void
-TallySink::note(const EvalResult &result)
-{
-    ++tally_.items;
-    if (result.invalid)
-        ++tally_.invalid;
-    if (result.underflow)
-        ++tally_.underflows;
-    if (threshold_ && result.value.isFinite() &&
-        result.value < *threshold_)
-        ++tally_.below_threshold;
-    if (!result.value.isZero() && !result.value.isNaN()) {
-        const double log2 = result.value.log2Abs();
-        tally_.min_log2 = tally_.min_log2
-                              ? std::min(*tally_.min_log2, log2)
-                              : log2;
-        tally_.max_log2 = tally_.max_log2
-                              ? std::max(*tally_.max_log2, log2)
-                              : log2;
-    }
-}
-
-void
-TallySink::consumeResults(const WorkBlock &,
-                          std::span<const EvalResult> results)
-{
-    for (const EvalResult &result : results)
-        note(result);
-}
-
-void
-TallySink::consumeScreened(const WorkBlock &,
-                           const ScreenedPValueBatch &batch)
-{
-    for (size_t i = 0; i < batch.results.size(); ++i) {
-        if (i < batch.skipped.size() && batch.skipped[i]) {
-            ++tally_.items;
-            ++tally_.skipped;
-            continue;
-        }
-        note(batch.results[i]);
-    }
-}
-
-void
-TallySink::consumeAdaptive(const WorkBlock &,
-                           const AdaptiveBatch &batch)
-{
-    for (size_t i = 0; i < batch.results.size(); ++i) {
-        if (i < batch.skipped.size() && batch.skipped[i]) {
-            ++tally_.items;
-            ++tally_.skipped;
-            continue;
-        }
-        note(batch.results[i].result);
-    }
-    tally_.certified += batch.certified;
-    tally_.uncertified += batch.uncertified;
-}
-
-void
-TallySink::consumePosteriors(
-    const WorkBlock &, std::span<const PosteriorResult> posteriors)
-{
-    for (const PosteriorResult &posterior : posteriors)
-        note(posterior.likelihood);
-}
-
-void
-TallySink::consumeDecodes(const WorkBlock &,
-                          std::span<const ViterbiResult> decodes)
-{
-    for (const ViterbiResult &decode : decodes) {
-        note(decode.probability);
-        ++tally_.decodes;
-    }
-}
-
 // -------------------------------------------------------- file sink
 
 ShardFileSink::ShardFileSink(const std::string &path,
@@ -298,55 +218,6 @@ void
 ShardFileSink::finish()
 {
     writer_.close();
-}
-
-// -------------------------------------------------------- callbacks
-
-void
-CallbackSink::consumeResults(const WorkBlock &block,
-                             std::span<const EvalResult> results)
-{
-    if (sink_ && block.shard != nullptr) {
-        sink_(block.index, *block.shard, results);
-        return;
-    }
-    fallback_.consumeResults(block, results);
-}
-
-void
-CallbackSink::consumeScreened(const WorkBlock &block,
-                              const ScreenedPValueBatch &batch)
-{
-    if (screened_sink_ && block.shard != nullptr) {
-        screened_sink_(block.index, *block.shard, batch);
-        return;
-    }
-    fallback_.consumeScreened(block, batch);
-}
-
-void
-CallbackSink::consumeAdaptive(const WorkBlock &block,
-                              const AdaptiveBatch &batch)
-{
-    if (adaptive_sink_ && block.shard != nullptr) {
-        adaptive_sink_(block.index, *block.shard, batch);
-        return;
-    }
-    fallback_.consumeAdaptive(block, batch);
-}
-
-void
-CallbackSink::consumePosteriors(
-    const WorkBlock &block, std::span<const PosteriorResult> posteriors)
-{
-    fallback_.consumePosteriors(block, posteriors);
-}
-
-void
-CallbackSink::consumeDecodes(const WorkBlock &block,
-                             std::span<const ViterbiResult> decodes)
-{
-    fallback_.consumeDecodes(block, decodes);
 }
 
 // -------------------------------------------------------------- tee

@@ -5,11 +5,10 @@
  * The top layer of the source → executor → sink decomposition
  * (docs/ARCHITECTURE.md). The composition root hands each
  * WorkBlock's results to one ResultSink, block by block, so what
- * happens to results — accumulate in memory, tally summary
- * statistics, persist to a result shard, fan out to legacy per-shard
- * callbacks — is a policy chosen per run, not fused into the
- * evaluation loops. The file sink closes the io loop: it writes the
- * PR 5 shard encoding's Results payload (io/shard.hh), so a
+ * happens to results — accumulate in memory, report per shard,
+ * persist to a result shard — is a policy chosen per run, not fused
+ * into the evaluation loops. The file sink closes the io loop: it
+ * writes the PR 5 shard encoding's Results payload (io/shard.hh), so a
  * distributed evaluation leaves one idempotent, CRC-validated result
  * file per worker that any ShardReader can audit, and
  * `pstat eval -o out.shard` gets a durable output mode.
@@ -18,8 +17,6 @@
 #ifndef PSTAT_ENGINE_RESULT_SINK_HH
 #define PSTAT_ENGINE_RESULT_SINK_HH
 
-#include <functional>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -38,7 +35,7 @@ namespace pstat::engine
  * One screened p-value batch: the two-stage pipeline of
  * pbd/screen.hh evaluated over the engine. Columns the screen
  * evaluated carry the format's exact DP result, bit-identical to the
- * unscreened pvalueBatch slot; skipped columns carry only an
+ * Fixed plan's slot; skipped columns carry only an
  * order-of-magnitude placeholder (2^round(estimate)) — consult the
  * skipped mask before trusting a value.
  */
@@ -57,34 +54,12 @@ struct ScreenedPValueBatch
 };
 
 /**
- * Per-shard result delivery of a streamed evaluation. The shard (and
- * any view into it) is only valid for the duration of the call; the
- * results span is the shard's records in record order.
- */
-using ShardResultSink =
-    std::function<void(size_t shard_index, const io::ShardReader &shard,
-                       std::span<const EvalResult> results)>;
-
-/** Per-shard delivery of a streamed screened evaluation. */
-using ScreenedShardSink =
-    std::function<void(size_t shard_index, const io::ShardReader &shard,
-                       const ScreenedPValueBatch &batch)>;
-
-/**
- * Per-shard delivery of a streamed adaptive evaluation. The batch
- * (and the shard it references) is only valid for the duration of
- * the call.
- */
-using AdaptiveShardSink =
-    std::function<void(size_t shard_index, const io::ShardReader &shard,
-                       const AdaptiveBatch &batch)>;
-
-/**
  * Everything one plan execution produced. Only the fields matching
  * the plan's kernel x source x policy are populated; the rest stay
- * default-constructed. Streamed executions without a sink accumulate
- * per-shard results here (batches concatenated in shard order, tier
- * and screen tallies merged), so small callers need no sink at all.
+ * default-constructed. Executions without a bound PlanInputs::sink
+ * accumulate here (streamed batches concatenated in shard order, tier
+ * and screen tallies merged), so small callers need no sink at all;
+ * with one bound, everything but the stream stats stays empty.
  */
 struct PlanRun
 {
@@ -171,70 +146,6 @@ class AccumulateSink final : public ResultSink
 };
 
 /**
- * Summary counters of one run, accumulated by TallySink without
- * retaining any result: the O(1)-memory alternative to a PlanRun
- * when only the aggregate matters (CLI summaries, smoke checks).
- */
-struct SinkTally
-{
-    size_t items = 0;       //!< results observed (all channels)
-    size_t invalid = 0;     //!< NaR / NaN results
-    size_t underflows = 0;  //!< results that computed exactly 0
-    size_t skipped = 0;     //!< screen-skipped slots (placeholders)
-    size_t certified = 0;   //!< adaptively certified items
-    size_t uncertified = 0; //!< items uncertified at the top tier
-    size_t decodes = 0;     //!< Viterbi decodes observed
-    /** Results strictly below the call threshold (when one is set). */
-    size_t below_threshold = 0;
-    /** Smallest finite nonzero |value|, log2 (empty: none seen). */
-    std::optional<double> min_log2;
-    /** Largest finite nonzero |value|, log2 (empty: none seen). */
-    std::optional<double> max_log2;
-};
-
-/**
- * Aggregate-only sink: counts and value-range extremes, no storage.
- * Screen-skipped slots count as skipped and are excluded from the
- * range (their value is a placeholder, not a result).
- */
-class TallySink final : public ResultSink
-{
-  public:
-    /**
-     * @param call_threshold when set, results with a finite value
-     *        strictly below it are counted in below_threshold —
-     *        the CLI's variant-call predicate.
-     */
-    explicit TallySink(
-        std::optional<BigFloat> call_threshold = std::nullopt)
-        : threshold_(std::move(call_threshold))
-    {
-    }
-
-    void consumeResults(const WorkBlock &block,
-                        std::span<const EvalResult> results) override;
-    void consumeScreened(const WorkBlock &block,
-                         const ScreenedPValueBatch &batch) override;
-    void consumeAdaptive(const WorkBlock &block,
-                         const AdaptiveBatch &batch) override;
-    void consumePosteriors(
-        const WorkBlock &block,
-        std::span<const PosteriorResult> posteriors) override;
-    void
-    consumeDecodes(const WorkBlock &block,
-                   std::span<const ViterbiResult> decodes) override;
-
-    /** The accumulated counters. */
-    const SinkTally &tally() const { return tally_; }
-
-  private:
-    void note(const EvalResult &result);
-
-    std::optional<BigFloat> threshold_;
-    SinkTally tally_;
-};
-
-/**
  * Persist results as one Results-payload shard file (io/shard.hh):
  * one record per item in delivery order, flags carrying the
  * invalid/underflow/skipped/certified bookkeeping, the value encoded
@@ -274,52 +185,6 @@ class ShardFileSink final : public ResultSink
   private:
     io::ShardWriter writer_;
     size_t written_ = 0;
-};
-
-/**
- * The legacy per-shard callback adapter: routes each block to the
- * matching std::function callback when one is bound, else to the
- * fallback sink — exactly the pre-layer "sink or accumulate"
- * dispatch of streamed plans. Posteriors and decodes always go to
- * the fallback (no legacy callback shape exists for them).
- */
-class CallbackSink final : public ResultSink
-{
-  public:
-    /**
-     * @param sink legacy fixed-results callback (may be empty)
-     * @param screened_sink legacy screened callback (may be empty)
-     * @param adaptive_sink legacy adaptive callback (may be empty)
-     * @param fallback sink receiving everything not claimed by a
-     *        callback (borrowed; must outlive this sink)
-     */
-    CallbackSink(ShardResultSink sink, ScreenedShardSink screened_sink,
-                 AdaptiveShardSink adaptive_sink, ResultSink &fallback)
-        : sink_(std::move(sink)),
-          screened_sink_(std::move(screened_sink)),
-          adaptive_sink_(std::move(adaptive_sink)), fallback_(fallback)
-    {
-    }
-
-    void consumeResults(const WorkBlock &block,
-                        std::span<const EvalResult> results) override;
-    void consumeScreened(const WorkBlock &block,
-                         const ScreenedPValueBatch &batch) override;
-    void consumeAdaptive(const WorkBlock &block,
-                         const AdaptiveBatch &batch) override;
-    void consumePosteriors(
-        const WorkBlock &block,
-        std::span<const PosteriorResult> posteriors) override;
-    void
-    consumeDecodes(const WorkBlock &block,
-                   std::span<const ViterbiResult> decodes) override;
-    void finish() override { fallback_.finish(); }
-
-  private:
-    ShardResultSink sink_;
-    ScreenedShardSink screened_sink_;
-    AdaptiveShardSink adaptive_sink_;
-    ResultSink &fallback_;
 };
 
 /**

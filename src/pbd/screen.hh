@@ -111,7 +111,7 @@ struct ScreenDecisions
  * Apply the screen to precomputed per-column estimates (one
  * pvalueLog2Estimate value per column, in column order). Pure
  * decision logic — callers that parallelize the estimation stage
- * (EvalEngine::pvalueScreenedBatch) share it with the serial path.
+ * (EvalEngine::run's screened stage) share it with the serial path.
  */
 ScreenDecisions applyScreen(std::span<const double> estimates_log2,
                             const ScreenConfig &config);

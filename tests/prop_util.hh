@@ -8,9 +8,11 @@
  * exact BigFloat oracle. This header supplies the shared pieces:
  * deterministic per-case seeds, a PSTAT_DIFF_CASES case-count knob,
  * adversarial column generators (near-threshold, subnormal-heavy,
- * exact-zero/one factor, K ~ N), and exact-oracle helpers. Every
- * failure message carries the reproducing seed, so a red CI line is
- * one local run away from a debugger.
+ * exact-zero/one factor, K ~ N), exact-oracle helpers, the
+ * in-memory plan-run shorthand (plus the adaptive plan it usually
+ * runs), and the scalar screened reference. Every failure message
+ * carries the reproducing seed, so a red CI line is one local run
+ * away from a debugger.
  */
 
 #ifndef PSTAT_TESTS_PROP_UTIL_HH
@@ -20,6 +22,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <optional>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bigfloat/bigfloat.hh"
@@ -224,6 +230,85 @@ oraclePValues(engine::EvalEngine &engine,
     engine.parallelFor(columns.size(), [&](size_t i) {
         out[i] = oraclePValue(columns[i]);
     });
+    return out;
+}
+
+/**
+ * One in-memory EvalEngine::run over `columns` — the tests' shorthand
+ * where the plan's policy, not its source, is under test.
+ */
+inline engine::PlanRun
+runMemory(engine::EvalEngine &engine, const engine::EvalPlan &plan,
+          std::span<const pbd::Column> columns)
+{
+    engine::PlanInputs inputs;
+    inputs.columns = columns;
+    return engine.run(plan, inputs);
+}
+
+/** runMemory over HMM jobs (forward, backward, posterior, Viterbi). */
+inline engine::PlanRun
+runMemory(engine::EvalEngine &engine, const engine::EvalPlan &plan,
+          std::span<const engine::ForwardJob> jobs)
+{
+    engine::PlanInputs inputs;
+    inputs.jobs = jobs;
+    return engine.run(plan, inputs);
+}
+
+/**
+ * An adaptive pvalue plan certifying `cert` on the ladder
+ * `ladder_ids` (empty: the default ladder); a `screen` makes it
+ * screened-adaptive.
+ */
+inline engine::EvalPlan
+adaptivePlan(const engine::CertConfig &cert,
+             std::vector<std::string> ladder_ids = {},
+             const std::optional<pbd::ScreenConfig> &screen =
+                 std::nullopt)
+{
+    engine::EvalPlan plan;
+    plan.policy = screen ? engine::PlanPolicy::ScreenedAdaptive
+                         : engine::PlanPolicy::Adaptive;
+    plan.ladder_ids = std::move(ladder_ids);
+    plan.cert = cert;
+    if (screen)
+        plan.screen = *screen;
+    return plan;
+}
+
+/**
+ * The scalar reference of a screened batch, composed from its
+ * independent pieces: pbd::pvalueLog2Estimate per column,
+ * pbd::applyScreen for the mask and stats, the format's per-item
+ * pbdPValue on every evaluated column, and the 2^round(estimate)
+ * placeholder on every skipped one.
+ */
+inline engine::ScreenedPValueBatch
+scalarScreened(const engine::FormatOps &format,
+               std::span<const pbd::Column> columns,
+               const pbd::ScreenConfig &config, engine::SumPolicy sum)
+{
+    engine::ScreenedPValueBatch out;
+    out.config = config;
+    for (const pbd::Column &column : columns)
+        out.estimates_log2.push_back(
+            pbd::pvalueLog2Estimate(column.success_probs, column.k));
+    pbd::ScreenDecisions decisions =
+        pbd::applyScreen(out.estimates_log2, config);
+    out.skipped = std::move(decisions.skip);
+    out.stats = decisions.stats;
+    for (size_t i = 0; i < columns.size(); ++i) {
+        if (out.skipped[i]) {
+            engine::EvalResult placeholder;
+            placeholder.value = BigFloat::twoPow(
+                std::llround(out.estimates_log2[i]));
+            out.results.push_back(placeholder);
+        } else {
+            out.results.push_back(format.pbdPValue(
+                columns[i].success_probs, columns[i].k, sum));
+        }
+    }
     return out;
 }
 

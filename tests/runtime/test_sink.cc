@@ -1,15 +1,9 @@
-// These tests intentionally exercise the PSTAT_LEGACY_API wrappers
-// (bit-identity against the EvalPlan pipeline is part of the
-// contract under test), so silence the deprecation that the
-// -DPSTAT_DEPRECATE_LEGACY_API build leg turns on.
-#if defined(PSTAT_DEPRECATE_LEGACY_API) && defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-// Sink layer contracts: accumulation parity, tally counters, tee
-// fan-out, the lossless result-shard round trip for every registered
-// format (the file-sink acceptance criterion), and writer/reader
-// rejection of malformed result records.
+// Sink layer contracts: accumulation parity, tee fan-out, the two
+// routes a run delivers through (a bound sink instead of the
+// accumulated PlanRun; a result_sink teed on top of either), the
+// lossless result-shard round trip for every registered format (the
+// file-sink acceptance criterion), and writer/reader rejection of
+// malformed result records.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +19,7 @@
 #include "hmm/generator.hh"
 #include "io/shard.hh"
 #include "pbd/dataset.hh"
+#include "../prop_util.hh"
 #include "../test_tmp.hh"
 
 namespace
@@ -100,37 +95,6 @@ TEST(ResultSink, BaseSinkRejectsUnimplementedChannels)
                  std::logic_error);
 }
 
-TEST(ResultSink, TallyCountsWithoutStoring)
-{
-    std::vector<EvalResult> results(5);
-    results[0].value = BigFloat::twoPow(-4);
-    results[1].value = BigFloat::twoPow(-100);
-    results[2].value = BigFloat::zero();
-    results[2].underflow = true;
-    results[3].value = BigFloat::nan();
-    results[3].invalid = true;
-    results[4].value = BigFloat::twoPow(-12);
-
-    TallySink sink(BigFloat::twoPow(-10)); // call threshold 2^-10
-    WorkBlock block;
-    block.items = results.size();
-    sink.consumeResults(block, results);
-    sink.finish();
-
-    const SinkTally &tally = sink.tally();
-    EXPECT_EQ(tally.items, 5u);
-    EXPECT_EQ(tally.invalid, 1u);
-    EXPECT_EQ(tally.underflows, 1u);
-    EXPECT_EQ(tally.skipped, 0u);
-    // 2^-100, the underflowed zero (exact zero is finite), and
-    // 2^-12 all fall strictly below 2^-10.
-    EXPECT_EQ(tally.below_threshold, 3u);
-    ASSERT_TRUE(tally.min_log2.has_value());
-    ASSERT_TRUE(tally.max_log2.has_value());
-    EXPECT_DOUBLE_EQ(*tally.min_log2, -100.0);
-    EXPECT_DOUBLE_EQ(*tally.max_log2, -4.0);
-}
-
 TEST(ResultSink, TeeFansOutToEverySink)
 {
     PlanRun a, b;
@@ -183,8 +147,10 @@ TEST(ResultSink, FileSinkRoundTripsEveryRegisteredFormat)
     EvalEngine engine(4);
     for (const FormatOps *format :
          FormatRegistry::instance().all()) {
-        const auto want = engine.pvalueBatch(*format, columns,
-                                             SumPolicy::Plain);
+        EvalPlan plan;
+        plan.format_id = format->id();
+        plan.sum = PlanSum::Plain;
+        const auto want = prop::runMemory(engine, plan, columns).results;
 
         const std::string path =
             tempPath("sink-rt-" + format->id() + ".shard");
@@ -210,14 +176,15 @@ TEST(ResultSink, FileSinkPersistsScreenedMasks)
 {
     const auto columns = makeColumns(30, 555);
     EvalEngine engine(2);
-    const auto &format = FormatRegistry::instance().at("log");
-    pbd::ScreenConfig config;
-    config.guard_band_log2 = 16.0;
-    const auto batch = engine.pvalueScreenedBatch(
-        format, columns, config, SumPolicy::Plain);
+    EvalPlan plan;
+    plan.policy = PlanPolicy::Screened;
+    plan.format_id = "log";
+    plan.screen.guard_band_log2 = 16.0;
+    plan.sum = PlanSum::Plain;
+    const auto batch = prop::runMemory(engine, plan, columns).screened;
 
     const std::string path = tempPath("sink-screened.shard");
-    ShardFileSink sink(path, PlanKernel::PValue, format.id());
+    ShardFileSink sink(path, PlanKernel::PValue, plan.format_id);
     WorkBlock block;
     block.items = batch.results.size();
     sink.consumeScreened(block, batch);
@@ -236,11 +203,11 @@ TEST(ResultSink, FileSinkPersistsAdaptiveCertification)
 {
     const auto columns = makeColumns(16, 777);
     EvalEngine engine(2);
-    const Ladder &ladder = defaultLadder();
-    CertConfig cert;
-    cert.tol_rel_log2 = -20.0;
-    const auto batch = engine.pvalueAdaptiveBatch(
-        ladder, columns, cert, std::nullopt, SumPolicy::Plain);
+    EvalPlan plan;
+    plan.policy = PlanPolicy::Adaptive;
+    plan.cert.tol_rel_log2 = -20.0;
+    plan.sum = PlanSum::Plain;
+    const auto batch = prop::runMemory(engine, plan, columns).adaptive;
 
     const std::string path = tempPath("sink-adaptive.shard");
     ShardFileSink sink(path, PlanKernel::PValue, "adaptive");
@@ -273,11 +240,13 @@ TEST(ResultSink, FileSinkRoundTripsViterbiDecodes)
         jobs.push_back({&model, seq});
 
     EvalEngine engine(2);
-    const auto &format = FormatRegistry::instance().at("log");
-    const auto want = engine.viterbiBatch(format, jobs);
+    EvalPlan plan;
+    plan.kernel = PlanKernel::Viterbi;
+    plan.format_id = "log";
+    const auto want = prop::runMemory(engine, plan, jobs).decodes;
 
     const std::string path = tempPath("sink-viterbi.shard");
-    ShardFileSink sink(path, PlanKernel::Viterbi, format.id());
+    ShardFileSink sink(path, PlanKernel::Viterbi, plan.format_id);
     WorkBlock block;
     block.items = want.size();
     sink.consumeDecodes(block, want);
@@ -368,38 +337,124 @@ TEST(ResultSink, FileSinkWritesReadableZeroRecordShards)
     }
 }
 
-// The per-shard callback adapter must deliver (not drop, not crash
-// on) a stream whose shards hold zero columns: the callback fires
-// once per shard with an empty result span, and the merged PlanRun
-// stays empty.
-TEST(ResultSink, CallbackSinkDeliversZeroRecordShards)
+/** Records every delivery of a run: block order, sizes, values. */
+struct RecordingSink final : ResultSink
+{
+    std::vector<size_t> indices;
+    std::vector<size_t> items;
+    std::vector<EvalResult> results;
+    int finishes = 0;
+
+    void
+    consumeResults(const WorkBlock &block,
+                   std::span<const EvalResult> delivered) override
+    {
+        indices.push_back(block.index);
+        items.push_back(block.items);
+        results.insert(results.end(), delivered.begin(),
+                       delivered.end());
+    }
+
+    void
+    consumeAdaptive(const WorkBlock &block,
+                    const AdaptiveBatch &batch) override
+    {
+        indices.push_back(block.index);
+        items.push_back(block.items);
+        for (const EscalationResult &r : batch.results)
+            results.push_back(r.result);
+    }
+
+    void finish() override { ++finishes; }
+};
+
+/** A Fixed binary64 stream over zero-record and 7-column shards. */
+EvalPlan
+mixedShardPlan()
 {
     const std::string empty_shard = tempPath("sink-empty-cols.shard");
     io::writeColumnShard(empty_shard, std::vector<pbd::Column>{});
-
-    EvalEngine engine(2);
+    const std::string full_shard = tempPath("sink-full-cols.shard");
+    io::writeColumnShard(full_shard, makeColumns(7, 4141));
     EvalPlan plan;
-    plan.kernel = PlanKernel::PValue;
     plan.source = PlanSource::ShardStream;
-    plan.policy = PlanPolicy::Fixed;
     plan.format_id = "binary64";
-    plan.shard_paths = {empty_shard, empty_shard};
+    plan.shard_paths = {empty_shard, full_shard, empty_shard,
+                        full_shard};
+    return plan;
+}
 
-    size_t calls = 0;
+// The primary route and the CLI's O(shard) contract: a bound
+// PlanInputs::sink receives every block in stream order (zero-record
+// shards included) and one finish(), while the returned PlanRun
+// accumulates nothing.
+TEST(ResultSink, BoundSinkTakesEveryBlockAndRunAccumulatesNothing)
+{
+    EvalEngine engine(2);
+    const EvalPlan plan = mixedShardPlan();
+
+    RecordingSink sink;
     PlanInputs inputs;
-    inputs.sink = [&](size_t shard_index,
-                      const io::ShardReader &shard,
-                      std::span<const EvalResult> results) {
-        EXPECT_EQ(shard_index, calls);
-        EXPECT_EQ(shard.size(), 0u);
-        EXPECT_TRUE(results.empty());
-        ++calls;
-    };
+    inputs.sink = &sink;
     const PlanRun run = engine.run(plan, inputs);
-    EXPECT_EQ(calls, 2u);
+    EXPECT_EQ(sink.indices, (std::vector<size_t>{0, 1, 2, 3}));
+    EXPECT_EQ(sink.items, (std::vector<size_t>{0, 7, 0, 7}));
+    EXPECT_EQ(sink.finishes, 1);
     EXPECT_TRUE(run.results.empty());
-    EXPECT_EQ(run.stream.shards, 2u);
-    EXPECT_EQ(run.stream.items, 0u);
+    EXPECT_EQ(run.stream.shards, 4u);
+    EXPECT_EQ(run.stream.items, 14u);
+
+    // The sink took exactly what accumulation returns.
+    const PlanRun accumulated = engine.run(plan);
+    ASSERT_EQ(sink.results.size(), accumulated.results.size());
+    for (size_t i = 0; i < sink.results.size(); ++i)
+        expectSameResult(sink.results[i], accumulated.results[i],
+                         "delivered record " + std::to_string(i));
+}
+
+// A result_sink bound on its own is a tee on top of accumulation: the
+// PlanRun is the one a run with neither sink bound returns (the
+// benchmark checks a streamed run's PlanRun while persisting it).
+TEST(ResultSink, ResultSinkAloneLeavesThePlanRunUnchanged)
+{
+    EvalEngine engine(2);
+    const EvalPlan fixed = mixedShardPlan();
+    EvalPlan adaptive;
+    adaptive.policy = PlanPolicy::Adaptive;
+    adaptive.cert = defaultPValueCert();
+    const auto columns = makeColumns(20, 5151);
+
+    for (const EvalPlan &plan : {fixed, adaptive}) {
+        SCOPED_TRACE(planPolicyName(plan.policy));
+        PlanInputs inputs;
+        inputs.columns = columns;
+        const PlanRun bare = engine.run(plan, inputs);
+        RecordingSink tee;
+        inputs.result_sink = &tee;
+        const PlanRun teed = engine.run(plan, inputs);
+
+        EXPECT_EQ(tee.finishes, 1);
+        EXPECT_EQ(teed.stream.shards, bare.stream.shards);
+        EXPECT_EQ(teed.stream.items, bare.stream.items);
+        ASSERT_EQ(teed.results.size(), bare.results.size());
+        for (size_t i = 0; i < bare.results.size(); ++i)
+            expectSameResult(teed.results[i], bare.results[i],
+                             "fixed record " + std::to_string(i));
+        ASSERT_EQ(teed.adaptive.results.size(),
+                  bare.adaptive.results.size());
+        for (size_t i = 0; i < bare.adaptive.results.size(); ++i) {
+            expectSameResult(teed.adaptive.results[i].result,
+                             bare.adaptive.results[i].result,
+                             "adaptive record " + std::to_string(i));
+            EXPECT_EQ(teed.adaptive.results[i].tier,
+                      bare.adaptive.results[i].tier);
+            EXPECT_EQ(teed.adaptive.results[i].certified,
+                      bare.adaptive.results[i].certified);
+        }
+        EXPECT_EQ(teed.adaptive.certified, bare.adaptive.certified);
+        EXPECT_EQ(tee.results.size(),
+                  bare.results.size() + bare.adaptive.results.size());
+    }
 }
 
 TEST(ResultSink, WriterRejectsMalformedRecords)

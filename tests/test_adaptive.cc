@@ -8,14 +8,6 @@
  * "diff;slow"); everything here is fast enough for the PR lane.
  */
 
-// These tests intentionally exercise the PSTAT_LEGACY_API wrappers
-// (bit-identity against the EvalPlan pipeline is part of the
-// contract under test), so silence the deprecation that the
-// -DPSTAT_DEPRECATE_LEGACY_API build leg turns on.
-#if defined(PSTAT_DEPRECATE_LEGACY_API) && defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -33,6 +25,7 @@
 #include "pbd/dataset.hh"
 #include "pbd/pbd.hh"
 #include "pbd/screen.hh"
+#include "prop_util.hh"
 #include "stats/rng.hh"
 
 namespace
@@ -292,9 +285,13 @@ TEST(Intervals, LinearIntervalEnclosesExactIidTail)
     const auto &registry = engine::FormatRegistry::instance();
     const engine::FormatOps &b64 = registry.at("binary64");
     const pbd::Column col = iidColumn(80, 3e-3, 4);
-    const auto results = sharedEngine().pvalueBatch(
-        b64, std::vector<pbd::Column>{col},
-        engine::SumPolicy::Plain);
+    engine::EvalPlan plan;
+    plan.format_id = "binary64";
+    plan.sum = engine::PlanSum::Plain;
+    const auto results =
+        prop::runMemory(sharedEngine(), plan,
+                        std::vector<pbd::Column>{col})
+            .results;
     ASSERT_EQ(results.size(), 1u);
     const ResultInterval iv = engine::pbdPValueInterval(
         b64.errorModel(), col.view(), engine::SumPolicy::Plain,
@@ -444,9 +441,9 @@ TEST(Adaptive, AnalyticTierCertifiesDeepBinomialColumn)
     CertConfig cert;
     cert.threshold_log2 = -200.0;
     const engine::AdaptiveBatch batch =
-        sharedEngine().pvalueAdaptiveBatch(
-            engine::defaultLadder(),
-            std::vector<pbd::Column>{col, dragged}, cert);
+        prop::runMemory(sharedEngine(), prop::adaptivePlan(cert),
+                        std::vector<pbd::Column>{col, dragged})
+            .adaptive;
     ASSERT_EQ(batch.results.size(), 2u);
     for (const engine::EscalationResult &result : batch.results) {
         EXPECT_EQ(result.tier, engine::kTierAnalytic);
@@ -457,30 +454,30 @@ TEST(Adaptive, AnalyticTierCertifiesDeepBinomialColumn)
 TEST(Adaptive, RejectsMalformedArguments)
 {
     const std::vector<pbd::Column> columns{iidColumn(10, 0.1, 2)};
-    const engine::Ladder &ladder = engine::defaultLadder();
+    const auto rejects = [&](const CertConfig &cert,
+                             const engine::Ladder *ladder) {
+        engine::PlanInputs inputs;
+        inputs.columns = columns;
+        inputs.ladder = ladder;
+        EXPECT_THROW(sharedEngine().run(prop::adaptivePlan(cert), inputs),
+                     std::invalid_argument);
+    };
 
-    CertConfig empty;
-    EXPECT_THROW(sharedEngine().pvalueAdaptiveBatch(ladder, columns,
-                                                    empty),
-                 std::invalid_argument);
+    rejects(CertConfig{}, nullptr);
 
     CertConfig positive_tol;
     positive_tol.tol_rel_log2 = 0.5;
-    EXPECT_THROW(sharedEngine().pvalueAdaptiveBatch(ladder, columns,
-                                                    positive_tol),
-                 std::invalid_argument);
+    rejects(positive_tol, nullptr);
 
     CertConfig nan_thr;
     nan_thr.threshold_log2 = std::nan("");
-    EXPECT_THROW(sharedEngine().pvalueAdaptiveBatch(ladder, columns,
-                                                    nan_thr),
-                 std::invalid_argument);
+    rejects(nan_thr, nullptr);
 
+    // A bound ladder with no tiers: the adaptive stage's own check.
     CertConfig ok;
     ok.threshold_log2 = -200.0;
-    EXPECT_THROW(sharedEngine().pvalueAdaptiveBatch(
-                     engine::Ladder{}, columns, ok),
-                 std::invalid_argument);
+    const engine::Ladder no_tiers;
+    rejects(ok, &no_tiers);
 }
 
 TEST(Adaptive, SkippedColumnsAreNeverEscalated)
@@ -497,11 +494,10 @@ TEST(Adaptive, SkippedColumnsAreNeverEscalated)
 
     CertConfig cert;
     cert.threshold_log2 = -200.0;
-    const pbd::ScreenConfig screen;
+    engine::EvalPlan plan = prop::adaptivePlan(cert);
+    plan.policy = engine::PlanPolicy::ScreenedAdaptive;
     const engine::AdaptiveBatch batch =
-        sharedEngine().pvalueAdaptiveBatch(engine::defaultLadder(),
-                                           dataset.columns, cert,
-                                           screen);
+        prop::runMemory(sharedEngine(), plan, dataset.columns).adaptive;
 
     ASSERT_EQ(batch.skipped.size(), dataset.columns.size());
     size_t skipped = 0;
@@ -541,8 +537,9 @@ TEST(Adaptive, TierAccountingAddsUp)
     CertConfig cert;
     cert.threshold_log2 = -200.0;
     const engine::AdaptiveBatch batch =
-        sharedEngine().pvalueAdaptiveBatch(engine::defaultLadder(),
-                                           dataset.columns, cert);
+        prop::runMemory(sharedEngine(), prop::adaptivePlan(cert),
+                        dataset.columns)
+            .adaptive;
 
     size_t tier_certified = 0;
     for (const engine::TierStats &ts : batch.tiers) {
@@ -618,10 +615,10 @@ TEST(Adaptive, ForwardBatchCertifiesSmallModels)
     for (int j = 0; j < 4; ++j)
         jobs.push_back(engine::ForwardJob{&models[j], sequences[j]});
 
+    engine::EvalPlan plan = prop::adaptivePlan(engine::defaultForwardCert());
+    plan.kernel = engine::PlanKernel::Forward;
     const engine::AdaptiveBatch batch =
-        sharedEngine().forwardAdaptiveBatch(
-            engine::defaultLadder(), jobs,
-            engine::defaultForwardCert());
+        prop::runMemory(sharedEngine(), plan, jobs).adaptive;
     EXPECT_EQ(batch.results.size(), jobs.size());
     EXPECT_EQ(batch.uncertified, 0u);
     for (const engine::EscalationResult &r : batch.results) {

@@ -11,16 +11,21 @@
  * instead of rejecting it.
  */
 
+#include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <initializer_list>
+#include <regex>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "apps/lofreq.hh"
 #include "apps/pstat_cli.hh"
+#include "engine/eval_engine.hh"
 #include "engine/plan.hh"
 #include "io/shard.hh"
 #include "pbd/dataset.hh"
@@ -33,7 +38,7 @@ using namespace pstat;
 
 /** Run the CLI in-process; captures stdout/stderr around the call. */
 int
-runCli(std::initializer_list<const char *> args,
+runCli(const std::vector<const char *> &args,
        std::string *out = nullptr, std::string *err = nullptr)
 {
     std::vector<const char *> argv{"pstat"};
@@ -55,11 +60,11 @@ runCli(std::initializer_list<const char *> args,
 
 /** A small valid Columns shard in the test temp dir. */
 std::string
-makeShard(const std::string &name, int columns = 60)
+makeShard(const std::string &name, int columns = 60, uint64_t seed = 77)
 {
     pbd::DatasetConfig config;
     config.num_columns = columns;
-    config.seed = 77;
+    config.seed = seed;
     const auto ds = pbd::makeDataset(config, "cli");
     const std::string path = test::tempPath(name);
     io::writeColumnShard(path, ds.columns);
@@ -528,6 +533,204 @@ TEST(Cli, QueueCapEnvIsStrictlyParsed)
     ::unsetenv("PSTAT_QUEUE_CAP");
     plan = engine::readPlanFile(plan_path);
     EXPECT_EQ(plan.queue_capacity, 3u);
+}
+
+/** printf into a std::string (the report lines' own format strings). */
+std::string
+format(const char *fmt, ...)
+{
+    char buf[512];
+    va_list args;
+    va_start(args, fmt);
+    std::vsnprintf(buf, sizeof(buf), fmt, args);
+    va_end(args);
+    return buf;
+}
+
+/**
+ * Mask the report's two timing-dependent fields: how far the shard
+ * prefetch thread got ahead (peak queue depth) and the per-tier
+ * wall-clock column.
+ */
+std::string
+maskTimings(const std::string &report)
+{
+    static const std::regex queue("peak queue [0-9]+");
+    static const std::regex tier_ms(", [0-9]+\\.[0-9]{2} ms\n");
+    return std::regex_replace(
+        std::regex_replace(report, queue, "peak queue *"), tier_ms,
+        ", * ms\n");
+}
+
+/** Fixture of the pinned report lines: two fixed shards + references. */
+struct ReportShards
+{
+    std::vector<std::string> paths;
+    std::vector<std::vector<pbd::Column>> columns;
+    size_t total = 0;
+    size_t peak_mapped = 0;
+    unsigned lanes = 0;
+    engine::EvalEngine engine;
+
+    ReportShards()
+    {
+        paths = {makeShard("cli_lines_a.shard", 40, 501),
+                 makeShard("cli_lines_b.shard", 25, 502)};
+        for (const std::string &path : paths) {
+            columns.push_back(io::readColumnShard(path));
+            total += columns.back().size();
+            peak_mapped = std::max(peak_mapped,
+                                   io::ShardReader(path).fileBytes());
+        }
+        lanes = engine.threadCount();
+    }
+
+    /** The memory-source run of `plan` over shard s's columns. */
+    engine::PlanRun
+    reference(const engine::EvalPlan &plan, size_t s)
+    {
+        engine::PlanInputs inputs;
+        inputs.columns = columns[s];
+        return engine.run(plan, inputs);
+    }
+
+    /** argv of `command` over both shards, with `-o out` when set. */
+    std::vector<const char *>
+    argv(std::initializer_list<const char *> command,
+         const std::string *out) const
+    {
+        std::vector<const char *> args(command);
+        if (out != nullptr) {
+            args.push_back("-o");
+            args.push_back(out->c_str());
+        }
+        for (const std::string &path : paths)
+            args.push_back(path.c_str());
+        return args;
+    }
+};
+
+TEST(Cli, ReportLinesArePinned)
+{
+    // Every report line of `eval`, `screen` and `eval --adaptive`,
+    // byte for byte apart from the masked timings, with and without
+    // a result shard. The counts come from memory-source runs of the
+    // same policy over each shard's columns.
+    ReportShards shards;
+    const std::string out_path = test::tempDir() + "cli_lines.out";
+    const BigFloat call_threshold = apps::lofreqThreshold();
+
+    engine::EvalPlan fixed;
+    fixed.format_id = "log";
+    std::string fixed_report;
+    size_t calls = 0;
+    size_t invalid = 0;
+    size_t underflows = 0;
+    for (size_t s = 0; s < shards.paths.size(); ++s) {
+        size_t shard_calls = 0;
+        for (const auto &r : shards.reference(fixed, s).results) {
+            invalid += r.invalid ? 1 : 0;
+            underflows += r.underflow ? 1 : 0;
+            if (r.value.isFinite() && r.value < call_threshold)
+                ++shard_calls;
+        }
+        calls += shard_calls;
+        fixed_report += format("%s: %zu columns, %zu calls\n",
+                               shards.paths[s].c_str(),
+                               shards.columns[s].size(), shard_calls);
+    }
+    fixed_report += format(
+        "total: 2 shards, %zu columns, %zu variant calls (p < "
+        "2^-200), %zu invalid, %zu underflows [log, %u lanes, peak "
+        "queue *, peak mapped %zu bytes]\n",
+        shards.total, calls, invalid, underflows, shards.lanes,
+        shards.peak_mapped);
+
+    engine::EvalPlan screened;
+    screened.policy = engine::PlanPolicy::Screened;
+    screened.format_id = "log32";
+    std::string screen_report;
+    pbd::ScreenStats totals;
+    for (size_t s = 0; s < shards.paths.size(); ++s) {
+        const pbd::ScreenStats stats =
+            shards.reference(screened, s).screened.stats;
+        totals.skipped += stats.skipped;
+        totals.evaluated += stats.evaluated;
+        totals.guard_band_hits += stats.guard_band_hits;
+        screen_report += format(
+            "%s: %zu columns, %zu skipped, %zu evaluated, %zu guard "
+            "hits\n",
+            shards.paths[s].c_str(), stats.columns, stats.skipped,
+            stats.evaluated, stats.guard_band_hits);
+    }
+    screen_report += format(
+        "total: 2 shards, %zu columns, %zu skipped (%.1f%%), %zu "
+        "evaluated, %zu guard hits [guard %g bits, log32, %u lanes]\n",
+        shards.total, totals.skipped,
+        100.0 * static_cast<double>(totals.skipped) /
+            static_cast<double>(shards.total),
+        totals.evaluated, totals.guard_band_hits,
+        screened.screen.guard_band_log2, shards.lanes);
+
+    engine::EvalPlan adaptive;
+    adaptive.policy = engine::PlanPolicy::Adaptive;
+    adaptive.cert = engine::defaultPValueCert();
+    adaptive.cert.threshold_log2 = -200.0;
+    std::string adaptive_report;
+    engine::AccuracyTally tiers("adaptive");
+    size_t certified = 0;
+    size_t uncertified = 0;
+    size_t adaptive_calls = 0;
+    for (size_t s = 0; s < shards.paths.size(); ++s) {
+        const engine::AdaptiveBatch batch =
+            shards.reference(adaptive, s).adaptive;
+        size_t shard_calls = 0;
+        for (const auto &r : batch.results)
+            if (r.certified && r.interval.hi_log2 < -200.0)
+                ++shard_calls;
+        certified += batch.certified;
+        uncertified += batch.uncertified;
+        adaptive_calls += shard_calls;
+        tiers.recordTiers(batch.tiers);
+        adaptive_report += format(
+            "%s: %zu columns, %zu certified, %zu uncertified, %zu "
+            "calls\n",
+            shards.paths[s].c_str(), shards.columns[s].size(),
+            batch.certified, batch.uncertified, shard_calls);
+    }
+    adaptive_report += format(
+        "total: 2 shards, %zu columns, %zu certified, %zu uncertified, "
+        "0 skipped, %zu calls (p < 2^-200) [%u lanes]\n",
+        shards.total, certified, uncertified, adaptive_calls,
+        shards.lanes);
+    ASSERT_FALSE(tiers.tierStats().empty());
+    for (const engine::TierStats &tier : tiers.tierStats())
+        adaptive_report += format(
+            "  tier %-10s %zu evaluated, %zu certified, %zu bypassed, "
+            "* ms\n",
+            tier.format_id.c_str(), tier.evaluated, tier.certified,
+            tier.bypassed);
+
+    const std::string wrote = format("wrote %s: %zu result records\n",
+                                     out_path.c_str(), shards.total);
+    for (const std::string *out : {static_cast<const std::string *>(
+                                       nullptr),
+                                   &out_path}) {
+        SCOPED_TRACE(out != nullptr ? "with -o" : "without -o");
+        const auto report =
+            [&](std::initializer_list<const char *> command) {
+                std::string stdout_text;
+                EXPECT_EQ(runCli(shards.argv(command, out), &stdout_text),
+                          0);
+                return maskTimings(stdout_text);
+            };
+        const std::string tail = out != nullptr ? wrote : "";
+        EXPECT_EQ(report({"eval", "--format", "log"}), fixed_report + tail);
+        EXPECT_EQ(report({"screen", "--format", "log32"}),
+                  screen_report + tail);
+        EXPECT_EQ(report({"eval", "--adaptive", "--threshold", "-200"}),
+                  adaptive_report + tail);
+    }
 }
 
 } // namespace

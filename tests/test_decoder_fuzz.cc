@@ -180,7 +180,6 @@ planCorpus()
         engine::EvalPlan defaults;
         engine::EvalPlan fixed;
         fixed.format_id = "binary64";
-        fixed.simd = "avx2";
         engine::EvalPlan adaptive;
         adaptive.policy = engine::PlanPolicy::ScreenedAdaptive;
         adaptive.source = engine::PlanSource::ShardStream;

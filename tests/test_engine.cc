@@ -3,17 +3,10 @@
  * Engine subsystem tests: FormatRegistry completeness and lookup,
  * type-erased round-trips through the BigFloat oracle for every
  * registered format, bit-exact agreement of the batched
- * multi-threaded paths with the single-threaded scalar templates,
- * parallelFor scheduling, and AccuracyTally classification.
+ * multi-threaded plans with the single-threaded scalar templates and
+ * per-item FormatOps calls, parallelFor scheduling, and
+ * AccuracyTally classification.
  */
-
-// These tests intentionally exercise the PSTAT_LEGACY_API wrappers
-// (bit-identity against the EvalPlan pipeline is part of the
-// contract under test), so silence the deprecation that the
-// -DPSTAT_DEPRECATE_LEGACY_API build leg turns on.
-#if defined(PSTAT_DEPRECATE_LEGACY_API) && defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
 
 #include <algorithm>
 #include <atomic>
@@ -33,6 +26,7 @@
 #include "hmm/decode.hh"
 #include "hmm/forward.hh"
 #include "pbd/pbd.hh"
+#include "prop_util.hh"
 
 // ThreadSanitizer detection (the tsan CI job runs these suites).
 #if defined(__SANITIZE_THREAD__)
@@ -518,7 +512,7 @@ TEST(EvalEngine, EvalResultFlagsMatchScalarPredicates)
     EXPECT_FALSE(p18.invalid);
 }
 
-/** Shared small job set for the decode-batch bit-match tests. */
+/** Shared small job set for the decode-plan bit-match tests. */
 std::vector<apps::VicarWorkload> &
 decodeWorkloads()
 {
@@ -541,12 +535,26 @@ decodeJobs()
     return jobs;
 }
 
+/** A Memory plan of one HMM kernel on one registered format. */
+EvalPlan
+hmmPlan(PlanKernel kernel, const std::string &format_id)
+{
+    EvalPlan plan;
+    plan.kernel = kernel;
+    plan.format_id = format_id;
+    return plan;
+}
+
 TEST(EvalEngine, BatchedBackwardBitMatchesSerialEveryFormat)
 {
     EvalEngine engine(4);
     const auto jobs = decodeJobs();
     for (const FormatOps *format : FormatRegistry::instance().all()) {
-        const auto batched = engine.backwardBatch(*format, jobs);
+        const auto batched =
+            prop::runMemory(engine,
+                            hmmPlan(PlanKernel::Backward, format->id()),
+                            jobs)
+                .results;
         ASSERT_EQ(batched.size(), jobs.size());
         for (size_t i = 0; i < jobs.size(); ++i) {
             const auto serial = format->hmmBackward(
@@ -565,8 +573,10 @@ TEST(EvalEngine, BatchedPosteriorBitMatchesSerialEveryFormat)
     const auto jobs = decodeJobs();
     for (const FormatOps *format : FormatRegistry::instance().all()) {
         for (bool renorm : {false, true}) {
-            const auto batched = engine.posteriorBatch(
-                *format, jobs, Dataflow::Accelerator, renorm);
+            EvalPlan plan = hmmPlan(PlanKernel::Posterior, format->id());
+            plan.renormalize = renorm;
+            const auto batched =
+                prop::runMemory(engine, plan, jobs).posteriors;
             ASSERT_EQ(batched.size(), jobs.size());
             for (size_t i = 0; i < jobs.size(); ++i) {
                 const auto serial = format->hmmPosterior(
@@ -596,7 +606,11 @@ TEST(EvalEngine, BatchedViterbiBitMatchesSerialEveryFormat)
     EvalEngine engine(4);
     const auto jobs = decodeJobs();
     for (const FormatOps *format : FormatRegistry::instance().all()) {
-        const auto batched = engine.viterbiBatch(*format, jobs);
+        const auto batched =
+            prop::runMemory(engine,
+                            hmmPlan(PlanKernel::Viterbi, format->id()),
+                            jobs)
+                .decodes;
         ASSERT_EQ(batched.size(), jobs.size());
         for (size_t i = 0; i < jobs.size(); ++i) {
             const auto serial =
@@ -616,13 +630,15 @@ TEST(EvalEngine, BackwardMatchesScalarTemplatesAndLogNary)
 {
     EvalEngine engine(4);
     const auto jobs = decodeJobs();
-    const auto &registry = FormatRegistry::instance();
 
-    const auto p18 = engine.backwardBatch(registry.at("posit64_18"),
-                                          jobs);
-    const auto lg = engine.backwardBatch(registry.at("log"), jobs);
-    const auto lg32 = engine.backwardBatch(registry.at("log32"),
-                                           jobs);
+    const auto backward = [&](const char *id) {
+        return prop::runMemory(engine, hmmPlan(PlanKernel::Backward, id),
+                               jobs)
+            .results;
+    };
+    const auto p18 = backward("posit64_18");
+    const auto lg = backward("log");
+    const auto lg32 = backward("log32");
     const auto oracle = engine.backwardOracleBatch(jobs);
 
     for (size_t i = 0; i < jobs.size(); ++i) {

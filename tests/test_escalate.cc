@@ -19,14 +19,6 @@
  * down for sanitizer legs.
  */
 
-// These tests intentionally exercise the PSTAT_LEGACY_API wrappers
-// (bit-identity against the EvalPlan pipeline is part of the
-// contract under test), so silence the deprecation that the
-// -DPSTAT_DEPRECATE_LEGACY_API build leg turns on.
-#if defined(PSTAT_DEPRECATE_LEGACY_API) && defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
@@ -46,7 +38,6 @@
 #include "hmm/generator.hh"
 #include "hmm/model.hh"
 #include "io/shard.hh"
-#include "io/shard_stream.hh"
 #include "pbd/dataset.hh"
 #include "pbd/screen.hh"
 #include "prop_util.hh"
@@ -60,7 +51,6 @@ using namespace pstat;
 using engine::AdaptiveBatch;
 using engine::CertConfig;
 using engine::EscalationResult;
-using engine::Ladder;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -275,8 +265,9 @@ TEST(DiffEscalate, DefaultLadderDecisionCertificatesAreSound)
     const DiffSet &set = diffSet();
     CertConfig cert;
     cert.threshold_log2 = -200.0;
-    const AdaptiveBatch batch = sharedEngine().pvalueAdaptiveBatch(
-        engine::defaultLadder(), set.columns, cert);
+    const AdaptiveBatch batch =
+        prop::runMemory(sharedEngine(), prop::adaptivePlan(cert), set.columns)
+            .adaptive;
     auditBatch(batch, set.oracle, set.seeds);
     // Decisions away from the threshold are easy; only a measure-zero
     // band around 2^-200 may legitimately stay uncertified.
@@ -295,10 +286,10 @@ TEST(DiffEscalate, EveryTierDecisionCertificatesAreSound)
     for (const char *id :
          {"bfloat16", "binary32", "binary64", "log", "scaled_dd"}) {
         SCOPED_TRACE(id);
-        const auto ladder = engine::parseLadder(id);
-        ASSERT_TRUE(ladder.has_value());
-        const AdaptiveBatch batch = sharedEngine().pvalueAdaptiveBatch(
-            *ladder, set.columns, cert);
+        const AdaptiveBatch batch =
+            prop::runMemory(sharedEngine(), prop::adaptivePlan(cert, {id}),
+                            set.columns)
+                .adaptive;
         auditBatch(batch, set.oracle, set.seeds);
     }
 }
@@ -313,8 +304,10 @@ TEST(DiffEscalate, ValueCertificatesHonorClaimedBound)
         SCOPED_TRACE(tol);
         CertConfig cert;
         cert.tol_rel_log2 = tol;
-        const AdaptiveBatch batch = sharedEngine().pvalueAdaptiveBatch(
-            engine::defaultLadder(), set.columns, cert);
+        const AdaptiveBatch batch =
+            prop::runMemory(sharedEngine(), prop::adaptivePlan(cert),
+                            set.columns)
+                .adaptive;
         auditBatch(batch, set.oracle, set.seeds);
         // ScaledDD's a-priori relative bound (~2^-90 at the deepest
         // coverage) certifies every column at the top tier.
@@ -332,9 +325,11 @@ screenedAdaptiveSweep(const DiffSet &set)
 {
     CertConfig cert;
     cert.threshold_log2 = -200.0;
-    const pbd::ScreenConfig screen;
-    AdaptiveBatch batch = sharedEngine().pvalueAdaptiveBatch(
-        engine::defaultLadder(), set.columns, cert, screen);
+    AdaptiveBatch batch =
+        prop::runMemory(sharedEngine(),
+                        prop::adaptivePlan(cert, {}, pbd::ScreenConfig{}),
+                        set.columns)
+            .adaptive;
     auditBatch(batch, set.oracle, set.seeds);
 
     EXPECT_EQ(batch.skipped.size(), set.columns.size());
@@ -374,7 +369,6 @@ TEST(DiffEscalate, ScreenedAdaptiveMaskWinsOnAdversaries)
 
 TEST(DiffEscalate, ScreenedBatchDifferentialAgainstOracle)
 {
-    const auto &registry = engine::FormatRegistry::instance();
     const pbd::ScreenConfig config;
     const struct
     {
@@ -389,11 +383,18 @@ TEST(DiffEscalate, ScreenedBatchDifferentialAgainstOracle)
         for (const auto &sweep : sweeps) {
             SCOPED_TRACE(std::string(id) + " " + sweep.name);
             const DiffSet &set = *sweep.set;
-            const engine::FormatOps &format = registry.at(id);
-            const auto screened = sharedEngine().pvalueScreenedBatch(
-                format, set.columns, config);
+            engine::EvalPlan fixed;
+            fixed.format_id = id;
+            engine::EvalPlan screened_plan = fixed;
+            screened_plan.policy = engine::PlanPolicy::Screened;
+            screened_plan.screen = config;
+            const auto screened =
+                prop::runMemory(sharedEngine(), screened_plan,
+                                set.columns)
+                    .screened;
             const auto plain =
-                sharedEngine().pvalueBatch(format, set.columns);
+                prop::runMemory(sharedEngine(), fixed, set.columns)
+                    .results;
             ASSERT_EQ(screened.results.size(), set.columns.size());
             if (sweep.no_false_skips) {
                 EXPECT_EQ(pbd::countFalseSkips(screened.skipped,
@@ -434,47 +435,47 @@ TEST(DiffEscalate, AdaptiveStreamMatchesBatch)
 
     CertConfig cert;
     cert.threshold_log2 = -200.0;
-    const Ladder &ladder = engine::defaultLadder();
-    io::ShardStreamConfig stream_config;
-    io::ShardStream stream(paths, stream_config);
+    engine::EvalPlan stream_plan = prop::adaptivePlan(cert);
+    stream_plan.source = engine::PlanSource::ShardStream;
+    stream_plan.shard_paths = paths;
+    const engine::PlanRun streamed = sharedEngine().run(stream_plan);
+    EXPECT_EQ(streamed.stream.shards, kShards);
+    EXPECT_EQ(streamed.stream.items, total);
 
-    size_t shards_seen = 0;
-    const engine::StreamStats stats =
-        sharedEngine().pvalueAdaptiveStream(
-            ladder, stream,
-            [&](size_t index, const io::ShardReader &,
-                const AdaptiveBatch &batch) {
-                ASSERT_LT(index, kShards);
-                const AdaptiveBatch ref =
-                    sharedEngine().pvalueAdaptiveBatch(
-                        ladder, shard_columns[index], cert);
-                ASSERT_EQ(batch.results.size(), ref.results.size());
-                for (size_t i = 0; i < batch.results.size(); ++i) {
-                    const std::string tag = "shard " +
-                                            std::to_string(index) +
-                                            " item " +
-                                            std::to_string(i);
-                    const EscalationResult &a = batch.results[i];
-                    const EscalationResult &b = ref.results[i];
-                    EXPECT_EQ(a.tier, b.tier) << tag;
-                    EXPECT_EQ(a.certified, b.certified) << tag;
-                    expectSameResult(a.result, b.result, tag);
-                    EXPECT_EQ(a.interval.lo_log2, b.interval.lo_log2)
-                        << tag;
-                    EXPECT_EQ(a.interval.hi_log2, b.interval.hi_log2)
-                        << tag;
-                    EXPECT_EQ(a.interval.rel_bound_log2,
-                              b.interval.rel_bound_log2)
-                        << tag;
-                }
-                EXPECT_EQ(batch.certified, ref.certified);
-                EXPECT_EQ(batch.uncertified, ref.uncertified);
-                ++shards_seen;
-            },
-            cert);
-    EXPECT_EQ(shards_seen, kShards);
-    EXPECT_EQ(stats.shards, kShards);
-    EXPECT_EQ(stats.items, total);
+    // The streamed batches, concatenated in shard order, against the
+    // memory-source run over each shard's columns.
+    size_t offset = 0;
+    size_t certified = 0;
+    size_t uncertified = 0;
+    for (size_t s = 0; s < kShards; ++s) {
+        const AdaptiveBatch ref =
+            prop::runMemory(sharedEngine(), prop::adaptivePlan(cert),
+                            shard_columns[s])
+                .adaptive;
+        ASSERT_LE(offset + ref.results.size(),
+                  streamed.adaptive.results.size());
+        for (size_t i = 0; i < ref.results.size(); ++i) {
+            const std::string tag = "shard " + std::to_string(s) +
+                                    " item " + std::to_string(i);
+            const EscalationResult &a =
+                streamed.adaptive.results[offset + i];
+            const EscalationResult &b = ref.results[i];
+            EXPECT_EQ(a.tier, b.tier) << tag;
+            EXPECT_EQ(a.certified, b.certified) << tag;
+            expectSameResult(a.result, b.result, tag);
+            EXPECT_EQ(a.interval.lo_log2, b.interval.lo_log2) << tag;
+            EXPECT_EQ(a.interval.hi_log2, b.interval.hi_log2) << tag;
+            EXPECT_EQ(a.interval.rel_bound_log2,
+                      b.interval.rel_bound_log2)
+                << tag;
+        }
+        offset += ref.results.size();
+        certified += ref.certified;
+        uncertified += ref.uncertified;
+    }
+    EXPECT_EQ(offset, streamed.adaptive.results.size());
+    EXPECT_EQ(streamed.adaptive.certified, certified);
+    EXPECT_EQ(streamed.adaptive.uncertified, uncertified);
 }
 
 TEST(DiffEscalate, ForwardCertificatesAreSound)
@@ -511,16 +512,18 @@ TEST(DiffEscalate, ForwardCertificatesAreSound)
 
     CertConfig value_cert;
     value_cert.tol_rel_log2 = -12.0;
-    const AdaptiveBatch values = sharedEngine().forwardAdaptiveBatch(
-        engine::defaultLadder(), jobs, value_cert);
+    engine::EvalPlan forward = prop::adaptivePlan(value_cert);
+    forward.kernel = engine::PlanKernel::Forward;
+    const AdaptiveBatch values =
+        prop::runMemory(sharedEngine(), forward, jobs).adaptive;
     auditBatch(values, oracle, seeds);
     EXPECT_EQ(values.uncertified, 0u);
 
     CertConfig decision_cert;
     decision_cert.threshold_log2 = -100.0;
+    forward.cert = decision_cert;
     const AdaptiveBatch decisions =
-        sharedEngine().forwardAdaptiveBatch(engine::defaultLadder(),
-                                            jobs, decision_cert);
+        prop::runMemory(sharedEngine(), forward, jobs).adaptive;
     auditBatch(decisions, oracle, seeds);
 }
 
@@ -545,9 +548,11 @@ TEST(DiffEscalate, PosteriorDifferentialTracksOracle)
             engine::ForwardJob{&models.back(), sequences.back()});
     }
 
-    const auto &registry = engine::FormatRegistry::instance();
-    const auto computed = sharedEngine().posteriorBatch(
-        registry.at("binary64"), jobs);
+    engine::EvalPlan posterior;
+    posterior.kernel = engine::PlanKernel::Posterior;
+    posterior.format_id = "binary64";
+    const auto computed =
+        prop::runMemory(sharedEngine(), posterior, jobs).posteriors;
     const auto oracle = sharedEngine().posteriorOracleBatch(jobs);
     ASSERT_EQ(computed.size(), oracle.size());
     for (size_t j = 0; j < jobs.size(); ++j) {

@@ -3,18 +3,11 @@
  * EvalPlan tests: value semantics and validation, the versioned wire
  * format (golden vector, round trips, rejection of truncated /
  * corrupted / wrong-version / trailing-garbage bytes), plan files,
- * and the bit-identity contract — every legacy EvalEngine entry
- * point against the equivalent EvalPlan through run(), swept over
- * every registered format.
+ * and the bit-identity contract — every fixed and screened plan
+ * through run(), from memory and from a shard stream, against the
+ * scalar per-item FormatOps calls, and adaptive plans memory against
+ * stream, swept over every registered format.
  */
-
-// These tests intentionally exercise the PSTAT_LEGACY_API wrappers
-// (bit-identity against the EvalPlan pipeline is part of the
-// contract under test), so silence the deprecation that the
-// -DPSTAT_DEPRECATE_LEGACY_API build leg turns on.
-#if defined(PSTAT_DEPRECATE_LEGACY_API) && defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
 
 #include <cstdint>
 #include <cstring>
@@ -32,6 +25,7 @@
 #include "io/shard.hh"
 #include "io/shard_stream.hh"
 #include "pbd/dataset.hh"
+#include "prop_util.hh"
 #include "test_tmp.hh"
 
 namespace
@@ -53,12 +47,9 @@ fullPlan()
     plan.cert.threshold_log2 = -200.0;
     plan.screen.threshold_log2 = -200.0;
     plan.screen.guard_band_log2 = 48.0;
-    plan.threads = 3;
-    plan.grain = 16;
     plan.sum = engine::PlanSum::Compensated;
     plan.dataflow = engine::Dataflow::Software;
     plan.renormalize = true;
-    plan.simd = "scalar";
     plan.shard_paths = {"a.shard", "b.shard"};
     plan.queue_capacity = 4;
     return plan;
@@ -82,8 +73,35 @@ TEST(Plan, GoldenEncodeVector)
 {
     // The full plan above, encoded by the shipped encoder. A change
     // to these bytes is a wire-format break: bump plan_version and
-    // keep decoding this vector.
+    // keep the old bytes as a rejection case, like
+    // RejectsVersionOnePlans (the decoder reads one version only).
     const std::vector<uint8_t> golden = {
+        0x50, 0x53, 0x54, 0x50, 0x4c, 0x41, 0x4e, 0x31, 0x02, 0x00,
+        0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+        0x04, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x44, 0xc0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x69, 0xc0,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x69, 0xc0, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x48, 0x40, 0x00, 0x00, 0x00, 0x00,
+        0x02, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x62, 0x69,
+        0x6e, 0x61, 0x72, 0x79, 0x33, 0x32, 0x09, 0x00, 0x00, 0x00,
+        0x73, 0x63, 0x61, 0x6c, 0x65, 0x64, 0x5f, 0x64, 0x64, 0x02,
+        0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x61, 0x2e, 0x73,
+        0x68, 0x61, 0x72, 0x64, 0x07, 0x00, 0x00, 0x00, 0x62, 0x2e,
+        0x73, 0x68, 0x61, 0x72, 0x64, 0x85, 0xb6, 0xe7, 0xcb, 0x00,
+        0x00, 0x00, 0x00};
+    EXPECT_EQ(engine::encodePlan(fullPlan()), golden);
+    EXPECT_EQ(engine::decodePlan(golden), fullPlan());
+}
+
+TEST(Plan, RejectsVersionOnePlans)
+{
+    // A version-1 encoding (CRC-valid, as the previous encoder wrote
+    // it: the full plan plus threads 3, grain 16 and simd "scalar").
+    // Version 2 dropped those three fields; the decoder reads one
+    // version only, so the old bytes are a typed error naming it.
+    const std::vector<uint8_t> v1 = {
         0x50, 0x53, 0x54, 0x50, 0x4c, 0x41, 0x4e, 0x31, 0x01, 0x00,
         0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
         0x04, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
@@ -101,8 +119,15 @@ TEST(Plan, GoldenEncodeVector)
         0x62, 0x2e, 0x73, 0x68, 0x61, 0x72, 0x64, 0x06, 0x00, 0x00,
         0x00, 0x73, 0x63, 0x61, 0x6c, 0x61, 0x72, 0x82, 0xdc, 0x2a,
         0x4c, 0x00, 0x00, 0x00, 0x00};
-    EXPECT_EQ(engine::encodePlan(fullPlan()), golden);
-    EXPECT_EQ(engine::decodePlan(golden), fullPlan());
+    try {
+        engine::decodePlan(v1);
+        FAIL() << "accepted a version-1 plan";
+    } catch (const engine::PlanError &error) {
+        EXPECT_NE(std::string(error.what())
+                      .find("unsupported plan version 1"),
+                  std::string::npos)
+            << error.what();
+    }
 }
 
 TEST(Plan, RoundTripsDefaultAndFullPlans)
@@ -161,7 +186,8 @@ TEST(Plan, RejectsEveryFlippedByte)
 TEST(Plan, RejectsWrongVersion)
 {
     auto bytes = engine::encodePlan(fullPlan());
-    bytes[8] = 2; // version field follows the 8-byte magic
+    // The version field follows the 8-byte magic.
+    bytes[8] = static_cast<uint8_t>(engine::plan_version + 1);
     resealPlan(bytes);
     try {
         engine::decodePlan(bytes);
@@ -206,11 +232,11 @@ TEST(Plan, RejectsTrailingBytes)
 
 TEST(Plan, HugeStringListCountIsRejectedNotAllocated)
 {
-    // A default plan ends with the ladder count, the shard path count
-    // and the empty simd string's length, then the trailer. A
-    // CRC-valid count of 2^32 - 1 must be a PlanError, not a
-    // bad_alloc from reserving that many strings.
-    for (const size_t from_end : {20u, 16u}) {
+    // A default plan ends with the ladder count and the shard path
+    // count, then the 8-byte trailer. A CRC-valid count of 2^32 - 1
+    // must be a PlanError, not a bad_alloc from reserving that many
+    // strings.
+    for (const size_t from_end : {16u, 12u}) {
         auto bytes = engine::encodePlan(engine::EvalPlan{});
         const uint32_t huge = 0xffffffffu;
         std::memcpy(bytes.data() + bytes.size() - from_end, &huge,
@@ -311,12 +337,6 @@ TEST(Plan, ValidatesPolicyKernelAndKnobCombinations)
     no_queue.queue_capacity = 0;
     EXPECT_THROW(engine::validatePlan(no_queue),
                  std::invalid_argument);
-
-    // The SIMD knob only accepts the engine's ISA tokens.
-    engine::EvalPlan bad_simd;
-    bad_simd.simd = "avx1024";
-    EXPECT_THROW(engine::validatePlan(bad_simd),
-                 std::invalid_argument);
 }
 
 TEST(Plan, DescribeNamesTheShape)
@@ -327,7 +347,17 @@ TEST(Plan, DescribeNamesTheShape)
     EXPECT_NE(text.find("screened-adaptive"), std::string::npos);
 }
 
-// ----------------------------------------- plan-vs-legacy identity
+// --------------------------------------------- plan-vs-scalar identity
+
+/** Both pinned summation policies, as plan field and scalar policy. */
+constexpr struct
+{
+    engine::PlanSum plan;
+    engine::SumPolicy scalar;
+} kPinnedSums[] = {
+    {engine::PlanSum::Plain, engine::SumPolicy::Plain},
+    {engine::PlanSum::Compensated, engine::SumPolicy::Compensated},
+};
 
 /** Shared fixture: one small dataset + shards, built once. */
 class PlanIdentity : public ::testing::Test
@@ -370,6 +400,17 @@ class PlanIdentity : public ::testing::Test
         shard_paths_ = nullptr;
     }
 
+    /** The format's scalar per-column p-values of the dataset. */
+    static std::vector<engine::EvalResult>
+    scalarPValues(const engine::FormatOps &format, engine::SumPolicy sum)
+    {
+        std::vector<engine::EvalResult> out;
+        for (const pbd::Column &column : *dataset_)
+            out.push_back(
+                format.pbdPValue(column.success_probs, column.k, sum));
+        return out;
+    }
+
     static void
     expectSameResults(const std::vector<engine::EvalResult> &got,
                       const std::vector<engine::EvalResult> &want)
@@ -381,6 +422,20 @@ class PlanIdentity : public ::testing::Test
             EXPECT_EQ(got[i].underflow, want[i].underflow)
                 << "slot " << i;
         }
+    }
+
+    static void
+    expectSameScreened(const engine::ScreenedPValueBatch &got,
+                       const engine::ScreenedPValueBatch &want)
+    {
+        expectSameResults(got.results, want.results);
+        EXPECT_EQ(got.skipped, want.skipped);
+        EXPECT_EQ(got.estimates_log2, want.estimates_log2);
+        EXPECT_EQ(got.stats.columns, want.stats.columns);
+        EXPECT_EQ(got.stats.skipped, want.stats.skipped);
+        EXPECT_EQ(got.stats.evaluated, want.stats.evaluated);
+        EXPECT_EQ(got.stats.guard_band_hits,
+                  want.stats.guard_band_hits);
     }
 
     static void
@@ -412,15 +467,15 @@ TEST_F(PlanIdentity, FixedBatchMatchesEveryFormat)
          engine::FormatRegistry::instance().ids()) {
         const auto &format =
             engine::FormatRegistry::instance().at(id);
-        const auto want = engine.pvalueBatch(
-            format, *dataset_, engine::SumPolicy::Plain);
-
-        engine::EvalPlan plan;
-        plan.format_id = id;
-        plan.sum = engine::PlanSum::Plain;
-        engine::PlanInputs inputs;
-        inputs.columns = *dataset_;
-        expectSameResults(engine.run(plan, inputs).results, want);
+        for (const auto &sum : kPinnedSums) {
+            SCOPED_TRACE(id);
+            engine::EvalPlan plan;
+            plan.format_id = id;
+            plan.sum = sum.plan;
+            expectSameResults(
+                prop::runMemory(engine, plan, *dataset_).results,
+                scalarPValues(format, sum.scalar));
+        }
     }
 }
 
@@ -431,24 +486,18 @@ TEST_F(PlanIdentity, FixedStreamMatchesEveryFormat)
          engine::FormatRegistry::instance().ids()) {
         const auto &format =
             engine::FormatRegistry::instance().at(id);
-        std::vector<engine::EvalResult> want;
-        io::ShardStream legacy_stream(*shard_paths_);
-        engine.pvalueStream(
-            format, legacy_stream,
-            [&](size_t, const io::ShardReader &,
-                std::span<const engine::EvalResult> results) {
-                want.insert(want.end(), results.begin(),
-                            results.end());
-            },
-            engine::SumPolicy::Plain);
-
-        // No sink: run() accumulates shard batches in stream order.
-        engine::EvalPlan plan;
-        plan.source = engine::PlanSource::ShardStream;
-        plan.format_id = id;
-        plan.sum = engine::PlanSum::Plain;
-        plan.shard_paths = *shard_paths_;
-        expectSameResults(engine.run(plan).results, want);
+        for (const auto &sum : kPinnedSums) {
+            SCOPED_TRACE(id);
+            // No sink: run() accumulates shard batches in stream
+            // order, which is the dataset's column order.
+            engine::EvalPlan plan;
+            plan.source = engine::PlanSource::ShardStream;
+            plan.format_id = id;
+            plan.sum = sum.plan;
+            plan.shard_paths = *shard_paths_;
+            expectSameResults(engine.run(plan).results,
+                              scalarPValues(format, sum.scalar));
+        }
     }
 }
 
@@ -460,36 +509,37 @@ TEST_F(PlanIdentity, ScreenedBatchAndStreamMatch)
     for (const std::string id : {"binary64", "log", "log32"}) {
         const auto &format =
             engine::FormatRegistry::instance().at(id);
-        const auto want = engine.pvalueScreenedBatch(
-            format, *dataset_, screen, engine::SumPolicy::Plain);
+        for (const auto &sum : kPinnedSums) {
+            SCOPED_TRACE(id);
+            const auto want =
+                prop::scalarScreened(format, *dataset_, screen,
+                                     sum.scalar);
 
-        engine::EvalPlan plan;
-        plan.policy = engine::PlanPolicy::Screened;
-        plan.format_id = id;
-        plan.screen = screen;
-        plan.sum = engine::PlanSum::Plain;
-        engine::PlanInputs inputs;
-        inputs.columns = *dataset_;
-        const auto got = engine.run(plan, inputs).screened;
-        expectSameResults(got.results, want.results);
-        EXPECT_EQ(got.skipped, want.skipped);
-        EXPECT_EQ(got.stats.skipped, want.stats.skipped);
-        EXPECT_EQ(got.stats.guard_band_hits,
-                  want.stats.guard_band_hits);
+            engine::EvalPlan plan;
+            plan.policy = engine::PlanPolicy::Screened;
+            plan.format_id = id;
+            plan.screen = screen;
+            plan.sum = sum.plan;
+            expectSameScreened(
+                prop::runMemory(engine, plan, *dataset_).screened,
+                want);
 
-        // Streamed, via the plan's own shard paths.
-        engine::EvalPlan stream_plan = plan;
-        stream_plan.source = engine::PlanSource::ShardStream;
-        stream_plan.shard_paths = *shard_paths_;
-        const auto streamed = engine.run(stream_plan).screened;
-        expectSameResults(streamed.results, want.results);
-        EXPECT_EQ(streamed.skipped, want.skipped);
-        EXPECT_EQ(streamed.stats.skipped, want.stats.skipped);
+            // Streamed, via the plan's own shard paths: the shard
+            // batches merge back into the whole dataset's batch.
+            engine::EvalPlan stream_plan = plan;
+            stream_plan.source = engine::PlanSource::ShardStream;
+            stream_plan.shard_paths = *shard_paths_;
+            expectSameScreened(engine.run(stream_plan).screened, want);
+        }
     }
 }
 
 TEST_F(PlanIdentity, AdaptiveBatchAndStreamMatch)
 {
+    // Adaptive results have no scalar per-item counterpart (the
+    // ladder decides per column); their soundness is audited against
+    // the BigFloat oracle in test_escalate.cc. Here the memory and
+    // shard-stream sources must agree slot for slot.
     engine::EvalEngine engine(2);
     engine::CertConfig cert;
     cert.threshold_log2 = -60.0;
@@ -501,40 +551,29 @@ TEST_F(PlanIdentity, AdaptiveBatchAndStreamMatch)
         ladders.push_back({id});
     ladders.push_back({});
     for (const auto &ids : ladders) {
-        engine::Ladder ladder;
-        for (const auto &id : ids)
-            ladder.tiers.push_back(
-                &engine::FormatRegistry::instance().at(id));
-        const engine::Ladder &effective =
-            ids.empty() ? engine::defaultLadder() : ladder;
-        const auto want = engine.pvalueAdaptiveBatch(
-            effective, *dataset_, cert, std::nullopt,
-            engine::SumPolicy::Plain);
-
         engine::EvalPlan plan;
         plan.policy = engine::PlanPolicy::Adaptive;
         plan.ladder_ids = ids;
         plan.cert = cert;
         plan.sum = engine::PlanSum::Plain;
-        engine::PlanInputs inputs;
-        inputs.columns = *dataset_;
-        const auto got = engine.run(plan, inputs).adaptive;
-        expectSameEscalations(got.results, want.results);
-        EXPECT_EQ(got.certified, want.certified);
-        EXPECT_EQ(got.uncertified, want.uncertified);
+        const auto memory =
+            prop::runMemory(engine, plan, *dataset_).adaptive;
+        ASSERT_EQ(memory.results.size(), dataset_->size());
 
         engine::EvalPlan stream_plan = plan;
         stream_plan.source = engine::PlanSource::ShardStream;
         stream_plan.shard_paths = *shard_paths_;
         const auto streamed = engine.run(stream_plan).adaptive;
-        expectSameEscalations(streamed.results, want.results);
-        EXPECT_EQ(streamed.certified, want.certified);
-        EXPECT_EQ(streamed.uncertified, want.uncertified);
+        expectSameEscalations(streamed.results, memory.results);
+        EXPECT_EQ(streamed.certified, memory.certified);
+        EXPECT_EQ(streamed.uncertified, memory.uncertified);
     }
 }
 
 TEST_F(PlanIdentity, HmmKernelsMatchLegacyBatches)
 {
+    // Each HMM kernel plan against the serial per-job FormatOps calls
+    // the pre-plan batch entry points looped over.
     stats::Rng rng(9109);
     hmm::PhyloConfig phylo;
     const hmm::Model model = hmm::makePhyloModel(rng, phylo);
@@ -547,48 +586,54 @@ TEST_F(PlanIdentity, HmmKernelsMatchLegacyBatches)
 
     engine::EvalEngine engine(2);
     for (const std::string id : {"binary64", "log", "log32"}) {
+        SCOPED_TRACE(id);
         const auto &format =
             engine::FormatRegistry::instance().at(id);
-        engine::PlanInputs inputs;
-        inputs.jobs = jobs;
+        const auto dataflow = engine::Dataflow::Accelerator;
 
         engine::EvalPlan forward;
         forward.kernel = engine::PlanKernel::Forward;
         forward.format_id = id;
-        expectSameResults(engine.run(forward, inputs).results,
-                          engine.forwardBatch(format, jobs));
-
-        engine::EvalPlan backward;
+        engine::EvalPlan backward = forward;
         backward.kernel = engine::PlanKernel::Backward;
-        backward.format_id = id;
-        expectSameResults(engine.run(backward, inputs).results,
-                          engine.backwardBatch(format, jobs));
+        std::vector<engine::EvalResult> want_fwd;
+        std::vector<engine::EvalResult> want_bwd;
+        for (const auto &job : jobs) {
+            want_fwd.push_back(
+                format.hmmForward(*job.model, job.obs, dataflow));
+            want_bwd.push_back(
+                format.hmmBackward(*job.model, job.obs, dataflow));
+        }
+        expectSameResults(
+            prop::runMemory(engine, forward, jobs).results, want_fwd);
+        expectSameResults(
+            prop::runMemory(engine, backward, jobs).results, want_bwd);
 
-        engine::EvalPlan posterior;
+        engine::EvalPlan posterior = forward;
         posterior.kernel = engine::PlanKernel::Posterior;
-        posterior.format_id = id;
         posterior.renormalize = true;
         const auto got_post =
-            engine.run(posterior, inputs).posteriors;
-        const auto want_post = engine.posteriorBatch(
-            format, jobs, engine::Dataflow::Accelerator, true);
-        ASSERT_EQ(got_post.size(), want_post.size());
-        for (size_t j = 0; j < got_post.size(); ++j) {
-            expectSameResults(got_post[j].gamma, want_post[j].gamma);
+            prop::runMemory(engine, posterior, jobs).posteriors;
+        ASSERT_EQ(got_post.size(), jobs.size());
+        for (size_t j = 0; j < jobs.size(); ++j) {
+            const auto want = format.hmmPosterior(
+                *jobs[j].model, jobs[j].obs, dataflow, true);
+            expectSameResults(got_post[j].gamma, want.gamma);
             EXPECT_TRUE(got_post[j].likelihood.value ==
-                        want_post[j].likelihood.value);
+                        want.likelihood.value);
         }
 
-        engine::EvalPlan viterbi;
+        engine::EvalPlan viterbi = forward;
         viterbi.kernel = engine::PlanKernel::Viterbi;
-        viterbi.format_id = id;
-        const auto got_vit = engine.run(viterbi, inputs).decodes;
-        const auto want_vit = engine.viterbiBatch(format, jobs);
-        ASSERT_EQ(got_vit.size(), want_vit.size());
-        for (size_t j = 0; j < got_vit.size(); ++j) {
-            EXPECT_EQ(got_vit[j].path, want_vit[j].path);
+        const auto got_vit =
+            prop::runMemory(engine, viterbi, jobs).decodes;
+        ASSERT_EQ(got_vit.size(), jobs.size());
+        for (size_t j = 0; j < jobs.size(); ++j) {
+            const auto want =
+                format.hmmViterbi(*jobs[j].model, jobs[j].obs);
+            EXPECT_EQ(got_vit[j].path, want.path);
             EXPECT_TRUE(got_vit[j].probability.value ==
-                        want_vit[j].probability.value);
+                        want.probability.value);
         }
     }
 }
@@ -615,38 +660,6 @@ TEST_F(PlanIdentity, RunRejectsMissingBindings)
     engine::EvalPlan invalid;
     invalid.format_id = "no_such_format";
     EXPECT_THROW(engine.run(invalid), std::invalid_argument);
-}
-
-// ------------------------------------------------- legacy counter
-
-TEST(PlanLegacyCounter, WrappersCountAndRunDoesNot)
-{
-    engine::EvalEngine engine(1);
-    pbd::DatasetConfig config;
-    config.num_columns = 4;
-    config.seed = 11;
-    const auto columns = pbd::makeDataset(config, "ctr").columns;
-    const auto &format =
-        engine::FormatRegistry::instance().at("binary64");
-
-    engine::AccuracyTally::resetLegacyApiCalls();
-    EXPECT_EQ(engine::AccuracyTally::legacyApiCalls(), 0u);
-
-    engine.pvalueBatch(format, columns);
-    EXPECT_EQ(engine::AccuracyTally::legacyApiCalls(), 1u);
-    engine.pvalueBatch(format, columns);
-    EXPECT_EQ(engine::AccuracyTally::legacyApiCalls(), 2u);
-
-    // The plan pipeline is the blessed path: no diagnostics.
-    engine::EvalPlan plan;
-    plan.format_id = "binary64";
-    engine::PlanInputs inputs;
-    inputs.columns = columns;
-    engine.run(plan, inputs);
-    EXPECT_EQ(engine::AccuracyTally::legacyApiCalls(), 2u);
-
-    engine::AccuracyTally::resetLegacyApiCalls();
-    EXPECT_EQ(engine::AccuracyTally::legacyApiCalls(), 0u);
 }
 
 } // namespace

@@ -2,18 +2,10 @@
  * @file
  * Screened p-value pipeline tests: the screen's decision logic and
  * bookkeeping, the false-skip audit, and — the load-bearing
- * guarantee — bit-identity of the screened engine batch with the
- * unscreened batch on every column the screen evaluates, across
- * every registered format.
+ * guarantee — bit-identity of the screened plan with the scalar
+ * per-column p-value on every column the screen evaluates, from
+ * memory and from a shard stream, across every registered format.
  */
-
-// These tests intentionally exercise the PSTAT_LEGACY_API wrappers
-// (bit-identity against the EvalPlan pipeline is part of the
-// contract under test), so silence the deprecation that the
-// -DPSTAT_DEPRECATE_LEGACY_API build leg turns on.
-#if defined(PSTAT_DEPRECATE_LEGACY_API) && defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
 
 #include <cmath>
 #include <limits>
@@ -24,9 +16,12 @@
 #include "apps/lofreq.hh"
 #include "engine/eval_engine.hh"
 #include "engine/format_registry.hh"
+#include "io/shard.hh"
 #include "pbd/dataset.hh"
 #include "pbd/pbd.hh"
 #include "pbd/screen.hh"
+#include "prop_util.hh"
+#include "test_tmp.hh"
 
 namespace
 {
@@ -153,48 +148,52 @@ screeningDataset()
 
 TEST(Screen, ScreenedBatchBitMatchesUnscreenedEveryFormat)
 {
+    // The screened plan, from memory and from a shard stream, against
+    // the scalar reference: pvalueLog2Estimate and applyScreen decide
+    // the mask, evaluated slots are the format's per-column
+    // pbdPValue, skipped slots carry 2^round(estimate).
     const auto ds = screeningDataset();
+    const std::string shard = test::tempPath("screen_identity.shard");
+    io::writeColumnShard(shard, ds.columns);
     engine::EvalEngine engine(4);
     ScreenConfig config; // threshold -200, guard 64
 
     for (const engine::FormatOps *format :
          engine::FormatRegistry::instance().all()) {
-        const auto screened = engine.pvalueScreenedBatch(
+        SCOPED_TRACE(format->id());
+        const auto want = prop::scalarScreened(
             *format, ds.columns, config, engine::SumPolicy::Plain);
-        const auto exact = engine.pvalueBatch(
-            *format, ds.columns, engine::SumPolicy::Plain);
-
-        ASSERT_EQ(screened.results.size(), ds.columns.size())
-            << format->id();
-        ASSERT_EQ(screened.skipped.size(), ds.columns.size());
-        ASSERT_EQ(screened.estimates_log2.size(), ds.columns.size());
-
-        size_t evaluated = 0;
-        for (size_t i = 0; i < ds.columns.size(); ++i) {
-            if (screened.skipped[i]) {
-                // The skip decision must agree with the predicate.
-                EXPECT_TRUE(screenSkips(screened.estimates_log2[i],
-                                        config))
-                    << format->id() << " column " << i;
-                continue;
-            }
-            ++evaluated;
-            EXPECT_TRUE(screened.results[i].value ==
-                        exact[i].value)
-                << format->id() << " column " << i;
-            EXPECT_EQ(screened.results[i].invalid,
-                      exact[i].invalid);
-            EXPECT_EQ(screened.results[i].underflow,
-                      exact[i].underflow);
-        }
-        EXPECT_EQ(evaluated, screened.stats.evaluated)
-            << format->id();
-        EXPECT_EQ(screened.stats.columns, ds.columns.size());
-        EXPECT_EQ(screened.stats.skipped + screened.stats.evaluated,
-                  screened.stats.columns);
         // The mixed dataset exercises both sides of the screen.
-        EXPECT_GT(screened.stats.skipped, 0u) << format->id();
-        EXPECT_GT(screened.stats.evaluated, 0u) << format->id();
+        EXPECT_GT(want.stats.skipped, 0u);
+        EXPECT_GT(want.stats.evaluated, 0u);
+
+        engine::EvalPlan plan;
+        plan.policy = engine::PlanPolicy::Screened;
+        plan.format_id = format->id();
+        plan.screen = config;
+        plan.sum = engine::PlanSum::Plain;
+        engine::EvalPlan stream_plan = plan;
+        stream_plan.source = engine::PlanSource::ShardStream;
+        stream_plan.shard_paths = {shard};
+        for (const auto &got :
+             {prop::runMemory(engine, plan, ds.columns).screened,
+              engine.run(stream_plan).screened}) {
+            EXPECT_EQ(got.skipped, want.skipped);
+            EXPECT_EQ(got.estimates_log2, want.estimates_log2);
+            EXPECT_EQ(got.stats.columns, want.stats.columns);
+            EXPECT_EQ(got.stats.skipped, want.stats.skipped);
+            EXPECT_EQ(got.stats.evaluated, want.stats.evaluated);
+            ASSERT_EQ(got.results.size(), ds.columns.size());
+            for (size_t i = 0; i < ds.columns.size(); ++i) {
+                EXPECT_TRUE(got.results[i].value ==
+                            want.results[i].value)
+                    << "column " << i;
+                EXPECT_EQ(got.results[i].invalid,
+                          want.results[i].invalid);
+                EXPECT_EQ(got.results[i].underflow,
+                          want.results[i].underflow);
+            }
+        }
     }
 }
 
@@ -231,10 +230,12 @@ TEST(Screen, SkippedSlotsCarryMagnitudePlaceholders)
 {
     const auto ds = screeningDataset();
     engine::EvalEngine engine(2);
-    const auto &registry = engine::FormatRegistry::instance();
-    const auto screened = engine.pvalueScreenedBatch(
-        registry.at("binary64"), ds.columns, ScreenConfig{},
-        engine::SumPolicy::Plain);
+    engine::EvalPlan plan;
+    plan.policy = engine::PlanPolicy::Screened;
+    plan.format_id = "binary64";
+    plan.sum = engine::PlanSum::Plain;
+    const auto screened =
+        prop::runMemory(engine, plan, ds.columns).screened;
     for (size_t i = 0; i < ds.columns.size(); ++i) {
         if (!screened.skipped[i])
             continue;

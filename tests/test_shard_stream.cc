@@ -2,19 +2,11 @@
  * @file
  * Shard-pipeline tests: BoundedQueue bounds and shutdown, ShardStream
  * ordering / error surfacing / early-drop shutdown, and the engine's
- * streamed entry points (pvalueStream, pvalueScreenedStream,
- * forwardStream) against their in-memory batch counterparts —
+ * shard-stream plans (fixed and screened p-values, HMM forward)
+ * against the scalar per-item FormatOps calls on the same records —
  * bit-identical per registered format, as the streaming contract
  * demands.
  */
-
-// These tests intentionally exercise the PSTAT_LEGACY_API wrappers
-// (bit-identity against the EvalPlan pipeline is part of the
-// contract under test), so silence the deprecation that the
-// -DPSTAT_DEPRECATE_LEGACY_API build leg turns on.
-#if defined(PSTAT_DEPRECATE_LEGACY_API) && defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
 
 #include <optional>
 #include <string>
@@ -29,6 +21,7 @@
 #include "io/shard.hh"
 #include "io/shard_stream.hh"
 #include "pbd/dataset.hh"
+#include "prop_util.hh"
 #include "test_tmp.hh"
 
 namespace
@@ -222,6 +215,33 @@ TEST(ShardStream, DroppingTheStreamEarlyJoinsTheProducer)
     // Destructor must cancel the queue and join without deadlock.
 }
 
+/** A Fixed pvalue shard-stream plan of one format over `paths`. */
+engine::EvalPlan
+streamPlan(const std::string &format_id,
+           const std::vector<std::string> &paths)
+{
+    engine::EvalPlan plan;
+    plan.source = engine::PlanSource::ShardStream;
+    plan.format_id = format_id;
+    plan.sum = engine::PlanSum::Plain;
+    plan.shard_paths = paths;
+    return plan;
+}
+
+void
+expectSameResults(const std::vector<engine::EvalResult> &got,
+                  const std::vector<engine::EvalResult> &want,
+                  const std::string &what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_TRUE(got[i].value == want[i].value)
+            << what << " item " << i;
+        EXPECT_EQ(got[i].invalid, want[i].invalid) << what;
+        EXPECT_EQ(got[i].underflow, want[i].underflow) << what;
+    }
+}
+
 TEST(EvalEngineStream, PValueStreamBitMatchesBatchEveryFormat)
 {
     const auto paths = writeColumnShards("pvstream", 3, 10);
@@ -230,32 +250,33 @@ TEST(EvalEngineStream, PValueStreamBitMatchesBatchEveryFormat)
 
     for (const auto *format :
          engine::FormatRegistry::instance().all()) {
-        const auto want = engine.pvalueBatch(
-            *format, columns, engine::SumPolicy::Plain);
+        std::vector<engine::EvalResult> want;
+        for (const pbd::Column &column : columns)
+            want.push_back(format->pbdPValue(column.success_probs,
+                                             column.k,
+                                             engine::SumPolicy::Plain));
 
-        std::vector<engine::EvalResult> got;
-        io::ShardStream stream(paths);
-        const auto stats = engine.pvalueStream(
-            *format, stream,
-            [&](size_t, const io::ShardReader &,
-                std::span<const engine::EvalResult> results) {
-                got.insert(got.end(), results.begin(),
-                           results.end());
-            },
-            engine::SumPolicy::Plain);
-
-        EXPECT_EQ(stats.shards, paths.size());
-        EXPECT_EQ(stats.items, columns.size());
-        EXPECT_GT(stats.peak_mapped_bytes, 0u);
-        ASSERT_EQ(got.size(), want.size()) << format->id();
-        for (size_t i = 0; i < want.size(); ++i) {
-            EXPECT_TRUE(got[i].value == want[i].value)
-                << format->id() << " column " << i;
-            EXPECT_EQ(got[i].invalid, want[i].invalid);
-            EXPECT_EQ(got[i].underflow, want[i].underflow);
-        }
+        const engine::PlanRun run =
+            engine.run(streamPlan(format->id(), paths));
+        EXPECT_EQ(run.stream.shards, paths.size());
+        EXPECT_EQ(run.stream.items, columns.size());
+        EXPECT_GT(run.stream.peak_mapped_bytes, 0u);
+        expectSameResults(run.results, want, format->id());
     }
 }
+
+/** Records every delivered screened batch, one per shard. */
+struct ScreenedRecorder final : engine::ResultSink
+{
+    std::vector<engine::ScreenedPValueBatch> batches;
+
+    void
+    consumeScreened(const engine::WorkBlock &,
+                    const engine::ScreenedPValueBatch &batch) override
+    {
+        batches.push_back(batch);
+    }
+};
 
 TEST(EvalEngineStream, ScreenedStreamBitMatchesScreenedBatch)
 {
@@ -268,25 +289,23 @@ TEST(EvalEngineStream, ScreenedStreamBitMatchesScreenedBatch)
         const auto &format =
             engine::FormatRegistry::instance().at(id);
 
-        // Per shard, the streamed batch must equal the in-memory
-        // screened batch over that shard's columns — results, skip
-        // mask, estimates, and stats.
-        std::vector<engine::ScreenedPValueBatch> streamed;
-        io::ShardStream stream(paths);
-        engine.pvalueScreenedStream(
-            format, stream,
-            [&](size_t, const io::ShardReader &,
-                const engine::ScreenedPValueBatch &batch) {
-                streamed.push_back(batch);
-            },
-            config, engine::SumPolicy::Plain);
+        // Per shard, the streamed batch must equal the scalar
+        // screened reference over that shard's columns — results,
+        // skip mask, estimates, and stats.
+        engine::EvalPlan plan = streamPlan(id, paths);
+        plan.policy = engine::PlanPolicy::Screened;
+        plan.screen = config;
+        ScreenedRecorder streamed;
+        engine::PlanInputs inputs;
+        inputs.sink = &streamed;
+        engine.run(plan, inputs);
 
-        ASSERT_EQ(streamed.size(), paths.size()) << id;
+        ASSERT_EQ(streamed.batches.size(), paths.size()) << id;
         for (size_t s = 0; s < paths.size(); ++s) {
-            const auto columns = io::readColumnShard(paths[s]);
-            const auto want = engine.pvalueScreenedBatch(
-                format, columns, config, engine::SumPolicy::Plain);
-            const auto &got = streamed[s];
+            const auto want = prop::scalarScreened(
+                format, io::readColumnShard(paths[s]), config,
+                engine::SumPolicy::Plain);
+            const auto &got = streamed.batches[s];
             EXPECT_EQ(got.skipped, want.skipped) << id;
             EXPECT_EQ(got.estimates_log2, want.estimates_log2) << id;
             EXPECT_EQ(got.stats.columns, want.stats.columns);
@@ -294,16 +313,9 @@ TEST(EvalEngineStream, ScreenedStreamBitMatchesScreenedBatch)
             EXPECT_EQ(got.stats.evaluated, want.stats.evaluated);
             EXPECT_EQ(got.stats.guard_band_hits,
                       want.stats.guard_band_hits);
-            ASSERT_EQ(got.results.size(), want.results.size());
-            for (size_t i = 0; i < want.results.size(); ++i) {
-                EXPECT_TRUE(got.results[i].value ==
-                            want.results[i].value)
-                    << id << " shard " << s << " column " << i;
-                EXPECT_EQ(got.results[i].invalid,
-                          want.results[i].invalid);
-                EXPECT_EQ(got.results[i].underflow,
-                          want.results[i].underflow);
-            }
+            expectSameResults(got.results, want.results,
+                              std::string(id) + " shard " +
+                                  std::to_string(s));
         }
     }
 }
@@ -329,36 +341,23 @@ TEST(EvalEngineStream, ForwardStreamBitMatchesBatchEveryFormat)
         paths.push_back(path);
     }
 
-    std::vector<engine::ForwardJob> jobs;
-    for (const auto &seq : sequences)
-        jobs.push_back({&model, seq});
-
     engine::EvalEngine engine(4);
     for (const auto *format :
          engine::FormatRegistry::instance().all()) {
-        const auto want = engine.forwardBatch(
-            *format, jobs, engine::Dataflow::Accelerator);
+        std::vector<engine::EvalResult> want;
+        for (const auto &seq : sequences)
+            want.push_back(format->hmmForward(
+                model, seq, engine::Dataflow::Accelerator));
 
-        std::vector<engine::EvalResult> got;
-        io::ShardStream stream(paths);
-        const auto stats = engine.forwardStream(
-            *format, model, stream,
-            [&](size_t, const io::ShardReader &,
-                std::span<const engine::EvalResult> results) {
-                got.insert(got.end(), results.begin(),
-                           results.end());
-            },
-            engine::Dataflow::Accelerator);
-
-        EXPECT_EQ(stats.shards, paths.size());
-        EXPECT_EQ(stats.items, sequences.size());
-        ASSERT_EQ(got.size(), want.size()) << format->id();
-        for (size_t i = 0; i < want.size(); ++i) {
-            EXPECT_TRUE(got[i].value == want[i].value)
-                << format->id() << " sequence " << i;
-            EXPECT_EQ(got[i].invalid, want[i].invalid);
-            EXPECT_EQ(got[i].underflow, want[i].underflow);
-        }
+        engine::EvalPlan plan = streamPlan(format->id(), paths);
+        plan.kernel = engine::PlanKernel::Forward;
+        plan.dataflow = engine::Dataflow::Accelerator;
+        engine::PlanInputs inputs;
+        inputs.model = &model;
+        const engine::PlanRun run = engine.run(plan, inputs);
+        EXPECT_EQ(run.stream.shards, paths.size());
+        EXPECT_EQ(run.stream.items, sequences.size());
+        expectSameResults(run.results, want, format->id());
     }
 }
 
@@ -366,17 +365,14 @@ TEST(EvalEngineStream, StreamOverNoShardsIsEmpty)
 {
     engine::EvalEngine engine(2);
     io::ShardStream stream(std::vector<std::string>{});
-    const auto &format =
-        engine::FormatRegistry::instance().at("binary64");
-    const auto stats = engine.pvalueStream(
-        format, stream,
-        [&](size_t, const io::ShardReader &,
-            std::span<const engine::EvalResult>) {
-            FAIL() << "sink must not run";
-        });
-    EXPECT_EQ(stats.shards, 0u);
-    EXPECT_EQ(stats.items, 0u);
-    EXPECT_EQ(stats.peak_mapped_bytes, 0u);
+    engine::EvalPlan plan = streamPlan("binary64", {});
+    engine::PlanInputs inputs;
+    inputs.stream = &stream;
+    const engine::PlanRun run = engine.run(plan, inputs);
+    EXPECT_TRUE(run.results.empty());
+    EXPECT_EQ(run.stream.shards, 0u);
+    EXPECT_EQ(run.stream.items, 0u);
+    EXPECT_EQ(run.stream.peak_mapped_bytes, 0u);
 }
 
 } // namespace

@@ -1,29 +1,21 @@
 #!/usr/bin/env python3
 """API-surface guard: keep the engine's evaluation surface closed.
 
-The evaluation pipeline converged on one entry point —
-EvalEngine::run(const EvalPlan&) — with the historical *Batch /
-*Stream methods frozen as thin documented wrappers (see
-docs/ARCHITECTURE.md, "Evaluation plans"). The easy way to erode
-that is to add "just one more" ad-hoc public batch method instead of
-extending EvalPlan. This script fails CI when a public *Batch or
-*Stream declaration appears in a guarded runtime header outside that
-header's frozen allowlist.
+The evaluation pipeline has one entry point —
+EvalEngine::run(const EvalPlan&) (see docs/ARCHITECTURE.md,
+"Evaluation plans"). The easy way to erode that is to add "just one
+more" ad-hoc public batch method instead of extending EvalPlan. This
+script fails CI when a public *Batch or *Stream declaration appears in
+a guarded runtime header outside that header's allowlist.
 
-Since the layered-runtime split, the guard covers the whole
-src/engine runtime surface: eval_engine.hh keeps the wrapper
-allowlist, while the layer headers (executor.hh, job_source.hh,
-result_sink.hh) have empty allowlists — the layers compose through
-run(), so a *Batch/*Stream entry point appearing on any of them is
-exactly the erosion this tripwire exists to catch. The serve daemon
-headers (src/serve/*.hh) are guarded the same way: the daemon speaks
-EvalPlan over the wire, so it must never grow a named evaluation
-entry point of its own.
-
-The eval_engine.hh allowlist is itself split: the legacy wrappers
-must each carry the PSTAT_LEGACY_API deprecation marker on their
-declaration — un-marking one (or adding a new "legacy" name without
-the marker) fails the guard, so the deprecated set can only shrink.
+The guard covers the whole src/engine runtime surface: eval_engine.hh
+allows only the ScaledDD oracle batches and grainForBatch, while the
+layer headers (executor.hh, job_source.hh, result_sink.hh) have empty
+allowlists — the layers compose through run(), so a *Batch/*Stream
+entry point appearing on any of them is exactly the erosion this
+tripwire exists to catch. The serve daemon headers (src/serve/*.hh)
+are guarded the same way: the daemon speaks EvalPlan over the wire,
+so it must never grow a named evaluation entry point of its own.
 
 Parsing is deliberately dumb (regex over access-specifier sections,
 comments stripped), which is exactly right for a tripwire: it needs
@@ -41,13 +33,13 @@ import argparse
 import re
 import sys
 
-# The non-legacy public surface of eval_engine.hh: the BigFloat
+# The public surface of eval_engine.hh besides run(): the BigFloat
 # oracle batches (the measurement surface differential tests compare
 # against) plus grainForBatch (a scheduling introspection knob, not
 # evaluation). Growing this list is an API-design decision: new
 # evaluation shapes belong in EvalPlan, not in new named entry
 # points.
-NONLEGACY = frozenset({
+ALLOWED = frozenset({
     "pvalueOracleBatch",
     "forwardOracleBatch",
     "backwardOracleBatch",
@@ -56,47 +48,19 @@ NONLEGACY = frozenset({
     "grainForBatch",
 })
 
-# The frozen legacy wrappers: thin plan-building delegates to run(),
-# kept for out-of-tree callers and the bit-identity tests. Every one
-# must be declared with the PSTAT_LEGACY_API marker (which expands to
-# [[deprecated]] under -DPSTAT_DEPRECATE_LEGACY_API). In-tree code
-# no longer calls any of them; this set only ever shrinks.
-LEGACY = frozenset({
-    "pvalueBatch",
-    "pvalueScreenedBatch",
-    "pvalueStream",
-    "pvalueScreenedStream",
-    "pvalueAdaptiveBatch",
-    "pvalueAdaptiveStream",
-    "forwardAdaptiveBatch",
-    "forwardBatch",
-    "forwardStream",
-    "backwardBatch",
-    "posteriorBatch",
-    "viterbiBatch",
-})
-
-ALLOWED = NONLEGACY | LEGACY
-
-LEGACY_MARKER = "PSTAT_LEGACY_API"
-
-# How many stripped lines before a declaration may hold its marker
-# (return types wrap, so the marker usually sits one line up).
-MARKER_LOOKBACK = 2
-
-# Every guarded header and its (allowlist, legacy-set) pair. The
-# layer and serve headers allow nothing: their public surfaces are
-# the layer interfaces (next(), consume*(), send/receive), never
-# named evaluation entry points.
+# Every guarded header and its allowlist. The layer and serve headers
+# allow nothing: their public surfaces are the layer interfaces
+# (next(), consume*(), send/receive), never named evaluation entry
+# points.
 GUARDED = {
-    "src/engine/eval_engine.hh": (ALLOWED, LEGACY),
-    "src/engine/executor.hh": (frozenset(), frozenset()),
-    "src/engine/job_source.hh": (frozenset(), frozenset()),
-    "src/engine/result_sink.hh": (frozenset(), frozenset()),
-    "src/serve/frame.hh": (frozenset(), frozenset()),
-    "src/serve/server.hh": (frozenset(), frozenset()),
-    "src/serve/client.hh": (frozenset(), frozenset()),
-    "src/serve/routing_sink.hh": (frozenset(), frozenset()),
+    "src/engine/eval_engine.hh": ALLOWED,
+    "src/engine/executor.hh": frozenset(),
+    "src/engine/job_source.hh": frozenset(),
+    "src/engine/result_sink.hh": frozenset(),
+    "src/serve/frame.hh": frozenset(),
+    "src/serve/server.hh": frozenset(),
+    "src/serve/client.hh": frozenset(),
+    "src/serve/routing_sink.hh": frozenset(),
 }
 
 DECL_RE = re.compile(r"\b([A-Za-z_][A-Za-z0-9_]*(?:Batch|Stream))\s*\(")
@@ -110,34 +74,9 @@ def strip_comments(text):
     return re.sub(r"//[^\n]*", "", text)
 
 
-def marker_nearby(lines, lineno):
-    """Whether the declaration starting at 1-based `lineno` carries
-    the PSTAT_LEGACY_API marker: on the line itself, or on preceding
-    lines of the same declaration (wrapped return type). The backward
-    scan stops at anything that terminates an earlier declaration
-    (';', braces, an access specifier), so a neighbour's marker never
-    leaks onto the next wrapper."""
-    if LEGACY_MARKER in lines[lineno - 1]:
-        return True
-    i = lineno - 2
-    for _ in range(MARKER_LOOKBACK):
-        if i < 0:
-            break
-        line = lines[i]
-        if LEGACY_MARKER in line:
-            return True
-        if (";" in line or "{" in line or "}" in line
-                or ACCESS_RE.match(line)):
-            break
-        i -= 1
-    return False
-
-
 def public_decls(text):
-    """(line, name, marked) of every *Batch/*Stream declared in a
-    public section of a class body (file scope counts as public too).
-    `marked` is whether the declaration carries the PSTAT_LEGACY_API
-    marker (see marker_nearby)."""
+    """(line, name) of every *Batch/*Stream declared in a public
+    section of a class body (file scope counts as public too)."""
     decls = []
     access = "public"
     lines = strip_comments(text).splitlines()
@@ -149,47 +88,31 @@ def public_decls(text):
         if access != "public":
             continue
         for m in DECL_RE.finditer(line):
-            decls.append((lineno, m.group(1),
-                          marker_nearby(lines, lineno)))
+            decls.append((lineno, m.group(1)))
     return decls
 
 
-def check(text, allowed=ALLOWED, legacy=LEGACY):
-    """Offending (line, name, why) triples: public decls off the
-    allowlist, plus legacy wrappers missing their deprecation
-    marker."""
-    offenders = []
-    for line, name, marked in public_decls(text):
-        if name not in allowed:
-            offenders.append((line, name, "off-allowlist"))
-        elif name in legacy and not marked:
-            offenders.append((line, name, "unmarked-legacy"))
-    return offenders
+def check(text, allowed=ALLOWED):
+    """Offending (line, name) pairs: public decls off the allowlist."""
+    return [(line, name) for line, name in public_decls(text)
+            if name not in allowed]
 
 
-def check_header(path, allowed, legacy):
+def check_header(path, allowed):
     """Check one header file; prints the verdict, returns 0/1."""
     with open(path, encoding="utf-8") as f:
         text = f.read()
-    offenders = check(text, allowed, legacy)
+    offenders = check(text, allowed)
     if offenders:
-        for line, name, why in offenders:
-            if why == "unmarked-legacy":
-                print(f"FAIL {path}:{line}: legacy wrapper {name}() "
-                      f"lost its {LEGACY_MARKER} marker — the "
-                      f"deprecated surface is frozen; restore the "
-                      f"marker (or delete the wrapper and shrink the "
-                      f"LEGACY set in tools/check_api_surface.py)")
-            else:
-                print(f"FAIL {path}:{line}: new public entry "
-                      f"point {name}() — extend EvalPlan and "
-                      f"EvalEngine::run instead (or, if this is a "
-                      f"deliberate API decision, add it to the "
-                      f"allowlist in tools/check_api_surface.py)")
+        for line, name in offenders:
+            print(f"FAIL {path}:{line}: new public entry "
+                  f"point {name}() — extend EvalPlan and "
+                  f"EvalEngine::run instead (or, if this is a "
+                  f"deliberate API decision, add it to the "
+                  f"allowlist in tools/check_api_surface.py)")
         return 1
     print(f"ok   {path}: public evaluation surface is "
-          f"frozen ({len(allowed)} allowlisted entry points, "
-          f"{len(legacy)} marked legacy)")
+          f"frozen ({len(allowed)} allowlisted entry points)")
     return 0
 
 
@@ -198,10 +121,10 @@ def self_test():
 class EvalEngine
 {
   public:
-    PSTAT_LEGACY_API std::vector<EvalResult>
-    pvalueBatch(const FormatOps &format);
-    PSTAT_LEGACY_API StreamStats pvalueStream(const FormatOps &f);
+    PlanRun run(const EvalPlan &plan, const PlanInputs &inputs = {});
     std::vector<BigFloat> pvalueOracleBatch(Columns columns);
+    std::vector<BigFloat>
+    forwardOracleBatch(Jobs jobs);
     size_t grainForBatch(size_t n) const;
   private:
     void pvalueBatchImpl(const FormatOps &format);
@@ -216,36 +139,24 @@ class EvalEngine
         "    std::vector<EvalResult> pvalueTurboBatch(int fast);\n"
         "  private:")
     bad = check(added)
-    assert [name for _, name, _ in bad] == ["pvalueTurboBatch"], bad
+    assert [name for _, name in bad] == ["pvalueTurboBatch"], bad
 
-    # ...whether *Batch or *Stream flavored.
+    # ...whether *Batch or *Stream flavored...
     streamed = header.replace(
         "  private:",
         "    StreamStats posteriorStream(const FormatOps &format);\n"
         "  private:")
-    assert [name for _, name, _ in check(streamed)] == [
+    assert [name for _, name in check(streamed)] == [
         "posteriorStream"], check(streamed)
 
-    # A legacy wrapper that loses its PSTAT_LEGACY_API marker trips
-    # the guard, even though the name is allowlisted...
-    unmarked = header.replace(
-        "PSTAT_LEGACY_API StreamStats pvalueStream",
-        "StreamStats pvalueStream")
-    bad = check(unmarked)
-    assert [(name, why) for _, name, why in bad] == [
-        ("pvalueStream", "unmarked-legacy")], bad
-
-    # ...the marker may sit on the line above (wrapped return type),
-    # and non-legacy names never need it.
-    assert check(header)[0:0] == []  # pvalueBatch's marker is 1 up
-    nonlegacy_only = """
-class EvalEngine
-{
-  public:
-    std::vector<BigFloat> forwardOracleBatch(Jobs jobs);
-};
-"""
-    assert check(nonlegacy_only) == [], check(nonlegacy_only)
+    # ...and so does a deleted pre-plan entry point coming back.
+    revived = header.replace(
+        "  private:",
+        "    std::vector<EvalResult>\n"
+        "    pvalueBatch(const FormatOps &format);\n"
+        "  private:")
+    assert [name for _, name in check(revived)] == [
+        "pvalueBatch"], check(revived)
 
     # Private helpers never trip it, comments never trip it.
     commented = header.replace(
@@ -262,12 +173,12 @@ class AccuracyTally
     void turboTallyStream(int x);
 };
 """
-    assert [name for _, name, _ in check(reopened)] == [
+    assert [name for _, name in check(reopened)] == [
         "turboTallyStream"], check(reopened)
 
     # The layer/serve headers run under an empty allowlist: their
     # current surfaces (virtual next()/consume*/send/receive shapes)
-    # must pass, and even a formerly-allowlisted wrapper name trips
+    # must pass, and even an eval_engine.hh allowlisted name trips
     # them.
     layer = """
 class JobSource
@@ -278,20 +189,16 @@ class JobSource
 };
 """
     empty = frozenset()
-    assert check(layer, empty, empty) == [], check(layer, empty, empty)
+    assert check(layer, empty) == [], check(layer, empty)
     leaked = layer + """
 class ResultSink
 {
   public:
-    StreamStats pvalueStream(const FormatOps &format);
+    std::vector<BigFloat> pvalueOracleBatch(Columns columns);
 };
 """
-    assert [name for _, name, _ in check(leaked, empty, empty)] == [
-        "pvalueStream"], check(leaked, empty, empty)
-
-    # The split is total and disjoint.
-    assert not (NONLEGACY & LEGACY)
-    assert ALLOWED == NONLEGACY | LEGACY
+    assert [name for _, name in check(leaked, empty)] == [
+        "pvalueOracleBatch"], check(leaked, empty)
 
     # Sanity: every guarded header must actually exist in the tree
     # (a renamed header silently un-guards itself otherwise).
@@ -309,8 +216,7 @@ def main():
     parser = argparse.ArgumentParser(
         description="fail when a guarded runtime header grows a "
                     "public *Batch/*Stream entry point off its "
-                    "allowlist (or a legacy wrapper loses its "
-                    "deprecation marker)")
+                    "allowlist")
     parser.add_argument("--header", default=None,
                         help="check only this header (default: all "
                              "guarded headers)")
@@ -320,11 +226,11 @@ def main():
         return self_test()
 
     if args.header is not None:
-        allowed, legacy = GUARDED.get(args.header, (ALLOWED, LEGACY))
-        return check_header(args.header, allowed, legacy)
+        return check_header(args.header,
+                            GUARDED.get(args.header, ALLOWED))
     status = 0
-    for path, (allowed, legacy) in GUARDED.items():
-        status |= check_header(path, allowed, legacy)
+    for path, allowed in GUARDED.items():
+        status |= check_header(path, allowed)
     return status
 
 
