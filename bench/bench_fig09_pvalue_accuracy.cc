@@ -72,7 +72,11 @@ main()
     };
 
     engine::EvalEngine engine;
-    const auto oracles = engine.pvalueOracleBatch(dataset.columns);
+    engine::PlanInputs inputs;
+    inputs.columns = dataset.columns;
+    const auto oracles =
+        engine.run(engine::oraclePlan(engine::PlanKernel::PValue), inputs)
+            .results;
 
     std::vector<engine::AccuracyTally> tallies;
     for (const auto &s : series)
@@ -81,7 +85,7 @@ main()
 
     int evaluated = 0;
     for (const auto &oracle : oracles)
-        evaluated += oracle.isZero() ? 0 : 1;
+        evaluated += oracle.value.isZero() ? 0 : 1;
 
     const auto sum_policy = engine::defaultSumPolicy();
     for (size_t f = 0; f < series.size(); ++f) {
@@ -91,11 +95,9 @@ main()
         plan.sum = sum_policy == engine::SumPolicy::Compensated
                        ? engine::PlanSum::Compensated
                        : engine::PlanSum::Plain;
-        engine::PlanInputs inputs;
-        inputs.columns = dataset.columns;
         const auto results = engine.run(plan, inputs).results;
         for (size_t i = 0; i < results.size(); ++i)
-            tallies[f].add(oracles[i], results[i]);
+            tallies[f].add(oracles[i].value, results[i]);
     }
     std::printf("columns evaluated: %d (PSTAT_SCALE to grow), "
                 "%u eval lanes, %s summation (PSTAT_COMPENSATED)\n\n",

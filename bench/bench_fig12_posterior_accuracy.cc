@@ -67,7 +67,7 @@ figure12Series()
 engine::AccuracyTally
 tallyPosterior(engine::EvalEngine &engine, const Series &series,
                std::span<const engine::ForwardJob> jobs,
-               const std::vector<std::vector<BigFloat>> &oracle_gammas,
+               std::span<const engine::PosteriorResult> oracle,
                bool renormalize)
 {
     engine::AccuracyTally tally(series.label,
@@ -81,7 +81,7 @@ tallyPosterior(engine::EvalEngine &engine, const Series &series,
     const auto results = engine.run(plan, inputs).posteriors;
     for (size_t i = 0; i < results.size(); ++i) {
         for (size_t k = 0; k < results[i].gamma.size(); ++k)
-            tally.add(oracle_gammas[i][k], results[i].gamma[k]);
+            tally.add(oracle[i].gamma[k].value, results[i].gamma[k]);
     }
     return tally;
 }
@@ -132,18 +132,32 @@ runSetting(engine::EvalEngine &engine, const char *label,
     for (const auto &w : workloads)
         jobs.push_back({&w.model, w.obs});
 
-    const auto oracle_gammas = engine.posteriorOracleBatch(jobs);
-    const auto oracle_paths = engine.viterbiOracleBatch(jobs);
-    const auto oracle_likelihoods = engine.backwardOracleBatch(jobs);
+    engine::PlanInputs oracle_inputs;
+    oracle_inputs.jobs = jobs;
+    const auto oracle_posteriors =
+        engine
+            .run(engine::oraclePlan(engine::PlanKernel::Posterior),
+                 oracle_inputs)
+            .posteriors;
+    const auto oracle_decodes =
+        engine
+            .run(engine::oraclePlan(engine::PlanKernel::Viterbi),
+                 oracle_inputs)
+            .decodes;
+    const auto oracle_likelihoods =
+        engine
+            .run(engine::oraclePlan(engine::PlanKernel::Backward),
+                 oracle_inputs)
+            .results;
 
     double mean_magnitude = 0.0;
     for (const auto &l : oracle_likelihoods)
-        mean_magnitude += l.log2Abs();
+        mean_magnitude += l.value.log2Abs();
     mean_magnitude /= static_cast<double>(jobs.size());
 
     size_t gamma_samples = 0;
-    for (const auto &g : oracle_gammas)
-        gamma_samples += g.size();
+    for (const auto &p : oracle_posteriors)
+        gamma_samples += p.gamma.size();
 
     std::printf("\n--- %s: %zu sequences (T=%zu), %zu gamma samples, "
                 "mean P(O) 2^%.0f ---\n",
@@ -164,8 +178,8 @@ runSetting(engine::EvalEngine &engine, const char *label,
         bench::Json record;
         record.add("format", s.label);
         for (bool renorm : {false, true}) {
-            const auto tally = tallyPosterior(engine, s, jobs,
-                                              oracle_gammas, renorm);
+            const auto tally = tallyPosterior(
+                engine, s, jobs, oracle_posteriors, renorm);
             const stats::Cdf cdf(tally.errors());
             table.addRow(
                 {s.label, renorm ? "renorm" : "raw",
@@ -204,10 +218,11 @@ runSetting(engine::EvalEngine &engine, const char *label,
         size_t total = 0;
         int flushed = 0;
         for (size_t i = 0; i < jobs.size(); ++i) {
-            for (size_t t = 0; t < oracle_paths[i].size(); ++t)
-                agree += paths[i].path[t] == oracle_paths[i][t] ? 1
-                                                                : 0;
-            total += oracle_paths[i].size();
+            const std::vector<int> &oracle_path =
+                oracle_decodes[i].path;
+            for (size_t t = 0; t < oracle_path.size(); ++t)
+                agree += paths[i].path[t] == oracle_path[t] ? 1 : 0;
+            total += oracle_path.size();
             flushed += paths[i].first_underflow_step >= 0 ? 1 : 0;
         }
         viterbi_agreement[f] =

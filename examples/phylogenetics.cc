@@ -3,8 +3,8 @@
  * Phylogenetics scenario (the paper's VICAR case study): estimate an
  * HMM likelihood over genome sites where the true value is around
  * 2^-100,000, compare every number system, decode the hidden state
- * sequence (posterior marginals + Viterbi through the engine's
- * batched entry points), and consult the FPGA model for what an
+ * sequence (posterior marginals + Viterbi as EvalEngine::run
+ * plans), and consult the FPGA model for what an
  * accelerator build of this pipeline would cost.
  *
  * Usage: phylogenetics [H] [T] [decay_bits_per_site]
@@ -68,9 +68,18 @@ main(int argc, char **argv)
     // and the Viterbi path, against the ScaledDD oracle.
     engine::EvalEngine engine;
     const engine::ForwardJob job{&workload.model, workload.obs};
-    const std::span<const engine::ForwardJob> jobs(&job, 1);
-    const auto oracle_gamma = engine.posteriorOracleBatch(jobs)[0];
-    const auto oracle_path = engine.viterbiOracleBatch(jobs)[0];
+    engine::PlanInputs inputs;
+    inputs.jobs = std::span<const engine::ForwardJob>(&job, 1);
+    const auto oracle_gamma =
+        engine.run(engine::oraclePlan(engine::PlanKernel::Posterior),
+                   inputs)
+            .posteriors[0]
+            .gamma;
+    const auto oracle_path =
+        engine.run(engine::oraclePlan(engine::PlanKernel::Viterbi),
+                   inputs)
+            .decodes[0]
+            .path;
 
     std::printf("\ndecoding (posterior marginals renormalized per "
                 "step; Viterbi in-format):\n");
@@ -89,15 +98,13 @@ main(int argc, char **argv)
         engine::EvalPlan vit_plan;
         vit_plan.kernel = engine::PlanKernel::Viterbi;
         vit_plan.format_id = id;
-        engine::PlanInputs inputs;
-        inputs.jobs = jobs;
         inputs.format = &format;
         const auto post = engine.run(post_plan, inputs).posteriors;
         const auto vit = engine.run(vit_plan, inputs).decodes[0];
         double worst = -400.0;
         for (size_t k = 0; k < oracle_gamma.size(); ++k) {
             const double err = accuracy::relErrLog10(
-                oracle_gamma[k], post[0].gamma[k].value);
+                oracle_gamma[k].value, post[0].gamma[k].value);
             worst = err > worst ? err : worst;
         }
         size_t agree = 0;

@@ -39,7 +39,15 @@ std::vector<BigFloat>
 lofreqOracle(const pbd::ColumnDataset &dataset,
              engine::EvalEngine &engine)
 {
-    return engine.pvalueOracleBatch(dataset.columns);
+    engine::PlanInputs inputs;
+    inputs.columns = dataset.columns;
+    const engine::PlanRun run =
+        engine.run(engine::oraclePlan(engine::PlanKernel::PValue), inputs);
+    std::vector<BigFloat> out;
+    out.reserve(run.results.size());
+    for (const engine::EvalResult &result : run.results)
+        out.push_back(result.value);
+    return out;
 }
 
 ScreenedPValues

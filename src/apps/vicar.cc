@@ -53,14 +53,6 @@ toJobs(std::span<const VicarWorkload> workloads)
 
 } // namespace
 
-VicarResult
-vicarLikelihood(const engine::FormatOps &format,
-                const VicarWorkload &workload,
-                engine::Dataflow dataflow)
-{
-    return format.hmmForward(workload.model, workload.obs, dataflow);
-}
-
 std::vector<VicarResult>
 vicarLikelihoodBatch(const engine::FormatOps &format,
                      std::span<const VicarWorkload> workloads,
@@ -84,7 +76,16 @@ std::vector<BigFloat>
 vicarOracleBatch(std::span<const VicarWorkload> workloads,
                  engine::EvalEngine &engine)
 {
-    return engine.forwardOracleBatch(toJobs(workloads));
+    const std::vector<engine::ForwardJob> jobs = toJobs(workloads);
+    engine::PlanInputs inputs;
+    inputs.jobs = jobs;
+    const engine::PlanRun run =
+        engine.run(engine::oraclePlan(engine::PlanKernel::Forward), inputs);
+    std::vector<BigFloat> out;
+    out.reserve(run.results.size());
+    for (const engine::EvalResult &result : run.results)
+        out.push_back(result.value);
+    return out;
 }
 
 } // namespace pstat::apps

@@ -79,16 +79,11 @@ VicarResult vicarLikelihoodLog(const VicarWorkload &workload);
 BigFloat vicarOracle(const VicarWorkload &workload);
 
 /**
- * Likelihood in a runtime-selected format. The Accelerator dataflow
- * reproduces the static paths exactly: tree-reduced forward<T> for
- * linear formats, the Listing-3 n-ary LSE for the log format.
+ * Batched likelihoods in a runtime-selected format over the engine
+ * pool, in workload order. The Accelerator dataflow reproduces the
+ * static paths exactly: tree-reduced forward<T> for linear formats,
+ * the Listing-3 n-ary LSE for the log format.
  */
-VicarResult vicarLikelihood(const engine::FormatOps &format,
-                            const VicarWorkload &workload,
-                            engine::Dataflow dataflow =
-                                engine::Dataflow::Accelerator);
-
-/** Batched likelihoods over the engine pool, in workload order. */
 std::vector<VicarResult>
 vicarLikelihoodBatch(const engine::FormatOps &format,
                      std::span<const VicarWorkload> workloads,

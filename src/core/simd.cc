@@ -162,34 +162,6 @@ activeIsa()
     return isa;
 }
 
-int
-doubleLanes(Isa isa)
-{
-    switch (isa) {
-    case Isa::Avx2:
-        return 4;
-    case Isa::Neon:
-        return 2;
-    case Isa::Scalar:
-        break;
-    }
-    return 1;
-}
-
-int
-floatLanes(Isa isa)
-{
-    switch (isa) {
-    case Isa::Avx2:
-        return 8;
-    case Isa::Neon:
-        return 4;
-    case Isa::Scalar:
-        break;
-    }
-    return 1;
-}
-
 double
 logSumExpSimd(std::span<const double> lvals, Isa isa)
 {

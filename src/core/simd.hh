@@ -87,12 +87,6 @@ std::vector<Isa> supportedIsas();
  */
 Isa activeIsa();
 
-/** Vector lanes the ISA processes per double-precision instruction. */
-int doubleLanes(Isa isa);
-
-/** Vector lanes the ISA processes per single-precision instruction. */
-int floatLanes(Isa isa);
-
 /**
  * Stripe counts fixing logSumExpSimd's reduction order, independent
  * of the executing ISA (AVX2 vector widths; NEON and the scalar

@@ -10,7 +10,6 @@
 
 #include "engine/env.hh"
 #include "engine/eval_engine.hh"
-#include "hmm/forward.hh"
 #include "pbd/pbd.hh"
 
 namespace pstat::engine
@@ -304,16 +303,6 @@ defaultPValueCert()
     return cert;
 }
 
-CertConfig
-defaultForwardCert()
-{
-    CertConfig cert;
-    cert.tol_rel_log2 = certTolFromEnv();
-    if (!cert.tol_rel_log2)
-        cert.tol_rel_log2 = -20.0;
-    return cert;
-}
-
 std::optional<Ladder>
 parseLadder(const std::string &spec)
 {
@@ -432,58 +421,6 @@ pbdPValueInterval(const ErrorModel &model,
                               /*cap_at_one=*/true);
     }
     return logInterval(*y_log2, pbdLogWobble(column, model),
-                       /*cap_at_one=*/true);
-}
-
-ResultInterval
-forwardInterval(const ErrorModel &model, const hmm::Model &hmm_model,
-                std::span<const int> obs, Dataflow dataflow,
-                const EvalResult &result)
-{
-    ResultInterval vacuous;
-    if (!certifiable(model))
-        return vacuous;
-    // An empty sequence yields the exact zero likelihood in every
-    // format (forward() short-circuits before any arithmetic).
-    if (obs.empty())
-        return exactInterval(-kInf);
-
-    const auto y_log2 = resultLog2(result);
-    if (!y_log2)
-        return vacuous;
-
-    const double t = static_cast<double>(obs.size());
-    const double h = static_cast<double>(hmm_model.num_states);
-
-    if (model.domain == ErrorModel::Domain::Linear) {
-        // Per step a path rounds through two input conversions, two
-        // multiplies, and the H-way accumulation (O(1) under
-        // Neumaier compensation); flushes can strike any of the
-        // ~T*H*(H+2) multiply/adds. Doubled throughout.
-        const double acc =
-            dataflow == Dataflow::SoftwareCompensated &&
-                    model.compensable
-                ? 8.0
-                : h + 4.0;
-        const double roundings = 2.0 * (t * (acc + 6.0) + 8.0);
-        double flush_log2 = -kInf;
-        if (std::isfinite(model.flush_abs_log2)) {
-            flush_log2 =
-                model.flush_abs_log2 +
-                std::log2(2.0 * (t * h * (h + 2.0) + 16.0));
-        }
-        return linearInterval(*y_log2, roundings, flush_log2,
-                              model.unit_roundoff_log2,
-                              /*cap_at_one=*/true);
-    }
-
-    // Log domain: the sequence's log-magnitude budget already
-    // carries (T+1)*ln(H+1) headroom for the H-way LSE sums.
-    const double budget =
-        hmm::sequenceLogBudget(hmm_model, obs) + 4.0;
-    const double c = 2.0 * (t * (h + 6.0) + 16.0);
-    const double u = std::exp2(model.unit_roundoff_log2);
-    return logInterval(*y_log2, 8.0 * c * u * (budget + 4.0),
                        /*cap_at_one=*/true);
 }
 
@@ -718,128 +655,6 @@ EvalEngine::adaptiveEval(
     const size_t skipped_count = static_cast<size_t>(
         std::count(out.skipped.begin(), out.skipped.end(), 1));
     out.certified = n - skipped_count - out.uncertified;
-    return out;
-}
-
-AdaptiveBatch
-EvalEngine::forwardAdaptiveStage(const Ladder &ladder,
-                                 std::span<const ForwardJob> jobs,
-                                 const CertConfig &cert,
-                                 Dataflow dataflow)
-{
-    if (ladder.tiers.empty())
-        throw std::invalid_argument("adaptive ladder is empty");
-    validateCert(cert);
-
-    const size_t n = jobs.size();
-    AdaptiveBatch out;
-    out.cert = cert;
-    out.results.resize(n);
-
-    std::vector<size_t> pending;
-    pending.reserve(n);
-    for (size_t i = 0; i < n; ++i)
-        pending.push_back(i);
-
-    for (size_t t = 0; t < ladder.tiers.size() && !pending.empty();
-         ++t) {
-        const FormatOps &format = *ladder.tiers[t];
-        const bool last = t + 1 == ladder.tiers.size();
-        StageTimer timer;
-        TierStats stats;
-        stats.format_id = format.id();
-
-        // No analytic bounds exist for sequences, so routing only
-        // rules out a priori hopeless tiers: uncertifiable formats,
-        // and value tolerances tighter than the tier's wobble.
-        const ErrorModel model = format.errorModel();
-        std::vector<uint8_t> feasible(pending.size(), 1);
-        if (!last) {
-            parallelFor(pending.size(), [&](size_t j) {
-                const ForwardJob &job = jobs[pending[j]];
-                bool ok = certifiable(model);
-                if (ok && cert.tol_rel_log2 && !cert.threshold_log2) {
-                    const double tt =
-                        static_cast<double>(job.obs.size());
-                    const double h = static_cast<double>(
-                        job.model->num_states);
-                    const double u =
-                        std::exp2(model.unit_roundoff_log2);
-                    double wobble_bits;
-                    if (model.domain ==
-                        ErrorModel::Domain::Linear) {
-                        const double acc =
-                            dataflow ==
-                                        Dataflow::SoftwareCompensated &&
-                                    model.compensable
-                                ? 8.0
-                                : h + 4.0;
-                        wobble_bits =
-                            2.0 * (tt * (acc + 6.0) + 8.0) *
-                            std::log1p(u) / M_LN2;
-                    } else {
-                        const double budget =
-                            hmm::sequenceLogBudget(*job.model,
-                                                   job.obs) +
-                            4.0;
-                        const double c =
-                            2.0 * (tt * (h + 6.0) + 16.0);
-                        wobble_bits =
-                            8.0 * c * u * (budget + 4.0) / M_LN2;
-                    }
-                    const double rel =
-                        std::expm1(wobble_bits * M_LN2);
-                    ok = rel > 0.0
-                             ? std::log2(rel) <= *cert.tol_rel_log2
-                             : true;
-                }
-                feasible[j] = ok ? 1 : 0;
-            });
-        }
-        std::vector<size_t> eval_idx;
-        eval_idx.reserve(pending.size());
-        for (size_t j = 0; j < pending.size(); ++j) {
-            if (feasible[j])
-                eval_idx.push_back(pending[j]);
-        }
-        stats.evaluated = eval_idx.size();
-        stats.bypassed = pending.size() - eval_idx.size();
-
-        std::vector<uint8_t> certified_flag(eval_idx.size(), 0);
-        parallelFor(eval_idx.size(), [&](size_t j) {
-            const size_t i = eval_idx[j];
-            const ForwardJob &job = jobs[i];
-            EvalResult res =
-                format.hmmForward(*job.model, job.obs, dataflow);
-            const ResultInterval iv = forwardInterval(
-                model, *job.model, job.obs, dataflow, res);
-            const bool ok = certifies(iv, cert);
-            out.results[i] = EscalationResult{
-                std::move(res), static_cast<int>(t), ok, iv};
-            certified_flag[j] = ok ? 1 : 0;
-        });
-
-        std::vector<size_t> next;
-        next.reserve(pending.size());
-        size_t cursor = 0;
-        for (size_t j = 0; j < pending.size(); ++j) {
-            if (!feasible[j]) {
-                next.push_back(pending[j]);
-                continue;
-            }
-            if (certified_flag[cursor])
-                ++stats.certified;
-            else
-                next.push_back(pending[j]);
-            ++cursor;
-        }
-        stats.wall_ms = timer.ms();
-        out.tiers.push_back(stats);
-        pending.swap(next);
-    }
-
-    out.uncertified = pending.size();
-    out.certified = n - out.uncertified;
     return out;
 }
 

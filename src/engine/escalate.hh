@@ -4,11 +4,11 @@
  *
  * PR 4's screening insight — cheap estimate everywhere, exact work
  * only near the decision boundary — generalized from one kernel to
- * the whole FormatRegistry: every p-value (or forward probability)
- * is first bounded analytically, then computed in the cheapest
- * format tier, and a running error analysis of the Listing-1/2
- * recurrences (parameterized by each format's ErrorModel) derives a
- * certified interval around the computed value. Only columns whose
+ * the whole FormatRegistry: every p-value is first bounded
+ * analytically, then computed in the cheapest format tier, and a
+ * running error analysis of the Listing-2 recurrence (parameterized
+ * by each format's ErrorModel) derives a certified interval around
+ * the computed value. Only columns whose
  * interval fails to certify the answer — relative to a caller
  * tolerance, a decision threshold (LoFreq's 2^-200 cutoff plugs in
  * directly), or both — escalate to the next tier of a configurable
@@ -33,12 +33,10 @@
 #define PSTAT_ENGINE_ESCALATE_HH
 
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "engine/format_registry.hh"
-#include "hmm/model.hh"
 #include "pbd/dataset.hh"
 #include "pbd/screen.hh"
 
@@ -76,13 +74,6 @@ struct CertConfig
  * and are ignored).
  */
 CertConfig defaultPValueCert();
-
-/**
- * The default forward-likelihood certification: a pure value
- * tolerance — PSTAT_CERT_TOL when validly set, else -20 (about six
- * significant decimal digits).
- */
-CertConfig defaultForwardCert();
 
 /**
  * A certified enclosure of one computed result, in log2. The exact
@@ -169,8 +160,8 @@ struct AdaptiveBatch
     /** Per-item outcomes, in item order. */
     std::vector<EscalationResult> results;
     /**
-     * Per-tier tallies in execution order: the analytic tier first
-     * (p-value batches only), then every ladder tier that ran.
+     * Per-tier tallies in execution order: the analytic tier first,
+     * then every ladder tier that ran.
      */
     std::vector<TierStats> tiers;
     /** The certification the batch was evaluated under. */
@@ -206,17 +197,6 @@ ResultInterval pbdPValueInterval(const ErrorModel &model,
                                  const pbd::ColumnView &column,
                                  SumPolicy sum,
                                  const EvalResult &result);
-
-/**
- * Running-error interval of one Listing-1 forward likelihood, the
- * HMM analog of pbdPValueInterval (log-domain budget from
- * hmm::sequenceLogBudget).
- */
-ResultInterval forwardInterval(const ErrorModel &model,
-                               const hmm::Model &hmm_model,
-                               std::span<const int> obs,
-                               Dataflow dataflow,
-                               const EvalResult &result);
 
 /** The interval implied by the analytic bounds of pbd/screen.hh. */
 ResultInterval analyticInterval(const pbd::PValueBoundsLog2 &bounds);

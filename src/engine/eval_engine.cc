@@ -7,9 +7,6 @@
 #include <utility>
 
 #include "core/accuracy.hh"
-#include "core/real_traits.hh"
-#include "hmm/decode.hh"
-#include "hmm/forward.hh"
 #include "pbd/pbd.hh"
 
 namespace pstat::engine
@@ -151,17 +148,12 @@ EvalEngine::run(const EvalPlan &plan, const PlanInputs &inputs)
                 sink->consumeAdaptive(*block, batch);
             }
             break;
-        case PlanKernel::Forward:
-            if (plan.policy == PlanPolicy::Fixed) {
-                const std::vector<EvalResult> results =
-                    forwardFixedStage(*format, *block, plan.dataflow);
-                sink->consumeResults(*block, results);
-            } else {
-                const AdaptiveBatch batch = forwardAdaptiveStage(
-                    *ladder, block->jobs, plan.cert, plan.dataflow);
-                sink->consumeAdaptive(*block, batch);
-            }
+        case PlanKernel::Forward: {
+            const std::vector<EvalResult> results =
+                forwardFixedStage(*format, *block, plan.dataflow);
+            sink->consumeResults(*block, results);
             break;
+        }
         case PlanKernel::Backward: {
             const std::vector<EvalResult> results =
                 backwardStage(*format, block->jobs, plan.dataflow);
@@ -221,18 +213,6 @@ EvalEngine::forwardFixedStage(const FormatOps &format,
     return out;
 }
 
-std::vector<BigFloat>
-EvalEngine::pvalueOracleBatch(std::span<const pbd::Column> columns)
-{
-    std::vector<BigFloat> out(columns.size());
-    parallelFor(columns.size(), [&](size_t i) {
-        out[i] = pbd::pvalueOracle(columns[i].success_probs,
-                                   columns[i].k)
-                     .toBigFloat();
-    });
-    return out;
-}
-
 ScreenedPValueBatch
 EvalEngine::screenedEval(
     const FormatOps &format, size_t n,
@@ -283,17 +263,6 @@ EvalEngine::screenedEval(
     return out;
 }
 
-std::vector<BigFloat>
-EvalEngine::forwardOracleBatch(std::span<const ForwardJob> jobs)
-{
-    std::vector<BigFloat> out(jobs.size());
-    parallelFor(jobs.size(), [&](size_t i) {
-        out[i] = hmm::forwardOracle(*jobs[i].model, jobs[i].obs)
-                     .likelihood.toBigFloat();
-    });
-    return out;
-}
-
 std::vector<EvalResult>
 EvalEngine::backwardStage(const FormatOps &format,
                           std::span<const ForwardJob> jobs,
@@ -303,17 +272,6 @@ EvalEngine::backwardStage(const FormatOps &format,
     parallelFor(jobs.size(), [&](size_t i) {
         out[i] = format.hmmBackward(*jobs[i].model, jobs[i].obs,
                                     dataflow);
-    });
-    return out;
-}
-
-std::vector<BigFloat>
-EvalEngine::backwardOracleBatch(std::span<const ForwardJob> jobs)
-{
-    std::vector<BigFloat> out(jobs.size());
-    parallelFor(jobs.size(), [&](size_t i) {
-        out[i] = hmm::backward<ScaledDD>(*jobs[i].model, jobs[i].obs)
-                     .likelihood.toBigFloat();
     });
     return out;
 }
@@ -331,20 +289,6 @@ EvalEngine::posteriorStage(const FormatOps &format,
     return out;
 }
 
-std::vector<std::vector<BigFloat>>
-EvalEngine::posteriorOracleBatch(std::span<const ForwardJob> jobs)
-{
-    std::vector<std::vector<BigFloat>> out(jobs.size());
-    parallelFor(jobs.size(), [&](size_t i) {
-        const auto res = hmm::posterior<ScaledDD>(*jobs[i].model,
-                                                  jobs[i].obs);
-        out[i].reserve(res.gamma.size());
-        for (const ScaledDD &g : res.gamma)
-            out[i].push_back(g.toBigFloat());
-    });
-    return out;
-}
-
 std::vector<ViterbiResult>
 EvalEngine::viterbiStage(const FormatOps &format,
                          std::span<const ForwardJob> jobs)
@@ -352,17 +296,6 @@ EvalEngine::viterbiStage(const FormatOps &format,
     std::vector<ViterbiResult> out(jobs.size());
     parallelFor(jobs.size(), [&](size_t i) {
         out[i] = format.hmmViterbi(*jobs[i].model, jobs[i].obs);
-    });
-    return out;
-}
-
-std::vector<std::vector<int>>
-EvalEngine::viterbiOracleBatch(std::span<const ForwardJob> jobs)
-{
-    std::vector<std::vector<int>> out(jobs.size());
-    parallelFor(jobs.size(), [&](size_t i) {
-        out[i] = hmm::viterbi<ScaledDD>(*jobs[i].model, jobs[i].obs)
-                     .path;
     });
     return out;
 }

@@ -11,11 +11,12 @@
  * — behind one entry point, run(EvalPlan): whole batches of p-values
  * (exact, screened, adaptive; see pbd/screen.hh and escalate.hh) and
  * the full HMM kernel family (forward, backward, posterior marginals,
- * Viterbi), through the type-erased FormatOps interface, plus the
- * ScaledDD oracle batches the accuracy figures measure against. Each
- * item's result lands in its own slot, so the batched output is
- * bit-identical to the serial per-item FormatOps calls, just computed
- * on every core. AccuracyTally then folds results against oracle
+ * Viterbi), through the type-erased FormatOps interface. The ScaledDD
+ * oracle the accuracy figures measure against is one more plan
+ * (oraclePlan, engine/plan.hh). Each item's result lands in its own
+ * slot, so the batched output is bit-identical to the serial
+ * per-item FormatOps calls, just computed on every core.
+ * AccuracyTally then folds results against oracle
  * values serially (deterministic order) using the core/accuracy.hh
  * measurement, replacing the per-format tally code that was
  * copy-pasted across the benches.
@@ -192,34 +193,6 @@ class EvalEngine
      */
     PlanRun run(const EvalPlan &plan, const PlanInputs &inputs = {});
 
-    /**
-     * Oracle (ScaledDD) p-values of every column. The oracle batches
-     * are the *measurement* surface, not an evaluation policy, so
-     * they stay direct instead of routing through a plan.
-     */
-    std::vector<BigFloat>
-    pvalueOracleBatch(std::span<const pbd::Column> columns);
-
-    /** Oracle (ScaledDD) forward likelihood of every job. */
-    std::vector<BigFloat>
-    forwardOracleBatch(std::span<const ForwardJob> jobs);
-
-    /** Oracle (ScaledDD) backward likelihood of every job. */
-    std::vector<BigFloat>
-    backwardOracleBatch(std::span<const ForwardJob> jobs);
-
-    /**
-     * Oracle (ScaledDD, raw recursions — its range needs no
-     * rescaling) posterior marginals of every job, flattened T x H
-     * per job in job order.
-     */
-    std::vector<std::vector<BigFloat>>
-    posteriorOracleBatch(std::span<const ForwardJob> jobs);
-
-    /** Oracle (ScaledDD) Viterbi paths of every job. */
-    std::vector<std::vector<int>>
-    viterbiOracleBatch(std::span<const ForwardJob> jobs);
-
   private:
     /**
      * @name Kernel stages of run()
@@ -234,10 +207,6 @@ class EvalEngine
     std::vector<EvalResult>
     forwardFixedStage(const FormatOps &format, const WorkBlock &block,
                       Dataflow dataflow);
-    AdaptiveBatch
-    forwardAdaptiveStage(const Ladder &ladder,
-                         std::span<const ForwardJob> jobs,
-                         const CertConfig &cert, Dataflow dataflow);
     std::vector<EvalResult>
     backwardStage(const FormatOps &format,
                   std::span<const ForwardJob> jobs, Dataflow dataflow);

@@ -252,14 +252,9 @@ validatePlan(const EvalPlan &plan)
         invalid(std::string("the screen applies to the pvalue kernel "
                             "only, not ") +
                 planKernelName(plan.kernel));
-    if (adaptive && plan.kernel != PlanKernel::PValue &&
-        plan.kernel != PlanKernel::Forward)
+    if (adaptive && plan.kernel != PlanKernel::PValue)
         invalid(std::string("no adaptive ladder exists for the ") +
                 planKernelName(plan.kernel) + " kernel");
-    if (adaptive && plan.kernel == PlanKernel::Forward &&
-        plan.source != PlanSource::Memory)
-        invalid("adaptive forward evaluation supports the memory "
-                "source only");
     if (plan.source == PlanSource::ShardStream &&
         (plan.kernel == PlanKernel::Backward ||
          plan.kernel == PlanKernel::Posterior ||
@@ -295,6 +290,20 @@ validatePlan(const EvalPlan &plan)
     if (plan.source == PlanSource::ShardStream &&
         plan.queue_capacity == 0)
         invalid("queue_capacity must be positive");
+}
+
+EvalPlan
+oraclePlan(PlanKernel kernel)
+{
+    EvalPlan plan;
+    plan.kernel = kernel;
+    plan.source = PlanSource::Memory;
+    plan.policy = PlanPolicy::Fixed;
+    plan.format_id = "scaled_dd";
+    plan.sum = PlanSum::Plain;
+    plan.dataflow = Dataflow::Software;
+    plan.renormalize = false;
+    return plan;
 }
 
 std::string

@@ -155,6 +155,19 @@ struct EvalPlan
     bool operator==(const EvalPlan &other) const;
 };
 
+/**
+ * The oracle every accuracy figure measures against, as a plan: a
+ * Fixed, memory-source `scaled_dd` evaluation of `kernel` with
+ * sum = Plain, dataflow = Software and renormalize = false. Both
+ * pins are load-bearing. The Accelerator dataflow would map to a
+ * Tree reduction, and PlanSum::Default would let PSTAT_COMPENSATED
+ * switch ScaledDD (a Compensable format) to Neumaier summation;
+ * either moves the oracle's bits off the serial ScaledDD recursions
+ * (pbd::pvalueOracle, hmm::forwardOracle, hmm::backward /
+ * posterior / viterbi<ScaledDD>).
+ */
+EvalPlan oraclePlan(PlanKernel kernel);
+
 /** @name Plan axis names (stable, used in messages and dumps) */
 ///@{
 /** "pvalue", "forward", ... — stable name of a kernel. */
@@ -169,12 +182,12 @@ const char *planPolicyName(PlanPolicy policy);
  * Structural validation of a plan against the format registry and
  * the supported kernel x source x policy matrix. Throws
  * std::invalid_argument with a caller-actionable message on the
- * first violation: an unknown format or ladder tier, a screened
- * non-p-value kernel, an adaptive certification with no criterion
- * (or a non-negative tolerance), a zero queue capacity. Valid plans
- * return normally. Binding-level checks
- * (does the caller actually supply columns / a model?) happen in
- * EvalEngine::run, because they depend on PlanInputs.
+ * first violation: an unknown format or ladder tier, a screened or
+ * adaptive non-p-value kernel, a streamed decode kernel, an adaptive
+ * certification with no criterion (or a non-negative tolerance), a
+ * zero queue capacity. Valid plans return normally. Binding-level
+ * checks (does the caller actually supply columns / a model?) happen
+ * in EvalEngine::run, because they depend on PlanInputs.
  */
 void validatePlan(const EvalPlan &plan);
 

@@ -27,7 +27,6 @@ constexpr double lut_per_add_bit = 1.0;
 constexpr double lut_per_cmp_bit = 0.5;
 constexpr double lut_per_mux_bit = 0.5;
 constexpr double lut_mul_glue_per_bit = 1.0; //!< DSP stitching
-constexpr double clb_packing = 1.70;
 
 int
 clog2(int x)
@@ -133,12 +132,6 @@ logUnitB64()
     r.reg = 900;
     r.dsp = 0;
     return r;
-}
-
-double
-clbPackingFactor()
-{
-    return clb_packing;
 }
 
 int

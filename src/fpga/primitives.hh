@@ -62,9 +62,6 @@ Resource expUnitB64();
  */
 Resource logUnitB64();
 
-/** CLB packing factor calibrated for these HLS designs. */
-double clbPackingFactor();
-
 } // namespace pstat::fpga
 
 #endif // PSTAT_FPGA_PRIMITIVES_HH

@@ -8,7 +8,8 @@
  * paper's tables). CLBs are a derived quantity: each UltraScale+ CLB
  * slice holds 8 LUTs and 16 FFs, and placed designs never pack
  * slices perfectly, so CLB usage is max(lut/8, reg/16) times an
- * empirically calibrated packing factor (see primitives.cc).
+ * empirically calibrated packing factor (per design, see
+ * accelerator.cc).
  */
 
 #ifndef PSTAT_FPGA_RESOURCE_HH

@@ -8,6 +8,13 @@
 namespace pstat::hmm
 {
 
+template BackwardOutcome<ScaledDD>
+backward<ScaledDD>(const Model &, std::span<const int>, Reduction);
+template PosteriorOutcome<ScaledDD>
+posterior<ScaledDD>(const Model &, std::span<const int>, Reduction, bool);
+template ViterbiOutcome<ScaledDD>
+viterbi<ScaledDD>(const Model &, std::span<const int>);
+
 namespace
 {
 

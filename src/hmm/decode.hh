@@ -305,7 +305,7 @@ struct ViterbiOutcome
  * rounding: once delta underflows to zero in a narrow linear format
  * the path degenerates, while log-domain and tapered formats keep
  * decoding. Ties keep the lowest state index, matching the
- * log2-domain reference viterbi() in hmm/algorithms.hh.
+ * log2-domain reference viterbi() in tests/reference.hh.
  */
 template <typename T>
 ViterbiOutcome<T>
@@ -377,6 +377,18 @@ viterbi(const Model &model, std::span<const int> obs)
         out.path[t - 1] = from[t][out.path[t]];
     return out;
 }
+
+/**
+ * The ScaledDD oracle instantiations are compiled once, in decode.cc,
+ * for the reason pbd.hh gives for the p-value oracle: the registry's
+ * own copies would run with ScaledDD's arithmetic left as calls.
+ */
+extern template BackwardOutcome<ScaledDD>
+backward<ScaledDD>(const Model &, std::span<const int>, Reduction);
+extern template PosteriorOutcome<ScaledDD>
+posterior<ScaledDD>(const Model &, std::span<const int>, Reduction, bool);
+extern template ViterbiOutcome<ScaledDD>
+viterbi<ScaledDD>(const Model &, std::span<const int>);
 
 /**
  * The backward recursion in log space with the n-ary LSE of Equation

@@ -6,6 +6,9 @@
 namespace pstat::hmm
 {
 
+template ForwardOutcome<ScaledDD>
+forward<ScaledDD>(const Model &, std::span<const int>, Reduction);
+
 namespace
 {
 
@@ -78,93 +81,6 @@ forwardLogNary32(const Model &model, std::span<const int> obs)
     out.likelihood =
         LogFloat::fromLn(logNaryForwardLn<float>(model, obs));
     return out;
-}
-
-RescaledForwardResult
-forwardRescaled(const Model &model, std::span<const int> obs)
-{
-    const int h = model.num_states;
-    RescaledForwardResult out{-HUGE_VAL};
-    if (obs.empty())
-        return out;
-
-    std::vector<double> alpha(h);
-    std::vector<double> alpha_prev(h);
-    double log2_scale = 0.0;
-
-    for (int q = 0; q < h; ++q) {
-        alpha_prev[q] =
-            model.pi[q] * model.bAt(q, obs[0]);
-    }
-
-    auto rescale = [&](std::vector<double> &v) {
-        double sum = 0.0;
-        for (double x : v)
-            sum += x;
-        if (sum <= 0.0)
-            return false;
-        for (double &x : v)
-            x /= sum;
-        log2_scale += std::log2(sum);
-        return true;
-    };
-    if (!rescale(alpha_prev))
-        return out;
-
-    for (size_t t = 1; t < obs.size(); ++t) {
-        const int ot = obs[t];
-        for (int q = 0; q < h; ++q) {
-            double path_sum = 0.0;
-            for (int p = 0; p < h; ++p)
-                path_sum += alpha_prev[p] * model.aAt(p, q);
-            alpha[q] = path_sum * model.bAt(q, ot);
-        }
-        std::swap(alpha, alpha_prev);
-        if (!rescale(alpha_prev))
-            return out;
-    }
-
-    // After rescaling the alphas sum to 1, so the likelihood is just
-    // the accumulated scale.
-    out.log2_likelihood = log2_scale;
-    return out;
-}
-
-double
-sequenceLogBudget(const Model &model, std::span<const int> obs)
-{
-    // |ln| of the worst nonzero entry of a span (exact zeros are
-    // represented exactly in the log-domain carriers and never
-    // wobble, so they are excluded from the budget).
-    const auto worstAbsLn = [](std::span<const double> values) {
-        double worst = 0.0;
-        for (const double v : values) {
-            if (v > 0.0)
-                worst = std::max(worst, std::fabs(std::log(v)));
-        }
-        return worst;
-    };
-
-    const size_t h = static_cast<size_t>(model.num_states);
-    const double t = static_cast<double>(obs.size());
-    const double worst_a = worstAbsLn(std::span(model.a));
-    const double worst_pi = worstAbsLn(std::span(model.pi));
-
-    double budget = worst_pi + (t > 1.0 ? t - 1.0 : 0.0) * worst_a;
-    for (const int ot : obs) {
-        double worst_b = 0.0;
-        for (size_t q = 0; q < h; ++q) {
-            const double v =
-                model.b[q * static_cast<size_t>(model.num_symbols) +
-                        static_cast<size_t>(ot)];
-            if (v > 0.0)
-                worst_b = std::max(worst_b, std::fabs(std::log(v)));
-        }
-        budget += worst_b;
-    }
-    // ln(H+1) slack per step for the H-way path sums.
-    budget += (t + 1.0) * std::log(static_cast<double>(h) + 1.0);
-    return budget;
 }
 
 OracleForwardResult

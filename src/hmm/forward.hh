@@ -195,6 +195,14 @@ forward(const Model &model, std::span<const int> obs,
 }
 
 /**
+ * The ScaledDD oracle instantiation is compiled once, in forward.cc,
+ * for the reason pbd.hh gives for the p-value oracle: the registry's
+ * own copy would run with ScaledDD's arithmetic left as calls.
+ */
+extern template ForwardOutcome<ScaledDD>
+forward<ScaledDD>(const Model &, std::span<const int>, Reduction);
+
+/**
  * Listing 3: the forward algorithm in log space with the n-ary LSE
  * of Equation (3), the exact dataflow of the paper's log-based
  * accelerator PE (max tree, exponentials, adder tree, single log).
@@ -210,31 +218,6 @@ ForwardOutcome<LogDouble> forwardLogNary(const Model &model,
  */
 ForwardOutcome<LogFloat> forwardLogNary32(const Model &model,
                                           std::span<const int> obs);
-
-/**
- * The classic rescaling baseline from the related work (Section
- * VII): binary64 with per-step normalization of alpha by its sum and
- * an accumulated log-likelihood. Returns log2 of the likelihood.
- */
-struct RescaledForwardResult
-{
-    double log2_likelihood;
-};
-RescaledForwardResult forwardRescaled(const Model &model,
-                                      std::span<const int> obs);
-
-/**
- * Log-magnitude budget of the forward recursion on one sequence: an
- * upper bound on |ln x| over every nonzero intermediate (alpha
- * states, path products, and their partial sums). Every nonzero
- * intermediate is a sum of path products whose factors are nonzero
- * model entries — one emission per step, one transition per hop,
- * one prior — so its |ln| is bounded by the sum of the worst
- * nonzero-factor magnitudes, plus ln(H+1) slack per step for the
- * H-way sums. Used by the adaptive escalation bounds
- * (engine/escalate.hh) to certify log-domain forward evaluations.
- */
-double sequenceLogBudget(const Model &model, std::span<const int> obs);
 
 /**
  * Oracle forward run (ScaledDD scalar, ~31 significant digits with

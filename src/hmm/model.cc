@@ -43,34 +43,4 @@ Model::validate(double tol) const
     return true;
 }
 
-double
-enumerateLikelihood(const Model &model, std::span<const int> obs)
-{
-    const int h = model.num_states;
-    const auto t_len = obs.size();
-    if (t_len == 0)
-        return 1.0;
-
-    // Iterate over all H^T paths with an odometer.
-    std::vector<int> path(t_len, 0);
-    double total = 0.0;
-    for (;;) {
-        double p = model.pi[path[0]] * model.bAt(path[0], obs[0]);
-        for (size_t t = 1; t < t_len; ++t) {
-            p *= model.aAt(path[t - 1], path[t]) *
-                 model.bAt(path[t], obs[t]);
-        }
-        total += p;
-
-        size_t pos = 0;
-        while (pos < t_len && ++path[pos] == h) {
-            path[pos] = 0;
-            ++pos;
-        }
-        if (pos == t_len)
-            break;
-    }
-    return total;
-}
-
 } // namespace pstat::hmm

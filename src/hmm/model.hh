@@ -52,13 +52,6 @@ struct Model
     bool validate(double tol = 1e-9) const;
 };
 
-/**
- * Brute-force likelihood P(O|lambda) by enumerating all H^T hidden
- * paths in double; usable for tiny models only. The reference for
- * forward-algorithm unit tests.
- */
-double enumerateLikelihood(const Model &model, std::span<const int> obs);
-
 } // namespace pstat::hmm
 
 #endif // PSTAT_HMM_MODEL_HH

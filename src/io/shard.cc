@@ -589,17 +589,6 @@ ShardReader::resultFormatId() const
     return result_format_id_;
 }
 
-pbd::Column
-ShardReader::materializeColumn(size_t i) const
-{
-    const pbd::ColumnView view = column(i);
-    pbd::Column out;
-    out.k = view.k;
-    out.success_probs.assign(view.success_probs.begin(),
-                             view.success_probs.end());
-    return out;
-}
-
 // ------------------------------------------------------ conveniences
 
 std::optional<ShardPayload>
@@ -645,8 +634,14 @@ readColumnShard(const std::string &path)
     const ShardReader reader(path);
     std::vector<pbd::Column> out;
     out.reserve(reader.size());
-    for (size_t i = 0; i < reader.size(); ++i)
-        out.push_back(reader.materializeColumn(i));
+    for (size_t i = 0; i < reader.size(); ++i) {
+        // An owning copy: the views die with the reader's mapping.
+        const pbd::ColumnView view = reader.column(i);
+        pbd::Column &column = out.emplace_back();
+        column.k = view.k;
+        column.success_probs.assign(view.success_probs.begin(),
+                                    view.success_probs.end());
+    }
     return out;
 }
 

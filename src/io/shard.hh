@@ -291,9 +291,6 @@ class ShardReader
      */
     const std::string &resultFormatId() const;
 
-    /** An owning copy of column `i`, for callers that outlive us. */
-    pbd::Column materializeColumn(size_t i) const;
-
   private:
     void unmap() noexcept;
 

@@ -117,26 +117,6 @@ makeColumnWithTarget(stats::Rng &rng, double target_bits)
     return makeVariantColumn(rng, target_bits);
 }
 
-double
-estimateLog2PValue(const Column &column)
-{
-    const int n = column.coverage();
-    const int k = column.k;
-    if (k <= 0 || n == 0)
-        return 0.0;
-    double lbar = 0.0;
-    for (double p : column.success_probs)
-        lbar += std::log2(p);
-    lbar /= n;
-    const double expected = static_cast<double>(n) *
-                            std::pow(2.0, lbar);
-    if (k <= expected)
-        return 0.0;
-    const double estimate =
-        k * (std::log2(2.718281828 * n / k) + lbar);
-    return std::min(estimate, 0.0);
-}
-
 void
 generateColumns(const DatasetConfig &config,
                 const std::function<void(Column &&)> &sink)

@@ -188,13 +188,6 @@ ColumnDataset makeScanDataset(const DatasetConfig &config,
                               const std::string &name);
 
 /**
- * Rough log2 of the expected p-value of a column (Stirling-style
- * estimate); used by the generator to hit magnitude targets and
- * handy for quick triage. Not used in accuracy measurements.
- */
-double estimateLog2PValue(const Column &column);
-
-/**
  * Target p-value magnitude (bits below 1.0, i.e. p ~ 2^-bits) of
  * one variant column, drawn to match the paper's critical-column
  * spectrum. The bands: 60% shallow-critical in [220, 1074) bits

@@ -2,47 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <complex>
 #include <limits>
 
 namespace pstat::pbd
 {
 
-std::vector<double>
-pmfDftCf(std::span<const double> success_probs)
-{
-    // Hong (2013): the characteristic function of a PBD evaluated at
-    // the (n+1)-th roots of unity is z_l = prod_j (1 - p_j + p_j w^l)
-    // with w = e^{2*pi*i/(n+1)}; the PMF is its inverse DFT.
-    const auto n = success_probs.size();
-    const size_t m = n + 1;
-    const double omega = 2.0 * M_PI / static_cast<double>(m);
-
-    std::vector<std::complex<double>> z(m);
-    for (size_t l = 0; l < m; ++l) {
-        std::complex<double> prod(1.0, 0.0);
-        const std::complex<double> w(
-            std::cos(omega * static_cast<double>(l)),
-            std::sin(omega * static_cast<double>(l)));
-        for (double p : success_probs)
-            prod *= std::complex<double>(1.0 - p, 0.0) + p * w;
-        z[l] = prod;
-    }
-
-    std::vector<double> pmf(m);
-    for (size_t k = 0; k < m; ++k) {
-        std::complex<double> sum(0.0, 0.0);
-        for (size_t l = 0; l < m; ++l) {
-            const double angle =
-                -omega * static_cast<double>(l * k % m);
-            sum += z[l] * std::complex<double>(std::cos(angle),
-                                               std::sin(angle));
-        }
-        const double value = sum.real() / static_cast<double>(m);
-        pmf[k] = value > 0.0 ? value : 0.0; // clip FFT noise
-    }
-    return pmf;
-}
+template ScaledDD
+detail::pvalueImpl<ScaledDD, detail::PlainSum<ScaledDD>>(
+    std::span<const double>, int);
 
 double
 pvalueLog2Estimate(std::span<const double> success_probs,
@@ -118,60 +85,6 @@ columnLogBudget(std::span<const double> success_probs)
         budget += std::max(lp, lq);
     }
     return budget;
-}
-
-double
-pvalueDftCf(std::span<const double> success_probs, int k_threshold)
-{
-    if (k_threshold <= 0)
-        return 1.0;
-    const auto pmf = pmfDftCf(success_probs);
-    double tail = 0.0;
-    for (size_t k = static_cast<size_t>(k_threshold); k < pmf.size();
-         ++k) {
-        tail += pmf[k];
-    }
-    return tail;
-}
-
-BigFloat
-binomialTailExact(int n, double p, int k_threshold)
-{
-    // Term-by-term: C(n,k) p^k (1-p)^(n-k), updated by the ratio
-    // C(n,k+1)/C(n,k) = (n-k)/(k+1); all in BigFloat, so the result
-    // is accurate to ~2^-240 even for astronomically small tails.
-    const BigFloat bp = BigFloat::fromDouble(p);
-    const BigFloat bq = BigFloat::one() - bp;
-    if (k_threshold <= 0)
-        return BigFloat::one();
-    if (k_threshold > n)
-        return BigFloat::zero();
-    if (p <= 0.0)
-        return BigFloat::zero();
-    if (p >= 1.0)
-        return BigFloat::one();
-
-    // Start at k = k_threshold: C(n,k) p^k q^(n-k).
-    BigFloat term = BigFloat::powInt(bp, k_threshold) *
-                    BigFloat::powInt(bq, n - k_threshold);
-    for (int i = 0; i < k_threshold; ++i) {
-        term = (term * BigFloat::fromInt(n - i))
-                   .divSmall(static_cast<uint64_t>(i + 1));
-    }
-
-    BigFloat sum = term;
-    for (int k = k_threshold; k < n; ++k) {
-        // term(k+1) = term(k) * (n-k)/(k+1) * p/q.
-        term = (term * BigFloat::fromInt(n - k))
-                   .divSmall(static_cast<uint64_t>(k + 1)) *
-               bp / bq;
-        sum += term;
-        if (!term.isZero() &&
-            term.exponent() < sum.exponent() - 280) {
-            break; // remaining terms are below oracle precision
-        }
-    }
-    return sum;
 }
 
 } // namespace pstat::pbd

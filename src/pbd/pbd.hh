@@ -158,23 +158,16 @@ pvalueOracle(std::span<const double> success_probs, int k_threshold)
 }
 
 /**
- * Closed-form cross-check for equal success probabilities: the
- * binomial tail P(X >= K) computed term by term in BigFloat.
+ * The oracle DP is compiled once, in pbd.cc, and every caller links
+ * to that copy: pvalueOracle, and the scaled_dd registry format that
+ * engine::oraclePlan runs. format_registry.cc instantiates every
+ * kernel for every format, which exhausts GCC's inline-unit-growth
+ * budget; its own copy keeps ScaledDD's add and multiply as calls
+ * and ran about 30% slower (GCC 12 -O3, AMD EPYC).
  */
-BigFloat binomialTailExact(int n, double p, int k_threshold);
-
-/**
- * PMF via Hong's DFT-CF method (characteristic function + inverse
- * DFT; reference [32] of the paper). O(n^2) without an FFT, double
- * precision only — an algorithmically independent cross-check of the
- * Listing-2 dynamic program inside binary64's range. Returns
- * Pr(X = k) for k = 0..n.
- */
-std::vector<double> pmfDftCf(std::span<const double> success_probs);
-
-/** Upper tail P(X >= K) from the DFT-CF PMF. */
-double pvalueDftCf(std::span<const double> success_probs,
-                   int k_threshold);
+extern template ScaledDD
+detail::pvalueImpl<ScaledDD, detail::PlainSum<ScaledDD>>(
+    std::span<const double>, int);
 
 /**
  * Fast Cramér–Chernoff estimate of log2 P(X >= K): the exact

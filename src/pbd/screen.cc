@@ -36,16 +36,6 @@ applyScreen(std::span<const double> estimates_log2,
     return out;
 }
 
-std::vector<double>
-screenEstimates(std::span<const Column> columns)
-{
-    std::vector<double> out;
-    out.reserve(columns.size());
-    for (const auto &col : columns)
-        out.push_back(pvalueLog2Estimate(col.success_probs, col.k));
-    return out;
-}
-
 namespace
 {
 

@@ -116,10 +116,6 @@ struct ScreenDecisions
 ScreenDecisions applyScreen(std::span<const double> estimates_log2,
                             const ScreenConfig &config);
 
-/** Per-column pvalueLog2Estimate of a batch, serially. */
-std::vector<double>
-screenEstimates(std::span<const Column> columns);
-
 /**
  * A certified (mathematically rigorous) log2 enclosure of a
  * p-value: the exact P(X >= K) lies in [2^lo_log2, 2^hi_log2].

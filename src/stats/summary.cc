@@ -50,17 +50,6 @@ boxStats(std::vector<double> values)
     return out;
 }
 
-double
-mean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (double v : values)
-        sum += v;
-    return sum / static_cast<double>(values.size());
-}
-
 Cdf::Cdf(std::vector<double> samples)
     : samples_(std::move(samples))
 {

@@ -47,9 +47,6 @@ double percentile(const std::vector<double> &sorted_values, double q);
  */
 BoxStats boxStats(std::vector<double> values);
 
-/** Arithmetic mean; 0 for empty input. */
-double mean(const std::vector<double> &values);
-
 /**
  * Empirical CDF evaluated at chosen points.
  *

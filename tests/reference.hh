@@ -1,27 +1,201 @@
 /**
  * @file
- * HMM algorithms beyond the forward pass: backward, Viterbi,
- * posterior decoding, and one Baum-Welch re-estimation step.
+ * Reference algorithms the tests compare against.
  *
- * The paper's evaluation centers on the forward algorithm; these
- * extensions demonstrate that the scalar-format abstraction carries
- * to the full HMM toolbox (every routine is a template over T) and
- * provide the cross-checks used by the test suite (e.g. the
- * forward-backward invariant sum_q alpha_t[q] * beta_t[q] == P(O)).
+ * None of these run on a shipped path; each is an algorithmically
+ * independent (or brute-force) cross-check of a library kernel:
+ * the closed-form binomial tail, Hong's DFT-CF PMF and the
+ * Stirling-style magnitude estimate for the Listing-2 p-value; the
+ * H^T path enumeration, the full alpha/beta matrices, log2-domain
+ * Viterbi, posterior decoding and one Baum-Welch step for the HMM
+ * kernels. They keep their library namespaces so a test reads the
+ * same whether a reference lives here or in src/.
  */
 
-#ifndef PSTAT_HMM_ALGORITHMS_HH
-#define PSTAT_HMM_ALGORITHMS_HH
+#ifndef PSTAT_TESTS_REFERENCE_HH
+#define PSTAT_TESTS_REFERENCE_HH
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
 #include <span>
 #include <vector>
 
+#include "bigfloat/bigfloat.hh"
 #include "core/real_traits.hh"
 #include "hmm/model.hh"
+#include "pbd/dataset.hh"
+
+namespace pstat::pbd
+{
+
+/**
+ * Closed-form cross-check for equal success probabilities: the
+ * binomial tail P(X >= K) computed term by term in BigFloat.
+ */
+inline BigFloat
+binomialTailExact(int n, double p, int k_threshold)
+{
+    // Term-by-term: C(n,k) p^k (1-p)^(n-k), updated by the ratio
+    // C(n,k+1)/C(n,k) = (n-k)/(k+1); all in BigFloat, so the result
+    // is accurate to ~2^-240 even for astronomically small tails.
+    const BigFloat bp = BigFloat::fromDouble(p);
+    const BigFloat bq = BigFloat::one() - bp;
+    if (k_threshold <= 0)
+        return BigFloat::one();
+    if (k_threshold > n)
+        return BigFloat::zero();
+    if (p <= 0.0)
+        return BigFloat::zero();
+    if (p >= 1.0)
+        return BigFloat::one();
+
+    // Start at k = k_threshold: C(n,k) p^k q^(n-k).
+    BigFloat term = BigFloat::powInt(bp, k_threshold) *
+                    BigFloat::powInt(bq, n - k_threshold);
+    for (int i = 0; i < k_threshold; ++i) {
+        term = (term * BigFloat::fromInt(n - i))
+                   .divSmall(static_cast<uint64_t>(i + 1));
+    }
+
+    BigFloat sum = term;
+    for (int k = k_threshold; k < n; ++k) {
+        // term(k+1) = term(k) * (n-k)/(k+1) * p/q.
+        term = (term * BigFloat::fromInt(n - k))
+                   .divSmall(static_cast<uint64_t>(k + 1)) *
+               bp / bq;
+        sum += term;
+        if (!term.isZero() &&
+            term.exponent() < sum.exponent() - 280) {
+            break; // remaining terms are below oracle precision
+        }
+    }
+    return sum;
+}
+
+/**
+ * PMF via Hong's DFT-CF method (characteristic function + inverse
+ * DFT; reference [32] of the paper). O(n^2) without an FFT, double
+ * precision only — an algorithmically independent cross-check of the
+ * Listing-2 dynamic program inside binary64's range. Returns
+ * Pr(X = k) for k = 0..n.
+ */
+inline std::vector<double>
+pmfDftCf(std::span<const double> success_probs)
+{
+    // Hong (2013): the characteristic function of a PBD evaluated at
+    // the (n+1)-th roots of unity is z_l = prod_j (1 - p_j + p_j w^l)
+    // with w = e^{2*pi*i/(n+1)}; the PMF is its inverse DFT.
+    const auto n = success_probs.size();
+    const size_t m = n + 1;
+    const double omega = 2.0 * M_PI / static_cast<double>(m);
+
+    std::vector<std::complex<double>> z(m);
+    for (size_t l = 0; l < m; ++l) {
+        std::complex<double> prod(1.0, 0.0);
+        const std::complex<double> w(
+            std::cos(omega * static_cast<double>(l)),
+            std::sin(omega * static_cast<double>(l)));
+        for (double p : success_probs)
+            prod *= std::complex<double>(1.0 - p, 0.0) + p * w;
+        z[l] = prod;
+    }
+
+    std::vector<double> pmf(m);
+    for (size_t k = 0; k < m; ++k) {
+        std::complex<double> sum(0.0, 0.0);
+        for (size_t l = 0; l < m; ++l) {
+            const double angle =
+                -omega * static_cast<double>(l * k % m);
+            sum += z[l] * std::complex<double>(std::cos(angle),
+                                               std::sin(angle));
+        }
+        const double value = sum.real() / static_cast<double>(m);
+        pmf[k] = value > 0.0 ? value : 0.0; // clip FFT noise
+    }
+    return pmf;
+}
+
+/** Upper tail P(X >= K) from the DFT-CF PMF. */
+inline double
+pvalueDftCf(std::span<const double> success_probs, int k_threshold)
+{
+    if (k_threshold <= 0)
+        return 1.0;
+    const auto pmf = pmfDftCf(success_probs);
+    double tail = 0.0;
+    for (size_t k = static_cast<size_t>(k_threshold); k < pmf.size();
+         ++k) {
+        tail += pmf[k];
+    }
+    return tail;
+}
+
+/**
+ * Rough log2 of the expected p-value of a column (Stirling-style
+ * estimate): the instrument the dataset tests measure the
+ * generator's magnitude spectrum with. The generator itself hits its
+ * targets by construction (makeColumnWithTarget) and never calls it.
+ */
+inline double
+estimateLog2PValue(const Column &column)
+{
+    const int n = column.coverage();
+    const int k = column.k;
+    if (k <= 0 || n == 0)
+        return 0.0;
+    double lbar = 0.0;
+    for (double p : column.success_probs)
+        lbar += std::log2(p);
+    lbar /= n;
+    const double expected = static_cast<double>(n) *
+                            std::pow(2.0, lbar);
+    if (k <= expected)
+        return 0.0;
+    const double estimate =
+        k * (std::log2(2.718281828 * n / k) + lbar);
+    return std::min(estimate, 0.0);
+}
+
+} // namespace pstat::pbd
 
 namespace pstat::hmm
 {
+
+/**
+ * Brute-force likelihood P(O|lambda) by enumerating all H^T hidden
+ * paths in double; usable for tiny models only. The reference for
+ * forward-algorithm unit tests.
+ */
+inline double
+enumerateLikelihood(const Model &model, std::span<const int> obs)
+{
+    const int h = model.num_states;
+    const auto t_len = obs.size();
+    if (t_len == 0)
+        return 1.0;
+
+    // Iterate over all H^T paths with an odometer.
+    std::vector<int> path(t_len, 0);
+    double total = 0.0;
+    for (;;) {
+        double p = model.pi[path[0]] * model.bAt(path[0], obs[0]);
+        for (size_t t = 1; t < t_len; ++t) {
+            p *= model.aAt(path[t - 1], path[t]) *
+                 model.bAt(path[t], obs[t]);
+        }
+        total += p;
+
+        size_t pos = 0;
+        while (pos < t_len && ++path[pos] == h) {
+            path[pos] = 0;
+            ++pos;
+        }
+        if (pos == t_len)
+            break;
+    }
+    return total;
+}
 
 /** Full alpha matrix (T x H) of the forward recursion. */
 template <typename T>
@@ -240,4 +414,4 @@ baumWelchStep(const Model &model, std::span<const int> obs)
 
 } // namespace pstat::hmm
 
-#endif // PSTAT_HMM_ALGORITHMS_HH
+#endif // PSTAT_TESTS_REFERENCE_HH

@@ -21,11 +21,11 @@
 #include "engine/escalate.hh"
 #include "engine/eval_engine.hh"
 #include "engine/format_registry.hh"
-#include "hmm/generator.hh"
 #include "pbd/dataset.hh"
 #include "pbd/pbd.hh"
 #include "pbd/screen.hh"
 #include "prop_util.hh"
+#include "reference.hh"
 #include "stats/rng.hh"
 
 namespace
@@ -597,35 +597,6 @@ TEST(Adaptive, FeasibilityRoutesPastHopelessTiers)
     const pbd::PValueBoundsLog2 over_flush{-230.0, -100.0};
     EXPECT_TRUE(engine::tierFeasible(b32, col.view(), over_flush, thr,
                                      engine::SumPolicy::Plain));
-}
-
-TEST(Adaptive, ForwardBatchCertifiesSmallModels)
-{
-    stats::Rng rng(0x8a3fULL);
-    std::vector<hmm::Model> models;
-    models.reserve(4);
-    std::vector<std::vector<int>> sequences;
-    sequences.reserve(4);
-    for (int j = 0; j < 4; ++j) {
-        models.push_back(hmm::makeDirichletModel(rng, 3, 5));
-        sequences.push_back(
-            hmm::sampleObservations(rng, models.back(), 12));
-    }
-    std::vector<engine::ForwardJob> jobs;
-    for (int j = 0; j < 4; ++j)
-        jobs.push_back(engine::ForwardJob{&models[j], sequences[j]});
-
-    engine::EvalPlan plan = prop::adaptivePlan(engine::defaultForwardCert());
-    plan.kernel = engine::PlanKernel::Forward;
-    const engine::AdaptiveBatch batch =
-        prop::runMemory(sharedEngine(), plan, jobs).adaptive;
-    EXPECT_EQ(batch.results.size(), jobs.size());
-    EXPECT_EQ(batch.uncertified, 0u);
-    for (const engine::EscalationResult &r : batch.results) {
-        EXPECT_TRUE(r.certified);
-        EXPECT_GE(r.tier, 0);
-        EXPECT_LE(r.interval.rel_bound_log2, -20.0 + 1e-12);
-    }
 }
 
 TEST(Adaptive, RecordTiersAccumulatesAcrossBatches)

@@ -13,10 +13,10 @@
 #include <gtest/gtest.h>
 
 #include "core/accuracy.hh"
-#include "hmm/algorithms.hh"
 #include "hmm/decode.hh"
 #include "hmm/forward.hh"
 #include "hmm/generator.hh"
+#include "reference.hh"
 
 namespace
 {

@@ -291,9 +291,20 @@ TEST(EvalEngine, BatchedForwardBitMatchesScalarTemplates)
     const auto lg = apps::vicarLikelihoodBatch(registry.at("log"),
                                                workloads, engine);
     const auto oracle = apps::vicarOracleBatch(workloads, engine);
+    std::vector<ForwardJob> jobs;
+    for (const auto &w : workloads)
+        jobs.push_back({&w.model, w.obs});
+    const auto oracle_plan =
+        prop::runMemory(engine, oraclePlan(PlanKernel::Forward), jobs)
+            .results;
 
     for (size_t i = 0; i < workloads.size(); ++i) {
         const auto &w = workloads[i];
+        // The oracle plan is the serial ScaledDD forward loop.
+        EXPECT_TRUE(oracle_plan[i].value ==
+                    hmm::forwardOracle(w.model, w.obs)
+                        .likelihood.toBigFloat())
+            << i;
         EXPECT_TRUE(b64[i].value == scalarForwardAccel<double>(w))
             << i;
         EXPECT_TRUE((p18[i].value ==
@@ -478,6 +489,10 @@ TEST(EvalEngine, BatchedPValuesBitMatchScalarTemplates)
                             SumPolicy::Plain);
     const auto oracle = apps::lofreqOracle(ds, engine);
     const auto oracle_serial = apps::lofreqOracle(ds);
+    const auto oracle_plan =
+        prop::runMemory(engine, oraclePlan(PlanKernel::PValue),
+                        ds.columns)
+            .results;
 
     ASSERT_EQ(lg.size(), ds.columns.size());
     for (size_t i = 0; i < ds.columns.size(); ++i) {
@@ -492,6 +507,11 @@ TEST(EvalEngine, BatchedPValuesBitMatchScalarTemplates)
         EXPECT_TRUE(lg[i].value == want_log) << i;
         EXPECT_TRUE(p12[i].value == want_p12) << i;
         EXPECT_TRUE(oracle[i] == oracle_serial[i]) << i;
+        // The oracle plan is the serial ScaledDD Listing-2 DP.
+        EXPECT_TRUE(oracle_plan[i].value ==
+                    pbd::pvalueOracle(col.success_probs, col.k)
+                        .toBigFloat())
+            << i;
     }
 }
 
@@ -639,7 +659,9 @@ TEST(EvalEngine, BackwardMatchesScalarTemplatesAndLogNary)
     const auto p18 = backward("posit64_18");
     const auto lg = backward("log");
     const auto lg32 = backward("log32");
-    const auto oracle = engine.backwardOracleBatch(jobs);
+    const auto oracle =
+        prop::runMemory(engine, oraclePlan(PlanKernel::Backward), jobs)
+            .results;
 
     for (size_t i = 0; i < jobs.size(); ++i) {
         const auto &m = *jobs[i].model;
@@ -661,14 +683,15 @@ TEST(EvalEngine, BackwardMatchesScalarTemplatesAndLogNary)
                         hmm::backwardLogNary32(m, jobs[i].obs)
                             .likelihood))
             << i;
-        EXPECT_TRUE(oracle[i] ==
+        EXPECT_TRUE(oracle[i].value ==
                     hmm::backward<ScaledDD>(m, jobs[i].obs)
                         .likelihood.toBigFloat())
             << i;
         // Backward and forward oracles agree on P(O).
         const BigFloat fwd =
             hmm::forwardOracle(m, jobs[i].obs).likelihood.toBigFloat();
-        EXPECT_LT(accuracy::relErrLog10(fwd, oracle[i]), -25.0) << i;
+        EXPECT_LT(accuracy::relErrLog10(fwd, oracle[i].value), -25.0)
+            << i;
     }
 }
 
@@ -676,18 +699,22 @@ TEST(EvalEngine, OracleDecodeBatchesMatchSerial)
 {
     EvalEngine engine(4);
     const auto jobs = decodeJobs();
-    const auto gammas = engine.posteriorOracleBatch(jobs);
-    const auto paths = engine.viterbiOracleBatch(jobs);
-    ASSERT_EQ(gammas.size(), jobs.size());
-    ASSERT_EQ(paths.size(), jobs.size());
+    const auto posteriors =
+        prop::runMemory(engine, oraclePlan(PlanKernel::Posterior), jobs)
+            .posteriors;
+    const auto decodes =
+        prop::runMemory(engine, oraclePlan(PlanKernel::Viterbi), jobs)
+            .decodes;
+    ASSERT_EQ(posteriors.size(), jobs.size());
+    ASSERT_EQ(decodes.size(), jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
         const auto serial =
             hmm::posterior<ScaledDD>(*jobs[i].model, jobs[i].obs);
-        ASSERT_EQ(gammas[i].size(), serial.gamma.size());
+        ASSERT_EQ(posteriors[i].gamma.size(), serial.gamma.size());
         for (size_t k = 0; k < serial.gamma.size(); ++k)
-            ASSERT_TRUE(gammas[i][k] ==
+            ASSERT_TRUE(posteriors[i].gamma[k].value ==
                         serial.gamma[k].toBigFloat());
-        EXPECT_EQ(paths[i],
+        EXPECT_EQ(decodes[i].path,
                   hmm::viterbi<ScaledDD>(*jobs[i].model, jobs[i].obs)
                       .path);
     }

@@ -1,11 +1,11 @@
 /**
  * @file
  * Differential certification harness of the adaptive escalation
- * subsystem (engine/escalate.hh): seeded adversarial columns and
- * sequences are evaluated through the ladder and every *certified*
- * answer is audited against the exact BigFloat oracle — a certified
- * decision must agree with the oracle at the threshold, a certified
- * value must sit within its claimed relative bound, and the certified
+ * subsystem (engine/escalate.hh): seeded adversarial columns are
+ * evaluated through the ladder and every *certified* answer is
+ * audited against the exact BigFloat oracle — a certified decision
+ * must agree with the oracle at the threshold, a certified value
+ * must sit within its claimed relative bound, and the certified
  * enclosure must contain the oracle. Mis-certification is a test
  * failure, never a tolerance; every failure message carries the
  * reproducing case seed.
@@ -57,7 +57,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /** Sweep seeds: fixed, so every CI run fires the same adversaries. */
 constexpr uint64_t kColumnSweepSeed = 0xadc01d5eed5ULL;
 constexpr uint64_t kScreenSweepSeed = 0x5c4ee75eed3ULL;
-constexpr uint64_t kForwardSweepSeed = 0xf02ad5eed7ULL;
 constexpr uint64_t kPosteriorSweepSeed = 0x9057e2105eedULL;
 
 engine::EvalEngine &
@@ -478,55 +477,6 @@ TEST(DiffEscalate, AdaptiveStreamMatchesBatch)
     EXPECT_EQ(streamed.adaptive.uncertified, uncertified);
 }
 
-TEST(DiffEscalate, ForwardCertificatesAreSound)
-{
-    // A mixed HMM workload: synthetic Dirichlet models and deep
-    // phylo-style chains whose likelihoods underflow binary64.
-    const size_t count = std::clamp<size_t>(
-        prop::diffCases() / 40, 40, 500);
-    std::deque<hmm::Model> models;
-    std::deque<std::vector<int>> sequences;
-    std::vector<engine::ForwardJob> jobs;
-    std::vector<uint64_t> seeds;
-    for (size_t j = 0; j < count; ++j) {
-        seeds.push_back(prop::caseSeed(kForwardSweepSeed, j));
-        stats::Rng rng(seeds.back());
-        if (rng.chance(0.5)) {
-            models.push_back(hmm::makeDirichletModel(
-                rng, 2 + static_cast<int>(rng.below(6)),
-                3 + static_cast<int>(rng.below(10))));
-        } else {
-            hmm::PhyloConfig config;
-            config.num_states = 3 + static_cast<int>(rng.below(6));
-            config.num_symbols = 8 + static_cast<int>(rng.below(24));
-            models.push_back(hmm::makePhyloModel(rng, config));
-        }
-        const size_t length = rng.below(180);
-        sequences.push_back(
-            hmm::sampleObservations(rng, models.back(), length));
-        jobs.push_back(
-            engine::ForwardJob{&models.back(), sequences.back()});
-    }
-    const std::vector<BigFloat> oracle =
-        sharedEngine().forwardOracleBatch(jobs);
-
-    CertConfig value_cert;
-    value_cert.tol_rel_log2 = -12.0;
-    engine::EvalPlan forward = prop::adaptivePlan(value_cert);
-    forward.kernel = engine::PlanKernel::Forward;
-    const AdaptiveBatch values =
-        prop::runMemory(sharedEngine(), forward, jobs).adaptive;
-    auditBatch(values, oracle, seeds);
-    EXPECT_EQ(values.uncertified, 0u);
-
-    CertConfig decision_cert;
-    decision_cert.threshold_log2 = -100.0;
-    forward.cert = decision_cert;
-    const AdaptiveBatch decisions =
-        prop::runMemory(sharedEngine(), forward, jobs).adaptive;
-    auditBatch(decisions, oracle, seeds);
-}
-
 TEST(DiffEscalate, PosteriorDifferentialTracksOracle)
 {
     const size_t count = std::clamp<size_t>(
@@ -553,21 +503,26 @@ TEST(DiffEscalate, PosteriorDifferentialTracksOracle)
     posterior.format_id = "binary64";
     const auto computed =
         prop::runMemory(sharedEngine(), posterior, jobs).posteriors;
-    const auto oracle = sharedEngine().posteriorOracleBatch(jobs);
+    const auto oracle =
+        prop::runMemory(sharedEngine(),
+                        engine::oraclePlan(engine::PlanKernel::Posterior),
+                        jobs)
+            .posteriors;
     ASSERT_EQ(computed.size(), oracle.size());
     for (size_t j = 0; j < jobs.size(); ++j) {
         const std::string tag = seedTag(j, seeds[j]);
-        ASSERT_EQ(computed[j].gamma.size(), oracle[j].size()) << tag;
-        for (size_t e = 0; e < oracle[j].size(); ++e) {
+        const std::vector<engine::EvalResult> &gamma = oracle[j].gamma;
+        ASSERT_EQ(computed[j].gamma.size(), gamma.size()) << tag;
+        for (size_t e = 0; e < gamma.size(); ++e) {
             const engine::EvalResult &entry = computed[j].gamma[e];
             ASSERT_FALSE(entry.invalid) << tag << " entry " << e;
-            if (oracle[j][e].isZero()) {
+            if (gamma[e].value.isZero()) {
                 EXPECT_TRUE(entry.value.isZero())
                     << tag << " entry " << e;
                 continue;
             }
             const BigFloat err = BigFloat::relativeError(
-                oracle[j][e], entry.value);
+                gamma[e].value, entry.value);
             ASSERT_FALSE(err.isNaN()) << tag << " entry " << e;
             if (!err.isZero()) {
                 EXPECT_LE(err.log2Abs(), -30.0)

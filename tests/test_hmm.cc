@@ -10,9 +10,9 @@
 #include <gtest/gtest.h>
 
 #include "core/accuracy.hh"
-#include "hmm/algorithms.hh"
 #include "hmm/forward.hh"
 #include "hmm/generator.hh"
+#include "reference.hh"
 
 namespace
 {
@@ -124,21 +124,6 @@ TEST(Forward, Binary64UnderflowDetected)
     const auto oracle = forwardOracle(model, obs);
     EXPECT_FALSE(oracle.likelihood.isZero());
     EXPECT_NEAR(oracle.likelihood.log2Abs(), -60.0 * 60, 600.0);
-}
-
-TEST(Forward, RescaledMatchesOracleLog2)
-{
-    stats::Rng rng(48);
-    PhyloConfig config;
-    config.num_states = 8;
-    config.decay_bits_per_site = 30.0;
-    const Model model = makePhyloModel(rng, config);
-    const auto obs = sampleUniformObservations(rng, 64, 200);
-
-    const auto oracle = forwardOracle(model, obs);
-    const auto rescaled = forwardRescaled(model, obs);
-    EXPECT_NEAR(rescaled.log2_likelihood, oracle.likelihood.log2Abs(),
-                1e-6);
 }
 
 TEST(Forward, OracleTracksExponentDecay)

@@ -13,6 +13,7 @@
 #include "core/accuracy.hh"
 #include "pbd/dataset.hh"
 #include "pbd/pbd.hh"
+#include "reference.hh"
 #include "stats/rng.hh"
 
 namespace

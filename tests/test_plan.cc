@@ -303,6 +303,29 @@ TEST(Plan, ValidatesPolicyKernelAndKnobCombinations)
     EXPECT_THROW(engine::validatePlan(screened_forward),
                  std::invalid_argument);
 
+    // The adaptive ladder certifies p-values only: the same adaptive
+    // plan is valid on the pvalue kernel and rejected on every HMM
+    // kernel, from memory and from a shard stream.
+    for (const auto source : {engine::PlanSource::Memory,
+                              engine::PlanSource::ShardStream}) {
+        engine::EvalPlan adaptive;
+        adaptive.source = source;
+        adaptive.policy = engine::PlanPolicy::Adaptive;
+        adaptive.cert.threshold_log2 = -200.0;
+        adaptive.shard_paths = {"x.shard"};
+        EXPECT_NO_THROW(engine::validatePlan(adaptive));
+        for (const auto kernel :
+             {engine::PlanKernel::Forward, engine::PlanKernel::Backward,
+              engine::PlanKernel::Posterior,
+              engine::PlanKernel::Viterbi}) {
+            adaptive.kernel = kernel;
+            EXPECT_THROW(engine::validatePlan(adaptive),
+                         std::invalid_argument)
+                << engine::planKernelName(kernel) << " from "
+                << engine::planSourceName(source);
+        }
+    }
+
     // Decode kernels have no streamed implementation.
     engine::EvalPlan viterbi_stream;
     viterbi_stream.kernel = engine::PlanKernel::Viterbi;

@@ -111,22 +111,6 @@ TEST(Screen, CountFalseSkipsAuditsOnlySkippedColumns)
                  std::invalid_argument);
 }
 
-TEST(Screen, SerialEstimatesMatchPerColumnCalls)
-{
-    DatasetConfig config;
-    config.num_columns = 40;
-    config.seed = 71;
-    const auto ds = makeDataset(config, "est");
-    const auto estimates = screenEstimates(ds.columns);
-    ASSERT_EQ(estimates.size(), ds.columns.size());
-    for (size_t i = 0; i < ds.columns.size(); ++i) {
-        EXPECT_EQ(estimates[i],
-                  pvalueLog2Estimate(ds.columns[i].success_probs,
-                                     ds.columns[i].k))
-            << i;
-    }
-}
-
 /** Small mixed dataset shared by the engine-level screening tests. */
 ColumnDataset
 screeningDataset()
