@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "io/file_replacement.hh"
 #include "io/shard.hh"
 
 namespace pstat::engine
@@ -494,14 +495,13 @@ void
 writePlanFile(const std::string &path, const EvalPlan &plan)
 {
     const std::vector<uint8_t> bytes = encodePlan(plan);
-    std::FILE *file = std::fopen(path.c_str(), "wb");
-    if (file == nullptr)
-        throw PlanError("cannot open " + path + " for writing");
-    const bool wrote = std::fwrite(bytes.data(), 1, bytes.size(),
-                                   file) == bytes.size();
-    const bool closed = std::fclose(file) == 0;
-    if (!wrote || !closed)
-        throw PlanError("failed writing " + path);
+    try {
+        io::FileReplacement file(path);
+        file.write(bytes.data(), bytes.size());
+        file.commit();
+    } catch (const io::FileError &error) {
+        throw PlanError(error.what());
+    }
 }
 
 EvalPlan

@@ -236,7 +236,12 @@ std::vector<uint8_t> encodePlan(const EvalPlan &plan);
  */
 EvalPlan decodePlan(std::span<const uint8_t> bytes);
 
-/** Encode `plan` into `path`; throws PlanError on I/O failure. */
+/**
+ * Encode `plan` into `path`, replacing any file there whole
+ * (io/file_replacement.hh): readers see the old plan or the new
+ * one, and a failed write leaves the old file. Throws PlanError on
+ * I/O failure or a target that is not a regular file.
+ */
 void writePlanFile(const std::string &path, const EvalPlan &plan);
 
 /** Read and decode `path`; throws PlanError on I/O or decode. */

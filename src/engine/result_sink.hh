@@ -11,7 +11,9 @@
  * writes the PR 5 shard encoding's Results payload (io/shard.hh), so a
  * distributed evaluation leaves one idempotent, CRC-validated result
  * file per worker that any ShardReader can audit, and
- * `pstat eval -o out.shard` gets a durable output mode.
+ * `pstat eval -o out.shard` gets a file output mode. The file is
+ * replaced whole when the run finishes, never truncated, and not
+ * fsynced (io/file_replacement.hh).
  */
 
 #ifndef PSTAT_ENGINE_RESULT_SINK_HH
@@ -151,16 +153,20 @@ class AccumulateSink final : public ResultSink
  * invalid/underflow/skipped/certified bookkeeping, the value encoded
  * losslessly (sign, exponent, full BigFloat mantissa), Viterbi
  * decodes carrying their path. finish() writes the header and CRC
- * trailer — a sink that never finishes leaves an unvalidatable file,
- * which is the idempotency story for distributed per-shard outputs.
- * Does not consume posteriors (the T x H gamma matrices are not
- * record-shaped); wiring it to a Posterior plan throws.
+ * trailer and swaps the finished shard in place of `path` whole; a
+ * sink that never finishes (a run that threw) leaves whatever file
+ * was there untouched, which is the idempotency story for
+ * distributed per-shard outputs. Does not consume posteriors (the
+ * T x H gamma matrices are not record-shaped); wiring it to a
+ * Posterior plan throws.
  */
 class ShardFileSink final : public ResultSink
 {
   public:
     /**
-     * Opens (truncates) `path`, stamping the meta block.
+     * Starts a replacement of `path` (io::ShardWriter), stamping
+     * the meta block; the file at `path` is not touched until
+     * finish().
      * @param path output file
      * @param kernel the plan kernel producing the records
      * @param format_id the producing format (or ladder) id

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -78,6 +79,17 @@ crc32Slice8(uint32_t state, const unsigned char *p, size_t len)
     return state;
 }
 
+/** A shard writer's output file, its failures as ShardError. */
+FileReplacement
+replacementFor(const std::string &path)
+{
+    try {
+        return FileReplacement(path);
+    } catch (const FileError &error) {
+        throw ShardError(error.what());
+    }
+}
+
 /** True when crc32() may run the PCLMULQDQ kernel for `isa`. */
 bool
 pclmulUsable(simd::Isa isa)
@@ -118,31 +130,24 @@ crc32(uint32_t crc, const void *data, size_t len)
 // ------------------------------------------------------------ writer
 
 ShardWriter::ShardWriter(std::string path, ShardPayload payload)
-    : path_(std::move(path)), payload_(payload)
+    : path_(std::move(path)), payload_(payload),
+      file_(replacementFor(path_))
 {
-    file_ = std::fopen(path_.c_str(), "wb");
-    if (file_ == nullptr)
-        fail(path_, std::string("cannot open for writing: ") +
-                        std::strerror(errno));
-    // A zeroed placeholder (no magic): a writer that dies before
-    // close() leaves a file no reader will ever validate.
+    // A zeroed placeholder (no magic) holds the header's place until
+    // close() knows the counts and patches it.
     const ShardHeader placeholder{};
     write(&placeholder, sizeof(placeholder));
     payload_bytes_ = 0; // the header is not payload
 }
 
-ShardWriter::~ShardWriter()
-{
-    if (file_ != nullptr)
-        std::fclose(file_);
-}
-
 void
 ShardWriter::write(const void *data, size_t len)
 {
-    assert(file_ != nullptr && "writer already closed");
-    if (std::fwrite(data, 1, len, file_) != len)
-        fail(path_, "write failed");
+    try {
+        file_.write(data, len);
+    } catch (const FileError &error) {
+        throw ShardError(error.what());
+    }
 }
 
 void
@@ -286,7 +291,6 @@ ShardWriter::addResult(const ShardResultRecord &record)
 void
 ShardWriter::close()
 {
-    assert(file_ != nullptr && "writer already closed");
     const uint64_t trailer = crc_; // zero-extended to 8 bytes
     write(&trailer, sizeof(trailer));
 
@@ -296,13 +300,12 @@ ShardWriter::close()
     header.payload = static_cast<uint32_t>(payload_);
     header.item_count = items_;
     header.payload_bytes = payload_bytes_;
-    if (std::fseek(file_, 0, SEEK_SET) != 0)
-        fail(path_, "seek failed");
-    write(&header, sizeof(header));
-
-    std::FILE *file = std::exchange(file_, nullptr);
-    if (std::fclose(file) != 0)
-        fail(path_, "close failed");
+    try {
+        file_.writeAt(0, &header, sizeof(header));
+        file_.commit();
+    } catch (const FileError &error) {
+        throw ShardError(error.what());
+    }
 }
 
 // ------------------------------------------------------------ reader

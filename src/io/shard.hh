@@ -46,7 +46,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -54,6 +53,7 @@
 #include <vector>
 
 #include "core/simd.hh"
+#include "io/file_replacement.hh"
 #include "pbd/dataset.hh"
 
 /**
@@ -172,22 +172,30 @@ uint32_t crc32(uint32_t crc, const void *data, size_t len,
  * stays O(record) regardless of shard size. Writer methods throw
  * ShardError on I/O failure and std::logic_error on payload-kind
  * misuse (a sequence appended to a Columns shard).
+ *
+ * The bytes go to a temp sibling of `path` (io/file_replacement.hh)
+ * and close() swaps the finished shard in whole: a reader that has
+ * the old file mapped keeps its bytes, and a writer destroyed or
+ * failed before close() leaves the old file (or no file) untouched.
  */
 class ShardWriter
 {
   public:
-    /** Opens (truncates) `path` for a shard of the given payload. */
+    /**
+     * Starts a replacement of `path` for a shard of the given
+     * payload; the file at `path` is not touched until close().
+     * Throws ShardError when `path` exists but is not a regular
+     * file, or when its directory cannot be written.
+     */
     ShardWriter(std::string path, ShardPayload payload);
     /**
-     * Opens (truncates) `path` for a Results shard, writing the meta
-     * block (kernel tag + producing format id, at most
+     * Starts a replacement of `path` for a Results shard, writing
+     * the meta block (kernel tag + producing format id, at most
      * shard_result_id_max bytes) immediately. The kernel tag is
      * opaque to this layer (the engine writes its PlanKernel value).
      */
     ShardWriter(std::string path, uint32_t result_kernel,
                 const std::string &format_id);
-    /** Best-effort close; prefer close() to observe I/O errors. */
-    ~ShardWriter();
 
     ShardWriter(const ShardWriter &) = delete;            //!< not copyable
     ShardWriter &operator=(const ShardWriter &) = delete; //!< not copyable
@@ -212,7 +220,10 @@ class ShardWriter
     /** Payload bytes appended so far. */
     size_t payloadBytes() const { return payload_bytes_; }
 
-    /** Writes the trailer, patches the header, and closes the file. */
+    /**
+     * Writes the trailer, patches the header, and swaps the finished
+     * shard in place of `path`.
+     */
     void close();
 
   private:
@@ -220,7 +231,7 @@ class ShardWriter
 
     std::string path_;
     ShardPayload payload_;
-    std::FILE *file_ = nullptr;
+    FileReplacement file_;
     size_t items_ = 0;
     size_t payload_bytes_ = 0;
     uint32_t crc_ = 0;
