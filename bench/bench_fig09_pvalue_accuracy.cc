@@ -87,14 +87,12 @@ main()
     for (const auto &oracle : oracles)
         evaluated += oracle.value.isZero() ? 0 : 1;
 
-    const auto sum_policy = engine::defaultSumPolicy();
+    const engine::SumPolicy sum_policy = bench::sumPolicy();
     for (size_t f = 0; f < series.size(); ++f) {
         engine::EvalPlan plan;
         plan.kernel = engine::PlanKernel::PValue;
         plan.format_id = series[f].format->id();
-        plan.sum = sum_policy == engine::SumPolicy::Compensated
-                       ? engine::PlanSum::Compensated
-                       : engine::PlanSum::Plain;
+        plan.sum = sum_policy;
         const auto results = engine.run(plan, inputs).results;
         for (size_t i = 0; i < results.size(); ++i)
             tallies[f].add(oracles[i].value, results[i]);

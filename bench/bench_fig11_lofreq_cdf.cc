@@ -48,8 +48,8 @@ evaluate(const engine::FormatOps &format,
     Split out;
     const BigFloat threshold = apps::lofreqThreshold();
     for (size_t d = 0; d < datasets.size(); ++d) {
-        const auto results =
-            apps::lofreqPValues(format, datasets[d], engine);
+        const auto results = apps::lofreqPValues(
+            format, datasets[d], engine, bench::sumPolicy());
         for (size_t i = 0; i < results.size(); ++i) {
             const BigFloat &oracle = oracles[d][i];
             if (oracle.isZero())

@@ -370,10 +370,8 @@ main()
     sched_plan.source = engine::PlanSource::Memory;
     sched_plan.policy = engine::PlanPolicy::Fixed;
     sched_plan.format_id = b64.id();
-    sched_plan.sum = engine::PlanSum::Plain;
     engine::PlanInputs sched_inputs;
     sched_inputs.columns = cheap_ds.columns;
-    sched_inputs.format = &b64;
     const double per_index_ms =
         bench::timeStats(3, [&] {
             per_index.run(sched_plan, sched_inputs);

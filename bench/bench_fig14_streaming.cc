@@ -115,15 +115,12 @@ runStream(const engine::FormatOps &format,
     plan.source = engine::PlanSource::ShardStream;
     plan.policy = engine::PlanPolicy::Fixed;
     plan.format_id = format.id();
-    plan.sum = engine::PlanSum::Plain;
     plan.shard_paths = paths;
     plan.queue_capacity = queue_capacity;
-    engine::PlanInputs inputs;
-    inputs.format = &format;
     // run() opens the shard stream itself, so the timer covers the
     // same span the hand-rolled pipeline did.
     const bench::WallTimer timer;
-    engine::PlanRun run = engine.run(plan, inputs);
+    engine::PlanRun run = engine.run(plan);
     out.wall_ms = timer.elapsedMs();
     out.results = std::move(run.results);
     out.stats = run.stream;
@@ -141,10 +138,8 @@ runMemory(const engine::FormatOps &format,
     plan.source = engine::PlanSource::Memory;
     plan.policy = engine::PlanPolicy::Fixed;
     plan.format_id = format.id();
-    plan.sum = engine::PlanSum::Plain;
     engine::PlanInputs inputs;
     inputs.columns = columns;
-    inputs.format = &format;
     return engine.run(plan, inputs).results;
 }
 
@@ -363,7 +358,6 @@ main()
             batch_plan.format_id = format.id();
             engine::PlanInputs batch_inputs;
             batch_inputs.jobs = jobs;
-            batch_inputs.format = &format;
             const bench::WallTimer batch_timer;
             const auto want =
                 engine.run(batch_plan, batch_inputs).results;
@@ -378,7 +372,6 @@ main()
             stream_plan.queue_capacity = queue_capacity;
             engine::PlanInputs stream_inputs;
             stream_inputs.model = &model;
-            stream_inputs.format = &format;
             const bench::WallTimer stream_timer;
             const auto got =
                 engine.run(stream_plan, stream_inputs).results;

@@ -23,7 +23,8 @@
  *     more columns into the threshold band, so more of them climb —
  *     the knob that moves the adaptive/fixed trade-off.
  *
- * Knobs: PSTAT_SCALE scales the workloads, PSTAT_THREADS the lanes;
+ * Knobs: PSTAT_SCALE scales the workloads, PSTAT_THREADS the lanes,
+ * PSTAT_COMPENSATED the summation policy of every plan;
  * PSTAT_LADDER/PSTAT_CERT_TOL are deliberately *not* read here — the
  * bench pins the default ladder so the baseline is stable.
  */
@@ -90,9 +91,9 @@ runFixedPlan(engine::EvalEngine &engine,
     plan.source = engine::PlanSource::Memory;
     plan.policy = engine::PlanPolicy::Fixed;
     plan.format_id = format.id();
+    plan.sum = bench::sumPolicy();
     engine::PlanInputs inputs;
     inputs.columns = columns;
-    inputs.format = &format;
     return engine.run(plan, inputs).results;
 }
 
@@ -115,9 +116,9 @@ runAdaptivePlan(engine::EvalEngine &engine,
         plan.screen = *screen;
     for (const engine::FormatOps *tier : ladder.tiers)
         plan.ladder_ids.push_back(tier->id());
+    plan.sum = bench::sumPolicy();
     engine::PlanInputs inputs;
     inputs.columns = columns;
-    inputs.ladder = &ladder;
     return engine.run(plan, inputs).adaptive;
 }
 

@@ -25,7 +25,8 @@
  * are printed for the eye but never pinned by the baseline guard.
  *
  * Knobs: PSTAT_SCALE scales the workload, PSTAT_THREADS the engine
- * lanes, PSTAT_FIG17_RATE_FRACTION the offered open-loop load as a
+ * lanes, PSTAT_COMPENSATED the summation policy of the served plan,
+ * PSTAT_FIG17_RATE_FRACTION the offered open-loop load as a
  * fraction of the measured closed-loop capacity (default 0.7).
  */
 
@@ -62,6 +63,7 @@ servePlan()
     plan.source = engine::PlanSource::Memory;
     plan.policy = engine::PlanPolicy::Fixed;
     plan.format_id = "binary64";
+    plan.sum = bench::sumPolicy();
     return plan;
 }
 

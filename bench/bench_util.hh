@@ -27,6 +27,9 @@
 
 #include <sys/resource.h>
 
+#include "engine/env.hh"
+#include "engine/format_registry.hh"
+
 namespace pstat::bench
 {
 
@@ -57,6 +60,36 @@ envDouble(const char *name, double fallback)
 {
     const char *value = std::getenv(name);
     return value != nullptr ? std::atof(value) : fallback;
+}
+
+/**
+ * The summation policy of the p-value plans of fig09, fig11, fig16
+ * and fig17: PSTAT_COMPENSATED, strictly parsed like every knob in
+ * engine/env.hh and read once per bench process (so a malformed value
+ * warns once). Unset or empty is Plain; a malformed value keeps
+ * Plain. The benches record it in the plans they build, so the
+ * variable moves the same bench outputs as ever while the library
+ * never reads it.
+ */
+inline engine::SumPolicy
+sumPolicy()
+{
+    static const engine::SumPolicy policy = [] {
+        const char *env = std::getenv("PSTAT_COMPENSATED");
+        if (env == nullptr || env[0] == '\0')
+            return engine::SumPolicy::Plain;
+        const auto parsed = engine::parseBool(env);
+        if (!parsed) {
+            std::fprintf(stderr,
+                         "pstat: ignoring invalid PSTAT_COMPENSATED="
+                         "\"%s\" (want 0/1/true/false/yes/no/on/off)\n",
+                         env);
+            return engine::SumPolicy::Plain;
+        }
+        return *parsed ? engine::SumPolicy::Compensated
+                       : engine::SumPolicy::Plain;
+    }();
+    return policy;
 }
 
 /** Global workload multiplier (PSTAT_SCALE, default 1.0). */

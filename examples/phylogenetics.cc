@@ -98,7 +98,6 @@ main(int argc, char **argv)
         engine::EvalPlan vit_plan;
         vit_plan.kernel = engine::PlanKernel::Viterbi;
         vit_plan.format_id = id;
-        inputs.format = &format;
         const auto post = engine.run(post_plan, inputs).posteriors;
         const auto vit = engine.run(vit_plan, inputs).decodes[0];
         double worst = -400.0;

@@ -26,12 +26,9 @@ lofreqPValues(const engine::FormatOps &format,
     plan.source = engine::PlanSource::Memory;
     plan.policy = engine::PlanPolicy::Fixed;
     plan.format_id = format.id();
-    plan.sum = sum == engine::SumPolicy::Compensated
-                   ? engine::PlanSum::Compensated
-                   : engine::PlanSum::Plain;
+    plan.sum = sum;
     engine::PlanInputs inputs;
     inputs.columns = dataset.columns;
-    inputs.format = &format;
     return engine.run(plan, inputs).results;
 }
 
@@ -63,12 +60,9 @@ lofreqPValuesScreened(const engine::FormatOps &format,
     plan.policy = engine::PlanPolicy::Screened;
     plan.format_id = format.id();
     plan.screen = config;
-    plan.sum = sum == engine::SumPolicy::Compensated
-                   ? engine::PlanSum::Compensated
-                   : engine::PlanSum::Plain;
+    plan.sum = sum;
     engine::PlanInputs inputs;
     inputs.columns = dataset.columns;
-    inputs.format = &format;
     return engine.run(plan, inputs).screened;
 }
 

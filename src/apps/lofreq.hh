@@ -68,16 +68,15 @@ lofreqPValues(const pbd::ColumnDataset &dataset)
 }
 
 /**
- * Evaluate every column in a runtime-selected format, batched over
- * the engine's worker pool. The summation policy defaults to the
- * process-wide knob (PSTAT_COMPENSATED), so benches pick up the
- * compensated accumulation without per-call-site wiring.
+ * Evaluate every column in a runtime-selected registry format,
+ * batched over the engine's worker pool, under the given summation
+ * policy (Plain unless the caller names another).
  */
 std::vector<PValueResult>
 lofreqPValues(const engine::FormatOps &format,
               const pbd::ColumnDataset &dataset,
               engine::EvalEngine &engine,
-              engine::SumPolicy sum = engine::defaultSumPolicy());
+              engine::SumPolicy sum = engine::SumPolicy::Plain);
 
 /**
  * One dataset's screened evaluation (two-stage pipeline of
@@ -100,8 +99,7 @@ lofreqPValuesScreened(const engine::FormatOps &format,
                       const pbd::ColumnDataset &dataset,
                       engine::EvalEngine &engine,
                       const pbd::ScreenConfig &config = {},
-                      engine::SumPolicy sum =
-                          engine::defaultSumPolicy());
+                      engine::SumPolicy sum = engine::SumPolicy::Plain);
 
 /**
  * False-skip audit of a screened evaluation against oracle

@@ -16,19 +16,22 @@
  *   screen  streamed two-stage screened evaluation (estimate
  *           everywhere, exact DP inside the guard band)
  *
- * eval and screen parse their flags straight into an
- * engine::EvalPlan (engine/plan.hh) and hand it to
- * EvalEngine::run — the CLI owns no evaluation loop of its own.
- * Every such invocation can round-trip its plan: --plan-dump FILE
- * writes the encoded plan instead of running it, and
- * `eval --plan-file FILE` executes a previously dumped plan (with
- * positional shard paths overriding the plan's own, so one plan
- * template can be replayed against any dataset).
+ * eval, screen and request parse their flags into an
+ * engine::EvalPlan (engine/plan.hh) through one function,
+ * planFromFlags, and hand it to EvalEngine::run (or, for request, to
+ * a daemon) — the CLI owns no evaluation loop of its own. Every such
+ * invocation can round-trip its plan: --plan-dump FILE writes the
+ * encoded plan instead of running it, and `eval --plan-file FILE`
+ * executes a previously dumped plan (with positional shard paths
+ * overriding the plan's own, so one plan template can be replayed
+ * against any dataset).
  *
- * The process-wide knobs apply unchanged: PSTAT_THREADS sets the
- * engine lanes, PSTAT_COMPENSATED the summation policy,
- * PSTAT_GUARD_BITS the default guard band of `screen`, and
- * PSTAT_LADDER / PSTAT_CERT_TOL the adaptive defaults.
+ * The knobs that move result bits — PSTAT_COMPENSATED (summation
+ * policy), PSTAT_LADDER / PSTAT_CERT_TOL (adaptive defaults) and
+ * PSTAT_GUARD_BITS (the default guard band) — are read by
+ * planFromFlags alone and recorded in the plan it builds, so a
+ * --plan-file replay and the daemon ignore them. PSTAT_THREADS sets
+ * the engine lanes of whichever process runs the plan.
  */
 
 #include "apps/pstat_cli.hh"
@@ -123,10 +126,13 @@ usage(std::FILE *out)
         "the columns of the given shards under the chosen policy and\n"
         "exits 0 on success, 3 when rejected, 4 when expired.\n"
         "\n"
-        "environment: PSTAT_THREADS (engine lanes), PSTAT_COMPENSATED\n"
-        "(summation policy), PSTAT_GUARD_BITS (screen default band),\n"
-        "PSTAT_QUEUE_CAP (default --queue), PSTAT_LADDER (adaptive\n"
-        "tiers), PSTAT_CERT_TOL (adaptive default tolerance),\n"
+        "environment: PSTAT_COMPENSATED (summation policy),\n"
+        "PSTAT_LADDER (adaptive tiers), PSTAT_CERT_TOL (adaptive\n"
+        "default tolerance) and PSTAT_GUARD_BITS (screen default\n"
+        "band) are read when eval, screen or request build a plan\n"
+        "from flags, and recorded in it: an eval --plan-file replay\n"
+        "and the serve daemon ignore them. PSTAT_THREADS (engine\n"
+        "lanes), PSTAT_QUEUE_CAP (default --queue),\n"
         "PSTAT_SERVE_QUEUE / PSTAT_SERVE_COALESCE /\n"
         "PSTAT_SERVE_MAX_FRAME (serve admission, coalescing and\n"
         "frame-size defaults).\n");
@@ -694,41 +700,56 @@ maybeDumpPlan(const Args &args, const engine::EvalPlan &plan)
     return 0;
 }
 
-// --------------------------------------------------------------- eval
+// ---------------------------------------------------- plans from flags
 
-/** Build the Fixed-policy eval plan from flags; nullopt = usage. */
-std::optional<engine::EvalPlan>
-buildEvalFixedPlan(const Args &args)
+/**
+ * PSTAT_COMPENSATED as a plan's summation policy: 1/true/yes/on pick
+ * Compensated, 0/false/no/off or an unset (or empty) variable Plain.
+ * Strictly parsed: anything else (e.g. "1x") warns and keeps Plain
+ * instead of being silently misread.
+ */
+engine::SumPolicy
+sumFromEnv()
 {
-    const auto *format = lookupFormat(args);
-    if (format == nullptr)
-        return std::nullopt;
-    const auto queue = queueCapacity(args);
-    if (!queue)
-        return std::nullopt;
-
-    engine::EvalPlan plan;
-    plan.kernel = engine::PlanKernel::PValue;
-    plan.source = engine::PlanSource::ShardStream;
-    plan.policy = engine::PlanPolicy::Fixed;
-    plan.format_id = format->id();
-    plan.queue_capacity = *queue;
-    plan.shard_paths = args.positional;
-    return plan;
+    const char *env = std::getenv("PSTAT_COMPENSATED");
+    if (env == nullptr || env[0] == '\0')
+        return engine::SumPolicy::Plain;
+    const auto parsed = engine::parseBool(env);
+    if (!parsed) {
+        std::fprintf(stderr,
+                     "pstat: ignoring invalid PSTAT_COMPENSATED="
+                     "\"%s\" (want 0/1/true/false/yes/no/on/off)\n",
+                     env);
+        return engine::SumPolicy::Plain;
+    }
+    return *parsed ? engine::SumPolicy::Compensated
+                   : engine::SumPolicy::Plain;
 }
 
 /**
- * The --tol / --threshold certification flags over the
- * defaultPValueCert() baseline; nullopt = usage error. Both are
- * strictly parsed — a malformed or non-negative tolerance is a usage
- * error, never a silently mangled certification. Shared by
- * `eval --adaptive` and `request --adaptive` so the two paths build
- * byte-identical plan certs from the same flags.
+ * The certification of an adaptive plan: the LoFreq threshold of
+ * defaultPValueCert(), plus PSTAT_CERT_TOL as the value tolerance
+ * when set (a negative finite log2; anything else warns and is
+ * ignored), then the --tol / --threshold flags override; nullopt =
+ * usage error. Both flags are strictly parsed — a malformed or
+ * non-negative tolerance is a usage error, never a silently mangled
+ * certification.
  */
 std::optional<engine::CertConfig>
 parseCertOptions(const Args &args)
 {
     engine::CertConfig cert = engine::defaultPValueCert();
+    if (const char *env = std::getenv("PSTAT_CERT_TOL")) {
+        const auto parsed = engine::parseDouble(env);
+        if (parsed && std::isfinite(*parsed) && *parsed < 0.0) {
+            cert.tol_rel_log2 = *parsed;
+        } else {
+            std::fprintf(stderr,
+                         "pstat: ignoring invalid PSTAT_CERT_TOL="
+                         "\"%s\" (want a negative log2 tolerance)\n",
+                         env);
+        }
+    }
     if (const auto tol = option(args, "tol")) {
         const auto parsed = engine::parseDouble(tol->c_str());
         if (!parsed || !(*parsed < 0.0) || !std::isfinite(*parsed)) {
@@ -755,28 +776,37 @@ parseCertOptions(const Args &args)
 }
 
 /**
- * The --ladder flag into plan.ladder_ids: an explicit spec pins the
- * tiers into the plan; without it the plan's empty ladder_ids defer
- * to the executor's default (PSTAT_LADDER-overridable). Returns
- * false on a bad spec (usage error, already reported).
+ * The tiers of an adaptive plan into plan.ladder_ids: the --ladder
+ * spec, else PSTAT_LADDER, else defaultLadder(). Returns false on a
+ * bad --ladder (usage error, already reported); a bad PSTAT_LADDER
+ * warns and keeps the default ladder.
  */
 bool
 applyLadderOption(const Args &args, engine::EvalPlan &plan)
 {
-    const auto spec = option(args, "ladder");
-    if (!spec)
-        return true;
-    const auto parsed = engine::parseLadder(*spec);
-    if (!parsed) {
-        std::fprintf(stderr, "pstat: bad --ladder \"%s\" (ids:",
-                     spec->c_str());
-        for (const auto &known :
-             engine::FormatRegistry::instance().ids())
-            std::fprintf(stderr, " %s", known.c_str());
-        std::fprintf(stderr, ")\n");
-        return false;
+    std::optional<engine::Ladder> ladder;
+    if (const auto spec = option(args, "ladder")) {
+        ladder = engine::parseLadder(*spec);
+        if (!ladder) {
+            std::fprintf(stderr, "pstat: bad --ladder \"%s\" (ids:",
+                         spec->c_str());
+            for (const auto &known :
+                 engine::FormatRegistry::instance().ids())
+                std::fprintf(stderr, " %s", known.c_str());
+            std::fprintf(stderr, ")\n");
+            return false;
+        }
+    } else if (const char *env = std::getenv("PSTAT_LADDER")) {
+        ladder = engine::parseLadder(env);
+        if (!ladder)
+            std::fprintf(stderr,
+                         "pstat: ignoring invalid PSTAT_LADDER="
+                         "\"%s\" (want a comma-separated list of "
+                         "registered formats)\n",
+                         env);
     }
-    for (const engine::FormatOps *tier : parsed->tiers)
+    for (const engine::FormatOps *tier :
+         (ladder ? *ladder : engine::defaultLadder()).tiers)
         plan.ladder_ids.push_back(tier->id());
     return true;
 }
@@ -784,8 +814,10 @@ applyLadderOption(const Args &args, engine::EvalPlan &plan)
 /**
  * The screen configuration of `screen` / `request --screen`:
  * PSTAT_GUARD_BITS sets the default band, --guard-bits overrides.
- * Strictly parsed (see buildScreenPlan's history note): a bad env
- * value warns and keeps the default; a bad flag is a usage error.
+ * Strictly parsed: std::atof once read "64x" and "banana" as valid
+ * bands (64 and 0, the latter silently disabling the guard), so a
+ * bad env value warns and keeps the default, and a bad flag is a
+ * usage error.
  */
 std::optional<pbd::ScreenConfig>
 parseScreenOptions(const Args &args)
@@ -815,37 +847,79 @@ parseScreenOptions(const Args &args)
     return screen;
 }
 
-/** Build the Adaptive-policy eval plan from flags; nullopt = usage. */
+/**
+ * The one flags-to-plan function of `eval`, `screen` and `request`;
+ * nullopt = usage error, already reported. `eval` and `screen` build
+ * a shard-stream plan over the positional shards, `request` a memory
+ * plan for the columns it sends. `eval --adaptive` and
+ * `request --adaptive` build the adaptive policies, `screen` and
+ * `request --screen` the screened ones.
+ *
+ * Every default that moves a result bit is resolved here and
+ * recorded in the plan: the summation policy (PSTAT_COMPENSATED),
+ * the adaptive tiers (--ladder, else PSTAT_LADDER, else
+ * defaultLadder()), the adaptive tolerance (--tol, else
+ * PSTAT_CERT_TOL) and the guard band (--guard-bits, else
+ * PSTAT_GUARD_BITS). This is the only reader of those four variables,
+ * and it reads them on every call, so a dumped plan, a --plan-file
+ * replay and a daemon request compute the same bits whatever the
+ * environment of the process that runs them.
+ */
 std::optional<engine::EvalPlan>
-buildEvalAdaptivePlan(const Args &args)
+planFromFlags(const std::string &command, const Args &args)
 {
-    if (option(args, "format")) {
-        std::fprintf(stderr,
-                     "pstat: --format conflicts with --adaptive "
-                     "(use --ladder to pick the tiers)\n");
-        return std::nullopt;
-    }
-    const auto queue = queueCapacity(args);
-    if (!queue)
-        return std::nullopt;
-
-    // Certification: the LoFreq threshold (plus PSTAT_CERT_TOL when
-    // set) unless --tol/--threshold override it.
-    const auto cert = parseCertOptions(args);
-    if (!cert)
-        return std::nullopt;
+    const bool adaptive = option(args, "adaptive").has_value();
+    const bool screened =
+        command == "screen" || option(args, "screen").has_value();
 
     engine::EvalPlan plan;
     plan.kernel = engine::PlanKernel::PValue;
-    plan.source = engine::PlanSource::ShardStream;
-    plan.policy = engine::PlanPolicy::Adaptive;
-    plan.cert = *cert;
-    plan.queue_capacity = *queue;
-    plan.shard_paths = args.positional;
-    if (!applyLadderOption(args, plan))
-        return std::nullopt;
+    if (adaptive) {
+        if (option(args, "format")) {
+            std::fprintf(stderr,
+                         "pstat: --format conflicts with --adaptive "
+                         "(use --ladder to pick the tiers)\n");
+            return std::nullopt;
+        }
+        plan.policy = screened ? engine::PlanPolicy::ScreenedAdaptive
+                               : engine::PlanPolicy::Adaptive;
+    } else {
+        const auto *format = lookupFormat(args);
+        if (format == nullptr)
+            return std::nullopt;
+        plan.format_id = format->id();
+        plan.policy = screened ? engine::PlanPolicy::Screened
+                               : engine::PlanPolicy::Fixed;
+    }
+    if (command == "request") {
+        plan.source = engine::PlanSource::Memory;
+    } else {
+        const auto queue = queueCapacity(args);
+        if (!queue)
+            return std::nullopt;
+        plan.source = engine::PlanSource::ShardStream;
+        plan.queue_capacity = *queue;
+        plan.shard_paths = args.positional;
+    }
+    if (adaptive) {
+        const auto cert = parseCertOptions(args);
+        if (!cert)
+            return std::nullopt;
+        plan.cert = *cert;
+        if (!applyLadderOption(args, plan))
+            return std::nullopt;
+    }
+    if (screened) {
+        const auto screen = parseScreenOptions(args);
+        if (!screen)
+            return std::nullopt;
+        plan.screen = *screen;
+    }
+    plan.sum = sumFromEnv();
     return plan;
 }
+
+// --------------------------------------------------------------- eval
 
 int
 runEval(const Args &args)
@@ -881,9 +955,7 @@ runEval(const Args &args)
         return executePlan(plan, option(args, "out"));
     }
 
-    const auto plan = option(args, "adaptive")
-                          ? buildEvalAdaptivePlan(args)
-                          : buildEvalFixedPlan(args);
+    const auto plan = planFromFlags("eval", args);
     if (!plan)
         return 2;
     if (const auto dumped = maybeDumpPlan(args, *plan))
@@ -893,40 +965,10 @@ runEval(const Args &args)
 
 // ------------------------------------------------------------- screen
 
-/** Build the Screened-policy plan from flags; nullopt = usage. */
-std::optional<engine::EvalPlan>
-buildScreenPlan(const Args &args)
-{
-    const auto *format = lookupFormat(args);
-    if (format == nullptr)
-        return std::nullopt;
-    const auto queue = queueCapacity(args);
-    if (!queue)
-        return std::nullopt;
-
-    // Guard band, strictly parsed. std::atof was used here before:
-    // "64x" and "banana" both read as valid bands (64 and 0 — the
-    // latter silently disabling the guard), exactly the silent
-    // misconfiguration engine/env.hh exists to prevent.
-    const auto screen = parseScreenOptions(args);
-    if (!screen)
-        return std::nullopt;
-
-    engine::EvalPlan plan;
-    plan.kernel = engine::PlanKernel::PValue;
-    plan.source = engine::PlanSource::ShardStream;
-    plan.policy = engine::PlanPolicy::Screened;
-    plan.format_id = format->id();
-    plan.screen = *screen;
-    plan.queue_capacity = *queue;
-    plan.shard_paths = args.positional;
-    return plan;
-}
-
 int
 runScreen(const Args &args)
 {
-    const auto plan = buildScreenPlan(args);
+    const auto plan = planFromFlags("screen", args);
     if (!plan)
         return 2;
     if (const auto dumped = maybeDumpPlan(args, *plan))
@@ -1068,50 +1110,6 @@ runServe(const Args &args)
 
 // ------------------------------------------------------------ request
 
-/** Build the Memory-source plan a request carries; nullopt = usage. */
-std::optional<engine::EvalPlan>
-buildRequestPlan(const Args &args)
-{
-    const bool adaptive = option(args, "adaptive").has_value();
-    const bool screened = option(args, "screen").has_value();
-
-    engine::EvalPlan plan;
-    plan.kernel = engine::PlanKernel::PValue;
-    plan.source = engine::PlanSource::Memory;
-
-    if (adaptive) {
-        if (option(args, "format")) {
-            std::fprintf(stderr,
-                         "pstat: --format conflicts with --adaptive "
-                         "(use --ladder to pick the tiers)\n");
-            return std::nullopt;
-        }
-        const auto cert = parseCertOptions(args);
-        if (!cert)
-            return std::nullopt;
-        plan.policy = screened
-                          ? engine::PlanPolicy::ScreenedAdaptive
-                          : engine::PlanPolicy::Adaptive;
-        plan.cert = *cert;
-        if (!applyLadderOption(args, plan))
-            return std::nullopt;
-    } else {
-        const auto *format = lookupFormat(args);
-        if (format == nullptr)
-            return std::nullopt;
-        plan.policy = screened ? engine::PlanPolicy::Screened
-                               : engine::PlanPolicy::Fixed;
-        plan.format_id = format->id();
-    }
-    if (screened) {
-        const auto screen = parseScreenOptions(args);
-        if (!screen)
-            return std::nullopt;
-        plan.screen = *screen;
-    }
-    return plan;
-}
-
 /** Load every column of the given Columns shards, in order. */
 std::optional<std::vector<pbd::Column>>
 loadRequestColumns(const std::vector<std::string> &paths)
@@ -1169,7 +1167,7 @@ runRequest(const Args &args)
         return 2;
     }
 
-    const auto plan = buildRequestPlan(args);
+    const auto plan = planFromFlags("request", args);
     if (!plan)
         return 2;
     const auto columns = loadRequestColumns(args.positional);

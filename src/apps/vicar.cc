@@ -68,7 +68,6 @@ vicarLikelihoodBatch(const engine::FormatOps &format,
     plan.dataflow = dataflow;
     engine::PlanInputs inputs;
     inputs.jobs = jobs;
-    inputs.format = &format;
     return engine.run(plan, inputs).results;
 }
 

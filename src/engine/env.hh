@@ -1,10 +1,16 @@
 /**
  * @file
- * Strict parsing of the engine's environment knobs.
+ * Strict parsing of the environment knobs.
  *
- * The engine reads PSTAT_THREADS, PSTAT_GRAIN, PSTAT_COMPENSATED,
- * and PSTAT_SIMD from the environment. std::atol-style parsing
- * silently accepts trailing garbage ("8x" becomes 8) and saturates
+ * Outside the `pstat` CLI (src/apps), src/ reads three variables,
+ * and all of them move time, never a result bit: PSTAT_THREADS and
+ * PSTAT_GRAIN (engine lanes and scheduling grain) and PSTAT_SIMD
+ * (kernel dispatch). The knobs that do move bits (PSTAT_COMPENSATED,
+ * PSTAT_LADDER, PSTAT_CERT_TOL, PSTAT_GUARD_BITS) are read where a
+ * plan is built, never by EvalEngine::run: the CLI records their
+ * values in the plans it builds, and the benches read
+ * PSTAT_COMPENSATED into theirs. std::atol-style parsing silently
+ * accepts trailing garbage ("8x" becomes 8) and saturates
  * out-of-range values, which turns a typo into a misconfigured run
  * with no diagnostic. The helpers here validate the full string and
  * report failure as an empty optional so callers can warn and fall

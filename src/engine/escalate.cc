@@ -1,14 +1,11 @@
 #include "engine/escalate.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <stdexcept>
 #include <utility>
 
-#include "engine/env.hh"
 #include "engine/eval_engine.hh"
 #include "pbd/pbd.hh"
 
@@ -244,53 +241,6 @@ analyticResult(const pbd::PValueBoundsLog2 &bounds)
     return r;
 }
 
-/** Throw std::invalid_argument on a malformed certification. */
-void
-validateCert(const CertConfig &cert)
-{
-    if (!cert.tol_rel_log2 && !cert.threshold_log2) {
-        throw std::invalid_argument(
-            "adaptive certification needs a tolerance or a "
-            "threshold");
-    }
-    if (cert.tol_rel_log2 &&
-        !(std::isfinite(*cert.tol_rel_log2) &&
-          *cert.tol_rel_log2 < 0.0)) {
-        throw std::invalid_argument(
-            "adaptive tolerance must be a finite negative log2");
-    }
-    if (cert.threshold_log2 &&
-        !std::isfinite(*cert.threshold_log2)) {
-        throw std::invalid_argument(
-            "adaptive threshold must be a finite log2");
-    }
-}
-
-/**
- * The PSTAT_CERT_TOL override: a strictly negative finite log2, or
- * an empty optional (with a one-time stderr diagnostic on garbage).
- */
-std::optional<double>
-certTolFromEnv()
-{
-    static const std::optional<double> cached =
-        []() -> std::optional<double> {
-        const char *env = std::getenv("PSTAT_CERT_TOL");
-        if (env == nullptr)
-            return std::nullopt;
-        const auto parsed = parseDouble(env);
-        if (!parsed || !std::isfinite(*parsed) || *parsed >= 0.0) {
-            std::fprintf(stderr,
-                         "pstat: ignoring invalid PSTAT_CERT_TOL="
-                         "\"%s\" (want a negative log2 tolerance)\n",
-                         env);
-            return std::nullopt;
-        }
-        return parsed;
-    }();
-    return cached;
-}
-
 } // namespace
 
 CertConfig
@@ -299,7 +249,6 @@ defaultPValueCert()
     CertConfig cert;
     // The same decision boundary the screen defends (LoFreq 2^-200).
     cert.threshold_log2 = pbd::ScreenConfig{}.threshold_log2;
-    cert.tol_rel_log2 = certTolFromEnv();
     return cert;
 }
 
@@ -342,15 +291,6 @@ const Ladder &
 defaultLadder()
 {
     static const Ladder cached = [] {
-        if (const char *env = std::getenv("PSTAT_LADDER")) {
-            if (auto parsed = parseLadder(env))
-                return std::move(*parsed);
-            std::fprintf(stderr,
-                         "pstat: ignoring invalid PSTAT_LADDER="
-                         "\"%s\" (want a comma-separated list of "
-                         "registered formats)\n",
-                         env);
-        }
         Ladder ladder;
         const auto &registry = FormatRegistry::instance();
         for (const char *id :
@@ -497,10 +437,6 @@ EvalEngine::adaptiveEval(
     const CertConfig &cert,
     const std::optional<pbd::ScreenConfig> &screen, SumPolicy sum)
 {
-    if (ladder.tiers.empty())
-        throw std::invalid_argument("adaptive ladder is empty");
-    validateCert(cert);
-
     AdaptiveBatch out;
     out.cert = cert;
     out.results.resize(n);

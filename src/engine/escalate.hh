@@ -11,9 +11,9 @@
  * the computed value. Only columns whose
  * interval fails to certify the answer — relative to a caller
  * tolerance, a decision threshold (LoFreq's 2^-200 cutoff plugs in
- * directly), or both — escalate to the next tier of a configurable
- * ladder (default bfloat16 -> binary32 -> binary64 -> log ->
- * ScaledDD, PSTAT_LADDER overridable).
+ * directly), or both — escalate to the next tier of the ladder the
+ * plan names (default bfloat16 -> binary32 -> binary64 -> log ->
+ * ScaledDD).
  *
  * The correctness contract: a certified result is *never* wrong.
  * Every bound here is conservative (one-sidedness of nonnegative
@@ -45,7 +45,7 @@ namespace pstat::engine
 
 /**
  * What "certified" means for one result. At least one criterion must
- * be set (the engine throws std::invalid_argument otherwise); when
+ * be set (validatePlan throws std::invalid_argument otherwise); when
  * both are set, both must hold.
  */
 struct CertConfig
@@ -69,9 +69,8 @@ struct CertConfig
 
 /**
  * The default p-value certification: the LoFreq decision threshold
- * 2^-200, plus a value tolerance when PSTAT_CERT_TOL is set (a
- * strictly negative log2, strictly parsed; invalid values warn once
- * and are ignored).
+ * 2^-200 and no value tolerance. A constant; it reads no environment
+ * variable (`pstat` applies PSTAT_CERT_TOL when it builds a plan).
  */
 CertConfig defaultPValueCert();
 
@@ -103,9 +102,8 @@ struct Ladder
 
 /**
  * The default ladder bfloat16 -> binary32 -> binary64 -> log ->
- * scaled_dd, overridable via PSTAT_LADDER (a comma-separated list of
- * registry ids/aliases; invalid specs warn once and fall back).
- * Cached after the first call.
+ * scaled_dd. A constant; it reads no environment variable (`pstat`
+ * applies PSTAT_LADDER when it builds a plan).
  */
 const Ladder &defaultLadder();
 

@@ -19,54 +19,18 @@ EvalEngine::EvalEngine(unsigned num_threads, size_t grain)
 
 EvalEngine::~EvalEngine() = default;
 
-namespace
-{
-
-/** The executor-side PlanSum -> SumPolicy resolution. */
-SumPolicy
-resolveSum(PlanSum sum)
-{
-    switch (sum) {
-    case PlanSum::Plain:
-        return SumPolicy::Plain;
-    case PlanSum::Compensated:
-        return SumPolicy::Compensated;
-    case PlanSum::Default:
-        break;
-    }
-    return defaultSumPolicy();
-}
-
-} // namespace
-
 PlanRun
 EvalEngine::run(const EvalPlan &plan, const PlanInputs &inputs)
 {
     validatePlan(plan);
-    const SumPolicy sum = resolveSum(plan.sum);
-    const bool adaptive =
-        plan.policy == PlanPolicy::Adaptive ||
-        plan.policy == PlanPolicy::ScreenedAdaptive;
 
-    // Format / ladder resolution: a bound inputs.format / .ladder
-    // wins over the plan's ids; otherwise the ids resolve against
-    // the registry — the same singletons a caller would bind, so the
-    // results are identical.
-    const FormatOps *format = inputs.format;
-    if (format == nullptr && !adaptive)
-        format = FormatRegistry::instance().find(plan.format_id);
-    Ladder resolved_ladder;
-    const Ladder *ladder = inputs.ladder;
-    if (ladder == nullptr && adaptive) {
-        if (plan.ladder_ids.empty()) {
-            ladder = &defaultLadder();
-        } else {
-            for (const std::string &id : plan.ladder_ids)
-                resolved_ladder.tiers.push_back(
-                    FormatRegistry::instance().find(id));
-            ladder = &resolved_ladder;
-        }
-    }
+    // Format / ladder resolution: the plan's ids against the
+    // registry (validatePlan has checked the ids the policy uses).
+    const FormatRegistry &registry = FormatRegistry::instance();
+    const FormatOps *format = registry.find(plan.format_id);
+    Ladder ladder;
+    for (const std::string &id : plan.ladder_ids)
+        ladder.tiers.push_back(registry.find(id));
     std::optional<pbd::ScreenConfig> screen;
     if (plan.policy == PlanPolicy::Screened ||
         plan.policy == PlanPolicy::ScreenedAdaptive)
@@ -134,17 +98,17 @@ EvalEngine::run(const EvalPlan &plan, const PlanInputs &inputs)
         case PlanKernel::PValue:
             if (plan.policy == PlanPolicy::Fixed) {
                 const std::vector<EvalResult> results =
-                    pvalueFixedStage(*format, *block, sum);
+                    pvalueFixedStage(*format, *block, plan.sum);
                 sink->consumeResults(*block, results);
             } else if (plan.policy == PlanPolicy::Screened) {
                 const ScreenedPValueBatch batch =
                     screenedEval(*format, block->items, block->column,
-                                 plan.screen, sum);
+                                 plan.screen, plan.sum);
                 sink->consumeScreened(*block, batch);
             } else {
                 const AdaptiveBatch batch =
-                    adaptiveEval(*ladder, block->items, block->column,
-                                 plan.cert, screen, sum);
+                    adaptiveEval(ladder, block->items, block->column,
+                                 plan.cert, screen, plan.sum);
                 sink->consumeAdaptive(*block, batch);
             }
             break;

@@ -66,17 +66,6 @@ struct PlanInputs
      */
     io::ShardStream *stream = nullptr;
     /**
-     * Format override of a Fixed/Screened plan; when null, run()
-     * resolves plan.format_id against the registry (same registry
-     * singletons either way, so results are identical).
-     */
-    const FormatOps *format = nullptr;
-    /**
-     * Ladder override of an adaptive plan; when null, run() resolves
-     * plan.ladder_ids (empty ids = defaultLadder()).
-     */
-    const Ladder *ladder = nullptr;
-    /**
      * The primary route (borrowed): when bound, every block's results
      * go here and the returned PlanRun accumulates none of them, so a
      * streamed run holds O(shard) results, never O(dataset). When
@@ -167,7 +156,7 @@ class EvalEngine
     /**
      * The one evaluation entry point: validate the plan (validatePlan,
      * plus binding-level checks against @p inputs), resolve its
-     * format / ladder / summation policy, then compose the three
+     * format or ladder ids against the registry, then compose the three
      * layers — the plan's source (memory spans or a shard stream)
      * yields WorkBlocks, each block runs its kernel x policy stage
      * over the executor, and each block's results go to the primary
@@ -178,18 +167,17 @@ class EvalEngine
      * so their results match the scalar per-item loop bit for bit
      * from either source (ctest-enforced per registered format).
      *
-     * Every plan field is consumed here: kernel, source, policy,
-     * format_id / ladder_ids (unless overridden via inputs), cert,
-     * screen, sum (PlanSum::Default resolves defaultSumPolicy() now),
-     * dataflow, renormalize, shard_paths / queue_capacity (unless
-     * inputs.stream is bound). Lanes, grain and SIMD backend are
-     * process settings (the constructor, PSTAT_THREADS, PSTAT_GRAIN,
-     * PSTAT_SIMD), not plan fields.
+     * Every plan field is consumed here, and only the plan decides
+     * result bits: kernel, source, policy, format_id / ladder_ids,
+     * cert, screen, sum, dataflow, renormalize, shard_paths /
+     * queue_capacity (unless inputs.stream is bound). run() reads no
+     * environment variable that moves a bit. Lanes, grain and SIMD
+     * backend are process settings (the constructor, PSTAT_THREADS,
+     * PSTAT_GRAIN, PSTAT_SIMD), not plan fields: they move time only.
      *
      * Throws std::invalid_argument on an invalid plan, an unsupported
-     * combination, or a missing binding (the adaptive stages throw it
-     * too on an empty bound ladder); propagates io errors from shard
-     * streaming.
+     * combination, or a missing binding; propagates io errors from
+     * shard streaming.
      */
     PlanRun run(const EvalPlan &plan, const PlanInputs &inputs = {});
 
@@ -238,8 +226,8 @@ class EvalEngine
      * then columns climb the ladder cheapest-tier-first until the
      * CertConfig criteria hold or the ladder tops out. With a
      * screen, skipped columns keep their placeholder and are never
-     * escalated. Throws std::invalid_argument on an empty ladder or
-     * a CertConfig with no (or a malformed) criterion.
+     * escalated. run() has validated the ladder and the CertConfig
+     * (validatePlan).
      */
     AdaptiveBatch
     adaptiveEval(const Ladder &ladder, size_t n,

@@ -1,45 +1,18 @@
 #include "engine/format_registry.hh"
 
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
 
 #include "core/real_traits.hh"
-#include "engine/env.hh"
 #include "hmm/forward_simd.hh"
 #include "pbd/pbd.hh"
 #include "pbd/pbd_simd.hh"
 
 namespace pstat::engine
 {
-
-SumPolicy
-defaultSumPolicy()
-{
-    static const SumPolicy policy = [] {
-        // Strictly validated boolean: 1/true/yes/on enable
-        // compensation, 0/false/no/off disable it, anything else
-        // (e.g. "1x") warns and keeps the Plain default instead of
-        // being silently misread.
-        const char *env = std::getenv("PSTAT_COMPENSATED");
-        if (env == nullptr || env[0] == '\0')
-            return SumPolicy::Plain;
-        const auto parsed = parseBool(env);
-        if (!parsed) {
-            std::fprintf(stderr,
-                         "pstat: ignoring invalid PSTAT_COMPENSATED="
-                         "\"%s\" (want 0/1/true/false/yes/no/on/off)\n",
-                         env);
-            return SumPolicy::Plain;
-        }
-        return *parsed ? SumPolicy::Compensated : SumPolicy::Plain;
-    }();
-    return policy;
-}
 
 void
 FormatOps::pbdPValueBatch(std::span<const pbd::ColumnView> columns,

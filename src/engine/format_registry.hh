@@ -21,6 +21,7 @@
 #ifndef PSTAT_ENGINE_FORMAT_REGISTRY_HH
 #define PSTAT_ENGINE_FORMAT_REGISTRY_HH
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -110,20 +111,14 @@ enum class Dataflow
  * Listing-2 PBD kernel. Compensated carries the p-value in a
  * NeumaierSum (see pbd::pvalueCompensated); log-domain formats have
  * no subtraction and return bit-identical results under either
- * policy.
+ * policy. The values are the plan wire encoding of EvalPlan::sum
+ * (engine/plan.hh); no policy encodes as 0.
  */
-enum class SumPolicy
+enum class SumPolicy : uint32_t
 {
-    Plain,      //!< straightforward running sum
-    Compensated //!< Kahan/Neumaier compensated running sum
+    Plain = 1,      //!< straightforward running sum
+    Compensated = 2 //!< Kahan/Neumaier compensated running sum
 };
-
-/**
- * The process default SumPolicy: Compensated when the
- * PSTAT_COMPENSATED environment variable is set to a nonzero value,
- * Plain otherwise. Read once and cached.
- */
-SumPolicy defaultSumPolicy();
 
 /**
  * Rounding-error model of one format — the per-format input of the
@@ -222,9 +217,8 @@ class FormatOps
     /**
      * Listing-2 PBD upper-tail p-value P(X >= k), accumulated with
      * the chosen summation policy. (No default argument here on
-     * purpose: defaults on virtuals bind statically; policy
-     * defaulting lives in the plan's PlanSum::Default, resolved by
-     * EvalEngine::run.)
+     * purpose: defaults on virtuals bind statically; the policy of
+     * a run is the plan's EvalPlan::sum.)
      */
     virtual EvalResult pbdPValue(std::span<const double> success_probs,
                                  int k_threshold,

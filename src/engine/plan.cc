@@ -236,7 +236,8 @@ validatePlan(const EvalPlan &plan)
     const auto policy = static_cast<uint32_t>(plan.policy);
     if (policy < 1 || policy > 4)
         invalid("policy is out of range");
-    if (static_cast<uint32_t>(plan.sum) > 2)
+    const auto sum = static_cast<uint32_t>(plan.sum);
+    if (sum < 1 || sum > 2)
         invalid("summation policy is out of range");
     if (static_cast<uint32_t>(plan.dataflow) >
         static_cast<uint32_t>(Dataflow::SoftwareCompensated))
@@ -271,11 +272,14 @@ validatePlan(const EvalPlan &plan)
         if (registry.find(plan.format_id) == nullptr)
             invalid("unknown format \"" + plan.format_id + "\"");
     } else {
+        if (plan.ladder_ids.empty())
+            invalid(std::string(planPolicyName(plan.policy)) +
+                    " policy needs at least one ladder tier");
         for (const std::string &id : plan.ladder_ids)
             if (registry.find(id) == nullptr)
                 invalid("unknown ladder tier \"" + id + "\"");
-        // Certification criteria, mirrored from escalate.cc's
-        // validateCert so a bad plan fails before any tier runs.
+        // Certification criteria, checked here and nowhere else, so
+        // a bad plan fails before any tier runs.
         if (!plan.cert.tol_rel_log2 && !plan.cert.threshold_log2)
             invalid("adaptive certification needs at least one "
                     "criterion (tol_rel_log2 or threshold_log2)");
@@ -301,7 +305,7 @@ oraclePlan(PlanKernel kernel)
     plan.source = PlanSource::Memory;
     plan.policy = PlanPolicy::Fixed;
     plan.format_id = "scaled_dd";
-    plan.sum = PlanSum::Plain;
+    plan.sum = SumPolicy::Plain;
     plan.dataflow = Dataflow::Software;
     plan.renormalize = false;
     return plan;
@@ -326,14 +330,10 @@ describePlan(const EvalPlan &plan)
         out += " format " + plan.format_id;
     } else {
         out += " ladder ";
-        if (plan.ladder_ids.empty()) {
-            out += "default";
-        } else {
-            for (size_t i = 0; i < plan.ladder_ids.size(); ++i) {
-                if (i > 0)
-                    out += "->";
-                out += plan.ladder_ids[i];
-            }
+        for (size_t i = 0; i < plan.ladder_ids.size(); ++i) {
+            if (i > 0)
+                out += "->";
+            out += plan.ladder_ids[i];
         }
         char buf[64];
         if (plan.cert.tol_rel_log2) {
@@ -354,9 +354,8 @@ describePlan(const EvalPlan &plan)
                       plan.screen.guard_band_log2);
         out += buf;
     }
-    if (plan.sum != PlanSum::Default)
-        out += plan.sum == PlanSum::Plain ? ", sum plain"
-                                          : ", sum compensated";
+    out += plan.sum == SumPolicy::Compensated ? ", sum compensated"
+                                              : ", sum plain";
     return out;
 }
 
@@ -366,8 +365,6 @@ resultFormatLabel(const EvalPlan &plan)
     if (plan.policy != PlanPolicy::Adaptive &&
         plan.policy != PlanPolicy::ScreenedAdaptive)
         return plan.format_id;
-    if (plan.ladder_ids.empty())
-        return "adaptive:default";
     std::string label = "adaptive:";
     for (size_t i = 0; i < plan.ladder_ids.size(); ++i) {
         if (i > 0)
@@ -457,7 +454,7 @@ decodePlan(std::span<const uint8_t> bytes)
                                          "source");
     plan.policy = decodeEnum<PlanPolicy>(cursor.u32("policy"), 1, 4,
                                          "policy");
-    plan.sum = decodeEnum<PlanSum>(cursor.u32("sum"), 0, 2, "sum");
+    plan.sum = decodeEnum<SumPolicy>(cursor.u32("sum"), 1, 2, "sum");
     plan.dataflow = decodeEnum<Dataflow>(
         cursor.u32("dataflow"), 0,
         static_cast<uint32_t>(Dataflow::SoftwareCompensated),

@@ -22,10 +22,13 @@
  *    posterior renormalization — the knobs that decide result bits.
  *
  * EvalEngine::run(plan, inputs) (eval_engine.hh) is the one entry
- * point that executes a plan, and it reads every field. Lanes,
- * scheduling grain and SIMD backend are not plan fields: they move
- * time, never bits, and stay process settings (PSTAT_THREADS,
- * PSTAT_GRAIN, PSTAT_SIMD; ServerConfig for the daemon). A plan
+ * point that executes a plan, and it reads every field. A plan
+ * names every setting that moves a result bit: run() resolves no
+ * default from the environment, so a plan replays to the same bits
+ * on any host and under any shell. Lanes, scheduling grain and SIMD
+ * backend are not plan fields: they move time, never bits, and stay
+ * process settings (PSTAT_THREADS, PSTAT_GRAIN, PSTAT_SIMD;
+ * ServerConfig for the daemon). A plan
  * also has a versioned binary encoding (encodePlan / decodePlan, shard-style
  * magic + version + CRC-32 trailer, see io/shard.hh) so the same
  * description can be dumped for debugging (`pstat eval --plan-dump`)
@@ -93,18 +96,6 @@ enum class PlanPolicy : uint32_t
 };
 
 /**
- * Summation policy of a plan. Default defers to the process-wide
- * PSTAT_COMPENSATED knob at run time (defaultSumPolicy()), so a plan
- * can either pin the policy or inherit the executing host's.
- */
-enum class PlanSum : uint32_t
-{
-    Default = 0,     //!< resolve defaultSumPolicy() on the executor
-    Plain = 1,       //!< SumPolicy::Plain
-    Compensated = 2, //!< SumPolicy::Compensated
-};
-
-/**
  * A composable, serializable description of one evaluation: what to
  * evaluate, from where, with which accuracy policy, under which
  * execution knobs. Runtime-only bindings (the in-memory spans, the
@@ -126,7 +117,7 @@ struct EvalPlan
 
     /**
      * Escalation tiers (registry ids, cheapest first) of the adaptive
-     * policies; empty means defaultLadder() on the executor.
+     * policies. An adaptive plan names at least one tier.
      */
     std::vector<std::string> ladder_ids;
 
@@ -137,7 +128,7 @@ struct EvalPlan
     pbd::ScreenConfig screen;
 
     /** Summation policy of the PBD kernel. */
-    PlanSum sum = PlanSum::Default;
+    SumPolicy sum = SumPolicy::Plain;
 
     /** Dataflow of the HMM kernels (reduction trees vs n-ary LSE). */
     Dataflow dataflow = Dataflow::Accelerator;
@@ -160,9 +151,9 @@ struct EvalPlan
  * Fixed, memory-source `scaled_dd` evaluation of `kernel` with
  * sum = Plain, dataflow = Software and renormalize = false. Both
  * pins are load-bearing. The Accelerator dataflow would map to a
- * Tree reduction, and PlanSum::Default would let PSTAT_COMPENSATED
- * switch ScaledDD (a Compensable format) to Neumaier summation;
- * either moves the oracle's bits off the serial ScaledDD recursions
+ * Tree reduction, and a Compensated sum would switch ScaledDD (a
+ * Compensable format) to Neumaier summation; either moves the
+ * oracle's bits off the serial ScaledDD recursions
  * (pbd::pvalueOracle, hmm::forwardOracle, hmm::backward /
  * posterior / viterbi<ScaledDD>).
  */
@@ -184,10 +175,13 @@ const char *planPolicyName(PlanPolicy policy);
  * std::invalid_argument with a caller-actionable message on the
  * first violation: an unknown format or ladder tier, a screened or
  * adaptive non-p-value kernel, a streamed decode kernel, an adaptive
- * certification with no criterion (or a non-negative tolerance), a
- * zero queue capacity. Valid plans return normally. Binding-level
- * checks (does the caller actually supply columns / a model?) happen
- * in EvalEngine::run, because they depend on PlanInputs.
+ * plan with no ladder tier, an adaptive certification with no
+ * criterion, a tolerance that is not a negative finite log2, a
+ * non-finite threshold, a zero queue capacity. It is the one check
+ * on certification settings. Valid plans return normally.
+ * Binding-level checks (does the caller actually supply columns / a
+ * model?) happen in EvalEngine::run, because they depend on
+ * PlanInputs.
  */
 void validatePlan(const EvalPlan &plan);
 
@@ -201,10 +195,9 @@ std::string describePlan(const EvalPlan &plan);
  * The format label stamped into a result shard's meta block (and
  * into a serve-mode response): the plan's format id for the fixed
  * policies, or a composite "adaptive:tier1,tier2,..." label naming
- * the ladder tiers ("adaptive:default" for an empty ladder) — the
- * results of an adaptive run mix tiers, so no single registry id is
- * honest. Shared by `pstat eval -o` and the serve daemon so the two
- * paths stamp byte-identical meta blocks.
+ * the ladder tiers — the results of an adaptive run mix tiers, so
+ * no single registry id is honest. Shared by `pstat eval -o` and the
+ * serve daemon so the two paths stamp byte-identical meta blocks.
  */
 std::string resultFormatLabel(const EvalPlan &plan);
 
@@ -229,7 +222,8 @@ std::vector<uint8_t> encodePlan(const EvalPlan &plan);
  * Decode an encoded plan. Throws PlanError on anything malformed:
  * a buffer too small for header + trailer, bad magic, an unsupported
  * version, a CRC mismatch, a field or string overrunning the buffer,
- * an out-of-range enum value, or trailing bytes after the last
+ * an out-of-range enum value (a sum of 0, the retired "process
+ * default" policy, among them), or trailing bytes after the last
  * field. A successfully decoded plan is structurally well-formed at
  * the encoding level but is *not* semantically validated — callers
  * run validatePlan (EvalEngine::run does) before executing it.

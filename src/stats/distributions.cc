@@ -51,14 +51,6 @@ sampleGamma(Rng &rng, double shape)
 }
 
 double
-sampleBeta(Rng &rng, double a, double b)
-{
-    const double x = sampleGamma(rng, a);
-    const double y = sampleGamma(rng, b);
-    return x / (x + y);
-}
-
-double
 sampleLognormal(Rng &rng, double mu, double sigma)
 {
     return std::exp(sampleNormal(rng, mu, sigma));

@@ -28,9 +28,6 @@ double sampleNormal(Rng &rng, double mean, double stddev);
 /** Gamma(shape, 1) via Marsaglia-Tsang squeeze; shape > 0. */
 double sampleGamma(Rng &rng, double shape);
 
-/** Beta(a, b) variate via two gammas. */
-double sampleBeta(Rng &rng, double a, double b);
-
 /** Lognormal variate: exp(Normal(mu, sigma)). */
 double sampleLognormal(Rng &rng, double mu, double sigma);
 

@@ -60,24 +60,6 @@ TextTable::print() const
     std::fputs(render().c_str(), stdout);
 }
 
-bool
-TextTable::writeCsv(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return false;
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (size_t c = 0; c < row.size(); ++c)
-            std::fprintf(f, "%s%s", row[c].c_str(),
-                         c + 1 < row.size() ? "," : "\n");
-    };
-    emit(header_);
-    for (const auto &row : rows_)
-        emit(row);
-    std::fclose(f);
-    return true;
-}
-
 std::string
 formatDouble(double value, int decimals)
 {

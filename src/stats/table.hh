@@ -1,16 +1,14 @@
 /**
  * @file
- * Plain-text table and CSV emission for the benchmark harnesses.
+ * Plain-text table emission for the benchmark harnesses.
  *
  * Every bench binary prints rows in the same layout as the paper's
- * table or figure series so results can be compared side by side, and
- * optionally mirrors them to CSV for plotting.
+ * table or figure series so results can be compared side by side.
  */
 
 #ifndef PSTAT_STATS_TABLE_HH
 #define PSTAT_STATS_TABLE_HH
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -35,9 +33,6 @@ class TextTable
 
     /** Print to stdout. */
     void print() const;
-
-    /** Write as CSV (no alignment padding). */
-    bool writeCsv(const std::string &path) const;
 
     size_t rows() const { return rows_.size(); }
 

@@ -256,14 +256,24 @@ runMemory(engine::EvalEngine &engine, const engine::EvalPlan &plan,
     return engine.run(plan, inputs);
 }
 
+/** The registry ids of engine::defaultLadder(), cheapest first. */
+inline std::vector<std::string>
+defaultLadderIds()
+{
+    std::vector<std::string> ids;
+    for (const engine::FormatOps *tier : engine::defaultLadder().tiers)
+        ids.push_back(tier->id());
+    return ids;
+}
+
 /**
  * An adaptive pvalue plan certifying `cert` on the ladder
- * `ladder_ids` (empty: the default ladder); a `screen` makes it
- * screened-adaptive.
+ * `ladder_ids` (by default the default ladder's ids, named in the
+ * plan); a `screen` makes it screened-adaptive.
  */
 inline engine::EvalPlan
 adaptivePlan(const engine::CertConfig &cert,
-             std::vector<std::string> ladder_ids = {},
+             std::vector<std::string> ladder_ids = defaultLadderIds(),
              const std::optional<pbd::ScreenConfig> &screen =
                  std::nullopt)
 {

@@ -149,7 +149,6 @@ TEST(ResultSink, FileSinkRoundTripsEveryRegisteredFormat)
          FormatRegistry::instance().all()) {
         EvalPlan plan;
         plan.format_id = format->id();
-        plan.sum = PlanSum::Plain;
         const auto want = prop::runMemory(engine, plan, columns).results;
 
         const std::string path =
@@ -180,7 +179,6 @@ TEST(ResultSink, FileSinkPersistsScreenedMasks)
     plan.policy = PlanPolicy::Screened;
     plan.format_id = "log";
     plan.screen.guard_band_log2 = 16.0;
-    plan.sum = PlanSum::Plain;
     const auto batch = prop::runMemory(engine, plan, columns).screened;
 
     const std::string path = tempPath("sink-screened.shard");
@@ -205,8 +203,8 @@ TEST(ResultSink, FileSinkPersistsAdaptiveCertification)
     EvalEngine engine(2);
     EvalPlan plan;
     plan.policy = PlanPolicy::Adaptive;
+    plan.ladder_ids = prop::defaultLadderIds();
     plan.cert.tol_rel_log2 = -20.0;
-    plan.sum = PlanSum::Plain;
     const auto batch = prop::runMemory(engine, plan, columns).adaptive;
 
     const std::string path = tempPath("sink-adaptive.shard");
@@ -312,8 +310,10 @@ TEST(ResultSink, FileSinkWritesReadableZeroRecordShards)
         plan.source = PlanSource::Memory;
         plan.policy = kind.policy;
         plan.format_id = "binary64";
-        if (kind.policy == PlanPolicy::Adaptive)
+        if (kind.policy == PlanPolicy::Adaptive) {
             plan.cert = defaultPValueCert();
+            plan.ladder_ids = prop::defaultLadderIds();
+        }
 
         const std::string path =
             tempPath(std::string("sink-empty-") + kind.name +
@@ -421,6 +421,7 @@ TEST(ResultSink, ResultSinkAloneLeavesThePlanRunUnchanged)
     const EvalPlan fixed = mixedShardPlan();
     EvalPlan adaptive;
     adaptive.policy = PlanPolicy::Adaptive;
+    adaptive.ladder_ids = prop::defaultLadderIds();
     adaptive.cert = defaultPValueCert();
     const auto columns = makeColumns(20, 5151);
 

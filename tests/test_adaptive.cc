@@ -184,8 +184,6 @@ TEST(Ladder, ParsesSpecsAgainstTheRegistry)
 
 TEST(Ladder, DefaultClimbsFromCheapToCertain)
 {
-    if (std::getenv("PSTAT_LADDER") != nullptr)
-        GTEST_SKIP() << "PSTAT_LADDER overrides the default ladder";
     const engine::Ladder &ladder = engine::defaultLadder();
     ASSERT_EQ(ladder.tiers.size(), 5u);
     EXPECT_EQ(ladder.tiers.front()->id(), "bfloat16");
@@ -287,7 +285,6 @@ TEST(Intervals, LinearIntervalEnclosesExactIidTail)
     const pbd::Column col = iidColumn(80, 3e-3, 4);
     engine::EvalPlan plan;
     plan.format_id = "binary64";
-    plan.sum = engine::PlanSum::Plain;
     const auto results =
         prop::runMemory(sharedEngine(), plan,
                         std::vector<pbd::Column>{col})
@@ -454,30 +451,28 @@ TEST(Adaptive, AnalyticTierCertifiesDeepBinomialColumn)
 TEST(Adaptive, RejectsMalformedArguments)
 {
     const std::vector<pbd::Column> columns{iidColumn(10, 0.1, 2)};
-    const auto rejects = [&](const CertConfig &cert,
-                             const engine::Ladder *ladder) {
+    const auto rejects = [&](const engine::EvalPlan &plan) {
         engine::PlanInputs inputs;
         inputs.columns = columns;
-        inputs.ladder = ladder;
-        EXPECT_THROW(sharedEngine().run(prop::adaptivePlan(cert), inputs),
+        EXPECT_THROW(sharedEngine().run(plan, inputs),
                      std::invalid_argument);
     };
 
-    rejects(CertConfig{}, nullptr);
+    rejects(prop::adaptivePlan(CertConfig{}));
 
     CertConfig positive_tol;
     positive_tol.tol_rel_log2 = 0.5;
-    rejects(positive_tol, nullptr);
+    rejects(prop::adaptivePlan(positive_tol));
 
     CertConfig nan_thr;
     nan_thr.threshold_log2 = std::nan("");
-    rejects(nan_thr, nullptr);
+    rejects(prop::adaptivePlan(nan_thr));
 
-    // A bound ladder with no tiers: the adaptive stage's own check.
+    // A plan with no ladder tiers: validatePlan has no default to
+    // fall back on.
     CertConfig ok;
     ok.threshold_log2 = -200.0;
-    const engine::Ladder no_tiers;
-    rejects(ok, &no_tiers);
+    rejects(prop::adaptivePlan(ok, {}));
 }
 
 TEST(Adaptive, SkippedColumnsAreNeverEscalated)

@@ -25,10 +25,12 @@
 
 #include "apps/lofreq.hh"
 #include "apps/pstat_cli.hh"
+#include "cli_env.hh"
 #include "engine/eval_engine.hh"
 #include "engine/plan.hh"
 #include "io/shard.hh"
 #include "pbd/dataset.hh"
+#include "prop_util.hh"
 #include "test_tmp.hh"
 
 namespace
@@ -674,6 +676,7 @@ TEST(Cli, ReportLinesArePinned)
 
     engine::EvalPlan adaptive;
     adaptive.policy = engine::PlanPolicy::Adaptive;
+    adaptive.ladder_ids = prop::defaultLadderIds();
     adaptive.cert = engine::defaultPValueCert();
     adaptive.cert.threshold_log2 = -200.0;
     std::string adaptive_report;
@@ -731,6 +734,204 @@ TEST(Cli, ReportLinesArePinned)
         EXPECT_EQ(report({"eval", "--adaptive", "--threshold", "-200"}),
                   adaptive_report + tail);
     }
+}
+
+// ------------------------------------------------- bit-moving knobs
+
+/**
+ * A knob that moves result bits, the flags of a plan it feeds, and
+ * the plan field it sets, rendered as text: the value a clean
+ * environment records, and the value under the knob.
+ */
+struct BitKnob
+{
+    test::EnvVar var;
+    std::vector<const char *> command;
+    std::string (*field)(const engine::EvalPlan &);
+    const char *clean;
+    const char *set;
+};
+
+const std::vector<BitKnob> &
+bitKnobs()
+{
+    static const std::vector<BitKnob> knobs = {
+        {{"PSTAT_COMPENSATED", "1"},
+         {"eval", "--format", "binary32"},
+         [](const engine::EvalPlan &plan) -> std::string {
+             return plan.sum == engine::SumPolicy::Compensated
+                        ? "compensated"
+                        : "plain";
+         },
+         "plain",
+         "compensated"},
+        {{"PSTAT_LADDER", "log,scaled_dd"},
+         {"eval", "--adaptive", "--tol", "-30"},
+         [](const engine::EvalPlan &plan) {
+             return engine::resultFormatLabel(plan);
+         },
+         "adaptive:bfloat16,binary32,binary64,log,scaled_dd",
+         "adaptive:log,scaled_dd"},
+        {{"PSTAT_CERT_TOL", "-30"},
+         {"eval", "--adaptive"},
+         [](const engine::EvalPlan &plan) -> std::string {
+             return plan.cert.tol_rel_log2
+                        ? format("%g", *plan.cert.tol_rel_log2)
+                        : "none";
+         },
+         "none",
+         "-30"},
+        {{"PSTAT_GUARD_BITS", "8"},
+         {"screen", "--format", "log"},
+         [](const engine::EvalPlan &plan) {
+             return format("%g", plan.screen.guard_band_log2);
+         },
+         "64",
+         "8"},
+    };
+    return knobs;
+}
+
+/** `command` with `extra` arguments and then `shards` appended. */
+std::vector<const char *>
+withArgs(std::vector<const char *> command,
+         std::initializer_list<const char *> extra,
+         const std::vector<std::string> &shards = {})
+{
+    command.insert(command.end(), extra);
+    for (const std::string &shard : shards)
+        command.push_back(shard.c_str());
+    return command;
+}
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    EXPECT_NE(f, nullptr) << path;
+    std::string out;
+    if (f == nullptr)
+        return out;
+    char buf[4096];
+    size_t got = 0;
+    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        out.append(buf, got);
+    std::fclose(f);
+    return out;
+}
+
+TEST(Cli, FlagBuiltPlansRecordTheBitMovingKnobs)
+{
+    // In process and back to back: each plan built from flags records
+    // the knob's value at that moment, so nothing caches a value
+    // across the plans one process builds.
+    const std::string shard = makeShard("cli_knobs.shard", 20);
+    const std::string plan_path = test::tempPath("cli_knobs.plan");
+    const test::ScopedEnv clean(test::cleanEnv());
+    for (const BitKnob &knob : bitKnobs()) {
+        SCOPED_TRACE(knob.var.first);
+        const auto dump = [&] {
+            EXPECT_EQ(runCli(withArgs(knob.command,
+                                      {"--plan-dump", plan_path.c_str(),
+                                       shard.c_str()})),
+                      0);
+            return knob.field(engine::readPlanFile(plan_path));
+        };
+        EXPECT_EQ(dump(), knob.clean);
+        {
+            const test::ScopedEnv set({knob.var});
+            EXPECT_EQ(dump(), knob.set);
+        }
+        EXPECT_EQ(dump(), knob.clean);
+    }
+}
+
+TEST(Cli, PlanReplayIgnoresTheBitMovingKnobs)
+{
+    // Every run is its own process, as from a shell, and each result
+    // shard is compared byte for byte. The data: two generated
+    // shards, plus a borderline slice (p-values near 2^-200) on which
+    // the guard band decides what the screen skips.
+    const std::string dir = test::tempPath("cli_replay_knobs");
+    ASSERT_EQ(runCli({"gen", "--out", dir.c_str(), "--shards", "2",
+                      "--columns", "200", "--seed", "5"}),
+              0);
+    stats::Rng rng(5);
+    std::vector<pbd::Column> borderline;
+    for (int i = 0; i < 40; ++i)
+        borderline.push_back(
+            pbd::makeColumnWithTarget(rng, rng.uniform(150.0, 280.0)));
+    io::writeColumnShard(dir + "/borderline.shard", borderline);
+    const std::vector<std::string> shards = {
+        dir + "/cols_0000.shard", dir + "/cols_0001.shard",
+        dir + "/borderline.shard"};
+    const std::string clean_plan = dir + "/clean.plan";
+    const std::string knob_plan = dir + "/knob.plan";
+    const std::string out[4] = {dir + "/a.shard", dir + "/b.shard",
+                                dir + "/c.shard", dir + "/d.shard"};
+    const auto replay = [](const std::string &plan,
+                           const std::string &to,
+                           const std::vector<test::EnvVar> &env) {
+        return test::runCliInChild(
+            {"eval", "--plan-file", plan.c_str(), "-o", to.c_str()}, env);
+    };
+    for (const BitKnob &knob : bitKnobs()) {
+        SCOPED_TRACE(knob.var.first);
+        std::vector<test::EnvVar> with_knob = test::cleanEnv();
+        with_knob.push_back(knob.var);
+        ASSERT_EQ(test::runCliInChild(
+                      withArgs(knob.command,
+                               {"--plan-dump", clean_plan.c_str()},
+                               shards),
+                      test::cleanEnv()),
+                  0);
+        ASSERT_EQ(test::runCliInChild(
+                      withArgs(knob.command,
+                               {"--plan-dump", knob_plan.c_str()},
+                               shards),
+                      with_knob),
+                  0);
+
+        // The clean plan replays to the same bits under the knob.
+        ASSERT_EQ(replay(clean_plan, out[0], test::cleanEnv()), 0);
+        ASSERT_EQ(replay(clean_plan, out[1], with_knob), 0);
+        EXPECT_EQ(fileBytes(out[0]), fileBytes(out[1]));
+
+        // The plan built under the knob carries it: a clean replay
+        // matches the direct run under the knob, and the knob does
+        // move these bits.
+        ASSERT_EQ(test::runCliInChild(
+                      withArgs(knob.command, {"-o", out[2].c_str()},
+                               shards),
+                      with_knob),
+                  0);
+        ASSERT_EQ(replay(knob_plan, out[3], test::cleanEnv()), 0);
+        EXPECT_EQ(fileBytes(out[2]), fileBytes(out[3]));
+        EXPECT_NE(fileBytes(out[0]), fileBytes(out[2]));
+    }
+}
+
+TEST(Cli, BadBitMovingKnobsWarnAndKeepTheirDefaults)
+{
+    const std::string shard = makeShard("cli_bad_knobs.shard", 20);
+    const std::string plan_path = test::tempPath("cli_bad_knobs.plan");
+    const test::ScopedEnv bad({{"PSTAT_COMPENSATED", "1x"},
+                               {"PSTAT_LADDER", "binary64,binary63"},
+                               {"PSTAT_CERT_TOL", "3"}});
+    std::string err;
+    EXPECT_EQ(runCli({"eval", "--adaptive", "--plan-dump",
+                      plan_path.c_str(), shard.c_str()},
+                     nullptr, &err),
+              0);
+    for (const char *name :
+         {"PSTAT_COMPENSATED", "PSTAT_LADDER", "PSTAT_CERT_TOL"})
+        EXPECT_NE(err.find(std::string("ignoring invalid ") + name),
+                  std::string::npos)
+            << err;
+    const engine::EvalPlan plan = engine::readPlanFile(plan_path);
+    EXPECT_EQ(plan.sum, engine::SumPolicy::Plain);
+    EXPECT_EQ(plan.ladder_ids, prop::defaultLadderIds());
+    EXPECT_FALSE(plan.cert.tol_rel_log2.has_value());
 }
 
 } // namespace

@@ -187,7 +187,7 @@ planCorpus()
         adaptive.cert.threshold_log2 = -200.0;
         adaptive.cert.tol_rel_log2 = -40.0;
         adaptive.shard_paths = {"a.shard", ""};
-        adaptive.sum = engine::PlanSum::Compensated;
+        adaptive.sum = engine::SumPolicy::Compensated;
         adaptive.renormalize = true;
         return std::vector<Bytes>{engine::encodePlan(defaults),
                                   engine::encodePlan(fixed),

@@ -326,7 +326,8 @@ screenedAdaptiveSweep(const DiffSet &set)
     cert.threshold_log2 = -200.0;
     AdaptiveBatch batch =
         prop::runMemory(sharedEngine(),
-                        prop::adaptivePlan(cert, {}, pbd::ScreenConfig{}),
+                        prop::adaptivePlan(cert, prop::defaultLadderIds(),
+                                           pbd::ScreenConfig{}),
                         set.columns)
             .adaptive;
     auditBatch(batch, set.oracle, set.seeds);

@@ -47,7 +47,7 @@ fullPlan()
     plan.cert.threshold_log2 = -200.0;
     plan.screen.threshold_log2 = -200.0;
     plan.screen.guard_band_log2 = 48.0;
-    plan.sum = engine::PlanSum::Compensated;
+    plan.sum = engine::SumPolicy::Compensated;
     plan.dataflow = engine::Dataflow::Software;
     plan.renormalize = true;
     plan.shard_paths = {"a.shard", "b.shard"};
@@ -128,6 +128,32 @@ TEST(Plan, RejectsVersionOnePlans)
                   std::string::npos)
             << error.what();
     }
+}
+
+TEST(Plan, RejectsTheRetiredDefaultSum)
+{
+    // Sum 0 once meant "the executing process's PSTAT_COMPENSATED".
+    // A plan names its summation now, so CRC-valid bytes carrying 0
+    // are a typed error, never resolved from the environment. The
+    // sum word follows magic, version, kernel, source and policy.
+    auto bytes = engine::encodePlan(fullPlan());
+    ASSERT_EQ(bytes[24], 2u); // Compensated, as fullPlan() names it
+    bytes[24] = 0;
+    resealPlan(bytes);
+    try {
+        engine::decodePlan(bytes);
+        FAIL() << "accepted a plan with sum 0";
+    } catch (const engine::PlanError &error) {
+        EXPECT_NE(std::string(error.what()).find("sum"),
+                  std::string::npos)
+            << error.what();
+    }
+
+    // The same value in memory fails validation.
+    engine::EvalPlan unnamed;
+    unnamed.format_id = "binary64";
+    unnamed.sum = static_cast<engine::SumPolicy>(0);
+    EXPECT_THROW(engine::validatePlan(unnamed), std::invalid_argument);
 }
 
 TEST(Plan, RoundTripsDefaultAndFullPlans)
@@ -312,6 +338,7 @@ TEST(Plan, ValidatesPolicyKernelAndKnobCombinations)
         adaptive.source = source;
         adaptive.policy = engine::PlanPolicy::Adaptive;
         adaptive.cert.threshold_log2 = -200.0;
+        adaptive.ladder_ids = prop::defaultLadderIds();
         adaptive.shard_paths = {"x.shard"};
         EXPECT_NO_THROW(engine::validatePlan(adaptive));
         for (const auto kernel :
@@ -362,25 +389,42 @@ TEST(Plan, ValidatesPolicyKernelAndKnobCombinations)
                  std::invalid_argument);
 }
 
+TEST(Plan, AdaptivePlansNameTheirTiers)
+{
+    // An adaptive plan with no tiers has no default to fall back
+    // on: the ladder is part of what the plan names.
+    for (const auto policy : {engine::PlanPolicy::Adaptive,
+                              engine::PlanPolicy::ScreenedAdaptive}) {
+        engine::EvalPlan plan = fullPlan();
+        plan.policy = policy;
+        EXPECT_NO_THROW(engine::validatePlan(plan));
+        plan.ladder_ids.clear();
+        EXPECT_THROW(engine::validatePlan(plan), std::invalid_argument)
+            << engine::planPolicyName(policy);
+    }
+    EXPECT_EQ(engine::resultFormatLabel(fullPlan()),
+              "adaptive:binary32,scaled_dd");
+}
+
 TEST(Plan, DescribeNamesTheShape)
 {
     const auto text = engine::describePlan(fullPlan());
     EXPECT_NE(text.find("pvalue"), std::string::npos);
     EXPECT_NE(text.find("shard-stream"), std::string::npos);
     EXPECT_NE(text.find("screened-adaptive"), std::string::npos);
+    EXPECT_NE(text.find("binary32->scaled_dd"), std::string::npos);
+    EXPECT_NE(text.find("sum compensated"), std::string::npos);
+    engine::EvalPlan fixed;
+    fixed.format_id = "binary64";
+    EXPECT_NE(engine::describePlan(fixed).find("sum plain"),
+              std::string::npos);
 }
 
 // --------------------------------------------- plan-vs-scalar identity
 
-/** Both pinned summation policies, as plan field and scalar policy. */
-constexpr struct
-{
-    engine::PlanSum plan;
-    engine::SumPolicy scalar;
-} kPinnedSums[] = {
-    {engine::PlanSum::Plain, engine::SumPolicy::Plain},
-    {engine::PlanSum::Compensated, engine::SumPolicy::Compensated},
-};
+/** Both summation policies a plan can name. */
+constexpr engine::SumPolicy kSums[] = {engine::SumPolicy::Plain,
+                                       engine::SumPolicy::Compensated};
 
 /** Shared fixture: one small dataset + shards, built once. */
 class PlanIdentity : public ::testing::Test
@@ -490,14 +534,14 @@ TEST_F(PlanIdentity, FixedBatchMatchesEveryFormat)
          engine::FormatRegistry::instance().ids()) {
         const auto &format =
             engine::FormatRegistry::instance().at(id);
-        for (const auto &sum : kPinnedSums) {
+        for (const engine::SumPolicy sum : kSums) {
             SCOPED_TRACE(id);
             engine::EvalPlan plan;
             plan.format_id = id;
-            plan.sum = sum.plan;
+            plan.sum = sum;
             expectSameResults(
                 prop::runMemory(engine, plan, *dataset_).results,
-                scalarPValues(format, sum.scalar));
+                scalarPValues(format, sum));
         }
     }
 }
@@ -509,17 +553,17 @@ TEST_F(PlanIdentity, FixedStreamMatchesEveryFormat)
          engine::FormatRegistry::instance().ids()) {
         const auto &format =
             engine::FormatRegistry::instance().at(id);
-        for (const auto &sum : kPinnedSums) {
+        for (const engine::SumPolicy sum : kSums) {
             SCOPED_TRACE(id);
             // No sink: run() accumulates shard batches in stream
             // order, which is the dataset's column order.
             engine::EvalPlan plan;
             plan.source = engine::PlanSource::ShardStream;
             plan.format_id = id;
-            plan.sum = sum.plan;
+            plan.sum = sum;
             plan.shard_paths = *shard_paths_;
             expectSameResults(engine.run(plan).results,
-                              scalarPValues(format, sum.scalar));
+                              scalarPValues(format, sum));
         }
     }
 }
@@ -532,17 +576,16 @@ TEST_F(PlanIdentity, ScreenedBatchAndStreamMatch)
     for (const std::string id : {"binary64", "log", "log32"}) {
         const auto &format =
             engine::FormatRegistry::instance().at(id);
-        for (const auto &sum : kPinnedSums) {
+        for (const engine::SumPolicy sum : kSums) {
             SCOPED_TRACE(id);
             const auto want =
-                prop::scalarScreened(format, *dataset_, screen,
-                                     sum.scalar);
+                prop::scalarScreened(format, *dataset_, screen, sum);
 
             engine::EvalPlan plan;
             plan.policy = engine::PlanPolicy::Screened;
             plan.format_id = id;
             plan.screen = screen;
-            plan.sum = sum.plan;
+            plan.sum = sum;
             expectSameScreened(
                 prop::runMemory(engine, plan, *dataset_).screened,
                 want);
@@ -572,13 +615,12 @@ TEST_F(PlanIdentity, AdaptiveBatchAndStreamMatch)
     std::vector<std::vector<std::string>> ladders;
     for (const auto &id : engine::FormatRegistry::instance().ids())
         ladders.push_back({id});
-    ladders.push_back({});
+    ladders.push_back(prop::defaultLadderIds());
     for (const auto &ids : ladders) {
         engine::EvalPlan plan;
         plan.policy = engine::PlanPolicy::Adaptive;
         plan.ladder_ids = ids;
         plan.cert = cert;
-        plan.sum = engine::PlanSum::Plain;
         const auto memory =
             prop::runMemory(engine, plan, *dataset_).adaptive;
         ASSERT_EQ(memory.results.size(), dataset_->size());

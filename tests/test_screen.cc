@@ -155,7 +155,6 @@ TEST(Screen, ScreenedBatchBitMatchesUnscreenedEveryFormat)
         plan.policy = engine::PlanPolicy::Screened;
         plan.format_id = format->id();
         plan.screen = config;
-        plan.sum = engine::PlanSum::Plain;
         engine::EvalPlan stream_plan = plan;
         stream_plan.source = engine::PlanSource::ShardStream;
         stream_plan.shard_paths = {shard};
@@ -217,7 +216,6 @@ TEST(Screen, SkippedSlotsCarryMagnitudePlaceholders)
     engine::EvalPlan plan;
     plan.policy = engine::PlanPolicy::Screened;
     plan.format_id = "binary64";
-    plan.sum = engine::PlanSum::Plain;
     const auto screened =
         prop::runMemory(engine, plan, ds.columns).screened;
     for (size_t i = 0; i < ds.columns.size(); ++i) {

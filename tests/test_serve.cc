@@ -33,6 +33,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/pstat_cli.hh"
+#include "cli_env.hh"
 #include "engine/escalate.hh"
 #include "engine/format_registry.hh"
 #include "engine/plan.hh"
@@ -857,6 +858,45 @@ TEST(ServeIdentity, DaemonMatchesOfflineForEveryFormatAndPolicy)
             << id;
         EXPECT_EQ(readFileBytes(offline), readFileBytes(daemon))
             << "adaptive " << id;
+    }
+}
+
+/**
+ * The plan, not the daemon's environment, decides the bits: a daemon
+ * running with PSTAT_COMPENSATED=1 (and PSTAT_LADDER set) answers a
+ * request built in a clean environment with the bytes of the offline
+ * run in a clean environment. The client and the offline run are
+ * their own processes, as from a shell; the daemon is this one.
+ */
+TEST(ServeIdentity, DaemonIgnoresTheBitMovingKnobs)
+{
+    const std::string shard = tempPath("serve_knobs.shard");
+    io::writeColumnShard(shard, makeColumns(60, 17));
+
+    const test::ScopedEnv knobs({{"PSTAT_COMPENSATED", "1"},
+                                 {"PSTAT_LADDER", "log,scaled_dd"}});
+    serve::ServerConfig config;
+    config.unix_path = tempPath("serve_knobs.sock");
+    serve::Server server(config);
+
+    for (const std::vector<const char *> &policy :
+         {std::vector<const char *>{"--format", "binary32"},
+          std::vector<const char *>{"--adaptive", "--tol", "-30"}}) {
+        SCOPED_TRACE(policy.front());
+        const std::string offline = tempPath("serve_knobs_off.shard");
+        const std::string daemon = tempPath("serve_knobs_dmn.shard");
+        std::vector<const char *> eval{"eval"};
+        eval.insert(eval.end(), policy.begin(), policy.end());
+        eval.insert(eval.end(), {"-o", offline.c_str(), shard.c_str()});
+        ASSERT_EQ(test::runCliInChild(eval, test::cleanEnv()), 0);
+
+        std::vector<const char *> request{"request", "--socket",
+                                          config.unix_path.c_str()};
+        request.insert(request.end(), policy.begin(), policy.end());
+        request.insert(request.end(),
+                       {"-o", daemon.c_str(), shard.c_str()});
+        ASSERT_EQ(test::runCliInChild(request, test::cleanEnv()), 0);
+        EXPECT_EQ(readFileBytes(offline), readFileBytes(daemon));
     }
 }
 

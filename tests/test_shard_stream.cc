@@ -223,7 +223,6 @@ streamPlan(const std::string &format_id,
     engine::EvalPlan plan;
     plan.source = engine::PlanSource::ShardStream;
     plan.format_id = format_id;
-    plan.sum = engine::PlanSum::Plain;
     plan.shard_paths = paths;
     return plan;
 }

@@ -114,20 +114,6 @@ TEST(Distributions, GammaMeanMatchesShape)
     }
 }
 
-TEST(Distributions, BetaInUnitInterval)
-{
-    Rng rng(19);
-    double sum = 0.0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i) {
-        const double x = sampleBeta(rng, 2.0, 5.0);
-        ASSERT_GT(x, 0.0);
-        ASSERT_LT(x, 1.0);
-        sum += x;
-    }
-    EXPECT_NEAR(sum / n, 2.0 / 7.0, 0.01);
-}
-
 TEST(Distributions, DirichletSumsToOne)
 {
     Rng rng(23);
@@ -280,21 +266,6 @@ TEST(Table, Formatters)
     EXPECT_EQ(formatInt(42), "42");
     EXPECT_EQ(formatPercent(0.6216), "62.16%");
     EXPECT_EQ(formatSci(12345.0, 3), "1.23e+04");
-}
-
-TEST(Table, CsvWrite)
-{
-    TextTable t({"a", "b"});
-    t.addRow({"1", "2"});
-    const std::string path = "/tmp/pstat_test_table.csv";
-    ASSERT_TRUE(t.writeCsv(path));
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    ASSERT_NE(f, nullptr);
-    char buf[64] = {};
-    ASSERT_NE(std::fgets(buf, sizeof(buf), f), nullptr);
-    EXPECT_STREQ(buf, "a,b\n");
-    std::fclose(f);
-    std::remove(path.c_str());
 }
 
 } // namespace
