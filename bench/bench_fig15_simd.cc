@@ -16,8 +16,10 @@
  *         few giant-K columns dominate total work, run bandwidth-
  *         bound, and cap the achievable batch speedup — reported
  *         honestly, not claimed as the vector win.
- * (b) Striped logSumExp over long spans (the Listing-3 reduction
- *     primitive), f64 and f32 carriers.
+ * (b) The shipped `log` Accelerator forward (Listing 3, n-ary LSE)
+ *     with the state loop vectorized, hmm::forwardLogNarySimd, vs
+ *     Isa::Scalar (forwardLogNary itself), on the forward models of
+ *     (c).
  * (c) HMM forward with the state loop vectorized, vs the sequential
  *     scalar oracle.
  *
@@ -36,6 +38,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "core/logspace.hh"
 #include "core/simd.hh"
 #include "hmm/forward.hh"
 #include "hmm/forward_simd.hh"
@@ -189,65 +192,75 @@ main()
         table.print();
     }
 
-    // ---- (b) striped LSE over long spans
-    std::printf("\n--- (b) striped logSumExp ---\n");
-    std::vector<bench::Json> lse_records;
+    // The forward models of (b) and (c).
+    struct ForwardCase
     {
-        stats::TextTable table({"carrier", "isa", "n", "scalar ms",
+        hmm::Model model;
+        std::vector<int> obs;
+    };
+    std::vector<ForwardCase> forward_cases;
+    stats::Rng mrng(1502);
+    const size_t t_len =
+        static_cast<size_t>(bench::scaled(2000, 200));
+    for (const int h : {13, 32}) {
+        ForwardCase c{hmm::makeDirichletModel(mrng, h, 16), {}};
+        c.obs = hmm::sampleObservations(mrng, c.model, t_len);
+        forward_cases.push_back(std::move(c));
+    }
+
+    // ---- (b) the log Accelerator forward, state loop vectorized
+    std::printf("\n--- (b) log Accelerator forward (n-ary LSE) ---\n");
+    std::vector<bench::Json> log_forward_records;
+    double headline_log_forward_speedup = 0.0;
+    {
+        stats::TextTable table({"isa", "H", "T", "scalar ms",
                                 "simd ms", "speedup",
                                 "bit-identical"});
-        stats::Rng rng(77);
-        const size_t n = static_cast<size_t>(
-            bench::scaled(1 << 18, 1 << 12));
-        std::vector<double> vals64(n);
-        for (auto &v : vals64)
-            v = rng.uniform(-60.0, 10.0);
-        std::vector<float> vals32(vals64.begin(), vals64.end());
-
-        const auto sweep = [&](auto &vals, const char *carrier) {
-            using T = std::remove_reference_t<
-                decltype(vals)>::value_type;
-            const std::span<const T> span(vals);
-            T scalar_result{};
-            const auto scalar_stats = bench::timeStats(5, [&] {
-                scalar_result =
-                    simd::logSumExpSimd(span, simd::Isa::Scalar);
+        for (const ForwardCase &c : forward_cases) {
+            const int h = c.model.num_states;
+            hmm::ForwardOutcome<LogDouble> scalar_outcome;
+            const auto scalar_stats = bench::timeStats(3, [&] {
+                scalar_outcome = hmm::forwardLogNarySimd(
+                    c.model, c.obs, simd::Isa::Scalar);
             });
             for (const simd::Isa isa : isas) {
                 if (isa == simd::Isa::Scalar)
                     continue;
-                T simd_result{};
-                const auto simd_stats = bench::timeStats(5, [&] {
-                    simd_result = simd::logSumExpSimd(span, isa);
+                hmm::ForwardOutcome<LogDouble> simd_outcome;
+                const auto simd_stats = bench::timeStats(3, [&] {
+                    simd_outcome =
+                        hmm::forwardLogNarySimd(c.model, c.obs, isa);
                 });
-                const bool identical = bitsEqual(
-                    &simd_result, &scalar_result, sizeof(T));
+                const double scalar_ln =
+                    scalar_outcome.likelihood.lnValue();
+                const double simd_ln = simd_outcome.likelihood.lnValue();
+                const bool identical =
+                    bitsEqual(&simd_ln, &scalar_ln, sizeof(double));
                 all_bit_identical = all_bit_identical && identical;
                 const double speedup =
                     simd_stats.min_ms > 0.0
                         ? scalar_stats.min_ms / simd_stats.min_ms
                         : 0.0;
-                table.addRow({carrier, simd::isaName(isa),
-                              std::to_string(n),
-                              stats::formatDouble(
-                                  scalar_stats.min_ms, 2),
-                              stats::formatDouble(simd_stats.min_ms,
-                                                  2),
-                              stats::formatDouble(speedup, 2),
-                              identical ? "yes" : "NO"});
-                lse_records.push_back(
+                if (h == 13)
+                    headline_log_forward_speedup = speedup;
+                table.addRow(
+                    {simd::isaName(isa), std::to_string(h),
+                     std::to_string(t_len),
+                     stats::formatDouble(scalar_stats.min_ms, 2),
+                     stats::formatDouble(simd_stats.min_ms, 2),
+                     stats::formatDouble(speedup, 2),
+                     identical ? "yes" : "NO"});
+                log_forward_records.push_back(
                     bench::Json()
-                        .add("carrier", carrier)
                         .add("isa", simd::isaName(isa))
-                        .add("elements", n)
+                        .add("states", h)
+                        .add("sequence_length", t_len)
                         .add("scalar_ms", scalar_stats.min_ms)
                         .add("simd_ms", simd_stats.min_ms)
                         .add("speedup", speedup)
                         .add("bit_identical", identical));
             }
-        };
-        sweep(vals64, "f64");
-        sweep(vals32, "f32");
+        }
         table.print();
     }
 
@@ -259,14 +272,10 @@ main()
         stats::TextTable table({"format", "isa", "H", "T",
                                 "scalar ms", "simd ms", "speedup",
                                 "bit-identical"});
-        stats::Rng mrng(1502);
-        const size_t t_len = static_cast<size_t>(
-            bench::scaled(2000, 200));
-        for (const int h : {13, 32}) {
-            const hmm::Model model =
-                hmm::makeDirichletModel(mrng, h, 16);
-            const auto obs =
-                hmm::sampleObservations(mrng, model, t_len);
+        for (const ForwardCase &c : forward_cases) {
+            const hmm::Model &model = c.model;
+            const std::vector<int> &obs = c.obs;
+            const int h = model.num_states;
 
             const auto sweep = [&](auto tag, const char *format) {
                 using T = decltype(tag);
@@ -325,10 +334,11 @@ main()
 
     const double wall_ms = total_timer.elapsedMs();
     std::printf("\nheadline: p-value af-scan batch %.2fx, forward "
-                "%.2fx "
+                "%.2fx, log forward %.2fx "
                 "(best non-scalar backend vs scalar, single "
                 "thread); all vector results bit-identical: %s\n",
                 headline_pbd_speedup, headline_forward_speedup,
+                headline_log_forward_speedup,
                 all_bit_identical ? "yes" : "NO");
     std::printf("wall time: %.0f ms\n", wall_ms);
 
@@ -339,9 +349,11 @@ main()
             .add("headline_pbd_simd_speedup", headline_pbd_speedup)
             .add("headline_forward_simd_speedup",
                  headline_forward_speedup)
+            .add("headline_log_forward_simd_speedup",
+                 headline_log_forward_speedup)
             .add("all_bit_identical", all_bit_identical)
             .add("pbd", pbd_records)
-            .add("lse", lse_records)
+            .add("log_forward", log_forward_records)
             .add("forward", forward_records));
     return all_bit_identical ? 0 : 1;
 }

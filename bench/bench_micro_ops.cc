@@ -11,6 +11,7 @@
 
 #include "bigfloat/bigfloat.hh"
 #include "core/dd.hh"
+#include "core/exp_kernel.hh"
 #include "core/logspace.hh"
 #include "core/posit.hh"
 #include "core/simd.hh"
@@ -243,20 +244,42 @@ BM_LogSumExpNaryScalar(benchmark::State &state)
 }
 BENCHMARK(BM_LogSumExpNaryScalar);
 
-void
-BM_LogSumExpStriped(benchmark::State &state)
+/** Arguments of the n-ary LSE's exps: v - max, in [-40, 0]. */
+std::vector<double>
+expArguments()
 {
-    auto pool = makePool<double>(
-        [](double v) { return std::log(v); });
-    const simd::Isa isa = simd::activeIsa();
+    return makePool<double>([](double v) { return 40.0 * (v - 1.0); });
+}
+
+void
+BM_ExpLibm(benchmark::State &state)
+{
+    const auto pool = expArguments();
+    std::vector<double> out(pool.size());
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            simd::logSumExpSimd(std::span<const double>(pool), isa));
+        for (size_t i = 0; i < pool.size(); ++i)
+            out[i] = std::exp(pool[i]);
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(state.iterations() * pool_size);
+}
+BENCHMARK(BM_ExpLibm);
+
+/** The in-house exp over the pool on one ISA (Scalar: one lane). */
+void
+BM_ExpKernel(benchmark::State &state, simd::Isa isa)
+{
+    const auto pool = expArguments();
+    std::vector<double> out(pool.size());
+    for (auto _ : state) {
+        simd::detail::expKernelBatch(pool, out, isa);
+        benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() * pool_size);
     state.SetLabel(simd::isaName(isa));
 }
-BENCHMARK(BM_LogSumExpStriped);
+BENCHMARK_CAPTURE(BM_ExpKernel, scalar, simd::Isa::Scalar);
+BENCHMARK_CAPTURE(BM_ExpKernel, active, simd::activeIsa());
 
 } // namespace
 

@@ -18,6 +18,7 @@
 #include <string>
 
 #include "bigfloat/bigfloat.hh"
+#include "core/exp_kernel.hh"
 
 namespace pstat
 {
@@ -48,7 +49,19 @@ logAddNaive(double lx, double ly)
     return std::log(std::exp(lx) + std::exp(ly));
 }
 
-/** N-ary LSE (Equation 3), matching the accelerator's reduction. */
+/**
+ * N-ary LSE (Equation 3), matching the accelerator's reduction: a
+ * max pass (which skips NaN), then m + log(sum of exp(v - m)) in
+ * index order. An empty or all--inf span is -inf, never NaN; a NaN
+ * or +inf term makes the sum NaN.
+ *
+ * Its exp is the in-house simd::expKernel (core/exp_kernel.hh), not
+ * libm: every v - m lies in [-inf, 0] or is NaN, the kernel's
+ * domain, and hmm::forwardLogNarySimd's vector tile runs the same
+ * kernel per lane, so it stays bit-identical to the scalar n-ary
+ * forward (and backward) built on this function. The binary LSE
+ * above, and with it every p-value, keeps libm.
+ */
 inline double
 logSumExp(std::span<const double> lvals)
 {
@@ -59,7 +72,7 @@ logSumExp(std::span<const double> lvals)
         return -INFINITY;
     double sum = 0.0;
     for (double v : lvals)
-        sum += std::exp(v - m);
+        sum += simd::expKernel(v - m);
     return m + std::log(sum);
 }
 
@@ -74,8 +87,7 @@ logSumExp(std::span<const double> lvals)
  * empty or all--inf stream reports -inf (never NaN from
  * -inf + log(0)), and a leading -inf leaves the state untouched,
  * so {-inf, x...} accumulates exactly like {x...}. This matches
- * logSumExp(span) and the vectorized logSumExpSimd on the same
- * inputs.
+ * logSumExp(span) on the same inputs.
  */
 class StreamingLogSumExp
 {

@@ -1,55 +1,13 @@
 #include "core/simd.hh"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 
+#include "core/exp_kernel.hh"
 #include "engine/env.hh"
 
 namespace pstat::simd
 {
-
-namespace
-{
-
-/**
- * The reference striped LSE: S independent stripe maxima / partial
- * sums (element i belongs to stripe i % S) combined in the fixed
- * pairwise tree of detail::pairwiseMax / pairwiseSum. This scalar
- * loop DEFINES the result of logSumExpSimd; every vector backend is
- * tested bit-for-bit against it. Edge cases deliberately mirror
- * logSumExp(span): NaN terms are skipped by the `v > m` max idiom,
- * an empty or all--infinity input returns -infinity before any
- * exp(-inf - -inf) = NaN can form, and a NaN or +infinity term
- * poisons the exponential sum into NaN.
- */
-template <typename T, int S>
-T
-logSumExpStriped(std::span<const T> lvals)
-{
-    constexpr T neg_inf = -std::numeric_limits<T>::infinity();
-    T m[S];
-    for (int j = 0; j < S; ++j)
-        m[j] = neg_inf;
-    for (size_t i = 0; i < lvals.size(); ++i) {
-        const T v = lvals[i];
-        T &mj = m[i % S];
-        mj = v > mj ? v : mj;
-    }
-    const T mm = detail::pairwiseMax<T, S>(m);
-    if (std::isinf(mm) && mm < T(0))
-        return neg_inf;
-
-    T s[S];
-    for (int j = 0; j < S; ++j)
-        s[j] = T(0);
-    for (size_t i = 0; i < lvals.size(); ++i)
-        s[i % S] += std::exp(lvals[i] - mm);
-    return mm + std::log(detail::pairwiseSum<T, S>(s));
-}
-
-} // namespace
 
 const char *
 isaName(Isa isa)
@@ -162,43 +120,25 @@ activeIsa()
     return isa;
 }
 
-double
-logSumExpSimd(std::span<const double> lvals, Isa isa)
+namespace detail
 {
+
+void
+expKernelBatch(std::span<const double> x, std::span<double> out,
+               Isa isa)
+{
+    size_t i = 0;
 #if defined(PSTAT_SIMD_HAS_AVX2)
     if (isa == Isa::Avx2 && isaSupported(Isa::Avx2))
-        return detail::logSumExpAvx2(lvals);
+        i = expKernelBatchAvx2(x, out);
 #endif
-    // Scalar, NEON (whose 2 x double registers cannot carry the
-    // fixed 4-stripe order directly; the exp calls dominate anyway),
-    // and any unsupported request all run the reference — which is
-    // bit-identical to every backend by contract, so falling back
-    // never changes a result.
+    // The tail, Scalar, NEON and any unsupported request run the
+    // one-lane kernel, which every backend matches bit for bit.
     (void)isa;
-    return logSumExpStriped<double, lse_stripes_f64>(lvals);
+    for (; i < x.size(); ++i)
+        out[i] = expKernel(x[i]);
 }
 
-float
-logSumExpSimd(std::span<const float> lvals, Isa isa)
-{
-#if defined(PSTAT_SIMD_HAS_AVX2)
-    if (isa == Isa::Avx2 && isaSupported(Isa::Avx2))
-        return detail::logSumExpAvx2(lvals);
-#endif
-    (void)isa;
-    return logSumExpStriped<float, lse_stripes_f32>(lvals);
-}
-
-double
-logSumExpSimd(std::span<const double> lvals)
-{
-    return logSumExpSimd(lvals, activeIsa());
-}
-
-float
-logSumExpSimd(std::span<const float> lvals)
-{
-    return logSumExpSimd(lvals, activeIsa());
-}
+} // namespace detail
 
 } // namespace pstat::simd

@@ -11,8 +11,9 @@
  *     (4 x double / 8 x float), NEON (2 x double / 4 x float), and a
  *     scalar-array fallback (ArrayVec) that compiles everywhere. All
  *     expose the same tiny interface (load/store/broadcast, + - *,
- *     abs, compare-lt + select; min on ArrayVec and Avx2DoubleVec,
- *     for the analytic bounds' read pass), and every operation is
+ *     abs, compare-lt + select; min, max, gather and shiftBitsLeft
+ *     on ArrayVec and Avx2DoubleVec, for the analytic bounds' read
+ *     pass and the in-house exp), and every operation is
  *     lane-wise — no horizontal instruction ever mixes lanes — so a
  *     kernel templated over a wrapper executes, per lane, exactly
  *     the scalar kernel's IEEE operation sequence. That is the whole
@@ -29,21 +30,24 @@
  *     original per-column scalar kernels — the forced-scalar CI leg
  *     runs the legacy code paths, not a 1-lane emulation.
  *
- *  3. A vectorized n-ary log-sum-exp, logSumExpSimd, with a FIXED
- *     striped reduction order (see below) so its result is
- *     ISA-invariant: the scalar backend is the bit-identity oracle
- *     and every vector backend must match it bit for bit. Note this
- *     order differs from the sequential logSumExp(span) in
- *     core/logspace.hh — the accelerator-model dataflow keeps using
- *     that one; logSumExpSimd is a new entry point (used by
- *     hmm::forwardLogNarySimd and the benches).
+ *  3. Two bit-level lane operations, gather (a table lookup by
+ *     integer-valued lanes) and shiftBitsLeft (a lane's bit pattern
+ *     shifted), which is all that core/exp_kernel.hh needs beyond
+ *     arithmetic to write one branch-free exp over these wrappers.
+ *     Both are exact, so that exp, too, runs the same IEEE operations
+ *     per lane on every backend, and the scalar n-ary LSE
+ *     (logSumExp(span) in core/logspace.hh) and the vector log-space
+ *     forward tile (hmm::forwardLogNarySimd) share its bits.
  */
 
 #ifndef PSTAT_CORE_SIMD_HH
 #define PSTAT_CORE_SIMD_HH
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #if defined(__AVX2__)
@@ -86,32 +90,6 @@ std::vector<Isa> supportedIsas();
  * to auto as well). Resolved once and cached.
  */
 Isa activeIsa();
-
-/**
- * Stripe counts fixing logSumExpSimd's reduction order, independent
- * of the executing ISA (AVX2 vector widths; NEON and the scalar
- * reference implement the same striping, so results never depend on
- * the backend). Element i belongs to stripe i % stripe; the stripes'
- * partial results are combined in a fixed pairwise tree.
- */
-inline constexpr int lse_stripes_f64 = 4;
-inline constexpr int lse_stripes_f32 = 8;
-
-/**
- * N-ary log-sum-exp over log values with the fixed striped reduction
- * order. Semantics mirror logSumExp(span): the max pass skips NaN
- * (`v > m` ordering), an empty or all--infinity input returns
- * -infinity (never NaN), and any NaN input or +infinity poisons the
- * exponential sum into NaN. exp/log stay scalar libm calls in every
- * backend (there is no bit-exact vector exp), so the vector win is
- * the max pass, the subtractions, and the additions.
- */
-double logSumExpSimd(std::span<const double> lvals, Isa isa);
-float logSumExpSimd(std::span<const float> lvals, Isa isa);
-
-/** logSumExpSimd on the process-wide activeIsa(). */
-double logSumExpSimd(std::span<const double> lvals);
-float logSumExpSimd(std::span<const float> lvals);
 
 /**
  * The scalar-array vector: W independent lanes computed by plain
@@ -210,6 +188,43 @@ struct ArrayVec
         return out;
     }
 
+    /** Lane-wise `a > b ? a : b`: the rule of x86 maxpd, as min. */
+    static ArrayVec
+    max(const ArrayVec &a, const ArrayVec &b)
+    {
+        ArrayVec out;
+        for (int i = 0; i < W; ++i)
+            out.lane[i] = a.lane[i] > b.lane[i] ? a.lane[i] : b.lane[i];
+        return out;
+    }
+
+    /**
+     * Lane-wise table[index]. Every index lane must hold a
+     * non-negative integer (in T) that indexes the table.
+     */
+    static ArrayVec
+    gather(const T *table, const ArrayVec &index)
+    {
+        ArrayVec out;
+        for (int i = 0; i < W; ++i)
+            out.lane[i] = table[static_cast<int>(index.lane[i])];
+        return out;
+    }
+
+    /** Each lane's bit pattern shifted left by N, zeros shifted in. */
+    template <int N>
+    ArrayVec
+    shiftBitsLeft() const
+    {
+        using Bits = std::conditional_t<sizeof(T) == 8, uint64_t,
+                                        uint32_t>;
+        ArrayVec out;
+        for (int i = 0; i < W; ++i)
+            out.lane[i] = std::bit_cast<T>(
+                static_cast<Bits>(std::bit_cast<Bits>(lane[i]) << N));
+        return out;
+    }
+
     struct Mask
     {
         bool lane[W];
@@ -298,6 +313,30 @@ struct Avx2DoubleVec
     min(const Avx2DoubleVec &a, const Avx2DoubleVec &b)
     {
         return {_mm256_min_pd(a.r, b.r)};
+    }
+
+    static Avx2DoubleVec
+    max(const Avx2DoubleVec &a, const Avx2DoubleVec &b)
+    {
+        return {_mm256_max_pd(a.r, b.r)};
+    }
+
+    static Avx2DoubleVec
+    gather(const double *table, const Avx2DoubleVec &index)
+    {
+        // The masked form with every lane enabled: GCC's unmasked
+        // _mm256_i32gather_pd warns on its undefined source operand.
+        return {_mm256_mask_i32gather_pd(
+            _mm256_setzero_pd(), table, _mm256_cvttpd_epi32(index.r),
+            _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8)};
+    }
+
+    template <int N>
+    Avx2DoubleVec
+    shiftBitsLeft() const
+    {
+        return {_mm256_castsi256_pd(
+            _mm256_slli_epi64(_mm256_castpd_si256(r), N))};
     }
 
     struct Mask
@@ -567,33 +606,6 @@ using FloatVec = ArrayVec<float, 8>;
 namespace detail
 {
 
-/**
- * The one horizontal-max step of the striped LSE: `b > a ? b : a`,
- * the same NaN-skipping idiom as the scalar max pass. Every backend
- * combines stripe maxima with exactly this function in exactly the
- * pairwiseMax tree order — that is what makes logSumExpSimd
- * ISA-invariant.
- */
-template <typename T>
-inline T
-max2(T a, T b)
-{
-    return b > a ? b : a;
-}
-
-/** Fixed pairwise tree over S stripe values: ((v0,v1),(v2,v3))... */
-template <typename T, int S>
-inline T
-pairwiseMax(const T *v)
-{
-    if constexpr (S == 1) {
-        return v[0];
-    } else {
-        return max2(pairwiseMax<T, S / 2>(v),
-                    pairwiseMax<T, S / 2>(v + S / 2));
-    }
-}
-
 /** Fixed pairwise sum tree: ((v0+v1)+(v2+v3))... */
 template <typename T, int S>
 inline T
@@ -606,10 +618,6 @@ pairwiseSum(const T *v)
                pairwiseSum<T, S / 2>(v + S / 2);
     }
 }
-
-/** AVX2 backends (defined in simd_avx2.cc, built with -mavx2). */
-double logSumExpAvx2(std::span<const double> lvals);
-float logSumExpAvx2(std::span<const float> lvals);
 
 } // namespace detail
 

@@ -1,118 +1,25 @@
 /**
  * @file
- * AVX2 backend of logSumExpSimd. This translation unit is compiled
- * with -mavx2 (see CMakeLists); nothing in it may be called unless
- * isaSupported(Isa::Avx2) said yes at runtime.
- *
- * Both functions reproduce the reference striped reduction of
- * simd.cc bit for bit: the vector width IS the stripe count, so lane
- * j of the register carries exactly stripe j (element i lands in
- * lane i % width both here and in the reference), the max pass uses
- * the same NaN-skipping `v > m` select (GT_OQ compare + blend), the
- * exponentials are the same scalar libm calls, and the horizontal
- * combines go through the shared detail::pairwiseMax / pairwiseSum
- * trees. The tests enforce the bit-identity on every span shape.
+ * AVX2 instantiation of the in-house exp (core/exp_kernel.hh). This
+ * translation unit is compiled with -mavx2 (see CMakeLists); nothing
+ * in it may be called unless isaSupported(Isa::Avx2) said yes at
+ * runtime.
  */
 
-#include <cmath>
-#include <limits>
-
+#include "core/exp_kernel.hh"
 #include "core/simd.hh"
 
 namespace pstat::simd::detail
 {
 
-double
-logSumExpAvx2(std::span<const double> lvals)
+size_t
+expKernelBatchAvx2(std::span<const double> x, std::span<double> out)
 {
-    static_assert(lse_stripes_f64 == 4,
-                  "AVX2 double lanes must equal the stripe count");
-    constexpr double neg_inf =
-        -std::numeric_limits<double>::infinity();
-    const double *x = lvals.data();
-    const size_t n = lvals.size();
-
-    __m256d mv = _mm256_set1_pd(neg_inf);
+    constexpr size_t W = Avx2DoubleVec::width;
     size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256d v = _mm256_loadu_pd(x + i);
-        const __m256d gt = _mm256_cmp_pd(v, mv, _CMP_GT_OQ);
-        mv = _mm256_blendv_pd(mv, v, gt);
-    }
-    alignas(32) double m[4];
-    _mm256_store_pd(m, mv);
-    for (; i < n; ++i) {
-        const double v = x[i];
-        double &mj = m[i % 4];
-        mj = v > mj ? v : mj;
-    }
-    const double mm = pairwiseMax<double, 4>(m);
-    if (std::isinf(mm) && mm < 0.0)
-        return neg_inf;
-
-    __m256d sv = _mm256_setzero_pd();
-    const __m256d mmv = _mm256_set1_pd(mm);
-    alignas(32) double d[4];
-    alignas(32) double e[4];
-    i = 0;
-    for (; i + 4 <= n; i += 4) {
-        _mm256_store_pd(
-            d, _mm256_sub_pd(_mm256_loadu_pd(x + i), mmv));
-        for (int j = 0; j < 4; ++j)
-            e[j] = std::exp(d[j]);
-        sv = _mm256_add_pd(sv, _mm256_load_pd(e));
-    }
-    alignas(32) double s[4];
-    _mm256_store_pd(s, sv);
-    for (; i < n; ++i)
-        s[i % 4] += std::exp(x[i] - mm);
-    return mm + std::log(pairwiseSum<double, 4>(s));
-}
-
-float
-logSumExpAvx2(std::span<const float> lvals)
-{
-    static_assert(lse_stripes_f32 == 8,
-                  "AVX2 float lanes must equal the stripe count");
-    constexpr float neg_inf = -std::numeric_limits<float>::infinity();
-    const float *x = lvals.data();
-    const size_t n = lvals.size();
-
-    __m256 mv = _mm256_set1_ps(neg_inf);
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256 v = _mm256_loadu_ps(x + i);
-        const __m256 gt = _mm256_cmp_ps(v, mv, _CMP_GT_OQ);
-        mv = _mm256_blendv_ps(mv, v, gt);
-    }
-    alignas(32) float m[8];
-    _mm256_store_ps(m, mv);
-    for (; i < n; ++i) {
-        const float v = x[i];
-        float &mj = m[i % 8];
-        mj = v > mj ? v : mj;
-    }
-    const float mm = pairwiseMax<float, 8>(m);
-    if (std::isinf(mm) && mm < 0.0f)
-        return neg_inf;
-
-    __m256 sv = _mm256_setzero_ps();
-    const __m256 mmv = _mm256_set1_ps(mm);
-    alignas(32) float d[8];
-    alignas(32) float e[8];
-    i = 0;
-    for (; i + 8 <= n; i += 8) {
-        _mm256_store_ps(
-            d, _mm256_sub_ps(_mm256_loadu_ps(x + i), mmv));
-        for (int j = 0; j < 8; ++j)
-            e[j] = std::exp(d[j]);
-        sv = _mm256_add_ps(sv, _mm256_load_ps(e));
-    }
-    alignas(32) float s[8];
-    _mm256_store_ps(s, sv);
-    for (; i < n; ++i)
-        s[i % 8] += std::exp(x[i] - mm);
-    return mm + std::log(pairwiseSum<float, 8>(s));
+    for (; i + W <= x.size(); i += W)
+        expKernel(Avx2DoubleVec::load(&x[i])).store(&out[i]);
+    return i;
 }
 
 } // namespace pstat::simd::detail

@@ -169,10 +169,11 @@ class FormatOpsImpl final : public FormatOps
         if (dataflow == Dataflow::Accelerator) {
             // The log accelerator PE is the n-ary LSE of Listing 3
             // (in the format's own function-unit width), not a
-            // pairwise tree over binary LSEs.
+            // pairwise tree over binary LSEs. On `log` it runs the
+            // vectorized state tile, bit-identical to forwardLogNary.
             if constexpr (std::is_same_v<T, LogDouble>)
                 return wrap(
-                    hmm::forwardLogNary(model, obs).likelihood);
+                    hmm::forwardLogNarySimd(model, obs).likelihood);
             if constexpr (std::is_same_v<T, LogFloat>)
                 return wrap(
                     hmm::forwardLogNary32(model, obs).likelihood);

@@ -81,7 +81,21 @@ ShardSource::next()
             return reader->column(i);
         };
     } else {
+        // A shard's symbols come from outside the process, and every
+        // HMM kernel indexes the emission table with them: check each
+        // against the bound model before any job can read one.
         const hmm::Model *model = model_;
+        for (size_t i = 0; i < reader->size(); ++i) {
+            for (const int symbol : reader->sequence(i)) {
+                if (symbol < 0 || symbol >= model->num_symbols)
+                    throw io::ShardError(
+                        reader->path() + ": sequence record " +
+                        std::to_string(i) + " has symbol " +
+                        std::to_string(symbol) + ", outside the " +
+                        "model's [0, " +
+                        std::to_string(model->num_symbols) + ")");
+            }
+        }
         block.job = [reader, model](size_t i) {
             return ForwardJob{model, reader->sequence(i)};
         };

@@ -148,7 +148,11 @@ class MemoryJobSource final : public JobSource
  * most one consumer-side shard is alive at a time (the queue bound
  * governs the rest). Rejects a shard whose payload tag does not
  * match the expected kind with io::ShardError — a Sequences shard
- * fed to a p-value plan must fail loudly, not read garbage records.
+ * fed to a p-value plan must fail loudly, not read garbage records —
+ * and, before its block is handed out, a sequences shard with any
+ * symbol outside the bound model's [0, num_symbols), naming the
+ * shard and the record: the kernels index the emission table with
+ * those symbols unchecked.
  */
 class ShardSource final : public JobSource
 {

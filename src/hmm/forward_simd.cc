@@ -1,69 +1,9 @@
 #include "hmm/forward_simd.hh"
 
-#include <cmath>
-#include <vector>
-
 #include "hmm/forward_simd_tile.hh"
 
 namespace pstat::hmm
 {
-
-namespace
-{
-
-/**
- * The Listing-3 n-ary-LSE forward pass with carrier type F and every
- * reduction evaluated by the fixed-striped logSumExpSimd. Mirrors
- * forward.cc's logNaryForwardLn except for the reduction order (and
- * a transposed ln A so the per-state term loop reads contiguously —
- * an exact copy, values unchanged).
- */
-template <typename F>
-F
-logNaryForwardLnSimd(const Model &model, std::span<const int> obs,
-                     simd::Isa isa)
-{
-    const int h = model.num_states;
-
-    // ln A transposed: ln_at[q * H + p] = ln a[p][q].
-    std::vector<F> ln_at(model.a.size());
-    for (int p = 0; p < h; ++p) {
-        for (int q = 0; q < h; ++q)
-            ln_at[static_cast<size_t>(q) * h + p] = static_cast<F>(
-                std::log(model.a[static_cast<size_t>(p) * h + q]));
-    }
-    std::vector<F> ln_b(model.b.size());
-    for (size_t i = 0; i < ln_b.size(); ++i)
-        ln_b[i] = static_cast<F>(std::log(model.b[i]));
-
-    std::vector<F> alpha(h);
-    std::vector<F> alpha_prev(h);
-    std::vector<F> terms(h);
-    for (int q = 0; q < h; ++q) {
-        alpha_prev[q] =
-            static_cast<F>(std::log(model.pi[q])) +
-            ln_b[static_cast<size_t>(q) * model.num_symbols + obs[0]];
-    }
-
-    for (size_t t = 1; t < obs.size(); ++t) {
-        const int ot = obs[t];
-        for (int q = 0; q < h; ++q) {
-            const F *ln_aq = &ln_at[static_cast<size_t>(q) * h];
-            for (int p = 0; p < h; ++p)
-                terms[p] = alpha_prev[p] + ln_aq[p];
-            const F path_sum =
-                simd::logSumExpSimd(std::span<const F>(terms), isa);
-            alpha[q] =
-                path_sum +
-                ln_b[static_cast<size_t>(q) * model.num_symbols + ot];
-        }
-        std::swap(alpha, alpha_prev);
-    }
-
-    return simd::logSumExpSimd(std::span<const F>(alpha_prev), isa);
-}
-
-} // namespace
 
 template <typename T>
 ForwardOutcome<T>
@@ -111,24 +51,12 @@ ForwardOutcome<LogDouble>
 forwardLogNarySimd(const Model &model, std::span<const int> obs,
                    simd::Isa isa)
 {
-    ForwardOutcome<LogDouble> out;
-    if (obs.empty())
-        return out;
-    out.likelihood = LogDouble::fromLn(
-        logNaryForwardLnSimd<double>(model, obs, isa));
-    return out;
-}
-
-ForwardOutcome<LogFloat>
-forwardLogNary32Simd(const Model &model, std::span<const int> obs,
-                     simd::Isa isa)
-{
-    ForwardOutcome<LogFloat> out;
-    if (obs.empty())
-        return out;
-    out.likelihood = LogFloat::fromLn(
-        logNaryForwardLnSimd<float>(model, obs, isa));
-    return out;
+#if defined(PSTAT_SIMD_HAS_AVX2)
+    if (isa == simd::Isa::Avx2 && simd::isaSupported(isa))
+        return detail::forwardLogNaryTileAvx2(model, obs);
+#endif
+    (void)isa;
+    return forwardLogNary(model, obs);
 }
 
 namespace detail
@@ -144,6 +72,12 @@ ForwardOutcome<float>
 forwardTilePortableF32(const Model &model, std::span<const int> obs)
 {
     return forwardTileImpl<simd::ArrayVec<float, 8>>(model, obs);
+}
+
+ForwardOutcome<LogDouble>
+forwardLogNaryTilePortable(const Model &model, std::span<const int> obs)
+{
+    return forwardLogNaryTileImpl<simd::ArrayVec<double, 4>>(model, obs);
 }
 
 } // namespace detail

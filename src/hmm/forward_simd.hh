@@ -2,19 +2,19 @@
  * @file
  * SIMD entry points for the HMM forward pass.
  *
- * forwardSimd<T> vectorizes the Listing-1 state loop within one
- * sequence (forward_simd_tile.hh) and is bit-identical to
- * forward<T>(Reduction::Sequential) for T = double / float — the
- * engine's Software dataflow routes through it for those formats,
- * moving no committed baseline. Isa::Scalar runs the original
- * forward<T> (the legacy path).
+ * Both vectorize the state loop within one sequence
+ * (forward_simd_tile.hh) and are bit-identical to their scalar
+ * oracle on every ISA, so the engine routes through them without
+ * moving any committed baseline. Isa::Scalar runs the oracle itself.
  *
- * forwardLogNarySimd is the Listing-3 n-ary-LSE dataflow with every
- * reduction evaluated by the fixed-striped logSumExpSimd. Its
- * reduction ORDER differs from forwardLogNary's sequential n-ary LSE
- * — so it is a separate entry point (benchmarked, never silently
- * substituted) — but it is ISA-invariant: every backend returns the
- * same bits, with the scalar striped reference as the oracle.
+ *  - forwardSimd<T> is forward<T>(Reduction::Sequential) for
+ *    T = double / float: the Software dataflow of binary64 and
+ *    binary32.
+ *  - forwardLogNarySimd is forwardLogNary, the Listing-3 n-ary-LSE
+ *    dataflow on `log`: the Accelerator dataflow, the default of
+ *    every `log` forward plan. Its lanes share the in-house exp
+ *    (core/exp_kernel.hh) with the scalar logSumExp(span). The
+ *    binary32 carrier (`log32`) keeps its scalar libm forward.
  */
 
 #ifndef PSTAT_HMM_FORWARD_SIMD_HH
@@ -45,19 +45,15 @@ extern template ForwardOutcome<float>
 forwardSimd<float>(const Model &, std::span<const int>, simd::Isa);
 
 /**
- * Listing-3 n-ary-LSE forward pass with striped-vector reductions
- * (log-space binary64 carrier). ISA-invariant by the logSumExpSimd
- * contract; NOT bit-comparable to forwardLogNary (different, but
- * fixed, reduction order).
+ * Listing-3 n-ary-LSE forward pass with the state loop vectorized;
+ * bit-identical to forwardLogNary(model, obs). AVX2 runs the tile;
+ * Scalar, NEON (NeonDoubleVec has no gather, so the tile is not
+ * instantiated there) and any unsupported request run
+ * forwardLogNary.
  */
 ForwardOutcome<LogDouble>
 forwardLogNarySimd(const Model &model, std::span<const int> obs,
                    simd::Isa isa = simd::activeIsa());
-
-/** The binary32-carrier variant of forwardLogNarySimd. */
-ForwardOutcome<LogFloat>
-forwardLogNary32Simd(const Model &model, std::span<const int> obs,
-                     simd::Isa isa = simd::activeIsa());
 
 namespace detail
 {
@@ -67,6 +63,8 @@ ForwardOutcome<double> forwardTileAvx2F64(const Model &model,
                                           std::span<const int> obs);
 ForwardOutcome<float> forwardTileAvx2F32(const Model &model,
                                          std::span<const int> obs);
+ForwardOutcome<LogDouble>
+forwardLogNaryTileAvx2(const Model &model, std::span<const int> obs);
 
 /**
  * The portable ArrayVec tile at the AVX2 widths: the reference the
@@ -76,6 +74,8 @@ ForwardOutcome<double>
 forwardTilePortableF64(const Model &model, std::span<const int> obs);
 ForwardOutcome<float>
 forwardTilePortableF32(const Model &model, std::span<const int> obs);
+ForwardOutcome<LogDouble>
+forwardLogNaryTilePortable(const Model &model, std::span<const int> obs);
 
 } // namespace detail
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * AVX2 instantiation of the forward-pass state-tile kernel. Compiled
+ * AVX2 instantiations of the forward-pass state-tile kernels. Compiled
  * with -mavx2 (see CMakeLists); callable only when
  * simd::isaSupported(Isa::Avx2) said yes at runtime.
  */
@@ -22,6 +22,12 @@ ForwardOutcome<float>
 forwardTileAvx2F32(const Model &model, std::span<const int> obs)
 {
     return forwardTileImpl<simd::Avx2FloatVec>(model, obs);
+}
+
+ForwardOutcome<LogDouble>
+forwardLogNaryTileAvx2(const Model &model, std::span<const int> obs)
+{
+    return forwardLogNaryTileImpl<simd::Avx2DoubleVec>(model, obs);
 }
 
 } // namespace pstat::hmm::detail

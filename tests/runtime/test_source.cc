@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/job_source.hh"
@@ -178,6 +179,40 @@ TEST(JobSource, ShardSourceBindsTheModelToSequenceJobs)
             EXPECT_EQ(job.obs[j], sequences[i][j]);
     }
     EXPECT_FALSE(source.next().has_value());
+}
+
+TEST(JobSource, ShardSourceRejectsSymbolsOutsideTheModel)
+{
+    // Every HMM kernel indexes the emission table with the streamed
+    // symbols: one equal to num_symbols reads past the table, and a
+    // negative one before it. The source must refuse the shard,
+    // naming it and the record, before handing out any job.
+    stats::Rng rng(43);
+    const hmm::Model model = hmm::makeDirichletModel(rng, 3, 4);
+    const std::vector<int> good = hmm::sampleObservations(rng, model, 6);
+    const std::vector<std::pair<const char *, std::vector<int>>> bad = {
+        {"srcsym_high.shard", {0, 1, model.num_symbols, 2}},
+        {"srcsym_negative.shard", {3, -1, 0}},
+    };
+    for (const auto &[name, symbols] : bad) {
+        const std::string path = tempPath(name);
+        {
+            io::ShardWriter writer(path, io::ShardPayload::Sequences);
+            writer.addSequence(good);
+            writer.addSequence(symbols);
+            writer.close();
+        }
+        io::ShardStream stream(std::vector<std::string>{path});
+        ShardSource source(stream, io::ShardPayload::Sequences, &model);
+        try {
+            source.next();
+            ADD_FAILURE() << name << ": no ShardError";
+        } catch (const io::ShardError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(path), std::string::npos) << what;
+            EXPECT_NE(what.find("record 1"), std::string::npos) << what;
+        }
+    }
 }
 
 } // namespace

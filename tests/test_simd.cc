@@ -12,6 +12,7 @@
  * exercise the tile logic at AVX2 widths on any host.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -20,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/exp_kernel.hh"
 #include "core/logspace.hh"
 #include "core/simd.hh"
 #include "engine/format_registry.hh"
@@ -65,84 +67,171 @@ allIsas()
 }
 
 // ---------------------------------------------------------------------------
-// logSumExpSimd
+// The in-house exp (core/exp_kernel.hh)
 // ---------------------------------------------------------------------------
 
-template <typename T>
-void
-checkLseAcrossIsas(std::span<const T> lvals, const char *label)
+/**
+ * |got - exp(x)| in ulps of the exact exp(x) against BigFloat::exp:
+ * the binary64 spacing at the exact value, 2^-1074 below 2^-1022.
+ */
+double
+expUlpError(double x, double got)
 {
-    const T scalar = simd::logSumExpSimd(lvals, simd::Isa::Scalar);
-    for (simd::Isa isa : allIsas()) {
-        const T vec = simd::logSumExpSimd(lvals, isa);
-        if (std::isnan(static_cast<double>(scalar))) {
-            // NaN payloads are not part of the contract; NaN-ness is.
-            EXPECT_TRUE(std::isnan(static_cast<double>(vec)))
-                << label << " isa=" << simd::isaName(isa);
-        } else {
-            EXPECT_TRUE(bitsEqual(vec, scalar))
-                << label << " isa=" << simd::isaName(isa)
-                << " vec=" << vec << " scalar=" << scalar;
+    const BigFloat exact = BigFloat::exp(BigFloat::fromDouble(x));
+    const int64_t e = std::max<int64_t>(exact.exponent(), -1022);
+    const BigFloat ulp =
+        BigFloat::fromDouble(std::ldexp(1.0, static_cast<int>(e - 52)));
+    return ((BigFloat::fromDouble(got) - exact).abs() / ulp).toDouble();
+}
+
+/** n + 1 evenly spaced points of [lo, hi], both ends included. */
+std::vector<double>
+sweep(double lo, double hi, int n)
+{
+    std::vector<double> xs;
+    for (int i = 0; i <= n; ++i)
+        xs.push_back(lo + (hi - lo) * i / n);
+    return xs;
+}
+
+/** The exp test inputs: sweeps, edges and special values. */
+std::vector<double>
+expInputs()
+{
+    std::vector<double> xs = sweep(-745.2, 0.0, 24000);
+    // Subnormal results.
+    for (const double x : sweep(-745.13, -708.39, 6000))
+        xs.push_back(x);
+    // Near zero: table row 32 (tail 0), so the polynomial alone
+    // carries the result's low bits.
+    for (const double x : sweep(-0.01, 0.0, 1000))
+        xs.push_back(x);
+    // The underflow edge: exp(x) crosses 2^-1075, half the least
+    // subnormal, at x = -745.1332191019412.
+    double edge = -745.1332191019412;
+    for (int i = 0; i < 64; ++i)
+        edge = std::nextafter(edge, 0.0);
+    for (int i = 0; i < 128; ++i) {
+        xs.push_back(edge);
+        edge = std::nextafter(edge, -INFINITY);
+    }
+    // The least and greatest normal results.
+    xs.push_back(-708.3964185322641);
+    xs.push_back(std::nextafter(-708.3964185322641, 0.0));
+    xs.push_back(-std::numeric_limits<double>::denorm_min());
+    return xs;
+}
+
+TEST(ExpKernel, WithinOneUlpOfBigFloat)
+{
+    double worst = 0.0;
+    double worst_x = 0.0;
+    for (const double x : expInputs()) {
+        const double err = expUlpError(x, simd::expKernel(x));
+        if (err > worst) {
+            worst = err;
+            worst_x = x;
         }
     }
+    EXPECT_LE(worst, 1.0) << "at x = " << worst_x;
 }
 
-template <typename T>
-void
-runLseRaggedSizes()
+TEST(ExpKernel, SpecialValues)
 {
-    stats::Rng rng(42);
-    // Sizes straddling every stripe boundary: empty, below one
-    // stripe pass, exact multiples, and off-by-one raggedness.
-    for (size_t n : {0UL, 1UL, 2UL, 3UL, 4UL, 5UL, 7UL, 8UL, 9UL,
-                     15UL, 16UL, 17UL, 31UL, 32UL, 33UL, 100UL,
-                     257UL}) {
-        std::vector<T> lvals(n);
-        for (auto &v : lvals)
-            v = static_cast<T>(rng.uniform(-80.0, 0.0));
-        checkLseAcrossIsas<T>(lvals, "ragged");
+    const double ninf = -std::numeric_limits<double>::infinity();
+    EXPECT_TRUE(bitsEqual(simd::expKernel(-0.0), 1.0));
+    EXPECT_TRUE(bitsEqual(simd::expKernel(0.0), 1.0));
+    // -inf and everything past the underflow edge are +0, never -0.
+    for (const double x :
+         {ninf, -745.2, -1000.0, -1.0e300,
+          -std::numeric_limits<double>::max()})
+        EXPECT_TRUE(bitsEqual(simd::expKernel(x), 0.0)) << x;
+    EXPECT_TRUE(std::isnan(
+        simd::expKernel(std::numeric_limits<double>::quiet_NaN())));
+    // The least subnormal, from just above the underflow edge.
+    EXPECT_EQ(simd::expKernel(-745.1332191019411),
+              std::numeric_limits<double>::denorm_min());
+}
+
+TEST(ExpKernel, EveryIsaBitIdenticalToScalar)
+{
+    std::vector<double> xs = expInputs();
+    stats::Rng rng(43);
+    for (int i = 0; i < 4000; ++i)
+        xs.push_back(-std::exp(rng.uniform(-40.0, 7.0)));
+    // Special lanes at every position of a 4-lane vector, and a
+    // ragged tail.
+    for (const double special :
+         {-std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::quiet_NaN(), -0.0, 0.0, -1000.0,
+          -745.1332191019411})
+        for (int pos = 0; pos < 4; ++pos)
+            xs.insert(xs.begin() + pos * 5, special);
+    xs.push_back(-1.25);
+
+    std::vector<double> want(xs.size());
+    for (size_t i = 0; i < xs.size(); ++i)
+        want[i] = simd::expKernel(xs[i]);
+    const auto check = [&](const std::vector<double> &got,
+                           const char *label) {
+        for (size_t i = 0; i < xs.size(); ++i) {
+            if (std::isnan(want[i]))
+                EXPECT_TRUE(std::isnan(got[i])) << label << " " << i;
+            else
+                EXPECT_TRUE(bitsEqual(got[i], want[i]))
+                    << label << " x=" << xs[i];
+        }
+    };
+    for (const simd::Isa isa : allIsas()) {
+        std::vector<double> got(xs.size());
+        simd::detail::expKernelBatch(xs, got, isa);
+        check(got, simd::isaName(isa));
     }
+    // The portable reference at the AVX2 width.
+    using Portable = simd::ArrayVec<double, 4>;
+    std::vector<double> portable(xs.size());
+    size_t i = 0;
+    for (; i + 4 <= xs.size(); i += 4)
+        simd::expKernel(Portable::load(&xs[i])).store(&portable[i]);
+    for (; i < xs.size(); ++i)
+        portable[i] = simd::expKernel(xs[i]);
+    check(portable, "ArrayVec<double, 4>");
 }
 
-TEST(SimdLse, BitIdenticalAcrossIsasOnRaggedSizesF64)
-{
-    runLseRaggedSizes<double>();
-}
+// ---------------------------------------------------------------------------
+// The n-ary LSE, logSumExp(span)
+// ---------------------------------------------------------------------------
 
-TEST(SimdLse, BitIdenticalAcrossIsasOnRaggedSizesF32)
+/** ln(sum of e^v) at BigFloat precision, rounded to double. */
+double
+lseReference(const std::vector<double> &lvals)
 {
-    runLseRaggedSizes<float>();
+    BigFloat sum = BigFloat::zero();
+    for (const double v : lvals)
+        if (!std::isinf(v))
+            sum = sum + BigFloat::exp(BigFloat::fromDouble(v));
+    return BigFloat::ln(sum).toDouble();
 }
 
 template <typename T>
 void
-runLseSpecialValues()
+runNaryLseSpecialValues()
 {
     const T ninf = -std::numeric_limits<T>::infinity();
     const T pinf = std::numeric_limits<T>::infinity();
     const T nan = std::numeric_limits<T>::quiet_NaN();
     const T subn = std::numeric_limits<T>::denorm_min();
+    const auto lse = [](const std::vector<T> &lvals) {
+        return logSumExp(std::span<const T>(lvals));
+    };
 
     // Empty and all--inf spans are exact zeros: -inf, never NaN.
-    {
-        std::vector<T> empty;
-        for (simd::Isa isa : allIsas()) {
-            EXPECT_TRUE(std::isinf(static_cast<double>(
-                            simd::logSumExpSimd(
-                                std::span<const T>(empty), isa))))
-                << simd::isaName(isa);
-        }
-        std::vector<T> zeros(13, ninf);
-        for (simd::Isa isa : allIsas()) {
-            const T v = simd::logSumExpSimd(
-                std::span<const T>(zeros), isa);
-            EXPECT_TRUE(std::isinf(static_cast<double>(v)) && v < 0)
-                << simd::isaName(isa);
-        }
-    }
+    EXPECT_TRUE(bitsEqual(lse({}), ninf));
+    EXPECT_TRUE(bitsEqual(lse(std::vector<T>(13, ninf)), ninf));
 
-    // -inf lanes mixed into one tile, in every position class.
-    std::vector<std::vector<T>> cases = {
+    // -inf terms in every position class contribute exactly nothing,
+    // and subnormal log values (terms of about 1) mix in correctly.
+    const std::vector<std::vector<T>> cases = {
         {ninf, T(-1.5), T(-2.25), T(-0.5), T(-3), T(-4), T(-5),
          T(-6), T(-7)},
         {T(-1.5), T(-2.25), ninf, T(-0.5), ninf, T(-4), T(-5),
@@ -153,23 +242,79 @@ runLseSpecialValues()
         {T(-1)},
         {ninf, ninf, T(-9.75)},
     };
-    for (const auto &lvals : cases)
-        checkLseAcrossIsas<T>(lvals, "special");
+    for (const auto &lvals : cases) {
+        std::vector<T> finite;
+        std::vector<double> wide;
+        for (const T v : lvals) {
+            if (!std::isinf(v))
+                finite.push_back(v);
+            wide.push_back(static_cast<double>(v));
+        }
+        const T got = lse(lvals);
+        EXPECT_TRUE(bitsEqual(got, lse(finite))) << lvals.size();
+        const double want = lseReference(wide);
+        EXPECT_NEAR(static_cast<double>(got), want,
+                    4 * std::numeric_limits<T>::epsilon() *
+                        std::max(1.0, std::fabs(want)))
+            << lvals.size();
+    }
+    // One finite term is exact: max + log(1).
+    EXPECT_TRUE(bitsEqual(lse({T(-1)}), T(-1)));
+    EXPECT_TRUE(bitsEqual(lse({ninf, ninf, T(-9.75)}), T(-9.75)));
 
-    // NaN and +inf poison the exponential sum into NaN everywhere.
-    std::vector<std::vector<T>> poisoned = {
+    // NaN and +inf poison the exponential sum into NaN.
+    const std::vector<std::vector<T>> poisoned = {
         {T(-1), nan, T(-2), T(-3), T(-4), T(-5), T(-6), T(-7),
          T(-8)},
         {T(-1), pinf, T(-2), T(-3), T(-4), T(-5), T(-6), T(-7),
          T(-8)},
     };
     for (const auto &lvals : poisoned)
-        checkLseAcrossIsas<T>(lvals, "poisoned");
+        EXPECT_TRUE(std::isnan(static_cast<double>(lse(lvals))));
 }
 
-TEST(SimdLse, SpecialValueLanesF64) { runLseSpecialValues<double>(); }
+TEST(NaryLse, SpecialValuesF64) { runNaryLseSpecialValues<double>(); }
 
-TEST(SimdLse, SpecialValueLanesF32) { runLseSpecialValues<float>(); }
+TEST(NaryLse, SpecialValuesF32) { runNaryLseSpecialValues<float>(); }
+
+TEST(NaryLse, UsesTheExpKernel)
+{
+    // logSumExp(span) is m + log(sum of expKernel(v - m)), the same
+    // exp the vector forward tile runs per lane. The kernel and libm
+    // agree to within an ulp, so most spans cannot tell them apart:
+    // a span whose maximum is 0 with a few terms above -ln 2 shows
+    // an exp difference in the sum's last bit and in the log. Those
+    // spans are half of the trials, and the libm variant of the same
+    // formula must differ on some of them, so the pin sees an exp
+    // swap.
+    stats::Rng rng(59);
+    int libm_differs = 0;
+    for (int trial = 0; trial < 20000; ++trial) {
+        std::vector<double> lvals;
+        if (trial % 2 == 0) {
+            lvals.push_back(0.0);
+            for (size_t i = 1 + rng.below(3); i > 0; --i)
+                lvals.push_back(rng.uniform(-0.69, 0.0));
+        } else {
+            for (size_t i = 1 + rng.below(40); i > 0; --i)
+                lvals.push_back(rng.uniform(-60.0, 0.0) - 20.0);
+        }
+        double m = -INFINITY;
+        for (const double v : lvals)
+            m = v > m ? v : m;
+        double kernel_sum = 0.0;
+        double libm_sum = 0.0;
+        for (const double v : lvals) {
+            kernel_sum += simd::expKernel(v - m);
+            libm_sum += std::exp(v - m);
+        }
+        const double want = m + std::log(kernel_sum);
+        const double got = logSumExp(std::span<const double>(lvals));
+        EXPECT_TRUE(bitsEqual(got, want)) << "trial " << trial;
+        libm_differs += bitsEqual(m + std::log(libm_sum), want) ? 0 : 1;
+    }
+    EXPECT_GT(libm_differs, 0);
+}
 
 // ---------------------------------------------------------------------------
 // StreamingLogSumExp -inf edge cases (pinned per the logspace.hh doc)
@@ -188,9 +333,6 @@ TEST(StreamingLse, EmptyAndAllMinusInfReportMinusInf)
 
     const std::vector<double> none;
     EXPECT_EQ(empty.value(), logSumExp(std::span<const double>(none)));
-    EXPECT_EQ(empty.value(),
-              simd::logSumExpSimd(std::span<const double>(none),
-                                  simd::Isa::Scalar));
 }
 
 TEST(StreamingLse, LeadingMinusInfLeavesStateUntouched)
@@ -204,8 +346,8 @@ TEST(StreamingLse, LeadingMinusInfLeavesStateUntouched)
     }
     EXPECT_TRUE(bitsEqual(with.value(), without.value()));
 
-    // Single finite term: streaming, n-ary, and striped all agree
-    // exactly (max + log(1) = max).
+    // Single finite term: streaming and n-ary agree exactly
+    // (max + log(1) = max).
     StreamingLogSumExp one;
     one.add(-INFINITY);
     one.add(-2.75);
@@ -213,9 +355,6 @@ TEST(StreamingLse, LeadingMinusInfLeavesStateUntouched)
     EXPECT_TRUE(bitsEqual(one.value(), -2.75));
     EXPECT_TRUE(bitsEqual(
         one.value(), logSumExp(std::span<const double>(single))));
-    EXPECT_TRUE(bitsEqual(
-        one.value(),
-        simd::logSumExpSimd(std::span<const double>(single))));
 }
 
 // ---------------------------------------------------------------------------
@@ -553,32 +692,93 @@ TEST(SimdHmm, PortableForwardTileMatchesOracle)
     EXPECT_EQ(got32.first_underflow_step, want32.first_underflow_step);
 }
 
-TEST(SimdHmm, LogNaryIsaInvariant)
+/**
+ * The model with zeros where the log-space forward meets -inf terms:
+ * a few transitions and emissions, and every transition into state
+ * 0, so state 0's column of terms is all -inf at every step after
+ * the first.
+ */
+hmm::Model
+withZeros(hmm::Model model)
+{
+    const int h = model.num_states;
+    for (size_t i = 0; i < model.a.size(); i += 7)
+        model.a[i] = 0.0;
+    for (size_t i = 3; i < model.b.size(); i += 11)
+        model.b[i] = 0.0;
+    if (h > 1) {
+        for (int p = 0; p < h; ++p)
+            model.a[static_cast<size_t>(p) * h] = 0.0;
+    }
+    return model;
+}
+
+TEST(SimdHmm, LogNaryTileBitIdenticalToLogNary)
 {
     stats::Rng rng(37);
-    const hmm::Model model = hmm::makeDirichletModel(rng, 13, 16);
-    const std::vector<int> obs =
-        hmm::sampleObservations(rng, model, 200);
-
-    const auto want64 =
-        hmm::forwardLogNarySimd(model, obs, simd::Isa::Scalar);
-    const auto want32 =
-        hmm::forwardLogNary32Simd(model, obs, simd::Isa::Scalar);
-    for (simd::Isa isa : allIsas()) {
-        const auto got64 = hmm::forwardLogNarySimd(model, obs, isa);
-        EXPECT_TRUE(bitsEqual(got64.likelihood.lnValue(),
-                              want64.likelihood.lnValue()))
-            << simd::isaName(isa);
-        const auto got32 = hmm::forwardLogNary32Simd(model, obs, isa);
-        EXPECT_TRUE(bitsEqual(got32.likelihood.lnValue(),
-                              want32.likelihood.lnValue()))
-            << simd::isaName(isa);
+    for (const int h : {1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16, 17}) {
+        for (const size_t t_len : {1UL, 2UL, 300UL}) {
+            for (const bool zeros : {false, true}) {
+                const hmm::Model base =
+                    hmm::makeDirichletModel(rng, h, 9);
+                const std::vector<int> obs =
+                    hmm::sampleObservations(rng, base, t_len);
+                const hmm::Model model = zeros ? withZeros(base) : base;
+                SCOPED_TRACE(::testing::Message()
+                             << "h=" << h << " T=" << t_len
+                             << " zeros=" << zeros);
+                const hmm::ForwardOutcome<LogDouble> want =
+                    hmm::forwardLogNary(model, obs);
+                const auto same = [&](const auto &got,
+                                      const char *label) {
+                    EXPECT_TRUE(bitsEqual(got.likelihood.lnValue(),
+                                          want.likelihood.lnValue()))
+                        << label << " got "
+                        << got.likelihood.lnValue() << " want "
+                        << want.likelihood.lnValue();
+                    EXPECT_EQ(got.first_underflow_step,
+                              want.first_underflow_step)
+                        << label;
+                };
+                for (const simd::Isa isa : allIsas())
+                    same(hmm::forwardLogNarySimd(model, obs, isa),
+                         simd::isaName(isa));
+                same(hmm::detail::forwardLogNaryTilePortable(model,
+                                                             obs),
+                     "ArrayVec<double, 4>");
+            }
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
 // Engine batch entry: every registered format
 // ---------------------------------------------------------------------------
+
+TEST(SimdEngine, LogAcceleratorForwardMatchesLogNary)
+{
+    // The registry's `log` x Accelerator forward (the default
+    // dataflow of every `log` forward plan) runs the vectorized tile;
+    // its answer is forwardLogNary's, bit for bit.
+    const engine::FormatOps &log = engine::FormatRegistry::instance().at(
+        "log");
+    stats::Rng rng(53);
+    for (const int h : {5, 13, 17}) {
+        for (const bool zeros : {false, true}) {
+            const hmm::Model base = hmm::makeDirichletModel(rng, h, 16);
+            const std::vector<int> obs =
+                hmm::sampleObservations(rng, base, 200);
+            const hmm::Model model = zeros ? withZeros(base) : base;
+            const engine::EvalResult got = log.hmmForward(
+                model, obs, engine::Dataflow::Accelerator);
+            const hmm::ForwardOutcome<LogDouble> want =
+                hmm::forwardLogNary(model, obs);
+            EXPECT_TRUE(got.value == RealTraits<LogDouble>::toBigFloat(
+                                         want.likelihood))
+                << "h=" << h << " zeros=" << zeros;
+        }
+    }
+}
 
 TEST(SimdEngine, PbdPValueBatchMatchesPerColumnEveryFormat)
 {
