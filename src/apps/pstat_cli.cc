@@ -444,14 +444,10 @@ runInfo(const Args &args)
     for (const auto &path : args.positional) {
         try {
             const io::ShardReader reader(path);
-            const char *payload_name = "columns";
-            if (reader.payload() == io::ShardPayload::Sequences)
-                payload_name = "sequences";
-            else if (reader.payload() == io::ShardPayload::Results)
-                payload_name = "results";
             std::printf("%s: v%u %s, %zu records, %zu payload bytes "
                         "(%zu file), CRC ok\n",
-                        path.c_str(), reader.version(), payload_name,
+                        path.c_str(), reader.version(),
+                        io::shardPayloadName(reader.payload()),
                         reader.size(), reader.payloadBytes(),
                         reader.fileBytes());
             switch (reader.payload()) {
@@ -1110,37 +1106,6 @@ runServe(const Args &args)
 
 // ------------------------------------------------------------ request
 
-/** Load every column of the given Columns shards, in order. */
-std::optional<std::vector<pbd::Column>>
-loadRequestColumns(const std::vector<std::string> &paths)
-{
-    std::vector<pbd::Column> columns;
-    for (const std::string &path : paths) {
-        try {
-            const io::ShardReader reader(path);
-            if (reader.payload() != io::ShardPayload::Columns) {
-                std::fprintf(stderr,
-                             "pstat: %s is not a columns shard\n",
-                             path.c_str());
-                return std::nullopt;
-            }
-            for (size_t i = 0; i < reader.size(); ++i) {
-                const pbd::ColumnView view = reader.column(i);
-                pbd::Column column;
-                column.k = view.k;
-                column.success_probs.assign(
-                    view.success_probs.begin(),
-                    view.success_probs.end());
-                columns.push_back(std::move(column));
-            }
-        } catch (const io::ShardError &error) {
-            std::fprintf(stderr, "pstat: %s\n", error.what());
-            return std::nullopt;
-        }
-    }
-    return columns;
-}
-
 int
 runRequest(const Args &args)
 {
@@ -1170,16 +1135,20 @@ runRequest(const Args &args)
     const auto plan = planFromFlags("request", args);
     if (!plan)
         return 2;
-    const auto columns = loadRequestColumns(args.positional);
-    if (!columns)
-        return 2;
-
-    ::signal(SIGPIPE, SIG_IGN);
     serve::ServeRequest request;
     request.id = 1;
     request.deadline_ms = static_cast<uint64_t>(*deadline);
     request.plan = *plan;
-    request.columns = std::move(*columns);
+    try {
+        for (const std::string &path : args.positional)
+            for (pbd::Column &column : io::readColumnShard(path))
+                request.columns.push_back(std::move(column));
+    } catch (const io::ShardError &error) {
+        std::fprintf(stderr, "pstat: %s\n", error.what());
+        return 2;
+    }
+
+    ::signal(SIGPIPE, SIG_IGN);
 
     serve::ServeResponse response;
     try {

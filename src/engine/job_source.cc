@@ -6,26 +6,6 @@
 namespace pstat::engine
 {
 
-namespace
-{
-
-/** Human name of a payload kind for the mismatch diagnostic. */
-const char *
-payloadName(io::ShardPayload payload)
-{
-    switch (payload) {
-    case io::ShardPayload::Columns:
-        return "columns";
-    case io::ShardPayload::Sequences:
-        return "sequences";
-    case io::ShardPayload::Results:
-        return "results";
-    }
-    return "unknown";
-}
-
-} // namespace
-
 std::optional<WorkBlock>
 MemoryColumnSource::next()
 {
@@ -66,9 +46,9 @@ ShardSource::next()
     }
     if (shard->payload() != expected_)
         throw io::ShardError(shard->path() + ": expected " +
-                             payloadName(expected_) +
+                             io::shardPayloadName(expected_) +
                              " records, found " +
-                             payloadName(shard->payload()));
+                             io::shardPayloadName(shard->payload()));
     current_.emplace(std::move(*shard));
     const io::ShardReader *reader = &*current_;
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "io/codec.hh"
 #include "io/file_replacement.hh"
 #include "io/shard.hh"
 
@@ -30,104 +31,6 @@ sameOptional(const std::optional<double> &a,
         return false;
     return !a || sameBits(*a, *b);
 }
-
-// ------------------------------------------------ encoding primitives
-
-void
-appendU32(std::vector<uint8_t> &out, uint32_t v)
-{
-    for (int shift = 0; shift < 32; shift += 8)
-        out.push_back(static_cast<uint8_t>(v >> shift));
-}
-
-void
-appendU64(std::vector<uint8_t> &out, uint64_t v)
-{
-    for (int shift = 0; shift < 64; shift += 8)
-        out.push_back(static_cast<uint8_t>(v >> shift));
-}
-
-void
-appendF64(std::vector<uint8_t> &out, double v)
-{
-    appendU64(out, std::bit_cast<uint64_t>(v));
-}
-
-void
-appendStr(std::vector<uint8_t> &out, const std::string &s)
-{
-    appendU32(out, static_cast<uint32_t>(s.size()));
-    out.insert(out.end(), s.begin(), s.end());
-}
-
-/** Bounds-checked little-endian reader over an encoded plan. */
-struct Cursor
-{
-    std::span<const uint8_t> bytes;
-    size_t pos = 0;
-
-    void
-    need(size_t n, const char *what) const
-    {
-        if (bytes.size() - pos < n)
-            throw PlanError(std::string("truncated plan: ") + what +
-                            " overruns the buffer");
-    }
-
-    uint32_t
-    u32(const char *what)
-    {
-        need(4, what);
-        uint32_t v = 0;
-        for (int shift = 0; shift < 32; shift += 8)
-            v |= static_cast<uint32_t>(bytes[pos++]) << shift;
-        return v;
-    }
-
-    uint64_t
-    u64(const char *what)
-    {
-        need(8, what);
-        uint64_t v = 0;
-        for (int shift = 0; shift < 64; shift += 8)
-            v |= static_cast<uint64_t>(bytes[pos++]) << shift;
-        return v;
-    }
-
-    double
-    f64(const char *what)
-    {
-        return std::bit_cast<double>(u64(what));
-    }
-
-    /**
-     * The count of a string list. Every string carries at least its
-     * 4-byte length, so a count the rest of the buffer cannot hold is
-     * rejected here, before a reserve() can ask for gigabytes.
-     */
-    uint32_t
-    count(const char *what)
-    {
-        const uint32_t n = u32(what);
-        if (n > (bytes.size() - pos) / 4)
-            throw PlanError(std::string("plan ") + what + " " +
-                            std::to_string(n) +
-                            " overruns the buffer");
-        return n;
-    }
-
-    std::string
-    str(const char *what)
-    {
-        const uint32_t len = u32(what);
-        need(len, what);
-        std::string out(reinterpret_cast<const char *>(
-                            bytes.data() + pos),
-                        len);
-        pos += len;
-        return out;
-    }
-};
 
 /** An enum decoded from the wire, range-checked. */
 template <typename E>
@@ -377,15 +280,16 @@ resultFormatLabel(const EvalPlan &plan)
 std::vector<uint8_t>
 encodePlan(const EvalPlan &plan)
 {
-    std::vector<uint8_t> out;
-    out.reserve(160);
-    out.insert(out.end(), plan_magic, plan_magic + sizeof(plan_magic));
-    appendU32(out, plan_version);
-    appendU32(out, static_cast<uint32_t>(plan.kernel));
-    appendU32(out, static_cast<uint32_t>(plan.source));
-    appendU32(out, static_cast<uint32_t>(plan.policy));
-    appendU32(out, static_cast<uint32_t>(plan.sum));
-    appendU32(out, static_cast<uint32_t>(plan.dataflow));
+    std::vector<uint8_t> bytes;
+    bytes.reserve(160);
+    io::ByteWriter out(bytes);
+    out.bytes(plan_magic, sizeof(plan_magic));
+    out.put(plan_version);
+    out.put(static_cast<uint32_t>(plan.kernel));
+    out.put(static_cast<uint32_t>(plan.source));
+    out.put(static_cast<uint32_t>(plan.policy));
+    out.put(static_cast<uint32_t>(plan.sum));
+    out.put(static_cast<uint32_t>(plan.dataflow));
     uint32_t flags = 0;
     if (plan.renormalize)
         flags |= flag_renormalize;
@@ -393,26 +297,25 @@ encodePlan(const EvalPlan &plan)
         flags |= flag_tol;
     if (plan.cert.threshold_log2)
         flags |= flag_threshold;
-    appendU32(out, flags);
-    appendU64(out, plan.queue_capacity);
+    out.put(flags);
+    out.put(plan.queue_capacity);
     // Absent optionals serialize as 0.0 so equal plans always encode
     // to equal bytes (the flags word carries the presence).
-    appendF64(out, plan.cert.tol_rel_log2.value_or(0.0));
-    appendF64(out, plan.cert.threshold_log2.value_or(0.0));
-    appendF64(out, plan.screen.threshold_log2);
-    appendF64(out, plan.screen.guard_band_log2);
-    appendStr(out, plan.format_id);
-    appendU32(out, static_cast<uint32_t>(plan.ladder_ids.size()));
+    out.put(plan.cert.tol_rel_log2.value_or(0.0));
+    out.put(plan.cert.threshold_log2.value_or(0.0));
+    out.put(plan.screen.threshold_log2);
+    out.put(plan.screen.guard_band_log2);
+    out.str(plan.format_id);
+    out.put(static_cast<uint32_t>(plan.ladder_ids.size()));
     for (const std::string &id : plan.ladder_ids)
-        appendStr(out, id);
-    appendU32(out, static_cast<uint32_t>(plan.shard_paths.size()));
+        out.str(id);
+    out.put(static_cast<uint32_t>(plan.shard_paths.size()));
     for (const std::string &path : plan.shard_paths)
-        appendStr(out, path);
+        out.str(path);
     // The shard-trailer convention: CRC-32 of every preceding byte,
     // zero-extended to 8 bytes.
-    const uint32_t crc = io::crc32(0, out.data(), out.size());
-    appendU64(out, crc);
-    return out;
+    out.put(uint64_t{io::crc32(0, bytes.data(), bytes.size())});
+    return bytes;
 }
 
 EvalPlan
@@ -431,16 +334,13 @@ decodePlan(std::span<const uint8_t> bytes)
     // half-parsed plan.
     const size_t trailer_pos = bytes.size() - 8;
     uint64_t stored = 0;
-    for (int i = 0; i < 8; ++i)
-        stored |= static_cast<uint64_t>(bytes[trailer_pos + i])
-                  << (8 * i);
-    const uint32_t computed =
-        io::crc32(0, bytes.data(), trailer_pos);
-    if (stored != computed)
+    std::memcpy(&stored, bytes.data() + trailer_pos, sizeof(stored));
+    if (stored != io::crc32(0, bytes.data(), trailer_pos))
         throw PlanError("plan CRC mismatch");
 
-    Cursor cursor{bytes.first(trailer_pos), sizeof(plan_magic)};
-    const uint32_t version = cursor.u32("version");
+    io::ByteReader<PlanError> in(bytes.first(trailer_pos), "plan",
+                                 sizeof(plan_magic));
+    const auto version = in.take<uint32_t>("version");
     if (version != plan_version)
         throw PlanError("unsupported plan version " +
                         std::to_string(version) + " (this build "
@@ -448,43 +348,42 @@ decodePlan(std::span<const uint8_t> bytes)
                         std::to_string(plan_version) + ")");
 
     EvalPlan plan;
-    plan.kernel = decodeEnum<PlanKernel>(cursor.u32("kernel"), 1, 5,
-                                         "kernel");
-    plan.source = decodeEnum<PlanSource>(cursor.u32("source"), 1, 2,
-                                         "source");
-    plan.policy = decodeEnum<PlanPolicy>(cursor.u32("policy"), 1, 4,
-                                         "policy");
-    plan.sum = decodeEnum<SumPolicy>(cursor.u32("sum"), 1, 2, "sum");
+    plan.kernel = decodeEnum<PlanKernel>(in.take<uint32_t>("kernel"), 1,
+                                         5, "kernel");
+    plan.source = decodeEnum<PlanSource>(in.take<uint32_t>("source"), 1,
+                                         2, "source");
+    plan.policy = decodeEnum<PlanPolicy>(in.take<uint32_t>("policy"), 1,
+                                         4, "policy");
+    plan.sum =
+        decodeEnum<SumPolicy>(in.take<uint32_t>("sum"), 1, 2, "sum");
     plan.dataflow = decodeEnum<Dataflow>(
-        cursor.u32("dataflow"), 0,
+        in.take<uint32_t>("dataflow"), 0,
         static_cast<uint32_t>(Dataflow::SoftwareCompensated),
         "dataflow");
-    const uint32_t flags = cursor.u32("flags");
+    const auto flags = in.take<uint32_t>("flags");
     if ((flags & ~flag_known_mask) != 0)
         throw PlanError("plan carries unknown flag bits");
     plan.renormalize = (flags & flag_renormalize) != 0;
-    plan.queue_capacity = cursor.u64("queue_capacity");
-    const double tol = cursor.f64("tol_rel_log2");
-    const double threshold = cursor.f64("threshold_log2");
+    plan.queue_capacity = in.take<uint64_t>("queue_capacity");
+    const auto tol = in.take<double>("tol_rel_log2");
+    const auto threshold = in.take<double>("threshold_log2");
     if (flags & flag_tol)
         plan.cert.tol_rel_log2 = tol;
     if (flags & flag_threshold)
         plan.cert.threshold_log2 = threshold;
-    plan.screen.threshold_log2 = cursor.f64("screen threshold");
-    plan.screen.guard_band_log2 = cursor.f64("screen guard band");
-    plan.format_id = cursor.str("format_id");
-    const uint32_t ladder_count = cursor.count("ladder count");
+    plan.screen.threshold_log2 = in.take<double>("screen threshold");
+    plan.screen.guard_band_log2 = in.take<double>("screen guard band");
+    plan.format_id = in.str("format_id");
+    // Every string carries at least its 4-byte length.
+    const auto ladder_count = in.count<uint32_t>("ladder count", 4);
     plan.ladder_ids.reserve(ladder_count);
     for (uint32_t i = 0; i < ladder_count; ++i)
-        plan.ladder_ids.push_back(cursor.str("ladder tier"));
-    const uint32_t path_count = cursor.count("shard path count");
+        plan.ladder_ids.push_back(in.str("ladder tier"));
+    const auto path_count = in.count<uint32_t>("shard path count", 4);
     plan.shard_paths.reserve(path_count);
     for (uint32_t i = 0; i < path_count; ++i)
-        plan.shard_paths.push_back(cursor.str("shard path"));
-    if (cursor.pos != trailer_pos)
-        throw PlanError("plan carries " +
-                        std::to_string(trailer_pos - cursor.pos) +
-                        " trailing bytes after the last field");
+        plan.shard_paths.push_back(in.str("shard path"));
+    in.expectEnd("field");
     return plan;
 }
 

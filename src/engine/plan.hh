@@ -208,8 +208,8 @@ inline constexpr char plan_magic[8] = {'P', 'S', 'T', 'P',
 inline constexpr uint32_t plan_version = 2;
 
 /**
- * Versioned binary encoding of a plan, following the shard record
- * conventions (io/shard.hh): little-endian fixed-width fields, the
+ * Versioned binary encoding of a plan, written with the shard and
+ * frame codec (io/codec.hh): little-endian fixed-width fields, the
  * plan_magic / plan_version header, length-prefixed strings, doubles
  * as IEEE bit patterns, and an 8-byte trailer holding the CRC-32 of
  * every preceding byte (zero-extended, exactly like the shard

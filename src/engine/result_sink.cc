@@ -151,7 +151,55 @@ AccumulateSink::consumeDecodes(const WorkBlock &,
                         decodes.end());
 }
 
-// -------------------------------------------------------- file sink
+// ----------------------------------------------------- record sinks
+
+void
+RecordSink::consumeResults(const WorkBlock &,
+                           std::span<const EvalResult> results)
+{
+    for (const EvalResult &result : results)
+        emit(encodeResultRecord(result));
+}
+
+void
+RecordSink::consumeScreened(const WorkBlock &,
+                            const ScreenedPValueBatch &batch)
+{
+    for (size_t i = 0; i < batch.results.size(); ++i) {
+        const uint32_t extra =
+            (i < batch.skipped.size() && batch.skipped[i])
+                ? io::result_flag_skipped
+                : 0;
+        emit(encodeResultRecord(batch.results[i], extra));
+    }
+}
+
+void
+RecordSink::consumeAdaptive(const WorkBlock &, const AdaptiveBatch &batch)
+{
+    for (size_t i = 0; i < batch.results.size(); ++i) {
+        const EscalationResult &item = batch.results[i];
+        uint32_t extra = 0;
+        if (i < batch.skipped.size() && batch.skipped[i])
+            extra |= io::result_flag_skipped;
+        if (item.certified)
+            extra |= io::result_flag_certified;
+        emit(encodeResultRecord(item.result, extra));
+    }
+}
+
+void
+RecordSink::consumeDecodes(const WorkBlock &,
+                           std::span<const ViterbiResult> decodes)
+{
+    for (const ViterbiResult &decode : decodes) {
+        io::ShardResultRecord record =
+            encodeResultRecord(decode.probability);
+        record.aux = decode.first_underflow_step;
+        record.path = decode.path;
+        emit(record);
+    }
+}
 
 ShardFileSink::ShardFileSink(const std::string &path,
                              PlanKernel kernel,
@@ -161,57 +209,9 @@ ShardFileSink::ShardFileSink(const std::string &path,
 }
 
 void
-ShardFileSink::consumeResults(const WorkBlock &,
-                              std::span<const EvalResult> results)
+ShardFileSink::emit(const io::ShardResultRecord &record)
 {
-    for (const EvalResult &result : results) {
-        writer_.addResult(encodeResultRecord(result));
-        ++written_;
-    }
-}
-
-void
-ShardFileSink::consumeScreened(const WorkBlock &,
-                               const ScreenedPValueBatch &batch)
-{
-    for (size_t i = 0; i < batch.results.size(); ++i) {
-        const uint32_t extra =
-            (i < batch.skipped.size() && batch.skipped[i])
-                ? io::result_flag_skipped
-                : 0;
-        writer_.addResult(encodeResultRecord(batch.results[i], extra));
-        ++written_;
-    }
-}
-
-void
-ShardFileSink::consumeAdaptive(const WorkBlock &,
-                               const AdaptiveBatch &batch)
-{
-    for (size_t i = 0; i < batch.results.size(); ++i) {
-        const EscalationResult &item = batch.results[i];
-        uint32_t extra = 0;
-        if (i < batch.skipped.size() && batch.skipped[i])
-            extra |= io::result_flag_skipped;
-        if (item.certified)
-            extra |= io::result_flag_certified;
-        writer_.addResult(encodeResultRecord(item.result, extra));
-        ++written_;
-    }
-}
-
-void
-ShardFileSink::consumeDecodes(const WorkBlock &,
-                              std::span<const ViterbiResult> decodes)
-{
-    for (const ViterbiResult &decode : decodes) {
-        io::ShardResultRecord record =
-            encodeResultRecord(decode.probability);
-        record.aux = decode.first_underflow_step;
-        record.path = decode.path;
-        writer_.addResult(record);
-        ++written_;
-    }
+    writer_.addResult(record);
 }
 
 void

@@ -7,13 +7,16 @@
  * WorkBlock's results to one ResultSink, block by block, so what
  * happens to results — accumulate in memory, report per shard,
  * persist to a result shard — is a policy chosen per run, not fused
- * into the evaluation loops. The file sink closes the io loop: it
- * writes the PR 5 shard encoding's Results payload (io/shard.hh), so a
+ * into the evaluation loops. RecordSink is the one translation of
+ * deliveries into lossless Results records; its two children only
+ * say where a record goes. The file sink closes the io loop: it
+ * writes the shard encoding's Results payload (io/shard.hh), so a
  * distributed evaluation leaves one idempotent, CRC-validated result
  * file per worker that any ShardReader can audit, and
  * `pstat eval -o out.shard` gets a file output mode. The file is
  * replaced whole when the run finishes, never truncated, and not
- * fsynced (io/file_replacement.hh).
+ * fsynced (io/file_replacement.hh). The daemon's serve::RoutingSink
+ * is the other child: the same records, sliced into responses.
  */
 
 #ifndef PSTAT_ENGINE_RESULT_SINK_HH
@@ -148,19 +151,43 @@ class AccumulateSink final : public ResultSink
 };
 
 /**
- * Persist results as one Results-payload shard file (io/shard.hh):
- * one record per item in delivery order, flags carrying the
- * invalid/underflow/skipped/certified bookkeeping, the value encoded
- * losslessly (sign, exponent, full BigFloat mantissa), Viterbi
- * decodes carrying their path. finish() writes the header and CRC
+ * The base of every sink that turns deliveries into Results records
+ * (io/codec.hh): one record per item, in delivery order, encoded by
+ * encodeResultRecord. Screened batches add the skipped bit, adaptive
+ * batches the skipped and certified bits, and Viterbi decodes carry
+ * their path and first_underflow_step (in aux). Each record goes to
+ * one virtual, emit(). A result shard (ShardFileSink) and a served
+ * response (serve::RoutingSink) both come from this one translation,
+ * which is what makes the two byte-identical for the same run.
+ * Posteriors are not record-shaped (T x H gamma matrices) and keep
+ * the base's throwing channel.
+ */
+class RecordSink : public ResultSink
+{
+  public:
+    void consumeResults(const WorkBlock &block,
+                        std::span<const EvalResult> results) final;
+    void consumeScreened(const WorkBlock &block,
+                         const ScreenedPValueBatch &batch) final;
+    void consumeAdaptive(const WorkBlock &block,
+                         const AdaptiveBatch &batch) final;
+    void consumeDecodes(const WorkBlock &block,
+                        std::span<const ViterbiResult> decodes) final;
+
+  private:
+    /** Where one record goes; its path borrows the delivery. */
+    virtual void emit(const io::ShardResultRecord &record) = 0;
+};
+
+/**
+ * Persist results as one Results-payload shard file (io/shard.hh),
+ * one RecordSink record per item. finish() writes the header and CRC
  * trailer and swaps the finished shard in place of `path` whole; a
  * sink that never finishes (a run that threw) leaves whatever file
  * was there untouched, which is the idempotency story for
- * distributed per-shard outputs. Does not consume posteriors (the
- * T x H gamma matrices are not record-shaped); wiring it to a
- * Posterior plan throws.
+ * distributed per-shard outputs.
  */
-class ShardFileSink final : public ResultSink
+class ShardFileSink final : public RecordSink
 {
   public:
     /**
@@ -174,23 +201,15 @@ class ShardFileSink final : public ResultSink
     ShardFileSink(const std::string &path, PlanKernel kernel,
                   const std::string &format_id);
 
-    void consumeResults(const WorkBlock &block,
-                        std::span<const EvalResult> results) override;
-    void consumeScreened(const WorkBlock &block,
-                         const ScreenedPValueBatch &batch) override;
-    void consumeAdaptive(const WorkBlock &block,
-                         const AdaptiveBatch &batch) override;
-    void
-    consumeDecodes(const WorkBlock &block,
-                   std::span<const ViterbiResult> decodes) override;
     void finish() override;
 
     /** Records written so far. */
-    size_t written() const { return written_; }
+    size_t written() const { return writer_.items(); }
 
   private:
+    void emit(const io::ShardResultRecord &record) override;
+
     io::ShardWriter writer_;
-    size_t written_ = 0;
 };
 
 /**

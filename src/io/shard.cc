@@ -16,11 +16,6 @@
 namespace pstat::io
 {
 
-// Sequence payloads store observation symbols as on-disk int32; the
-// in-memory HMM API traffics in spans of int, so serving zero-copy
-// views requires the two to be the same type.
-static_assert(sizeof(int) == 4, "sequence records assume 32-bit int");
-
 namespace
 {
 
@@ -77,6 +72,23 @@ crc32Slice8(uint32_t state, const unsigned char *p, size_t len)
     for (; len > 0; ++p, --len)
         state = t[0][(state ^ *p) & 0xffu] ^ (state >> 8);
     return state;
+}
+
+/**
+ * Read one Sequences record: u32 T, u32 reserved, T int32 symbols,
+ * and 4 zero bytes after an odd T to keep the 8-byte grid. The span
+ * points into the (page-aligned) mapping.
+ */
+std::span<const int>
+readSequenceRecord(ByteReader<ShardError> &in)
+{
+    const auto len = in.take<uint32_t>("sequence length");
+    in.skip(4, "sequence reserved");
+    const auto symbols =
+        in.bytes(size_t{len} * sizeof(int32_t), "sequence symbols");
+    if (len % 2 != 0)
+        in.skip(4, "sequence padding");
+    return {reinterpret_cast<const int *>(symbols.data()), len};
 }
 
 /** A shard writer's output file, its failures as ShardError. */
@@ -137,7 +149,6 @@ ShardWriter::ShardWriter(std::string path, ShardPayload payload)
     // close() knows the counts and patches it.
     const ShardHeader placeholder{};
     write(&placeholder, sizeof(placeholder));
-    payload_bytes_ = 0; // the header is not payload
 }
 
 void
@@ -151,25 +162,11 @@ ShardWriter::write(const void *data, size_t len)
 }
 
 void
-ShardWriter::add(pbd::ColumnView column)
+ShardWriter::appendPayload()
 {
-    if (payload_ != ShardPayload::Columns)
-        throw std::logic_error(path_ +
-                               ": column record on a non-Columns shard");
-    const auto n = static_cast<uint32_t>(column.success_probs.size());
-    const auto k = static_cast<int32_t>(column.k);
-    const size_t prob_bytes = column.success_probs.size_bytes();
-
-    write(&n, sizeof(n));
-    write(&k, sizeof(k));
-    if (prob_bytes > 0)
-        write(column.success_probs.data(), prob_bytes);
-
-    crc_ = crc32(crc_, &n, sizeof(n));
-    crc_ = crc32(crc_, &k, sizeof(k));
-    crc_ = crc32(crc_, column.success_probs.data(), prob_bytes);
-    payload_bytes_ += sizeof(n) + sizeof(k) + prob_bytes;
-    ++items_;
+    write(record_.data(), record_.size());
+    crc_ = crc32(crc_, record_.data(), record_.size());
+    payload_bytes_ += record_.size();
 }
 
 ShardWriter::ShardWriter(std::string path, uint32_t result_kernel,
@@ -181,24 +178,24 @@ ShardWriter::ShardWriter(std::string path, uint32_t result_kernel,
     // (CRC-covered) but not a record (not in item_count).
     if (format_id.size() > shard_result_id_max)
         throw std::logic_error(path_ + ": result format id too long");
-    const auto id_len = static_cast<uint32_t>(format_id.size());
-    write(&result_kernel, sizeof(result_kernel));
-    write(&id_len, sizeof(id_len));
-    crc_ = crc32(crc_, &result_kernel, sizeof(result_kernel));
-    crc_ = crc32(crc_, &id_len, sizeof(id_len));
-    payload_bytes_ += sizeof(result_kernel) + sizeof(id_len);
-    if (id_len > 0) {
-        write(format_id.data(), id_len);
-        crc_ = crc32(crc_, format_id.data(), id_len);
-        payload_bytes_ += id_len;
-    }
-    const size_t pad_bytes = (8 - id_len % 8) % 8;
-    if (pad_bytes > 0) {
-        const uint64_t pad = 0;
-        write(&pad, pad_bytes);
-        crc_ = crc32(crc_, &pad, pad_bytes);
-        payload_bytes_ += pad_bytes;
-    }
+    ByteWriter out(record_);
+    out.put(result_kernel);
+    out.str(format_id);
+    out.pad8();
+    appendPayload();
+}
+
+void
+ShardWriter::add(pbd::ColumnView column)
+{
+    if (payload_ != ShardPayload::Columns)
+        throw std::logic_error(path_ +
+                               ": column record on a non-Columns shard");
+    record_.clear();
+    ByteWriter out(record_);
+    appendColumnRecord(out, column);
+    appendPayload();
+    ++items_;
 }
 
 void
@@ -207,26 +204,13 @@ ShardWriter::addSequence(std::span<const int> obs)
     if (payload_ != ShardPayload::Sequences)
         throw std::logic_error(
             path_ + ": sequence record on a non-Sequences shard");
-    const auto len = static_cast<uint32_t>(obs.size());
-    const uint32_t reserved = 0;
-    const size_t obs_bytes = obs.size_bytes();
-    // Pad odd-length symbol runs so the next record stays 8-aligned.
-    const uint32_t pad = 0;
-    const size_t pad_bytes = (obs.size() % 2 != 0) ? 4 : 0;
-
-    write(&len, sizeof(len));
-    write(&reserved, sizeof(reserved));
-    if (obs_bytes > 0)
-        write(obs.data(), obs_bytes);
-    if (pad_bytes > 0)
-        write(&pad, pad_bytes);
-
-    crc_ = crc32(crc_, &len, sizeof(len));
-    crc_ = crc32(crc_, &reserved, sizeof(reserved));
-    crc_ = crc32(crc_, obs.data(), obs_bytes);
-    crc_ = crc32(crc_, &pad, pad_bytes);
-    payload_bytes_ += sizeof(len) + sizeof(reserved) + obs_bytes +
-                      pad_bytes;
+    record_.clear();
+    ByteWriter out(record_);
+    out.put(static_cast<uint32_t>(obs.size()));
+    out.put(uint32_t{0}); // reserved
+    out.bytes(obs.data(), obs.size_bytes());
+    out.pad8(); // an odd-length symbol run keeps the 8-byte grid
+    appendPayload();
     ++items_;
 }
 
@@ -236,55 +220,10 @@ ShardWriter::addResult(const ShardResultRecord &record)
     if (payload_ != ShardPayload::Results)
         throw std::logic_error(path_ +
                                ": result record on a non-Results shard");
-    // Mirror the reader's open-time validation: a record this writer
-    // accepts must re-open cleanly, so malformed encodings are caller
-    // bugs (logic_error), never bad bytes on disk.
-    if ((record.flags & ~result_flag_mask) != 0)
-        throw std::logic_error(path_ + ": unknown result flag bits");
-    const bool zero = (record.flags & result_flag_zero) != 0;
-    const bool nan = (record.flags & result_flag_nan) != 0;
-    if (zero && nan)
-        throw std::logic_error(path_ +
-                               ": result flagged both zero and NaN");
-    const bool limbs_zero = record.limbs[0] == 0 &&
-                            record.limbs[1] == 0 &&
-                            record.limbs[2] == 0 && record.limbs[3] == 0;
-    if (zero || nan) {
-        if (record.exp != 0 || !limbs_zero)
-            throw std::logic_error(
-                path_ + ": non-canonical zero/NaN result record");
-    } else if ((record.limbs[3] >> 63) == 0) {
-        throw std::logic_error(path_ +
-                               ": denormalized result mantissa");
-    }
-
-    const auto count = static_cast<uint32_t>(record.path.size());
-    const uint32_t reserved = 0;
-    unsigned char buf[shard_result_record_bytes];
-    std::memcpy(buf + 0, &count, sizeof(count));
-    std::memcpy(buf + 4, &record.flags, sizeof(record.flags));
-    std::memcpy(buf + 8, &record.exp, sizeof(record.exp));
-    std::memcpy(buf + 16, record.limbs.data(), 32);
-    std::memcpy(buf + 48, &record.aux, sizeof(record.aux));
-    std::memcpy(buf + 52, &reserved, sizeof(reserved));
-    write(buf, sizeof(buf));
-    crc_ = crc32(crc_, buf, sizeof(buf));
-    payload_bytes_ += sizeof(buf);
-
-    const size_t path_bytes = record.path.size_bytes();
-    if (path_bytes > 0) {
-        write(record.path.data(), path_bytes);
-        crc_ = crc32(crc_, record.path.data(), path_bytes);
-        payload_bytes_ += path_bytes;
-    }
-    // Pad odd-length paths so the next record stays 8-aligned.
-    const uint32_t pad = 0;
-    const size_t pad_bytes = (record.path.size() % 2 != 0) ? 4 : 0;
-    if (pad_bytes > 0) {
-        write(&pad, pad_bytes);
-        crc_ = crc32(crc_, &pad, pad_bytes);
-        payload_bytes_ += pad_bytes;
-    }
+    record_.clear();
+    ByteWriter out(record_);
+    appendResultRecord(out, record);
+    appendPayload();
     ++items_;
 }
 
@@ -335,146 +274,84 @@ ShardReader::ShardReader(const std::string &path) : path_(path)
                        std::strerror(errno));
     base_ = static_cast<const unsigned char *>(map);
     mapped_bytes_ = file_bytes;
+    try {
+        validate();
+    } catch (...) {
+        unmap();
+        throw;
+    }
+}
 
+void
+ShardReader::validate()
+{
     ShardHeader header;
     std::memcpy(&header, base_, sizeof(header));
     if (std::memcmp(header.magic, shard_magic,
-                    sizeof(shard_magic)) != 0) {
-        unmap();
-        fail(path, "bad magic (not a shard file)");
-    }
-    if (header.version != shard_version) {
-        unmap();
-        fail(path, "unsupported shard version " +
-                       std::to_string(header.version));
-    }
+                    sizeof(shard_magic)) != 0)
+        fail(path_, "bad magic (not a shard file)");
+    if (header.version != shard_version)
+        fail(path_, "unsupported shard version " +
+                        std::to_string(header.version));
     if (header.payload !=
             static_cast<uint32_t>(ShardPayload::Columns) &&
         header.payload !=
             static_cast<uint32_t>(ShardPayload::Sequences) &&
         header.payload !=
-            static_cast<uint32_t>(ShardPayload::Results)) {
-        unmap();
-        fail(path, "unknown payload tag " +
-                       std::to_string(header.payload));
-    }
+            static_cast<uint32_t>(ShardPayload::Results))
+        fail(path_, "unknown payload tag " +
+                        std::to_string(header.payload));
     version_ = header.version;
     payload_ = static_cast<ShardPayload>(header.payload);
     if (header.payload_bytes !=
-        file_bytes - sizeof(ShardHeader) - shard_trailer_bytes) {
-        unmap();
-        fail(path, "truncated shard (payload size does not match "
-                   "file size)");
-    }
+        mapped_bytes_ - sizeof(ShardHeader) - shard_trailer_bytes)
+        fail(path_, "truncated shard (payload size does not match "
+                    "file size)");
     payload_bytes_ = header.payload_bytes;
 
-    const unsigned char *payload = base_ + sizeof(ShardHeader);
     // All eight trailer bytes: the CRC zero-extended, exactly as
     // close() wrote it, so damage to the upper half fails here too.
-    const auto stored_crc = loadAt<uint64_t>(
-        base_, sizeof(ShardHeader) + payload_bytes_);
-    const uint32_t computed_crc = crc32(0, payload, payload_bytes_);
-    if (stored_crc != computed_crc) {
-        unmap();
-        fail(path, "payload CRC mismatch (corrupted shard)");
-    }
+    uint64_t stored_crc = 0;
+    std::memcpy(&stored_crc, base_ + sizeof(ShardHeader) + payload_bytes_,
+                sizeof(stored_crc));
+    if (stored_crc != crc32(0, payloadSpan().data(), payload_bytes_))
+        fail(path_, "payload CRC mismatch (corrupted shard)");
 
-    // Walk every record boundary once so column()/sequence() can
-    // never step outside the payload. The header is outside the CRC,
-    // so item_count is untrusted until the walk confirms it: records
-    // are at least 8 bytes, which bounds any honest count — reject a
-    // larger one here instead of letting reserve() throw bad_alloc.
-    if (header.item_count > payload_bytes_ / 8) {
-        unmap();
-        fail(path, "item count exceeds what the payload can hold");
-    }
-    offsets_.reserve(header.item_count);
-    size_t offset = 0;
+    // Walk every record boundary once so column()/sequence()/result()
+    // can never step outside the payload.
+    ByteReader<ShardError> in(payloadSpan(), path_);
+    size_t min_record_bytes = 8;
     if (payload_ == ShardPayload::Results) {
-        // The meta block (kernel tag, id length, id bytes, padded to
-        // the record grid) precedes the records and is not counted
-        // in item_count.
-        if (payload_bytes_ < 8) {
-            unmap();
-            fail(path, "result meta overruns payload");
-        }
-        result_kernel_ = loadAt<uint32_t>(payload, 0);
-        const auto id_len = loadAt<uint32_t>(payload, 4);
-        if (id_len > shard_result_id_max) {
-            unmap();
-            fail(path, "result format id too long");
-        }
-        const size_t meta_bytes =
-            (8 + size_t{id_len} + 7) & ~size_t{7};
-        if (meta_bytes > payload_bytes_) {
-            unmap();
-            fail(path, "result meta overruns payload");
-        }
-        result_format_id_.assign(
-            reinterpret_cast<const char *>(payload) + 8, id_len);
-        offset = meta_bytes;
+        // The meta block (kernel tag, format id, padded to the record
+        // grid) precedes the records and is not counted in
+        // item_count.
+        result_kernel_ = in.take<uint32_t>("result kernel");
+        result_format_id_ = in.str("result format id");
+        if (result_format_id_.size() > shard_result_id_max)
+            in.fail("result format id too long");
+        in.pad8("result meta padding");
+        min_record_bytes = shard_result_record_bytes;
     }
+    // The header is outside the CRC, so item_count is untrusted until
+    // the walk confirms it: a count the payload cannot hold fails
+    // here, not as bad_alloc from the reserve.
+    in.checkCount(header.item_count, "item count", min_record_bytes);
+    offsets_.reserve(header.item_count);
     for (uint64_t i = 0; i < header.item_count; ++i) {
-        if (offset + 8 > payload_bytes_) {
-            unmap();
-            fail(path, "record header overruns payload");
+        offsets_.push_back(in.pos());
+        switch (payload_) {
+        case ShardPayload::Columns:
+            (void)readColumnRecord(in);
+            break;
+        case ShardPayload::Sequences:
+            (void)readSequenceRecord(in);
+            break;
+        case ShardPayload::Results:
+            (void)readResultRecord(in);
+            break;
         }
-        const auto count = loadAt<uint32_t>(payload, offset);
-        size_t record_bytes = 0;
-        if (payload_ == ShardPayload::Columns) {
-            record_bytes = 8 + size_t{count} * sizeof(double);
-        } else if (payload_ == ShardPayload::Sequences) {
-            record_bytes = 8 + size_t{count} * sizeof(int32_t);
-            record_bytes = (record_bytes + 7) & ~size_t{7};
-        } else {
-            record_bytes = shard_result_record_bytes +
-                           size_t{count} * sizeof(int32_t);
-            record_bytes = (record_bytes + 7) & ~size_t{7};
-        }
-        if (offset + record_bytes > payload_bytes_) {
-            unmap();
-            fail(path, "record overruns payload");
-        }
-        if (payload_ == ShardPayload::Results) {
-            // Validate the value encoding here, at open time, so
-            // result() can hand the limbs straight to
-            // BigFloat::fromLimbs (which requires a normalized
-            // mantissa) without a per-access check.
-            const auto flags = loadAt<uint32_t>(payload, offset + 4);
-            if ((flags & ~result_flag_mask) != 0) {
-                unmap();
-                fail(path, "unknown result flag bits");
-            }
-            const bool zero = (flags & result_flag_zero) != 0;
-            const bool nan = (flags & result_flag_nan) != 0;
-            if (zero && nan) {
-                unmap();
-                fail(path, "result flagged both zero and NaN");
-            }
-            const auto exp = loadAt<int64_t>(payload, offset + 8);
-            uint64_t limb_or = 0;
-            for (size_t l = 0; l < 4; ++l)
-                limb_or |=
-                    loadAt<uint64_t>(payload, offset + 16 + 8 * l);
-            if (zero || nan) {
-                if (exp != 0 || limb_or != 0) {
-                    unmap();
-                    fail(path,
-                         "non-canonical zero/NaN result record");
-                }
-            } else if ((loadAt<uint64_t>(payload, offset + 40) >>
-                        63) == 0) {
-                unmap();
-                fail(path, "denormalized result mantissa");
-            }
-        }
-        offsets_.push_back(offset);
-        offset += record_bytes;
     }
-    if (offset != payload_bytes_) {
-        unmap();
-        fail(path, "trailing bytes after the last record");
-    }
+    in.expectEnd("record");
 }
 
 ShardReader::~ShardReader()
@@ -523,21 +400,22 @@ ShardReader::unmap() noexcept
     }
 }
 
+std::span<const uint8_t>
+ShardReader::payloadSpan() const
+{
+    return {base_ + sizeof(ShardHeader), payload_bytes_};
+}
+
 pbd::ColumnView
 ShardReader::column(size_t i) const
 {
     assert(payload_ == ShardPayload::Columns &&
            "column() on a non-Columns shard");
     assert(i < offsets_.size() && "column index out of range");
-    const unsigned char *payload = base_ + sizeof(ShardHeader);
-    const size_t offset = offsets_[i];
-    const auto n = loadAt<uint32_t>(payload, offset);
-    const auto k = loadAt<int32_t>(payload, offset + 4);
     // Records are 8-aligned within the page-aligned mapping, so the
     // probability block really is a double array in place.
-    const auto *probs = reinterpret_cast<const double *>(
-        payload + offset + 8);
-    return {std::span<const double>(probs, n), static_cast<int>(k)};
+    ByteReader<ShardError> in(payloadSpan(), path_, offsets_[i]);
+    return readColumnRecord(in);
 }
 
 std::span<const int>
@@ -546,12 +424,8 @@ ShardReader::sequence(size_t i) const
     assert(payload_ == ShardPayload::Sequences &&
            "sequence() on a non-Sequences shard");
     assert(i < offsets_.size() && "sequence index out of range");
-    const unsigned char *payload = base_ + sizeof(ShardHeader);
-    const size_t offset = offsets_[i];
-    const auto len = loadAt<uint32_t>(payload, offset);
-    const auto *obs = reinterpret_cast<const int *>(
-        payload + offset + 8);
-    return {obs, len};
+    ByteReader<ShardError> in(payloadSpan(), path_, offsets_[i]);
+    return readSequenceRecord(in);
 }
 
 ShardResultRecord
@@ -560,20 +434,8 @@ ShardReader::result(size_t i) const
     assert(payload_ == ShardPayload::Results &&
            "result() on a non-Results shard");
     assert(i < offsets_.size() && "result index out of range");
-    const unsigned char *payload = base_ + sizeof(ShardHeader);
-    const size_t offset = offsets_[i];
-    ShardResultRecord record;
-    const auto count = loadAt<uint32_t>(payload, offset);
-    record.flags = loadAt<uint32_t>(payload, offset + 4);
-    record.exp = loadAt<int64_t>(payload, offset + 8);
-    for (size_t l = 0; l < record.limbs.size(); ++l)
-        record.limbs[l] =
-            loadAt<uint64_t>(payload, offset + 16 + 8 * l);
-    record.aux = loadAt<int32_t>(payload, offset + 48);
-    const auto *path_entries = reinterpret_cast<const int *>(
-        payload + offset + shard_result_record_bytes);
-    record.path = {path_entries, count};
-    return record;
+    ByteReader<ShardError> in(payloadSpan(), path_, offsets_[i]);
+    return readResultRecord(in);
 }
 
 uint32_t
@@ -593,6 +455,20 @@ ShardReader::resultFormatId() const
 }
 
 // ------------------------------------------------------ conveniences
+
+const char *
+shardPayloadName(ShardPayload payload)
+{
+    switch (payload) {
+    case ShardPayload::Columns:
+        return "columns";
+    case ShardPayload::Sequences:
+        return "sequences";
+    case ShardPayload::Results:
+        return "results";
+    }
+    return "unknown";
+}
 
 std::optional<ShardPayload>
 peekShardPayload(const std::string &path)
@@ -635,6 +511,9 @@ std::vector<pbd::Column>
 readColumnShard(const std::string &path)
 {
     const ShardReader reader(path);
+    if (reader.payload() != ShardPayload::Columns)
+        fail(path, std::string(shardPayloadName(reader.payload())) +
+                       " shard, not a columns shard");
     std::vector<pbd::Column> out;
     out.reserve(reader.size());
     for (size_t i = 0; i < reader.size(); ++i) {

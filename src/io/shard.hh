@@ -27,23 +27,28 @@
  * tag and the producing format id), then one fixed 56-byte record
  * per result — flags, a sign/exponent/mantissa encoding of the
  * exact BigFloat value, an auxiliary int — followed by an optional
- * int32 decode path padded to the 8-byte grid. The engine-level
- * encode/decode helpers live in engine/result_sink.hh; this layer
- * only defines the record layout and validates it.
+ * int32 decode path padded to the 8-byte grid.
+ *
+ * This layer owns the envelope (header, meta block, trailer) and the
+ * Sequences record. The Columns and Results records are written and
+ * checked by io/codec.hh, the same code that carries them in a
+ * PSTSRV1 frame body (serve/frame.hh), so a record has one encoding
+ * and one check on disk and on the wire. The engine-level
+ * encode/decode of result values lives in engine/result_sink.hh.
  *
  * ShardWriter streams records to disk (O(record) memory, CRC
  * accumulated incrementally); ShardReader memory-maps a file,
  * validates header fields against the file size and the payload
  * against the CRC trailer, and then serves zero-copy views. All
  * corruption — truncation, bad magic, unknown version or payload
- * tag, CRC mismatch, a record overrunning the payload — surfaces as
- * ShardError at open time, never as a bad value later.
+ * tag, CRC mismatch, a record overrunning the payload, a malformed
+ * result value — surfaces as ShardError at open time, never as a
+ * bad value later.
  */
 
 #ifndef PSTAT_IO_SHARD_HH
 #define PSTAT_IO_SHARD_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -53,6 +58,7 @@
 #include <vector>
 
 #include "core/simd.hh"
+#include "io/codec.hh"
 #include "io/file_replacement.hh"
 #include "pbd/dataset.hh"
 
@@ -80,45 +86,6 @@ enum class ShardPayload : uint32_t
     Columns = 1,   //!< PBD alignment columns (N, K, probabilities)
     Sequences = 2, //!< HMM observation sequences (int32 symbols)
     Results = 3,   //!< evaluation results (values, flags, decodes)
-};
-
-/**
- * @name Result-record flag bits
- * The `flags` word of one Results record. The value-kind bits
- * (negative / zero / nan) encode the BigFloat kind losslessly; the
- * others carry the engine's per-result bookkeeping. Readers reject
- * unknown bits at open time so a future flag can never be silently
- * dropped by an old binary.
- */
-///@{
-inline constexpr uint32_t result_flag_invalid = 1u << 0;   //!< NaR / NaN result
-inline constexpr uint32_t result_flag_underflow = 1u << 1; //!< computed exactly 0
-inline constexpr uint32_t result_flag_negative = 1u << 2;  //!< value sign bit
-inline constexpr uint32_t result_flag_zero = 1u << 3;      //!< value is exact zero
-inline constexpr uint32_t result_flag_nan = 1u << 4;       //!< value is NaN
-inline constexpr uint32_t result_flag_skipped = 1u << 5;   //!< screen-skipped slot
-inline constexpr uint32_t result_flag_certified = 1u << 6; //!< adaptively certified
-/** Every bit a valid record may set; readers reject the rest. */
-inline constexpr uint32_t result_flag_mask = 0x7fu;
-///@}
-
-/**
- * One Results-payload record, as written and as read (the path span
- * borrows the writer's argument or the reader's mapping). The value
- * is a sign + base-2 exponent + 256-bit normalized mantissa — the
- * lossless BigFloat decomposition — with all-zero exp/limbs (and the
- * zero or nan flag) for the non-finite kinds. `aux` carries the
- * kernel's side channel (first_underflow_step for decodes; 0
- * otherwise), and `path` the Viterbi state sequence (empty for the
- * scalar kernels).
- */
-struct ShardResultRecord
-{
-    uint32_t flags = 0;             //!< result_flag_* bits
-    int64_t exp = 0;                //!< BigFloat exponent (finite nonzero)
-    std::array<uint64_t, 4> limbs{}; //!< mantissa, top bit of limbs[3] set
-    int32_t aux = 0;                //!< kernel side channel
-    std::span<const int> path;      //!< decode path (may be empty)
 };
 
 /** The on-disk magic, first 8 bytes of every shard file. */
@@ -208,10 +175,8 @@ class ShardWriter
     void addSequence(std::span<const int> obs);
     /**
      * Append one result record (Results shards only). Throws
-     * std::logic_error on a malformed record — unknown flag bits, a
-     * denormalized finite mantissa, or a non-canonical (nonzero
-     * exp/limbs) zero/NaN encoding — so a file this writer closes
-     * always re-opens cleanly.
+     * std::logic_error on a malformed record (io::resultRecordDefect),
+     * so a file this writer closes always re-opens cleanly.
      */
     void addResult(const ShardResultRecord &record);
 
@@ -228,10 +193,12 @@ class ShardWriter
 
   private:
     void write(const void *data, size_t len);
+    void appendPayload();
 
     std::string path_;
     ShardPayload payload_;
     FileReplacement file_;
+    std::vector<uint8_t> record_; //!< the bytes being appended
     size_t items_ = 0;
     size_t payload_bytes_ = 0;
     uint32_t crc_ = 0;
@@ -277,6 +244,7 @@ class ShardReader
     /**
      * Zero-copy view of column `i` (Columns shards; asserts the
      * payload kind and bounds). The span points into the mapping.
+     * readColumnShard checks the payload kind before it calls this.
      */
     pbd::ColumnView column(size_t i) const;
 
@@ -303,7 +271,9 @@ class ShardReader
     const std::string &resultFormatId() const;
 
   private:
+    void validate();
     void unmap() noexcept;
+    std::span<const uint8_t> payloadSpan() const;
 
     std::string path_;
     ShardPayload payload_ = ShardPayload::Columns;
@@ -319,8 +289,8 @@ class ShardReader
 /** Longest format id the Results meta block accepts. */
 inline constexpr size_t shard_result_id_max = 256;
 
-/** Fixed bytes of one Results record before its path entries. */
-inline constexpr size_t shard_result_record_bytes = 56;
+/** "columns" / "sequences" / "results": stable name of a payload. */
+const char *shardPayloadName(ShardPayload payload);
 
 /**
  * The payload tag of `path`, read from the header alone (no mapping,
@@ -335,7 +305,10 @@ std::optional<ShardPayload> peekShardPayload(const std::string &path);
 void writeColumnShard(const std::string &path,
                       std::span<const pbd::Column> columns);
 
-/** One-shot convenience: materialize every column of a shard. */
+/**
+ * Materialize every column of a Columns shard, in order. Throws
+ * ShardError, naming the payload, on a shard of any other kind.
+ */
 std::vector<pbd::Column> readColumnShard(const std::string &path);
 
 } // namespace pstat::io

@@ -24,6 +24,13 @@
  * shard encoding, so a client can persist a response as a result
  * shard byte-identical to the offline `pstat eval -o` output.
  *
+ * The body codecs hold no record code of their own: fields, strings,
+ * padding and counts go through the io/codec.hh cursor, and the
+ * Columns and Results records through the same writer and checked
+ * reader the shard layer uses. A record the shard reader would
+ * refuse is a FrameError here, and a record section of a body is
+ * byte for byte the record payload of the matching shard.
+ *
  * The encode/decode helpers here are pure (bytes in, structs out);
  * the blocking socket helpers (readFrame / writeFrame) layer the
  * framing over a file descriptor. Server scheduling, coalescing and
@@ -139,7 +146,7 @@ struct ServeRequest
  * One decoded Results record of a response — the owning flavor of
  * io::ShardResultRecord (the path owns its ints instead of borrowing
  * a mapping), in the same field layout. toShardRecord() adapts to
- * the io type for ShardWriter::addResult.
+ * the io type for io::appendResultRecord and ShardWriter::addResult.
  */
 struct ResponseRecord
 {
@@ -190,8 +197,8 @@ std::vector<uint8_t> encodeRequestBody(const ServeRequest &request);
 /**
  * Decode one request body. Throws FrameError on anything malformed:
  * a truncated field, a plan that engine::decodePlan rejects, an
- * unknown payload tag, a record overrunning the body, or trailing
- * bytes. The correlation id is decoded *first*, so a server can
+ * unknown payload tag, a column count the body cannot hold, a record
+ * overrunning the body, or trailing bytes. The correlation id is decoded *first*, so a server can
  * report a typed per-request error even when the plan bytes inside a
  * CRC-valid frame are garbage.
  */
@@ -201,14 +208,20 @@ ServeRequest decodeRequestBody(std::span<const uint8_t> body);
  * Encode one response body: id, status, the length-prefixed message,
  * kernel tag + length-prefixed format label, then the records in the
  * exact 56-byte shard Results encoding (+ path ints, 8-padded).
+ * Throws std::logic_error on a malformed record, as
+ * ShardWriter::addResult does.
  */
 std::vector<uint8_t> encodeResponseBody(const ServeResponse &response);
 
 /**
  * Decode one response body; the exact inverse of encodeResponseBody.
- * Throws FrameError on truncation, an unknown status tag, unknown
- * record flag bits, a record overrunning the body, or trailing
- * bytes.
+ * Throws FrameError on truncation, an unknown status tag, a record
+ * count the body cannot hold, a record overrunning the body, trailing
+ * bytes, or any record a result shard would refuse
+ * (io::resultRecordDefect): unknown flag bits, a value flagged both
+ * zero and NaN, a zero or NaN with a nonzero exponent or mantissa,
+ * or a denormalized mantissa. A decoded record can therefore go
+ * straight to engine::decodeResultValue or ShardWriter::addResult.
  */
 ServeResponse decodeResponseBody(std::span<const uint8_t> body);
 

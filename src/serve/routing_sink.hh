@@ -6,14 +6,14 @@
  * The serve scheduler coalesces several small same-plan requests into
  * one Executor run over the concatenated columns (server.hh). The
  * engine neither knows nor cares: it delivers results through the
- * ordinary ResultSink channel. This sink is the demultiplexer: it
- * encodes every delivered item into the wire ResponseRecord form —
- * with exactly the flag bookkeeping ShardFileSink applies when
- * `pstat eval -o` persists the same run (skipped and certified bits
- * included), which is what makes a served response byte-identical to
- * the offline result shard — and finish()-time slicing by
- * [offset, count) routes the flat record vector back to the
- * individual requests.
+ * ordinary ResultSink channel. This sink is an engine::RecordSink, so
+ * every delivered item becomes the Results record that ShardFileSink
+ * writes when `pstat eval -o` persists the same run (the skipped and
+ * certified bits included): one translation for both, which is what
+ * makes a served response byte-identical to the offline result
+ * shard. It keeps each record in the owning wire form, and
+ * finish()-time slicing by [offset, count) routes the flat record
+ * vector back to the individual requests.
  *
  * Bound via PlanInputs::result_sink, so it tees alongside the
  * engine's own accumulation rather than replacing it.
@@ -23,7 +23,6 @@
 #define PSTAT_SERVE_ROUTING_SINK_HH
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "engine/result_sink.hh"
@@ -41,45 +40,9 @@ struct RouteSlice
 };
 
 /** The demultiplexing sink described in the file header. */
-class RoutingSink final : public engine::ResultSink
+class RoutingSink final : public engine::RecordSink
 {
   public:
-    void
-    consumeResults(const engine::WorkBlock &,
-                   std::span<const engine::EvalResult> results) override
-    {
-        for (const engine::EvalResult &result : results)
-            append(engine::encodeResultRecord(result));
-    }
-
-    void
-    consumeScreened(const engine::WorkBlock &,
-                    const engine::ScreenedPValueBatch &batch) override
-    {
-        for (size_t i = 0; i < batch.results.size(); ++i) {
-            const uint32_t extra =
-                (i < batch.skipped.size() && batch.skipped[i])
-                    ? io::result_flag_skipped
-                    : 0;
-            append(engine::encodeResultRecord(batch.results[i], extra));
-        }
-    }
-
-    void
-    consumeAdaptive(const engine::WorkBlock &,
-                    const engine::AdaptiveBatch &batch) override
-    {
-        for (size_t i = 0; i < batch.results.size(); ++i) {
-            const engine::EscalationResult &item = batch.results[i];
-            uint32_t extra = 0;
-            if (i < batch.skipped.size() && batch.skipped[i])
-                extra |= io::result_flag_skipped;
-            if (item.certified)
-                extra |= io::result_flag_certified;
-            append(engine::encodeResultRecord(item.result, extra));
-        }
-    }
-
     /** Every record delivered so far, in item order. */
     const std::vector<ResponseRecord> &records() const
     {
@@ -98,15 +61,11 @@ class RoutingSink final : public engine::ResultSink
 
   private:
     void
-    append(const io::ShardResultRecord &record)
+    emit(const io::ShardResultRecord &record) override
     {
-        ResponseRecord out;
-        out.flags = record.flags;
-        out.exp = record.exp;
-        out.limbs = record.limbs;
-        out.aux = record.aux;
-        out.path.assign(record.path.begin(), record.path.end());
-        records_.push_back(std::move(out));
+        records_.push_back({record.flags, record.exp, record.limbs,
+                            record.aux,
+                            {record.path.begin(), record.path.end()}});
     }
 
     std::vector<ResponseRecord> records_;

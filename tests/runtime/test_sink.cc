@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -19,6 +21,8 @@
 #include "hmm/generator.hh"
 #include "io/shard.hh"
 #include "pbd/dataset.hh"
+#include "serve/frame.hh"
+#include "serve/routing_sink.hh"
 #include "../prop_util.hh"
 #include "../test_tmp.hh"
 
@@ -456,6 +460,83 @@ TEST(ResultSink, ResultSinkAloneLeavesThePlanRunUnchanged)
         EXPECT_EQ(tee.results.size(),
                   bare.results.size() + bare.adaptive.results.size());
     }
+}
+
+// Wire and disk agree at the codec level: the record section of a
+// response body built from RoutingSink's records is byte for byte the
+// record payload of the result shard ShardFileSink writes from the
+// same deliveries. Every value kind, odd, even and empty paths, and
+// the skipped and certified bits.
+TEST(ResultSink, ResponseRecordsAreTheResultShardPayload)
+{
+    std::vector<ViterbiResult> decodes(5);
+    decodes[0].probability.value = BigFloat::twoPow(-1234);
+    decodes[1].probability.value = BigFloat::zero() - BigFloat::twoPow(-9);
+    decodes[1].path = {2};
+    decodes[2].probability.value = BigFloat::zero();
+    decodes[2].probability.underflow = true;
+    decodes[2].path = {0, 1};
+    decodes[3].probability.value = BigFloat::nan();
+    decodes[3].probability.invalid = true;
+    decodes[3].path = {1, 0, 2};
+    decodes[4].probability.value =
+        BigFloat::twoPow(7) - BigFloat::twoPow(-300); // long mantissa
+    decodes[4].path = {3, 3, 1, 0};
+    decodes[4].first_underflow_step = 2;
+    ScreenedPValueBatch screened;
+    screened.results = {decodes[0].probability, decodes[4].probability};
+    screened.skipped = {1, 0};
+    AdaptiveBatch adaptive;
+    adaptive.results.resize(3);
+    adaptive.results[0].result = decodes[1].probability;
+    adaptive.results[0].certified = true;
+    adaptive.results[1].result = decodes[2].probability;
+    adaptive.results[2].result = decodes[3].probability;
+    adaptive.results[2].certified = true;
+    adaptive.skipped = {0, 1, 0};
+
+    const std::string path = tempPath("sink-wire-disk.shard");
+    const std::string label = "log";
+    ShardFileSink file(path, PlanKernel::Viterbi, label);
+    serve::RoutingSink routing;
+    const WorkBlock block;
+    for (ResultSink *sink : {static_cast<ResultSink *>(&file),
+                             static_cast<ResultSink *>(&routing)}) {
+        sink->consumeDecodes(block, decodes);
+        sink->consumeScreened(block, screened);
+        sink->consumeAdaptive(block, adaptive);
+        sink->consumeResults(block, screened.results);
+    }
+    file.finish();
+
+    serve::ServeResponse response;
+    response.message = "ok";
+    response.kernel = static_cast<uint32_t>(PlanKernel::Viterbi);
+    response.format_id = label;
+    response.records = routing.records();
+    ASSERT_EQ(response.records.size(), 12u);
+    const auto body = serve::encodeResponseBody(response);
+
+    std::ifstream in(path, std::ios::binary);
+    const std::string shard{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+    const auto round8 = [](size_t n) { return (n + 7) & ~size_t{7}; };
+    // Both sections follow an 8-aligned prefix: the response's id,
+    // status, message, kernel, label and count; the shard's header
+    // and meta block (kernel, label).
+    const size_t wire_at = round8(16 + response.message.size()) +
+                           round8(8 + label.size()) + 8;
+    const size_t disk_at =
+        sizeof(io::ShardHeader) + round8(8 + label.size());
+    ASSERT_LE(wire_at, body.size());
+    ASSERT_LE(disk_at + io::shard_trailer_bytes, shard.size());
+    const std::string wire(body.begin() + static_cast<ptrdiff_t>(wire_at),
+                           body.end());
+    const std::string disk(
+        shard.begin() + static_cast<ptrdiff_t>(disk_at),
+        shard.end() - static_cast<ptrdiff_t>(io::shard_trailer_bytes));
+    EXPECT_EQ(wire.size(), disk.size());
+    EXPECT_TRUE(wire == disk);
 }
 
 TEST(ResultSink, WriterRejectsMalformedRecords)

@@ -18,6 +18,7 @@
  * in the queue — with no sleeps and no races.
  */
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -35,6 +36,7 @@
 #include "apps/pstat_cli.hh"
 #include "cli_env.hh"
 #include "engine/escalate.hh"
+#include "engine/eval_engine.hh"
 #include "engine/format_registry.hh"
 #include "engine/plan.hh"
 #include "io/shard.hh"
@@ -200,11 +202,13 @@ TEST(ServeFrame, ResponseBodyRoundTrips)
     serve::ResponseRecord record;
     record.flags = io::result_flag_certified;
     record.exp = -12345;
-    record.limbs = {1u, 2u, 3u, 4u};
+    record.limbs = {1u, 2u, 3u, 4u | (1ull << 63)}; // normalized
     record.aux = -2;
     record.path = {0, 1, 1, 0, 2};
     response.records.push_back(record);
-    response.records.push_back({}); // an all-defaults record too
+    serve::ResponseRecord zero; // a canonical zero, no path
+    zero.flags = io::result_flag_zero;
+    response.records.push_back(zero);
 
     const auto body = serve::encodeResponseBody(response);
     const serve::ServeResponse decoded =
@@ -244,6 +248,7 @@ TEST(ServeFrame, EveryResponseBodyTruncationIsTyped)
     response.message = "msg";
     response.format_id = "binary64";
     serve::ResponseRecord record;
+    record.flags = io::result_flag_zero;
     record.path = {1, 2, 3};
     response.records.push_back(record);
     const auto body = serve::encodeResponseBody(response);
@@ -301,6 +306,7 @@ TEST(ServeFrame, ResponseUnknownStatusAndFlagsAreTyped)
                  serve::FrameError);
 
     serve::ResponseRecord record;
+    record.flags = io::result_flag_nan;
     response.records.push_back(record);
     auto with_record = serve::encodeResponseBody(response);
     // Flag word of the first record: after id(8) + status/msg-len(8)
@@ -443,6 +449,90 @@ TEST(ServeFrame, CorruptionMatrixOverASocket)
     }
 }
 
+TEST(ServeFrame, MalformedResultRecordsAreTypedPastTheCrc)
+{
+    // A response record a result shard refuses fails the decoder too,
+    // as a FrameError. Each body travels in a CRC-valid frame, so only
+    // the record check can catch it.
+    serve::ServeResponse response;
+    response.id = 4;
+    serve::ResponseRecord valid;
+    valid.exp = 3;
+    valid.limbs[3] = 1ull << 63;
+    response.records.push_back(valid);
+    const auto good = serve::encodeResponseBody(response);
+    // id(8) + status/message length(8) + kernel/label length(8) +
+    // count(8): the record's flags, exponent and limbs follow.
+    constexpr size_t record = 32;
+
+    struct Case
+    {
+        const char *name;
+        uint32_t flags;
+        int64_t exp;
+        std::array<uint64_t, 4> limbs;
+        const char *diagnostic; // substring of the FrameError
+    };
+    const std::vector<Case> cases = {
+        {"denormalized mantissa", 0, 3, {1, 2, 3, 4}, "denormalized"},
+        {"zero and NaN", io::result_flag_zero | io::result_flag_nan, 0,
+         {}, "both zero and NaN"},
+        {"zero with an exponent", io::result_flag_zero, 7, {},
+         "non-canonical"},
+        {"NaN with a mantissa", io::result_flag_nan, 0, {0, 0, 0, 1},
+         "non-canonical"},
+    };
+    for (const Case &corruption : cases) {
+        auto body = good;
+        std::memcpy(body.data() + record + 4, &corruption.flags, 4);
+        std::memcpy(body.data() + record + 8, &corruption.exp, 8);
+        std::memcpy(body.data() + record + 16, corruption.limbs.data(),
+                    32);
+        SocketPair pair;
+        serve::writeFrame(pair.fds[0], serve::FrameType::Response,
+                          body);
+        const auto frame = serve::readFrame(
+            pair.fds[1], serve::frame_default_max_body);
+        ASSERT_TRUE(frame.has_value()) << corruption.name;
+        try {
+            serve::decodeResponseBody(frame->body);
+            ADD_FAILURE() << corruption.name << ": decoded";
+        } catch (const serve::FrameError &error) {
+            EXPECT_NE(
+                std::string(error.what()).find(corruption.diagnostic),
+                std::string::npos)
+                << corruption.name << ": got \"" << error.what()
+                << "\"";
+        }
+    }
+}
+
+TEST(ServeFrame, RequestColumnSectionIsTheColumnShardPayload)
+{
+    // Wire and disk agree at the codec level: the columns that close a
+    // request body are byte for byte the payload of a Columns shard
+    // holding the same columns.
+    serve::ServeRequest request = makeRequest(13, 6);
+    request.columns.push_back(pbd::Column{}); // an empty column too
+    const std::string path = tempPath("wire-disk-columns.shard");
+    io::writeColumnShard(path, request.columns);
+
+    const auto body = serve::encodeRequestBody(request);
+    const std::string file = readFileBytes(path);
+    ASSERT_GE(file.size(),
+              sizeof(io::ShardHeader) + io::shard_trailer_bytes);
+    const std::string disk(
+        file.begin() + sizeof(io::ShardHeader),
+        file.end() - static_cast<ptrdiff_t>(io::shard_trailer_bytes));
+    ASSERT_GE(body.size(), disk.size() + 8);
+    const std::string wire(
+        body.end() - static_cast<ptrdiff_t>(disk.size()), body.end());
+    EXPECT_TRUE(wire == disk);
+    uint64_t count = 0; // the column count sits right before them
+    std::memcpy(&count, body.data() + body.size() - disk.size() - 8, 8);
+    EXPECT_EQ(count, request.columns.size());
+}
+
 // ------------------------------------------------------ live server
 
 TEST(ServeServer, RoundTripsOverUnixSocket)
@@ -502,25 +592,61 @@ TEST(ServeServer, ScreenedAndAdaptivePoliciesServe)
     serve::Server server(config);
     auto client = serve::Client::connectUnix(config.unix_path);
 
+    // The served skipped and certified bits are checked against an
+    // in-process run of the same plan, whose PlanRun carries the
+    // engine's own masks: the daemon's record translation is shared
+    // with `pstat eval -o`, so comparing the two routes alone could
+    // not see it drop a bit.
+    engine::EvalEngine engine(2);
+    const auto expected = [&](const serve::ServeRequest &request) {
+        engine::PlanInputs inputs;
+        inputs.columns = request.columns;
+        return engine.run(request.plan, inputs);
+    };
+    const auto flagged = [](const serve::ResponseRecord &record,
+                            uint32_t flag) {
+        return (record.flags & flag) != 0;
+    };
+
     auto screened = fixedPlan("binary32");
     screened.policy = engine::PlanPolicy::Screened;
-    const auto screened_response =
-        client.roundTrip(makeRequest(51, 30, screened));
+    const auto screened_request = makeRequest(51, 30, screened);
+    const auto screened_response = client.roundTrip(screened_request);
     EXPECT_EQ(screened_response.status, serve::RequestStatus::Ok);
-    EXPECT_EQ(screened_response.records.size(), 30u);
+    ASSERT_EQ(screened_response.records.size(), 30u);
     EXPECT_EQ(screened_response.format_id, "binary32");
+    const auto screened_run = expected(screened_request);
+    ASSERT_EQ(screened_run.screened.skipped.size(), 30u);
+    size_t skipped = 0;
+    for (size_t i = 0; i < 30; ++i) {
+        const bool bit = flagged(screened_response.records[i],
+                                 io::result_flag_skipped);
+        EXPECT_EQ(bit, screened_run.screened.skipped[i] != 0) << i;
+        skipped += bit ? 1 : 0;
+    }
+    EXPECT_GT(skipped, 0u);
 
     engine::EvalPlan adaptive;
     adaptive.kernel = engine::PlanKernel::PValue;
     adaptive.policy = engine::PlanPolicy::Adaptive;
     adaptive.cert = engine::defaultPValueCert();
     adaptive.ladder_ids = {"binary32", "binary64"};
-    const auto adaptive_response =
-        client.roundTrip(makeRequest(52, 30, adaptive));
+    const auto adaptive_request = makeRequest(52, 30, adaptive);
+    const auto adaptive_response = client.roundTrip(adaptive_request);
     EXPECT_EQ(adaptive_response.status, serve::RequestStatus::Ok);
-    EXPECT_EQ(adaptive_response.records.size(), 30u);
+    ASSERT_EQ(adaptive_response.records.size(), 30u);
     EXPECT_EQ(adaptive_response.format_id,
               "adaptive:binary32,binary64");
+    const auto adaptive_run = expected(adaptive_request);
+    ASSERT_EQ(adaptive_run.adaptive.results.size(), 30u);
+    size_t certified = 0;
+    for (size_t i = 0; i < 30; ++i) {
+        const bool bit = flagged(adaptive_response.records[i],
+                                 io::result_flag_certified);
+        EXPECT_EQ(bit, adaptive_run.adaptive.results[i].certified) << i;
+        certified += bit ? 1 : 0;
+    }
+    EXPECT_GT(certified, 0u);
 }
 
 TEST(ServeServer, NonPValuePlanIsATypedErrorAndKeepsTheConnection)

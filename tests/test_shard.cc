@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -328,6 +329,36 @@ TEST(Shard, HugeHeaderItemCountIsRejectedNotAllocated)
     std::memcpy(bytes.data() + 16, &huge, sizeof(huge));
     spit(path, bytes);
     expectShardError(path, "item count");
+}
+
+TEST(Shard, ReadColumnShardRejectsOtherPayloads)
+{
+    // readColumnShard walks column() over every record, which takes
+    // the payload kind on trust: a shard of any other kind must fail
+    // first, naming its payload.
+    const std::string sequences = tempPath("not-columns-seq.shard");
+    io::ShardWriter seq_writer(sequences, io::ShardPayload::Sequences);
+    seq_writer.addSequence(std::vector<int>{0, 1, 2});
+    seq_writer.close();
+
+    const std::string results = tempPath("not-columns-res.shard");
+    io::ShardWriter res_writer(results, 1, "binary64");
+    io::ShardResultRecord zero;
+    zero.flags = io::result_flag_zero;
+    res_writer.addResult(zero);
+    res_writer.close();
+
+    for (const auto &[path, name] :
+         {std::pair{sequences, "sequences"}, std::pair{results, "results"}}) {
+        try {
+            (void)io::readColumnShard(path);
+            ADD_FAILURE() << name << " shard read as columns";
+        } catch (const io::ShardError &error) {
+            EXPECT_NE(std::string(error.what()).find(name),
+                      std::string::npos)
+                << error.what();
+        }
+    }
 }
 
 TEST(Shard, MissingFileIsAShardError)
