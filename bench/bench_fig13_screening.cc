@@ -68,7 +68,9 @@ makeScreeningDatasets(int columns_per_dataset)
         config.phred_sigma = 3.0;
         config.variant_fraction = 0.04;
         config.seed = 1303ULL + 97ULL * d;
-        auto ds = pbd::makeDataset(config, "S" + std::to_string(d));
+        std::string name = "S";
+        name += std::to_string(d);
+        auto ds = pbd::makeDataset(config, name);
         stats::Rng rng(7907ULL + 31ULL * d);
         const int borderline = columns_per_dataset / 5;
         for (int i = 0; i < borderline; ++i)

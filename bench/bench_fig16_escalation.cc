@@ -68,7 +68,9 @@ makeEscalationColumns(int columns_per_dataset, double mean_phred,
         config.phred_sigma = 3.0;
         config.variant_fraction = 0.04;
         config.seed = seed + 97ULL * d;
-        auto ds = pbd::makeDataset(config, "E" + std::to_string(d));
+        std::string name = "E";
+        name += std::to_string(d);
+        auto ds = pbd::makeDataset(config, name);
         stats::Rng rng(seed * 31ULL + 7907ULL + d);
         const int borderline = columns_per_dataset / 5;
         for (int i = 0; i < borderline; ++i)

@@ -105,22 +105,27 @@ formatBits(const Posit<N, ES> &value)
             s += ((pattern >> pos) & 1) ? '1' : '0';
         return s;
     };
+    const auto field = [&out, &take](int count) {
+        out += ' ';
+        out += take(count);
+    };
     out += take(1); // sign
     if (f.is_zero || f.is_nar) {
-        out += " " + take(N - 1);
+        field(N - 1);
         return out;
     }
     // Field widths refer to the magnitude pattern; for negative
     // values show the raw two's-complement bits unsplit.
     if (f.negative) {
-        out += " " + take(N - 1) + " (two's complement)";
+        field(N - 1);
+        out += " (two's complement)";
         return out;
     }
-    out += " " + take(f.regime_bits);
+    field(f.regime_bits);
     if (f.exponent_bits > 0)
-        out += " " + take(f.exponent_bits);
+        field(f.exponent_bits);
     if (f.fraction_bits > 0)
-        out += " " + take(f.fraction_bits);
+        field(f.fraction_bits);
     return out;
 }
 

@@ -25,6 +25,18 @@ fail(const std::string &path, const std::string &what)
     throw ShardError(path + ": " + what);
 }
 
+/** The payload kind comes from the file, so a record read of the
+ *  wrong kind is a ShardError naming it, never an assert. */
+void
+expectPayload(const std::string &path, ShardPayload have,
+              ShardPayload want)
+{
+    if (have != want)
+        fail(path, std::string(shardPayloadName(have)) +
+                       " shard, not a " + shardPayloadName(want) +
+                       " shard");
+}
+
 /** Read a little-endian scalar at an arbitrary (unaligned) offset. */
 template <typename T>
 T
@@ -409,8 +421,7 @@ ShardReader::payloadSpan() const
 pbd::ColumnView
 ShardReader::column(size_t i) const
 {
-    assert(payload_ == ShardPayload::Columns &&
-           "column() on a non-Columns shard");
+    expectPayload(path_, payload_, ShardPayload::Columns);
     assert(i < offsets_.size() && "column index out of range");
     // Records are 8-aligned within the page-aligned mapping, so the
     // probability block really is a double array in place.
@@ -421,8 +432,7 @@ ShardReader::column(size_t i) const
 std::span<const int>
 ShardReader::sequence(size_t i) const
 {
-    assert(payload_ == ShardPayload::Sequences &&
-           "sequence() on a non-Sequences shard");
+    expectPayload(path_, payload_, ShardPayload::Sequences);
     assert(i < offsets_.size() && "sequence index out of range");
     ByteReader<ShardError> in(payloadSpan(), path_, offsets_[i]);
     return readSequenceRecord(in);
@@ -431,8 +441,7 @@ ShardReader::sequence(size_t i) const
 ShardResultRecord
 ShardReader::result(size_t i) const
 {
-    assert(payload_ == ShardPayload::Results &&
-           "result() on a non-Results shard");
+    expectPayload(path_, payload_, ShardPayload::Results);
     assert(i < offsets_.size() && "result index out of range");
     ByteReader<ShardError> in(payloadSpan(), path_, offsets_[i]);
     return readResultRecord(in);
@@ -441,16 +450,14 @@ ShardReader::result(size_t i) const
 uint32_t
 ShardReader::resultKernel() const
 {
-    assert(payload_ == ShardPayload::Results &&
-           "resultKernel() on a non-Results shard");
+    expectPayload(path_, payload_, ShardPayload::Results);
     return result_kernel_;
 }
 
 const std::string &
 ShardReader::resultFormatId() const
 {
-    assert(payload_ == ShardPayload::Results &&
-           "resultFormatId() on a non-Results shard");
+    expectPayload(path_, payload_, ShardPayload::Results);
     return result_format_id_;
 }
 
@@ -511,9 +518,7 @@ std::vector<pbd::Column>
 readColumnShard(const std::string &path)
 {
     const ShardReader reader(path);
-    if (reader.payload() != ShardPayload::Columns)
-        fail(path, std::string(shardPayloadName(reader.payload())) +
-                       " shard, not a columns shard");
+    expectPayload(path, reader.payload(), ShardPayload::Columns);
     std::vector<pbd::Column> out;
     out.reserve(reader.size());
     for (size_t i = 0; i < reader.size(); ++i) {

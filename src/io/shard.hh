@@ -243,30 +243,31 @@ class ShardReader
 
     /**
      * Zero-copy view of column `i` (Columns shards; asserts the
-     * payload kind and bounds). The span points into the mapping.
-     * readColumnShard checks the payload kind before it calls this.
+     * index). The span points into the mapping. Throws ShardError
+     * naming the payload on a shard of another kind, as every
+     * record accessor below does: the kind comes from the file.
      */
     pbd::ColumnView column(size_t i) const;
 
     /**
      * Zero-copy view of sequence `i` (Sequences shards; asserts the
-     * payload kind and bounds). The span points into the mapping.
+     * index). The span points into the mapping.
      */
     std::span<const int> sequence(size_t i) const;
 
     /**
-     * Result record `i` (Results shards; asserts the payload kind
-     * and bounds). The path span points into the mapping.
+     * Result record `i` (Results shards; asserts the index). The
+     * path span points into the mapping.
      */
     ShardResultRecord result(size_t i) const;
 
-    /** The kernel tag of a Results shard (asserts the payload kind). */
+    /** The kernel tag of a Results shard. */
     uint32_t resultKernel() const;
 
     /**
-     * The producing format id of a Results shard (asserts the
-     * payload kind). May be a composite label (adaptive runs mix
-     * tiers) rather than a single registry id.
+     * The producing format id of a Results shard. May be a composite
+     * label (adaptive runs mix tiers) rather than a single registry
+     * id.
      */
     const std::string &resultFormatId() const;
 

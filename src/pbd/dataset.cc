@@ -217,8 +217,9 @@ makePaperDatasetStats(int columns_per_dataset, uint64_t seed)
         config.mean_phred = 33.0 + 1.0 * d;
         config.variant_fraction = 0.055 + 0.006 * d;
         config.seed = seed * 7919ULL + d;
-        out.push_back(
-            makeDatasetStats(config, "D" + std::to_string(d)));
+        std::string name = "D";
+        name += std::to_string(d);
+        out.push_back(makeDatasetStats(config, name));
     }
     return out;
 }
@@ -237,7 +238,9 @@ makePaperDatasets(int columns_per_dataset, uint64_t seed)
         config.mean_phred = 27.0 + 2.0 * (d % 3);
         config.variant_fraction = 0.055 + 0.006 * d;
         config.seed = seed * 1000003ULL + d;
-        out.push_back(makeDataset(config, "D" + std::to_string(d)));
+        std::string name = "D";
+        name += std::to_string(d);
+        out.push_back(makeDataset(config, name));
     }
     return out;
 }

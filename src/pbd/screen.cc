@@ -74,6 +74,18 @@ octaveOf(double p)
     return static_cast<size_t>(std::bit_cast<uint64_t>(p) >> 52);
 }
 
+/**
+ * ln Gamma(x), the value std::lgamma returns. std::lgamma also writes
+ * the global signgam, a data race when engine lanes bound columns
+ * concurrently; lgamma_r hands the sign back instead.
+ */
+double
+lnGamma(double x)
+{
+    int sign = 0;
+    return ::lgamma_r(x, &sign);
+}
+
 } // namespace
 
 namespace detail
@@ -120,10 +132,9 @@ certifiedBoundsLog2(const ColumnView &column,
         return {-kInf, -kInf};
 
     const double kk = static_cast<double>(k);
-    const double lgamma_k1 = std::lgamma(kk + 1.0);
+    const double lgamma_k1 = lnGamma(kk + 1.0);
     const auto log2Choose = [&](double m) {
-        return (std::lgamma(m + 1.0) - lgamma_k1 -
-                std::lgamma(m - kk + 1.0)) /
+        return (lnGamma(m + 1.0) - lgamma_k1 - lnGamma(m - kk + 1.0)) /
                kLn2;
     };
     // The m reads at or above t dominate Binomial(m, t), so

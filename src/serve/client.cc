@@ -5,6 +5,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -50,6 +51,11 @@ Client::connectTcp(const std::string &host, uint16_t port)
         ::close(fd);
         throw FrameError("not an IPv4 address: " + host);
     }
+    // Requests leave as whole frames; waiting on the server's
+    // delayed ACK before sending the next one (Nagle) only stalls a
+    // pipelined burst.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                   sizeof(addr)) < 0) {
         const std::string why = std::strerror(errno);
@@ -67,7 +73,8 @@ Client::~Client()
 }
 
 Client::Client(Client &&other) noexcept
-    : fd_(std::exchange(other.fd_, -1))
+    : fd_(std::exchange(other.fd_, -1)),
+      reader_(std::move(other.reader_))
 {
 }
 
@@ -78,6 +85,7 @@ Client::operator=(Client &&other) noexcept
         if (fd_ >= 0)
             ::close(fd_);
         fd_ = std::exchange(other.fd_, -1);
+        reader_ = std::move(other.reader_);
     }
     return *this;
 }
@@ -91,7 +99,7 @@ Client::send(const ServeRequest &request)
 ServeResponse
 Client::receive(uint64_t max_body)
 {
-    const std::optional<Frame> frame = readFrame(fd_, max_body);
+    const std::optional<Frame> frame = reader_.next(max_body);
     if (!frame)
         throw FrameError(
             "server closed the connection before responding");

@@ -7,7 +7,10 @@
  * caller can pipeline several requests on one connection and match
  * the responses by correlation id — which is also exactly what the
  * backpressure tests need: responses to rejected requests overtake
- * the in-flight ones, so arrival order is not request order.
+ * the in-flight ones, so arrival order is not request order. One
+ * thread may send() while another receive()s; receive() reads
+ * through the connection's one FrameReader, so responses a read
+ * brought in ahead of their turn wait in its buffer.
  */
 
 #ifndef PSTAT_SERVE_CLIENT_HH
@@ -56,9 +59,10 @@ class Client
     int fd() const { return fd_; }
 
   private:
-    explicit Client(int fd) : fd_(fd) {}
+    explicit Client(int fd) : fd_(fd), reader_(fd) {}
 
     int fd_ = -1;
+    FrameReader reader_; //!< the one reader of fd_ (it reads ahead)
 };
 
 } // namespace pstat::serve

@@ -1,9 +1,12 @@
 #include "serve/frame.hh"
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "io/codec.hh"
@@ -15,54 +18,39 @@ namespace
 {
 
 /**
- * Retrying full write over a blocking socket. MSG_NOSIGNAL turns a
- * peer that closed mid-conversation into an EPIPE (reported as a
- * FrameError) instead of a process-killing SIGPIPE — the daemon's
- * error responses race its peers' disconnects by design, so this
- * must hold for in-process embedders (tests, benches), not just for
- * CLI entry points that ignore the signal globally.
+ * sendmsg until every byte of @p iov is out. A call takes at most
+ * IOV_MAX entries; a partial write resumes mid-entry. MSG_NOSIGNAL
+ * turns a peer that closed mid-conversation into an EPIPE (reported
+ * as a FrameError) instead of a process-killing SIGPIPE — the
+ * daemon's error responses race its peers' disconnects by design, so
+ * this must hold for in-process embedders (tests, benches), not just
+ * for CLI entry points that ignore the signal globally.
  */
 void
-writeAll(int fd, const void *data, size_t len)
+sendAll(int fd, std::span<iovec> iov)
 {
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    size_t done = 0;
-    while (done < len) {
-        const ssize_t n =
-            ::send(fd, bytes + done, len - done, MSG_NOSIGNAL);
+    while (!iov.empty()) {
+        msghdr message{};
+        message.msg_iov = iov.data();
+        message.msg_iovlen = std::min<size_t>(iov.size(), IOV_MAX);
+        const ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
             throw FrameError(std::string("frame write failed: ") +
                              std::strerror(errno));
         }
-        done += static_cast<size_t>(n);
-    }
-}
-
-/**
- * Retrying full read over a blocking fd. Returns the bytes read:
- * `len` on success, 0 on end-of-stream before any byte, and anything
- * in between on a mid-field disconnect (the caller diagnoses).
- */
-size_t
-readUpTo(int fd, void *data, size_t len)
-{
-    auto *bytes = static_cast<unsigned char *>(data);
-    size_t done = 0;
-    while (done < len) {
-        const ssize_t n = ::read(fd, bytes + done, len - done);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            throw FrameError(std::string("frame read failed: ") +
-                             std::strerror(errno));
+        auto sent = static_cast<size_t>(n);
+        while (!iov.empty() && sent >= iov.front().iov_len) {
+            sent -= iov.front().iov_len;
+            iov = iov.subspan(1);
         }
-        if (n == 0)
-            break;
-        done += static_cast<size_t>(n);
+        if (sent > 0) {
+            iov.front().iov_base =
+                static_cast<char *>(iov.front().iov_base) + sent;
+            iov.front().iov_len -= sent;
+        }
     }
-    return done;
 }
 
 } // namespace
@@ -208,31 +196,104 @@ decodeResponseBody(std::span<const uint8_t> body)
 }
 
 void
+writeFrames(int fd, std::span<const FrameView> frames)
+{
+    std::vector<FrameHeader> headers(frames.size());
+    std::vector<uint64_t> trailers(frames.size());
+    std::vector<iovec> iov;
+    iov.reserve(3 * frames.size());
+    for (size_t i = 0; i < frames.size(); ++i) {
+        const std::span<const uint8_t> body = frames[i].body;
+        FrameHeader &header = headers[i];
+        std::memcpy(header.magic, frame_magic, sizeof(frame_magic));
+        header.version = frame_version;
+        header.type = static_cast<uint32_t>(frames[i].type);
+        header.body_bytes = body.size();
+        trailers[i] = io::crc32(0, body.data(), body.size());
+        iov.push_back({&header, sizeof(header)});
+        if (!body.empty())
+            iov.push_back({const_cast<uint8_t *>(body.data()),
+                           body.size()});
+        iov.push_back({&trailers[i], frame_trailer_bytes});
+    }
+    sendAll(fd, iov);
+}
+
+void
 writeFrame(int fd, FrameType type, std::span<const uint8_t> body)
 {
-    FrameHeader header{};
-    std::memcpy(header.magic, frame_magic, sizeof(frame_magic));
-    header.version = frame_version;
-    header.type = static_cast<uint32_t>(type);
-    header.body_bytes = body.size();
-    writeAll(fd, &header, sizeof(header));
-    if (!body.empty())
-        writeAll(fd, body.data(), body.size());
-    uint64_t trailer = io::crc32(0, body.data(), body.size());
-    writeAll(fd, &trailer, sizeof(trailer));
+    const FrameView frame{type, body};
+    writeFrames(fd, {&frame, 1});
+}
+
+FrameReader::FrameReader(int fd)
+    : fd_(fd),
+      buffer_(std::make_unique_for_overwrite<uint8_t[]>(buffer_bytes))
+{
+}
+
+/** One read() into @p to; 0 at end of stream. EINTR is retried. */
+size_t
+FrameReader::readSome(uint8_t *to, size_t room)
+{
+    while (true) {
+        const ssize_t n = ::read(fd_, to, room);
+        if (n >= 0)
+            return static_cast<size_t>(n);
+        if (errno != EINTR)
+            throw FrameError(std::string("frame read failed: ") +
+                             std::strerror(errno));
+    }
+}
+
+/**
+ * Read until at least @p want (at most buffer_bytes) bytes are
+ * buffered; false when the stream ends first. Each read() asks for
+ * all the room left, so the bytes of following frames come along.
+ */
+bool
+FrameReader::fill(size_t want)
+{
+    if (begin_ + want > buffer_bytes) {
+        std::memmove(buffer_.get(), buffer_.get() + begin_, buffered());
+        end_ -= begin_;
+        begin_ = 0;
+    }
+    while (buffered() < want) {
+        const size_t n =
+            readSome(buffer_.get() + end_, buffer_bytes - end_);
+        if (n == 0)
+            return false;
+        end_ += n;
+    }
+    return true;
+}
+
+/** Move up to @p len buffered bytes to @p to; returns how many. */
+size_t
+FrameReader::take(void *to, size_t len)
+{
+    const size_t n = std::min(len, buffered());
+    if (n > 0)
+        std::memcpy(to, buffer_.get() + begin_, n);
+    begin_ += n;
+    if (begin_ == end_)
+        begin_ = end_ = 0; // empty: the next read starts at the front
+    return n;
 }
 
 std::optional<Frame>
-readFrame(int fd, uint64_t max_body)
+FrameReader::next(uint64_t max_body)
 {
     FrameHeader header{};
-    const size_t got = readUpTo(fd, &header, sizeof(header));
-    if (got == 0)
-        return std::nullopt; // clean end-of-stream
-    if (got < sizeof(header))
+    if (!fill(sizeof(header))) {
+        if (buffered() == 0)
+            return std::nullopt; // clean end-of-stream
         throw FrameError("truncated frame header (" +
-                         std::to_string(got) + " of " +
+                         std::to_string(buffered()) + " of " +
                          std::to_string(sizeof(header)) + " bytes)");
+    }
+    take(&header, sizeof(header));
     if (std::memcmp(header.magic, frame_magic,
                     sizeof(frame_magic)) != 0)
         throw FrameError("bad frame magic");
@@ -252,19 +313,32 @@ readFrame(int fd, uint64_t max_body)
     Frame frame;
     frame.type = static_cast<FrameType>(header.type);
     frame.body.resize(header.body_bytes);
-    const size_t body_got =
-        readUpTo(fd, frame.body.data(), frame.body.size());
-    if (body_got < frame.body.size())
-        throw FrameError("disconnect mid-body (" +
-                         std::to_string(body_got) + " of " +
-                         std::to_string(frame.body.size()) +
+    uint8_t *const body = frame.body.data();
+    const size_t body_bytes = frame.body.size();
+    size_t got = take(body, body_bytes);
+    if (body_bytes - got + frame_trailer_bytes <= buffer_bytes) {
+        // The rest of the body and the trailer fit the buffer: one
+        // fill brings them, and whatever follows them, in.
+        fill(body_bytes - got + frame_trailer_bytes);
+        got += take(body + got, body_bytes - got);
+    } else {
+        // A body larger than the buffer goes straight into the frame.
+        while (got < body_bytes) {
+            const size_t n = readSome(body + got, body_bytes - got);
+            if (n == 0)
+                break;
+            got += n;
+        }
+    }
+    if (got < body_bytes)
+        throw FrameError("disconnect mid-body (" + std::to_string(got) +
+                         " of " + std::to_string(body_bytes) +
                          " bytes)");
     uint64_t trailer = 0;
-    if (readUpTo(fd, &trailer, sizeof(trailer)) < sizeof(trailer))
+    if (!fill(sizeof(trailer)))
         throw FrameError("disconnect before the frame trailer");
-    const uint64_t want =
-        io::crc32(0, frame.body.data(), frame.body.size());
-    if (trailer != want)
+    take(&trailer, sizeof(trailer));
+    if (trailer != io::crc32(0, body, body_bytes))
         throw FrameError("frame CRC mismatch");
     return frame;
 }

@@ -32,10 +32,17 @@
  * byte for byte the record payload of the matching shard.
  *
  * The encode/decode helpers here are pure (bytes in, structs out);
- * the blocking socket helpers (readFrame / writeFrame) layer the
- * framing over a file descriptor. Server scheduling, coalescing and
- * backpressure live in serve/server.hh; the client side in
- * serve/client.hh.
+ * two blocking socket helpers layer the framing over a file
+ * descriptor, and each moves whole frames per system call. The
+ * writer (writeFrames, and writeFrame for one frame) sends every
+ * header, body and CRC trailer of a call in one gathered sendmsg,
+ * so a frame never leaves in pieces that Nagle's algorithm and a
+ * delayed ACK could hold apart. The reader (FrameReader, one per
+ * connection) reads whatever the socket holds into a fixed buffer
+ * and hands out whole frames from it, so pipelined requests cost
+ * one read() between them, not three per frame. Server scheduling,
+ * coalescing and backpressure live in serve/server.hh; the client
+ * side in serve/client.hh.
  */
 
 #ifndef PSTAT_SERVE_FRAME_HH
@@ -43,6 +50,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -232,22 +240,68 @@ struct Frame
     std::vector<uint8_t> body;           //!< CRC-validated body
 };
 
+/** One frame to write: its type tag and a borrowed body. */
+struct FrameView
+{
+    FrameType type = FrameType::Response; //!< header type tag
+    std::span<const uint8_t> body;        //!< not copied by the write
+};
+
 /**
- * Write one complete frame (header + body + CRC trailer) to a
- * blocking file descriptor. Throws FrameError on any write failure
- * (EINTR is retried; a peer hangup surfaces as the failure).
+ * Write @p frames back to back (each header + body + CRC trailer) to
+ * a blocking socket in one gathered sendmsg: the iovecs point at
+ * each header, body and trailer, so no body is copied. A partial
+ * write continues where it stopped and EINTR is retried; a call is
+ * split into several sendmsg calls only where its iovec count
+ * passes IOV_MAX. MSG_NOSIGNAL makes a peer hangup an EPIPE, not a
+ * SIGPIPE. Throws FrameError on any write failure.
  */
+void writeFrames(int fd, std::span<const FrameView> frames);
+
+/** writeFrames of one frame: one sendmsg for the whole frame. */
 void writeFrame(int fd, FrameType type, std::span<const uint8_t> body);
 
 /**
- * Read one complete frame from a blocking file descriptor. Returns
- * an empty optional on a clean end-of-stream (the peer closed before
- * sending any header byte — the normal connection shutdown). Throws
- * FrameError on every corruption class: a mid-header or mid-body
- * disconnect, bad magic, an unsupported version, an unknown frame
- * type, a body length beyond @p max_body, or a CRC mismatch.
+ * The buffered frame reader of one connection. Each read() takes
+ * whatever the socket holds, up to a fixed buffer, and next() hands
+ * out the whole frames in it; bytes of a following frame stay
+ * buffered for the next call. A body larger than the buffer is read
+ * straight into its frame, and the buffer never grows. The reader
+ * borrows the descriptor (its owner closes it) and must be the only
+ * reader of it, since it reads ahead.
  */
-std::optional<Frame> readFrame(int fd, uint64_t max_body);
+class FrameReader
+{
+  public:
+    /** Size of the fixed read buffer. */
+    static constexpr size_t buffer_bytes = 64 << 10;
+
+    /** A reader of @p fd, a blocking socket or pipe. */
+    explicit FrameReader(int fd);
+
+    /**
+     * The next whole frame, or an empty optional on a clean
+     * end-of-stream (the peer closed at a frame boundary — the
+     * normal connection shutdown). Magic, version, type and the
+     * @p max_body cap are checked before the body is allocated.
+     * Throws FrameError on every corruption class: a mid-header or
+     * mid-body disconnect, bad magic, an unsupported version, an
+     * unknown frame type, a body length beyond @p max_body, a
+     * missing trailer, a CRC mismatch, or a read failure.
+     */
+    std::optional<Frame> next(uint64_t max_body);
+
+  private:
+    size_t buffered() const { return end_ - begin_; }
+    size_t readSome(uint8_t *to, size_t room);
+    bool fill(size_t want);
+    size_t take(void *to, size_t len);
+
+    int fd_;
+    std::unique_ptr<uint8_t[]> buffer_;
+    size_t begin_ = 0; //!< first unconsumed buffered byte
+    size_t end_ = 0;   //!< one past the last buffered byte
+};
 
 } // namespace pstat::serve
 

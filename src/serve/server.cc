@@ -4,6 +4,7 @@
 #include <utility>
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -110,9 +111,10 @@ Server::Server(ServerConfig config)
 
     scheduler_ = std::thread([this] { schedulerLoop(); });
     if (unix_fd_ >= 0)
-        acceptors_.emplace_back([this] { acceptLoop(unix_fd_); });
+        acceptors_.emplace_back(
+            [this] { acceptLoop(unix_fd_, false); });
     if (tcp_fd_ >= 0)
-        acceptors_.emplace_back([this] { acceptLoop(tcp_fd_); });
+        acceptors_.emplace_back([this] { acceptLoop(tcp_fd_, true); });
 }
 
 Server::~Server()
@@ -196,7 +198,7 @@ Server::stats() const
 }
 
 void
-Server::acceptLoop(int listen_fd)
+Server::acceptLoop(int listen_fd, bool tcp)
 {
     while (true) {
         const int fd = ::accept(listen_fd, nullptr, nullptr);
@@ -208,6 +210,14 @@ Server::acceptLoop(int listen_fd)
         if (stopping_.load()) {
             closeQuiet(fd);
             return;
+        }
+        if (tcp) {
+            // Every write is a whole frame or a whole round already;
+            // holding one back for an ACK the client delays (Nagle)
+            // would only stall it.
+            const int one = 1;
+            ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
+                         sizeof(one));
         }
         auto conn = std::make_shared<Connection>(fd);
         std::lock_guard<std::mutex> lock(conn_mutex_);
@@ -222,10 +232,11 @@ Server::acceptLoop(int listen_fd)
 void
 Server::readerLoop(std::shared_ptr<Connection> conn)
 {
+    FrameReader reader(conn->fd);
     while (true) {
         std::optional<Frame> frame;
         try {
-            frame = readFrame(conn->fd, config_.max_frame_bytes);
+            frame = reader.next(config_.max_frame_bytes);
         } catch (const FrameError &error) {
             // Framing is broken (bad magic, CRC, truncation): the
             // byte stream cannot be resynchronized, so answer with
@@ -343,6 +354,7 @@ Server::schedulerLoop()
             groups[slot].push_back(std::move(pending));
         }
 
+        std::vector<Outgoing> out;
         for (std::vector<Pending> &group : groups) {
             // Expired requests are skipped, not run: answer them
             // typed and dispatch only the live remainder.
@@ -358,20 +370,23 @@ Server::schedulerLoop()
                         "deadline of " +
                         std::to_string(pending.request.deadline_ms) +
                         " ms expired before dispatch";
-                    respond(pending.conn, response);
+                    out.push_back({pending.conn,
+                                   encodeResponseBody(response)});
                     continue;
                 }
                 live.push_back(std::move(pending));
             }
             if (!live.empty())
-                dispatchGroup(engine, live);
+                dispatchGroup(engine, live, out);
         }
+        sendRound(out);
     }
 }
 
 void
 Server::dispatchGroup(engine::EvalEngine &engine,
-                      std::vector<Pending> &group)
+                      std::vector<Pending> &group,
+                      std::vector<Outgoing> &out)
 {
     // One run over the concatenated columns; RouteSlices remember
     // which span of the flat record order belongs to which request.
@@ -406,7 +421,7 @@ Server::dispatchGroup(engine::EvalEngine &engine,
             response.id = pending.request.id;
             response.status = RequestStatus::Error;
             response.message = error.what();
-            respond(pending.conn, response);
+            out.push_back({pending.conn, encodeResponseBody(response)});
         }
         return;
     }
@@ -421,7 +436,34 @@ Server::dispatchGroup(engine::EvalEngine &engine,
         response.kernel = static_cast<uint32_t>(plan.kernel);
         response.format_id = engine::resultFormatLabel(plan);
         response.records = routing.slice(routes[i]);
-        respond(group[i].conn, response);
+        out.push_back({group[i].conn, encodeResponseBody(response)});
+    }
+}
+
+void
+Server::sendRound(const std::vector<Outgoing> &out)
+{
+    // Each connection's share of the round leaves in one gathered
+    // write, in the order the round produced it.
+    std::vector<bool> sent(out.size(), false);
+    std::vector<FrameView> frames;
+    for (size_t i = 0; i < out.size(); ++i) {
+        if (sent[i])
+            continue;
+        Connection &conn = *out[i].conn;
+        frames.clear();
+        for (size_t j = i; j < out.size(); ++j)
+            if (!sent[j] && out[j].conn.get() == &conn) {
+                frames.push_back({FrameType::Response, out[j].body});
+                sent[j] = true;
+            }
+        std::lock_guard<std::mutex> lock(conn.write_mutex);
+        try {
+            writeFrames(conn.fd, frames);
+        } catch (const FrameError &) {
+            // The client went away before its answers, as in
+            // respond().
+        }
     }
 }
 

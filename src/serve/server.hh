@@ -19,8 +19,11 @@
  *    coalesce_max. Requests with byte-identical encoded plans merge
  *    into one Executor run over their concatenated columns; a
  *    RoutingSink (serve/routing_sink.hh) demultiplexes the flat
- *    record vector back to per-request responses. Small concurrent
- *    requests therefore pay one scheduling round, not N.
+ *    record vector back to per-request responses. A round's
+ *    responses (Ok, Expired, Error) leave in one gathered write per
+ *    connection, in the order the round produced them. Small
+ *    concurrent requests therefore pay one scheduling round and one
+ *    write per connection, not N of each.
  *  - **Backpressure.** Admission is BoundedQueue::tryPush: a full
  *    queue rejects immediately with a typed Rejected response
  *    instead of stalling the connection — overload is observable,
@@ -73,7 +76,7 @@ struct ServerConfig
     size_t queue_capacity = 16;
     /** Most requests one scheduling round may coalesce. */
     size_t coalesce_max = 8;
-    /** Per-frame body cap handed to readFrame. */
+    /** Per-frame body cap handed to FrameReader::next. */
     uint64_t max_frame_bytes = frame_default_max_body;
     /** Engine lanes (0 inherits PSTAT_THREADS / hardware). */
     unsigned threads = 0;
@@ -176,11 +179,21 @@ class Server
         bool has_deadline = false;
     };
 
-    void acceptLoop(int listen_fd);
+    /** One encoded response of a dispatch round, held until the
+     *  round's writes. */
+    struct Outgoing
+    {
+        std::shared_ptr<Connection> conn;
+        std::vector<uint8_t> body;
+    };
+
+    void acceptLoop(int listen_fd, bool tcp);
     void readerLoop(std::shared_ptr<Connection> conn);
     void schedulerLoop();
     void dispatchGroup(engine::EvalEngine &engine,
-                       std::vector<Pending> &group);
+                       std::vector<Pending> &group,
+                       std::vector<Outgoing> &out);
+    void sendRound(const std::vector<Outgoing> &out);
     void respond(const std::shared_ptr<Connection> &conn,
                  const ServeResponse &response);
 

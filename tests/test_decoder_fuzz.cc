@@ -1,7 +1,7 @@
 /**
  * @file
  * Seeded byte-mutation fuzzer of every decoder that takes bytes from
- * outside the process: engine::decodePlan, serve::readFrame with
+ * outside the process: engine::decodePlan, serve::FrameReader with
  * decodeRequestBody / decodeResponseBody, and the io::ShardReader
  * open. Each target mutates a corpus of valid encodings (zero-length
  * strings, columns, paths and record lists included) and requires
@@ -305,7 +305,7 @@ struct Pipe
     Pipe &operator=(const Pipe &) = delete;
 };
 
-/** readFrame over a pipe holding `bytes`, then the body decoder. */
+/** A FrameReader over a pipe holding `bytes`, then the body decoder. */
 Outcome
 decodeFrame(const Bytes &bytes)
 {
@@ -317,7 +317,8 @@ decodeFrame(const Bytes &bytes)
         throw std::runtime_error("short pipe write");
     ::close(std::exchange(pipe.fds[1], -1)); // end of stream
     try {
-        const auto frame = serve::readFrame(pipe.fds[0], fuzz_max_body);
+        const auto frame =
+            serve::FrameReader(pipe.fds[0]).next(fuzz_max_body);
         if (frame && frame->type == serve::FrameType::Request)
             (void)serve::decodeRequestBody(frame->body);
         else if (frame)

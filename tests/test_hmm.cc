@@ -293,8 +293,9 @@ TEST(Generators, PhyloModelStructure)
     // Self-transitions dominate.
     for (int i = 0; i < m.num_states; ++i) {
         for (int j = 0; j < m.num_states; ++j) {
-            if (i != j)
+            if (i != j) {
                 EXPECT_GT(m.aAt(i, i), m.aAt(i, j));
+            }
         }
     }
 }

@@ -160,7 +160,6 @@ TYPED_TEST_SUITE(PositPropertyTest, PropertyConfigs);
 
 TYPED_TEST(PositPropertyTest, AddCommutes)
 {
-    using P = TypeParam;
     auto vals = this->sampleValues(1, 200);
     for (size_t i = 0; i + 1 < vals.size(); i += 2) {
         EXPECT_EQ((vals[i] + vals[i + 1]).bits(),
@@ -170,7 +169,6 @@ TYPED_TEST(PositPropertyTest, AddCommutes)
 
 TYPED_TEST(PositPropertyTest, MulCommutes)
 {
-    using P = TypeParam;
     auto vals = this->sampleValues(2, 200);
     for (size_t i = 0; i + 1 < vals.size(); i += 2) {
         EXPECT_EQ((vals[i] * vals[i + 1]).bits(),
@@ -180,7 +178,6 @@ TYPED_TEST(PositPropertyTest, MulCommutes)
 
 TYPED_TEST(PositPropertyTest, NegationDistributesOverAdd)
 {
-    using P = TypeParam;
     auto vals = this->sampleValues(3, 200);
     for (size_t i = 0; i + 1 < vals.size(); i += 2) {
         // Posit rounding is sign-symmetric: -(a+b) == (-a)+(-b).
@@ -191,7 +188,6 @@ TYPED_TEST(PositPropertyTest, NegationDistributesOverAdd)
 
 TYPED_TEST(PositPropertyTest, NegationDistributesOverMul)
 {
-    using P = TypeParam;
     auto vals = this->sampleValues(4, 200);
     for (size_t i = 0; i + 1 < vals.size(); i += 2) {
         EXPECT_EQ((-(vals[i] * vals[i + 1])).bits(),

@@ -2,7 +2,10 @@
  * @file
  * The PSTSRV1 serving layer under test: pure codec round trips, the
  * full corruption matrix (mirroring tests/test_shard.cc for the
- * shard format), and the live-daemon contracts — coalescing,
+ * shard format), the socket helpers' shape (one send per write, the
+ * buffered FrameReader's refills and read-ahead, TCP connections
+ * that do not stall on delayed ACKs), and the live-daemon contracts
+ * — coalescing,
  * backpressure rejection, deadline expiry, typed per-request errors
  * that keep the connection alive, graceful continuation after broken
  * peers, and byte-identity of the daemon round trip against the
@@ -18,7 +21,9 @@
  * in the queue — with no sleeps and no races.
  */
 
+#include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -26,6 +31,7 @@
 #include <initializer_list>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -322,9 +328,9 @@ TEST(ServeFrame, ResponseUnknownStatusAndFlagsAreTyped)
 struct SocketPair
 {
     int fds[2] = {-1, -1};
-    SocketPair()
+    explicit SocketPair(int type = SOCK_STREAM)
     {
-        EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+        EXPECT_EQ(::socketpair(AF_UNIX, type, 0, fds), 0);
     }
     ~SocketPair()
     {
@@ -347,8 +353,8 @@ TEST(ServeFrame, FrameRoundTripsOverASocket)
     serve::writeFrame(pair.fds[0], serve::FrameType::Request, body);
     pair.closeWriter();
 
-    const auto frame =
-        serve::readFrame(pair.fds[1], serve::frame_default_max_body);
+    serve::FrameReader reader(pair.fds[1]);
+    const auto frame = reader.next(serve::frame_default_max_body);
     ASSERT_TRUE(frame.has_value());
     EXPECT_EQ(frame->type, serve::FrameType::Request);
     EXPECT_EQ(frame->body, body);
@@ -356,8 +362,7 @@ TEST(ServeFrame, FrameRoundTripsOverASocket)
     // After the one frame the stream ends cleanly: empty optional,
     // not an error.
     EXPECT_FALSE(
-        serve::readFrame(pair.fds[1], serve::frame_default_max_body)
-            .has_value());
+        reader.next(serve::frame_default_max_body).has_value());
 }
 
 TEST(ServeFrame, CorruptionMatrixOverASocket)
@@ -436,8 +441,8 @@ TEST(ServeFrame, CorruptionMatrixOverASocket)
         corruption.inject(pair);
         pair.closeWriter();
         try {
-            serve::readFrame(pair.fds[1],
-                             serve::frame_default_max_body);
+            serve::FrameReader(pair.fds[1])
+                .next(serve::frame_default_max_body);
             FAIL() << corruption.name << ": frame decoded";
         } catch (const serve::FrameError &error) {
             EXPECT_NE(
@@ -491,8 +496,8 @@ TEST(ServeFrame, MalformedResultRecordsAreTypedPastTheCrc)
         SocketPair pair;
         serve::writeFrame(pair.fds[0], serve::FrameType::Response,
                           body);
-        const auto frame = serve::readFrame(
-            pair.fds[1], serve::frame_default_max_body);
+        const auto frame = serve::FrameReader(pair.fds[1])
+                               .next(serve::frame_default_max_body);
         ASSERT_TRUE(frame.has_value()) << corruption.name;
         try {
             serve::decodeResponseBody(frame->body);
@@ -502,6 +507,253 @@ TEST(ServeFrame, MalformedResultRecordsAreTypedPastTheCrc)
                 std::string(error.what()).find(corruption.diagnostic),
                 std::string::npos)
                 << corruption.name << ": got \"" << error.what()
+                << "\"";
+        }
+    }
+}
+
+/** A frame built by hand: header, body, zero-extended CRC-32. */
+std::vector<uint8_t>
+handFrame(serve::FrameType type, std::span<const uint8_t> body)
+{
+    serve::FrameHeader header = requestHeader(body.size());
+    header.type = static_cast<uint32_t>(type);
+    const uint64_t trailer = io::crc32(0, body.data(), body.size());
+    std::vector<uint8_t> bytes(sizeof(header) + body.size() +
+                               sizeof(trailer));
+    std::memcpy(bytes.data(), &header, sizeof(header));
+    if (!body.empty())
+        std::memcpy(bytes.data() + sizeof(header), body.data(),
+                    body.size());
+    std::memcpy(bytes.data() + sizeof(header) + body.size(), &trailer,
+                sizeof(trailer));
+    return bytes;
+}
+
+/** One recv() off @p fd, as bytes. */
+std::vector<uint8_t>
+recvOnce(int fd)
+{
+    std::vector<uint8_t> bytes(1 << 16);
+    const ssize_t n = ::recv(fd, bytes.data(), bytes.size(), 0);
+    bytes.resize(n > 0 ? static_cast<size_t>(n) : 0);
+    return bytes;
+}
+
+TEST(ServeFrame, OneWriteIsOneSendOfTheHandBuiltBytes)
+{
+    // Over SOCK_SEQPACKET each send is one record and one recv returns
+    // one record, so a frame written in pieces would come back in
+    // pieces (the header alone first). The bytes are the hand-built
+    // frame: the wire did not change.
+    SocketPair pair(SOCK_SEQPACKET);
+    const auto body = serve::encodeRequestBody(makeRequest(1, 3));
+    serve::writeFrame(pair.fds[0], serve::FrameType::Request, body);
+    const auto one = recvOnce(pair.fds[1]);
+    EXPECT_EQ(one.size(), sizeof(serve::FrameHeader) + body.size() +
+                              serve::frame_trailer_bytes);
+    EXPECT_EQ(one, handFrame(serve::FrameType::Request, body));
+
+    // Several frames, an empty body among them, leave in one send.
+    serve::ServeResponse response;
+    response.id = 2;
+    response.message = "queue full";
+    const std::vector<std::vector<uint8_t>> bodies = {
+        serve::encodeResponseBody(response),
+        {},
+        serve::encodeRequestBody(makeRequest(3, 1)),
+    };
+    const std::vector<serve::FrameView> frames = {
+        {serve::FrameType::Response, bodies[0]},
+        {serve::FrameType::Response, bodies[1]},
+        {serve::FrameType::Request, bodies[2]},
+    };
+    serve::writeFrames(pair.fds[0], frames);
+    std::vector<uint8_t> want;
+    for (const serve::FrameView &frame : frames) {
+        const auto bytes = handFrame(frame.type, frame.body);
+        want.insert(want.end(), bytes.begin(), bytes.end());
+    }
+    EXPECT_EQ(recvOnce(pair.fds[1]), want);
+}
+
+TEST(ServeFrame, FrameReaderHandsOutFramesWrittenInOneCallInOrder)
+{
+    // Every frame of one write arrives in one read: the reader must
+    // keep what follows the first frame for the next calls. The
+    // second write needs more iovecs than one sendmsg takes
+    // (IOV_MAX, 1024 on Linux), so the writer splits it.
+    SocketPair pair;
+    std::vector<std::vector<uint8_t>> bodies;
+    bodies.reserve(6 + 400); // the views below point into them
+    for (uint64_t id = 0; id < 5; ++id)
+        bodies.push_back(serve::encodeRequestBody(
+            makeRequest(id, static_cast<int>(id))));
+    bodies.emplace_back(); // an empty body
+    std::vector<serve::FrameView> frames;
+    for (size_t i = 0; i < bodies.size(); ++i)
+        frames.push_back({i % 2 == 0 ? serve::FrameType::Request
+                                     : serve::FrameType::Response,
+                          bodies[i]});
+    serve::writeFrames(pair.fds[0], frames);
+
+    const size_t first = frames.size();
+    for (uint64_t i = 0; i < 400; ++i) {
+        serve::ServeResponse response;
+        response.id = i;
+        bodies.push_back(serve::encodeResponseBody(response));
+    }
+    std::vector<serve::FrameView> many;
+    for (size_t i = first; i < bodies.size(); ++i)
+        many.push_back({serve::FrameType::Response, bodies[i]});
+    serve::writeFrames(pair.fds[0], many);
+    frames.insert(frames.end(), many.begin(), many.end());
+    pair.closeWriter();
+
+    serve::FrameReader reader(pair.fds[1]);
+    for (size_t i = 0; i < frames.size(); ++i) {
+        const auto frame = reader.next(serve::frame_default_max_body);
+        ASSERT_TRUE(frame.has_value()) << i;
+        EXPECT_EQ(frame->type, frames[i].type) << i;
+        EXPECT_EQ(frame->body, bodies[i]) << i;
+    }
+    EXPECT_FALSE(
+        reader.next(serve::frame_default_max_body).has_value());
+}
+
+/** What one FrameReader made of a stream: its frames, then either a
+ *  clean end or the FrameError that stopped it. */
+struct Readback
+{
+    std::vector<serve::Frame> frames;
+    bool clean_end = false;
+    std::string error;
+};
+
+/**
+ * Run @p write on one end of a fresh socketpair in a second thread
+ * (the bytes may not fit the socket buffer), and one FrameReader
+ * with body cap @p max_body on the other until the stream ends.
+ */
+Readback
+readBack(int type, const std::function<void(int)> &write,
+         uint64_t max_body)
+{
+    SocketPair pair(type);
+    std::thread writer([&] {
+        try {
+            write(pair.fds[0]);
+        } catch (const serve::FrameError &) {
+            // The reader stopped first and closed its end.
+        }
+        ::shutdown(pair.fds[0], SHUT_WR);
+    });
+    Readback out;
+    try {
+        serve::FrameReader reader(pair.fds[1]);
+        while (auto frame = reader.next(max_body))
+            out.frames.push_back(std::move(*frame));
+        out.clean_end = true;
+    } catch (const serve::FrameError &error) {
+        out.error = error.what();
+    }
+    ::close(std::exchange(pair.fds[1], -1)); // frees a blocked writer
+    writer.join();
+    return out;
+}
+
+TEST(ServeFrame, FrameReaderRefillsAFrameWrittenOneByteAtATime)
+{
+    // Each one-byte send over SOCK_SEQPACKET is its own record, so
+    // every read() returns one byte: the header, the body and the
+    // trailer each take many refills.
+    const auto body = serve::encodeRequestBody(makeRequest(4, 1));
+    auto bytes = handFrame(serve::FrameType::Request, body);
+    const auto second = handFrame(serve::FrameType::Response, {});
+    bytes.insert(bytes.end(), second.begin(), second.end());
+    const Readback got = readBack(
+        SOCK_SEQPACKET,
+        [&](int fd) {
+            for (const uint8_t byte : bytes)
+                if (::send(fd, &byte, 1, MSG_NOSIGNAL) != 1)
+                    return;
+        },
+        serve::frame_default_max_body);
+    EXPECT_EQ(got.error, "");
+    EXPECT_TRUE(got.clean_end);
+    ASSERT_EQ(got.frames.size(), 2u);
+    EXPECT_EQ(got.frames[0].type, serve::FrameType::Request);
+    EXPECT_EQ(got.frames[0].body, body);
+    EXPECT_EQ(got.frames[1].type, serve::FrameType::Response);
+    EXPECT_TRUE(got.frames[1].body.empty());
+}
+
+TEST(ServeFrame, FrameReaderReadsABodyLargerThanItsBuffer)
+{
+    // A body past the fixed buffer is read straight into its frame,
+    // up to the cap and not one byte beyond; the frame behind it
+    // still decodes.
+    std::vector<uint8_t> big(3 * serve::FrameReader::buffer_bytes + 5);
+    for (size_t i = 0; i < big.size(); ++i)
+        big[i] = static_cast<uint8_t>(i * 7 + i / 251);
+    const auto small = serve::encodeRequestBody(makeRequest(5, 2));
+    const std::vector<serve::FrameView> frames = {
+        {serve::FrameType::Request, big},
+        {serve::FrameType::Request, small},
+    };
+    const auto write = [&](int fd) { serve::writeFrames(fd, frames); };
+
+    const Readback at_cap = readBack(SOCK_STREAM, write, big.size());
+    EXPECT_EQ(at_cap.error, "");
+    EXPECT_TRUE(at_cap.clean_end);
+    ASSERT_EQ(at_cap.frames.size(), 2u);
+    EXPECT_TRUE(at_cap.frames[0].body == big);
+    EXPECT_EQ(at_cap.frames[1].body, small);
+
+    const Readback past_cap =
+        readBack(SOCK_STREAM, write, big.size() - 1);
+    EXPECT_TRUE(past_cap.frames.empty());
+    EXPECT_NE(past_cap.error.find("exceeds the"), std::string::npos)
+        << past_cap.error;
+}
+
+TEST(ServeFrame, FrameReaderEndsCleanlyOnlyAtAFrameBoundary)
+{
+    // Cut a two-frame stream at every byte of its second frame. Only
+    // a cut at a frame boundary is a clean end; every other cut is a
+    // FrameError naming the part it fell in.
+    const auto frame = handFrame(
+        serve::FrameType::Request,
+        serve::encodeRequestBody(makeRequest(6, 0)));
+    auto stream = frame;
+    stream.insert(stream.end(), frame.begin(), frame.end());
+    const size_t body_end = stream.size() - serve::frame_trailer_bytes;
+    for (size_t cut = frame.size(); cut <= stream.size(); ++cut) {
+        SocketPair pair;
+        writeRaw(pair.fds[0], stream.data(), cut);
+        pair.closeWriter();
+        serve::FrameReader reader(pair.fds[1]);
+        ASSERT_TRUE(reader.next(serve::frame_default_max_body));
+        if (cut == frame.size() || cut == stream.size()) {
+            if (cut == stream.size()) {
+                ASSERT_TRUE(reader.next(serve::frame_default_max_body));
+            }
+            EXPECT_FALSE(reader.next(serve::frame_default_max_body))
+                << cut;
+            continue;
+        }
+        const char *diagnostic =
+            cut < frame.size() + sizeof(serve::FrameHeader)
+                ? "truncated frame header"
+            : cut < body_end ? "disconnect mid-body"
+                             : "disconnect before the frame trailer";
+        try {
+            reader.next(serve::frame_default_max_body);
+            ADD_FAILURE() << "cut at " << cut << ": frame decoded";
+        } catch (const serve::FrameError &error) {
+            EXPECT_NE(std::string(error.what()).find(diagnostic),
+                      std::string::npos)
+                << "cut at " << cut << ": got \"" << error.what()
                 << "\"";
         }
     }
@@ -570,6 +822,141 @@ TEST(ServeServer, RoundTripsOverTcpLoopback)
     const auto response = client.roundTrip(makeRequest(31, 8));
     EXPECT_EQ(response.status, serve::RequestStatus::Ok);
     EXPECT_EQ(response.records.size(), 8u);
+}
+
+/** Median of @p values (copied: the caller keeps its order). */
+double
+median(std::vector<double> values)
+{
+    std::sort(values.begin(), values.end());
+    return values[values.size() / 2];
+}
+
+double
+msSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
+/**
+ * Over TCP, a write held back for the ACK of an earlier one (Nagle's
+ * algorithm) waits out the peer's delayed ACK: 40 ms or more on Linux.
+ * The TCP tests time each exchange on a TCP connection and on a Unix
+ * socket to the same server, interleaved, and bound how much longer
+ * TCP takes. A stall adds 40 ms to TCP alone; evaluation, scheduling,
+ * sanitizers and a loaded machine slow both transports alike.
+ */
+constexpr double tcp_stall_bound_ms = 20.0;
+
+/** One server on a Unix socket and on TCP loopback, and a client on
+ *  each. */
+struct BothTransports
+{
+    explicit BothTransports(const std::string &socket,
+                            size_t queue_capacity = 16)
+        : server([&] {
+              serve::ServerConfig config;
+              config.unix_path = tempPath(socket);
+              config.tcp_port = 0;
+              config.queue_capacity = queue_capacity;
+              config.threads = 1; // no pool wake-ups to jitter either
+              return config;
+          }()),
+          unix_client(serve::Client::connectUnix(tempPath(socket))),
+          tcp_client(
+              serve::Client::connectTcp("127.0.0.1", server.tcpPort()))
+    {
+    }
+
+    /** Median TCP minus median Unix-socket wall time of @p exchange,
+     *  run @p times on each client, alternately. */
+    double
+    tcpExtraMs(int times,
+               const std::function<void(serve::Client &)> &exchange)
+    {
+        std::vector<double> unix_ms;
+        std::vector<double> tcp_ms;
+        const auto timed = [&](serve::Client &client) {
+            const auto start = std::chrono::steady_clock::now();
+            exchange(client);
+            return msSince(start);
+        };
+        for (int i = 0; i < times; ++i) {
+            unix_ms.push_back(timed(unix_client));
+            tcp_ms.push_back(timed(tcp_client));
+        }
+        return median(tcp_ms) - median(unix_ms);
+    }
+
+    serve::Server server;
+    serve::Client unix_client;
+    serve::Client tcp_client;
+};
+
+TEST(ServeServer, TcpClosedLoopDoesNotStall)
+{
+    BothTransports both("serve_tcp_loop.sock");
+    const serve::ServeRequest request = makeRequest(33, 1);
+    const double extra = both.tcpExtraMs(20, [&](serve::Client &c) {
+        const auto response = c.roundTrip(request);
+        EXPECT_EQ(response.status, serve::RequestStatus::Ok);
+        EXPECT_EQ(response.records.size(), 1u);
+    });
+    EXPECT_LT(extra, tcp_stall_bound_ms);
+}
+
+TEST(ServeServer, TcpPipelinedBurstsDoNotStall)
+{
+    // Each burst is sent whole before any response is read, so later
+    // requests and responses queue behind unacknowledged ones.
+    constexpr int burst = 32;
+    BothTransports both("serve_tcp_burst.sock", burst);
+    serve::ServeRequest request = makeRequest(34, 1);
+    const double extra = both.tcpExtraMs(8, [&](serve::Client &c) {
+        for (int i = 0; i < burst; ++i) {
+            request.id = static_cast<uint64_t>(i);
+            c.send(request);
+        }
+        for (int i = 0; i < burst; ++i) {
+            const auto response = c.receive();
+            EXPECT_EQ(response.status, serve::RequestStatus::Ok);
+            EXPECT_EQ(response.records.size(), 1u);
+        }
+    });
+    EXPECT_LT(extra, tcp_stall_bound_ms);
+}
+
+TEST(ServeServer, TcpRequestBehindAnUnansweredOneDoesNotStall)
+{
+    // The client's half: while the paused server answers nothing, it
+    // also acknowledges the first request only when its delayed-ACK
+    // timer fires, and a client holding the second request back for
+    // that ACK (Nagle) delivers it that much later.
+    BothTransports both("serve_tcp_paused.sock");
+    const serve::ServeRequest request = makeRequest(35, 1);
+    // Round trips first, so the server's end acknowledges lazily, as
+    // on any connection that has been answering.
+    for (int i = 0; i < 5; ++i)
+        ASSERT_EQ(both.tcp_client.roundTrip(request).status,
+                  serve::RequestStatus::Ok);
+
+    const double extra = both.tcpExtraMs(7, [&](serve::Client &c) {
+        both.server.pause();
+        for (size_t queued = 1; queued <= 2; ++queued) {
+            c.send(request);
+            const auto sent = std::chrono::steady_clock::now();
+            while (both.server.queueDepth() < queued &&
+                   msSince(sent) < 5000.0)
+                std::this_thread::sleep_for(100us);
+            EXPECT_EQ(both.server.queueDepth(), queued);
+        }
+        both.server.resume();
+        for (int i = 0; i < 2; ++i)
+            EXPECT_EQ(c.receive().status, serve::RequestStatus::Ok);
+    });
+    EXPECT_LT(extra, tcp_stall_bound_ms);
 }
 
 TEST(ServeServer, ZeroColumnRequestIsServedEmpty)

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -283,7 +284,7 @@ TEST(Shard, CorruptedPayloadFailsTheCrc)
 TEST(Shard, CorruptedTrailerUpperBytesFailTheCrc)
 {
     // The trailer is the CRC zero-extended to 8 bytes; its upper half
-    // is part of the check, as in decodePlan and readFrame.
+    // is part of the check, as in decodePlan and FrameReader.
     const std::string path = tempPath("trailer.shard");
     pbd::Column column;
     column.success_probs = {0.25, 0.5};
@@ -359,6 +360,71 @@ TEST(Shard, ReadColumnShardRejectsOtherPayloads)
                 << error.what();
         }
     }
+}
+
+TEST(Shard, RecordAccessorsRejectOtherPayloads)
+{
+    // The payload kind comes from the file, so every record accessor
+    // checks it in every build (not with an assert) and names the
+    // kind it found, in readColumnShard's wording.
+    const std::string columns = tempPath("kind-columns.shard");
+    io::writeColumnShard(columns, makeColumns());
+
+    const std::string sequences = tempPath("kind-sequences.shard");
+    io::ShardWriter seq_writer(sequences, io::ShardPayload::Sequences);
+    seq_writer.addSequence(std::vector<int>{0, 1, 2, 3, 0, 1});
+    seq_writer.addSequence(std::vector<int>{2});
+    seq_writer.close();
+
+    const std::string results = tempPath("kind-results.shard");
+    io::ShardWriter res_writer(results, 1, "binary64");
+    io::ShardResultRecord zero;
+    zero.flags = io::result_flag_zero;
+    res_writer.addResult(zero);
+    res_writer.close();
+
+    const io::ShardReader cols(columns);
+    const io::ShardReader seqs(sequences);
+    const io::ShardReader res(results);
+    const auto refused = [](const char *call,
+                            const io::ShardReader &reader,
+                            const std::function<void()> &read,
+                            const std::string &want) {
+        const std::string diagnostic =
+            reader.path() + ": " +
+            io::shardPayloadName(reader.payload()) + " shard, not a " +
+            want + " shard";
+        try {
+            read();
+            ADD_FAILURE() << call << " read a "
+                          << io::shardPayloadName(reader.payload())
+                          << " shard";
+        } catch (const io::ShardError &error) {
+            EXPECT_EQ(std::string(error.what()), diagnostic) << call;
+        }
+    };
+    for (const io::ShardReader *reader : {&seqs, &res})
+        refused("column()", *reader, [&] { (void)reader->column(0); },
+                "columns");
+    for (const io::ShardReader *reader : {&cols, &res})
+        refused("sequence()", *reader,
+                [&] { (void)reader->sequence(0); }, "sequences");
+    for (const io::ShardReader *reader : {&cols, &seqs}) {
+        refused("result()", *reader, [&] { (void)reader->result(0); },
+                "results");
+        refused("resultKernel()", *reader,
+                [&] { (void)reader->resultKernel(); }, "results");
+        refused("resultFormatId()", *reader,
+                [&] { (void)reader->resultFormatId(); }, "results");
+    }
+
+    // Each accessor still reads its own kind.
+    EXPECT_EQ(cols.column(1).k, 1);
+    EXPECT_EQ(cols.column(1).success_probs.size(), 12u);
+    EXPECT_EQ(seqs.sequence(1).size(), 1u);
+    EXPECT_EQ(res.result(0).flags, io::result_flag_zero);
+    EXPECT_EQ(res.resultKernel(), 1u);
+    EXPECT_EQ(res.resultFormatId(), "binary64");
 }
 
 TEST(Shard, MissingFileIsAShardError)
