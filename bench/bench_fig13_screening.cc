@@ -126,10 +126,7 @@ runScreened(const engine::FormatOps &format,
     out.wall_ms = timer.elapsedMs();
     for (size_t d = 0; d < out.batches.size(); ++d) {
         const auto &b = out.batches[d];
-        out.stats.columns += b.stats.columns;
-        out.stats.skipped += b.stats.skipped;
-        out.stats.evaluated += b.stats.evaluated;
-        out.stats.guard_band_hits += b.stats.guard_band_hits;
+        out.stats += b.stats;
         out.false_skips += apps::lofreqFalseSkips(b, oracles[d]);
     }
     return out;

@@ -508,10 +508,7 @@ class ReportSink final : public engine::ResultSink
     consumeScreened(const engine::WorkBlock &block,
                     const engine::ScreenedPValueBatch &batch) override
     {
-        screen_.columns += batch.stats.columns;
-        screen_.skipped += batch.stats.skipped;
-        screen_.evaluated += batch.stats.evaluated;
-        screen_.guard_band_hits += batch.stats.guard_band_hits;
+        screen_ += batch.stats;
         std::printf("%s: %zu columns, %zu skipped, %zu evaluated, %zu "
                     "guard hits\n",
                     block.shard->path().c_str(), batch.stats.columns,
@@ -537,7 +534,7 @@ class ReportSink final : public engine::ResultSink
         uncertified_ += batch.uncertified;
         for (const uint8_t s : batch.skipped)
             skipped_ += s;
-        tiers_.recordTiers(batch.tiers);
+        engine::mergeTiers(tiers_, batch.tiers);
         std::printf("%s: %zu columns, %zu certified, %zu "
                     "uncertified, %zu calls\n",
                     block.shard->path().c_str(), block.shard->size(),
@@ -586,7 +583,7 @@ class ReportSink final : public engine::ResultSink
                         *plan_.cert.threshold_log2);
         }
         std::printf(" [%u lanes]\n", lanes);
-        for (const engine::TierStats &tier : tiers_.tierStats()) {
+        for (const engine::TierStats &tier : tiers_) {
             std::printf("  tier %-10s %zu evaluated, %zu certified, "
                         "%zu bypassed, %.2f ms\n",
                         tier.format_id.c_str(), tier.evaluated,
@@ -604,7 +601,7 @@ class ReportSink final : public engine::ResultSink
     size_t certified_ = 0;
     size_t uncertified_ = 0;
     size_t skipped_ = 0;
-    engine::AccuracyTally tiers_{"adaptive"};
+    std::vector<engine::TierStats> tiers_;
 };
 
 /**

@@ -77,60 +77,6 @@ logSumExp(std::span<const double> lvals)
 }
 
 /**
- * Streaming (single-pass) LSE accumulator with a running maximum:
- * the online algorithm used when the n-ary form of Equation (3)
- * cannot buffer all terms. When a new maximum arrives, the partial
- * sum of exponentials is rescaled by exp(old_max - new_max).
- *
- * Zero terms (log value -inf) are skipped outright, so the -inf
- * edge cases hold by construction and are pinned by tests: an
- * empty or all--inf stream reports -inf (never NaN from
- * -inf + log(0)), and a leading -inf leaves the state untouched,
- * so {-inf, x...} accumulates exactly like {x...}. This matches
- * logSumExp(span) on the same inputs.
- */
-class StreamingLogSumExp
-{
-  public:
-    /** Fold one log-space term into the accumulator. */
-    void
-    add(double lx)
-    {
-        if (std::isinf(lx) && lx < 0)
-            return; // zero contributes nothing
-        if (lx <= max_) {
-            sum_ += std::exp(lx - max_);
-            return;
-        }
-        if (std::isinf(max_))
-            sum_ = 1.0; // first finite term
-        else
-            sum_ = sum_ * std::exp(max_ - lx) + 1.0;
-        max_ = lx;
-    }
-
-    /** log(sum of all exp terms) so far; -inf when empty. */
-    double
-    value() const
-    {
-        if (std::isinf(max_) && max_ < 0)
-            return -INFINITY;
-        return max_ + std::log(sum_);
-    }
-
-    void
-    reset()
-    {
-        max_ = -INFINITY;
-        sum_ = 0.0;
-    }
-
-  private:
-    double max_ = -INFINITY;
-    double sum_ = 0.0;
-};
-
-/**
  * A non-negative real number stored as its natural logarithm in
  * binary64. Drop-in scalar for the statistical kernels: operator*
  * adds logs, operator+ performs LSE.

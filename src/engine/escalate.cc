@@ -4,6 +4,7 @@
 #include <cctype>
 #include <chrono>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "engine/eval_engine.hh"
@@ -243,6 +244,26 @@ analyticResult(const pbd::PValueBoundsLog2 &bounds)
 
 } // namespace
 
+void
+mergeTiers(std::vector<TierStats> &totals,
+           std::span<const TierStats> tiers)
+{
+    for (const TierStats &tier : tiers) {
+        const auto it = std::find_if(
+            totals.begin(), totals.end(), [&](const TierStats &t) {
+                return t.format_id == tier.format_id;
+            });
+        if (it == totals.end()) {
+            totals.push_back(tier);
+            continue;
+        }
+        it->evaluated += tier.evaluated;
+        it->certified += tier.certified;
+        it->bypassed += tier.bypassed;
+        it->wall_ms += tier.wall_ms;
+    }
+}
+
 CertConfig
 defaultPValueCert()
 {
@@ -431,44 +452,36 @@ tierFeasible(const FormatOps &format, const pbd::ColumnView &column,
 }
 
 AdaptiveBatch
-EvalEngine::adaptiveEval(
-    const Ladder &ladder, size_t n,
-    const std::function<pbd::ColumnView(size_t)> &column,
-    const CertConfig &cert,
-    const std::optional<pbd::ScreenConfig> &screen, SumPolicy sum)
+EvalEngine::adaptiveEval(const Ladder &ladder,
+                         std::span<const pbd::ColumnView> columns,
+                         const CertConfig &cert,
+                         const std::optional<pbd::ScreenConfig> &screen,
+                         SumPolicy sum)
 {
+    const size_t n = columns.size();
     AdaptiveBatch out;
     out.cert = cert;
     out.results.resize(n);
 
     std::vector<size_t> pending;
-    pending.reserve(n);
-
     if (screen) {
-        // Stage 0: the estimate screen. Skipped columns keep their
-        // magnitude placeholder and are never escalated — the skip
-        // mask takes precedence over the ladder.
-        out.estimates_log2.resize(n);
-        parallelFor(n, [&](size_t i) {
-            const pbd::ColumnView view = column(i);
-            out.estimates_log2[i] =
-                pbd::pvalueLog2Estimate(view.success_probs, view.k);
-        });
-        auto decisions = pbd::applyScreen(out.estimates_log2, *screen);
-        out.skipped = std::move(decisions.skip);
-        out.screen_stats = decisions.stats;
+        // Stage 0: the screen. Skipped columns keep its placeholder
+        // and are never escalated — the skip mask takes precedence
+        // over the ladder.
+        ScreenedPValueBatch screened;
+        pending = screenStep(columns, *screen, screened);
+        out.skipped = std::move(screened.skipped);
+        out.estimates_log2 = std::move(screened.estimates_log2);
+        out.screen_stats = screened.stats;
         for (size_t i = 0; i < n; ++i) {
             if (out.skipped[i]) {
-                out.results[i].result.value = BigFloat::twoPow(
-                    std::llround(out.estimates_log2[i]));
+                out.results[i].result = std::move(screened.results[i]);
                 out.results[i].tier = kTierSkipped;
-            } else {
-                pending.push_back(i);
             }
         }
     } else {
-        for (size_t i = 0; i < n; ++i)
-            pending.push_back(i);
+        pending.resize(n);
+        std::iota(pending.begin(), pending.end(), size_t{0});
     }
 
     // Analytic tier: O(N) certified bounds on every live column —
@@ -486,8 +499,7 @@ EvalEngine::adaptiveEval(
         std::vector<uint8_t> done(n, 0);
         parallelFor(pending.size(), [&](size_t j) {
             const size_t i = pending[j];
-            bounds[i] =
-                pbd::certifiedBoundsLog2(column(i), decide_log2);
+            bounds[i] = pbd::certifiedBoundsLog2(columns[i], decide_log2);
             const ResultInterval iv = analyticInterval(bounds[i]);
             if (certifies(iv, cert)) {
                 out.results[i] =
@@ -526,7 +538,7 @@ EvalEngine::adaptiveEval(
         std::vector<uint8_t> feasible(pending.size(), 1);
         if (!last) {
             parallelFor(pending.size(), [&](size_t j) {
-                feasible[j] = tierFeasible(format, column(pending[j]),
+                feasible[j] = tierFeasible(format, columns[pending[j]],
                                            bounds[pending[j]], cert,
                                            sum)
                                   ? 1
@@ -542,45 +554,30 @@ EvalEngine::adaptiveEval(
         stats.evaluated = eval_idx.size();
         stats.bypassed = pending.size() - eval_idx.size();
 
-        // Evaluate this tier's share: each lane gathers its chunk's
-        // columns into one batch call (the SIMD formats tile across
-        // them) and scatters results back, exactly as screenedEval.
+        // Evaluate this tier's share; each chunk computes its
+        // columns' intervals on the lane that evaluated them.
         const ErrorModel model = format.errorModel();
-        std::vector<uint8_t> certified_flag(eval_idx.size(), 0);
-        parallelForChunks(
-            eval_idx.size(), [&](size_t begin, size_t end) {
-                std::vector<pbd::ColumnView> views;
-                views.reserve(end - begin);
-                for (size_t j = begin; j < end; ++j)
-                    views.push_back(column(eval_idx[j]));
-                std::vector<EvalResult> evaluated(end - begin);
-                format.pbdPValueBatch(views, sum, evaluated);
-                for (size_t j = begin; j < end; ++j) {
-                    const size_t i = eval_idx[j];
-                    const ResultInterval iv = pbdPValueInterval(
-                        model, views[j - begin], sum,
-                        evaluated[j - begin]);
-                    const bool ok = certifies(iv, cert);
-                    out.results[i] = EscalationResult{
-                        std::move(evaluated[j - begin]),
-                        static_cast<int>(t), ok, iv};
-                    certified_flag[j] = ok ? 1 : 0;
-                }
-            });
+        pvalueEval(format, columns, eval_idx, sum,
+                   [&](std::span<const size_t> chunk,
+                       std::span<EvalResult> results) {
+                       for (size_t j = 0; j < chunk.size(); ++j) {
+                           const size_t i = chunk[j];
+                           const ResultInterval iv = pbdPValueInterval(
+                               model, columns[i], sum, results[j]);
+                           out.results[i] = EscalationResult{
+                               std::move(results[j]),
+                               static_cast<int>(t), certifies(iv, cert),
+                               iv};
+                       }
+                   });
 
         std::vector<size_t> next;
         next.reserve(pending.size());
-        size_t cursor = 0;
         for (size_t j = 0; j < pending.size(); ++j) {
-            if (!feasible[j]) {
-                next.push_back(pending[j]);
-                continue;
-            }
-            if (certified_flag[cursor])
+            if (feasible[j] && out.results[pending[j]].certified)
                 ++stats.certified;
             else
                 next.push_back(pending[j]);
-            ++cursor;
         }
         stats.wall_ms = timer.ms();
         out.tiers.push_back(stats);

@@ -33,6 +33,7 @@
 #define PSTAT_ENGINE_ESCALATE_HH
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -151,6 +152,15 @@ struct TierStats
     size_t bypassed = 0;
     double wall_ms = 0.0;   //!< wall time of the tier's stage
 };
+
+/**
+ * Fold one batch's per-tier tallies into running totals: counts and
+ * wall time add up per format_id, and a tier first seen here is
+ * appended, so @p totals keeps first-seen order. The one tier merge
+ * of a streamed PlanRun and of the CLI report.
+ */
+void mergeTiers(std::vector<TierStats> &totals,
+                std::span<const TierStats> tiers);
 
 /** Result of one adaptive batch evaluation. */
 struct AdaptiveBatch

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <utility>
 
 #include "core/accuracy.hh"
@@ -11,6 +12,22 @@
 
 namespace pstat::engine
 {
+
+namespace
+{
+
+/** A pvalueEval hand-back that moves each result into its slot. */
+auto
+storeInto(std::vector<EvalResult> &out)
+{
+    return [&out](std::span<const size_t> indices,
+                  std::span<EvalResult> results) {
+        for (size_t j = 0; j < indices.size(); ++j)
+            out[indices[j]] = std::move(results[j]);
+    };
+}
+
+} // namespace
 
 EvalEngine::EvalEngine(unsigned num_threads, size_t grain)
     : executor_(num_threads, grain)
@@ -40,18 +57,16 @@ EvalEngine::run(const EvalPlan &plan, const PlanInputs &inputs)
 
     // Sink resolution: the caller's bound sink is the primary route
     // and nothing accumulates; without one, results accumulate into
-    // the returned PlanRun. A bound inputs.result_sink is teed into
-    // every delivery on top of either.
+    // the returned PlanRun. Every block then goes to a bound
+    // inputs.result_sink as well, after the primary route.
     AccumulateSink accumulate(out);
     ResultSink *primary =
         inputs.sink != nullptr ? inputs.sink : &accumulate;
-    std::optional<TeeSink> tee;
-    ResultSink *sink = primary;
-    if (inputs.result_sink != nullptr) {
-        tee.emplace(
-            std::vector<ResultSink *>{primary, inputs.result_sink});
-        sink = &*tee;
-    }
+    const auto deliver = [&](const auto &consume) {
+        consume(*primary);
+        if (inputs.result_sink != nullptr)
+            consume(*inputs.result_sink);
+    };
 
     // Source resolution: memory spans become a single WorkBlock; a
     // shard-stream plan binds the caller's open stream or opens one
@@ -91,138 +106,138 @@ EvalEngine::run(const EvalPlan &plan, const PlanInputs &inputs)
 
     // Drive: pull blocks off the source, run each through its kernel
     // x policy stage over the executor, hand the results to the
-    // sink. Block order is source order, so accumulation is
+    // sinks. Block order is source order, so accumulation is
     // deterministic.
     while (auto block = source->next()) {
         switch (plan.kernel) {
         case PlanKernel::PValue:
             if (plan.policy == PlanPolicy::Fixed) {
-                const std::vector<EvalResult> results =
-                    pvalueFixedStage(*format, *block, plan.sum);
-                sink->consumeResults(*block, results);
+                std::vector<size_t> all(block->items);
+                std::iota(all.begin(), all.end(), size_t{0});
+                std::vector<EvalResult> results(block->items);
+                pvalueEval(*format, block->columns, all, plan.sum,
+                           storeInto(results));
+                deliver([&](ResultSink &sink) {
+                    sink.consumeResults(*block, results);
+                });
             } else if (plan.policy == PlanPolicy::Screened) {
-                const ScreenedPValueBatch batch =
-                    screenedEval(*format, block->items, block->column,
-                                 plan.screen, plan.sum);
-                sink->consumeScreened(*block, batch);
+                ScreenedPValueBatch batch;
+                const std::vector<size_t> kept =
+                    screenStep(block->columns, plan.screen, batch);
+                pvalueEval(*format, block->columns, kept, plan.sum,
+                           storeInto(batch.results));
+                deliver([&](ResultSink &sink) {
+                    sink.consumeScreened(*block, batch);
+                });
             } else {
                 const AdaptiveBatch batch =
-                    adaptiveEval(ladder, block->items, block->column,
-                                 plan.cert, screen, plan.sum);
-                sink->consumeAdaptive(*block, batch);
+                    adaptiveEval(ladder, block->columns, plan.cert,
+                                 screen, plan.sum);
+                deliver([&](ResultSink &sink) {
+                    sink.consumeAdaptive(*block, batch);
+                });
             }
             break;
         case PlanKernel::Forward: {
             const std::vector<EvalResult> results =
-                forwardFixedStage(*format, *block, plan.dataflow);
-            sink->consumeResults(*block, results);
+                forwardFixedStage(*format, block->jobs, plan.dataflow);
+            deliver([&](ResultSink &sink) {
+                sink.consumeResults(*block, results);
+            });
             break;
         }
         case PlanKernel::Backward: {
             const std::vector<EvalResult> results =
                 backwardStage(*format, block->jobs, plan.dataflow);
-            sink->consumeResults(*block, results);
+            deliver([&](ResultSink &sink) {
+                sink.consumeResults(*block, results);
+            });
             break;
         }
         case PlanKernel::Posterior: {
             const std::vector<PosteriorResult> posteriors =
                 posteriorStage(*format, block->jobs, plan.dataflow,
                                plan.renormalize);
-            sink->consumePosteriors(*block, posteriors);
+            deliver([&](ResultSink &sink) {
+                sink.consumePosteriors(*block, posteriors);
+            });
             break;
         }
         case PlanKernel::Viterbi: {
             const std::vector<ViterbiResult> decodes =
                 viterbiStage(*format, block->jobs);
-            sink->consumeDecodes(*block, decodes);
+            deliver([&](ResultSink &sink) {
+                sink.consumeDecodes(*block, decodes);
+            });
             break;
         }
         }
     }
-    sink->finish();
+    deliver([](ResultSink &sink) { sink.finish(); });
     out.stream = source->stats();
     return out;
 }
 
-std::vector<EvalResult>
-EvalEngine::pvalueFixedStage(const FormatOps &format,
-                             const WorkBlock &block, SumPolicy sum)
+std::vector<size_t>
+EvalEngine::screenStep(std::span<const pbd::ColumnView> columns,
+                       const pbd::ScreenConfig &config,
+                       ScreenedPValueBatch &out)
 {
-    std::vector<EvalResult> out(block.items);
-    // Each lane hands its whole claimed chunk to the format's batch
-    // entry, so the SIMD formats tile across the chunk's columns
-    // instead of dispatching one at a time.
-    parallelForChunks(block.items, [&](size_t begin, size_t end) {
-        std::vector<pbd::ColumnView> views;
-        views.reserve(end - begin);
-        for (size_t i = begin; i < end; ++i)
-            views.push_back(block.column(i));
-        format.pbdPValueBatch(
-            views, sum,
-            std::span<EvalResult>(out).subspan(begin, end - begin));
-    });
-    return out;
-}
-
-std::vector<EvalResult>
-EvalEngine::forwardFixedStage(const FormatOps &format,
-                              const WorkBlock &block, Dataflow dataflow)
-{
-    std::vector<EvalResult> out(block.items);
-    parallelFor(block.items, [&](size_t i) {
-        const ForwardJob job =
-            block.job ? block.job(i) : block.jobs[i];
-        out[i] = format.hmmForward(*job.model, job.obs, dataflow);
-    });
-    return out;
-}
-
-ScreenedPValueBatch
-EvalEngine::screenedEval(
-    const FormatOps &format, size_t n,
-    const std::function<pbd::ColumnView(size_t)> &column,
-    const pbd::ScreenConfig &config, SumPolicy sum)
-{
-    ScreenedPValueBatch out;
+    const size_t n = columns.size();
     out.config = config;
-
-    // Stage 1: the O(N) estimate on every column, over the pool.
     out.estimates_log2.resize(n);
     parallelFor(n, [&](size_t i) {
-        const pbd::ColumnView view = column(i);
-        out.estimates_log2[i] =
-            pbd::pvalueLog2Estimate(view.success_probs, view.k);
+        out.estimates_log2[i] = pbd::pvalueLog2Estimate(
+            columns[i].success_probs, columns[i].k);
     });
 
     auto decisions = pbd::applyScreen(out.estimates_log2, config);
     out.skipped = std::move(decisions.skip);
     out.stats = decisions.stats;
 
-    // Stage 2: the exact O(N*K) DP only where the screen demands
-    // it. Skipped slots get a magnitude placeholder (their estimate
-    // is finite: -inf and deeply negative estimates never skip).
-    // Each chunk gathers its surviving columns into one batch call
-    // (the SIMD formats tile across them) and scatters the results
-    // back — same per-column bits as the serial per-index loop.
+    // Skipped slots get a magnitude placeholder (their estimate is
+    // finite: -inf and deeply negative estimates never skip).
     out.results.resize(n);
-    parallelForChunks(n, [&](size_t begin, size_t end) {
+    std::vector<size_t> kept;
+    kept.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+        if (out.skipped[i])
+            out.results[i].value =
+                BigFloat::twoPow(std::llround(out.estimates_log2[i]));
+        else
+            kept.push_back(i);
+    }
+    return kept;
+}
+
+void
+EvalEngine::pvalueEval(const FormatOps &format,
+                       std::span<const pbd::ColumnView> columns,
+                       std::span<const size_t> indices, SumPolicy sum,
+                       const PValueChunk &take)
+{
+    parallelForChunks(indices.size(), [&](size_t begin, size_t end) {
+        const std::span<const size_t> chunk =
+            indices.subspan(begin, end - begin);
         std::vector<pbd::ColumnView> views;
-        std::vector<size_t> survivors;
-        for (size_t i = begin; i < end; ++i) {
-            if (out.skipped[i]) {
-                out.results[i].value = BigFloat::twoPow(
-                    std::llround(out.estimates_log2[i]));
-                continue;
-            }
-            survivors.push_back(i);
-            views.push_back(column(i));
-        }
-        if (survivors.empty())
-            return;
-        std::vector<EvalResult> evaluated(survivors.size());
-        format.pbdPValueBatch(views, sum, evaluated);
-        for (size_t j = 0; j < survivors.size(); ++j)
-            out.results[survivors[j]] = evaluated[j];
+        views.reserve(chunk.size());
+        for (const size_t i : chunk)
+            views.push_back(columns[i]);
+        std::vector<EvalResult> results(chunk.size());
+        format.pbdPValueBatch(views, sum, results);
+        take(chunk, results);
+    });
+}
+
+std::vector<EvalResult>
+EvalEngine::forwardFixedStage(const FormatOps &format,
+                              std::span<const ForwardJob> jobs,
+                              Dataflow dataflow)
+{
+    std::vector<EvalResult> out(jobs.size());
+    parallelFor(jobs.size(), [&](size_t i) {
+        out[i] = format.hmmForward(*jobs[i].model, jobs[i].obs,
+                                   dataflow);
     });
     return out;
 }
@@ -305,25 +320,6 @@ AccuracyTally::add(const BigFloat &oracle, const EvalResult &result)
     if (bin >= 0)
         binned_[bin].push_back(err);
     return Outcome::Recorded;
-}
-
-void
-AccuracyTally::recordTiers(std::span<const TierStats> tiers)
-{
-    for (const TierStats &tier : tiers) {
-        const auto it = std::find_if(
-            tiers_.begin(), tiers_.end(), [&](const TierStats &t) {
-                return t.format_id == tier.format_id;
-            });
-        if (it == tiers_.end()) {
-            tiers_.push_back(tier);
-            continue;
-        }
-        it->evaluated += tier.evaluated;
-        it->certified += tier.certified;
-        it->bypassed += tier.bypassed;
-        it->wall_ms += tier.wall_ms;
-    }
 }
 
 } // namespace pstat::engine

@@ -11,7 +11,12 @@
  * — behind one entry point, run(EvalPlan): whole batches of p-values
  * (exact, screened, adaptive; see pbd/screen.hh and escalate.hh) and
  * the full HMM kernel family (forward, backward, posterior marginals,
- * Viterbi), through the type-erased FormatOps interface. The ScaledDD
+ * Viterbi), through the type-erased FormatOps interface. The four
+ * p-value policies are one pipeline with two optional steps: a screen
+ * (screenStep), one batch evaluator over a list of column indices
+ * (pvalueEval) run once for the fixed and screened policies and once
+ * per ladder tier for the adaptive ones, and one merge of the
+ * tallies (pbd::ScreenStats::operator+=, mergeTiers). The ScaledDD
  * oracle the accuracy figures measure against is one more plan
  * (oraclePlan, engine/plan.hh). Each item's result lands in its own
  * slot, so the batched output is bit-identical to the serial
@@ -73,10 +78,11 @@ struct PlanInputs
      */
     ResultSink *sink = nullptr;
     /**
-     * Extra sink (borrowed) teed into every delivery on top of the
+     * Extra sink (borrowed) that run() hands every block after the
      * primary route, whichever it is — how a run persists a result
      * shard (engine/result_sink.hh ShardFileSink) while still
-     * returning its PlanRun. Receives finish() after the last block.
+     * returning its PlanRun. Receives finish() after the last block,
+     * after the primary route's.
      */
     ResultSink *result_sink = nullptr;
 };
@@ -161,11 +167,11 @@ class EvalEngine
      * yields WorkBlocks, each block runs its kernel x policy stage
      * over the executor, and each block's results go to the primary
      * route (inputs.sink when bound, else accumulation into the
-     * returned PlanRun), plus inputs.result_sink when bound. The
-     * fixed and screened stages run each item through the format's
-     * own per-item FormatOps call (or its bit-identical batch entry),
-     * so their results match the scalar per-item loop bit for bit
-     * from either source (ctest-enforced per registered format).
+     * returned PlanRun), then to inputs.result_sink when bound; each
+     * gets one finish() after the last block. The p-value stages run
+     * each item through the format's bit-identical batch entry, so
+     * their results match the scalar per-item loop bit for bit from
+     * either source (ctest-enforced per registered format).
      *
      * Every plan field is consumed here, and only the plan decides
      * result bits: kernel, source, policy, format_id / ladder_ids,
@@ -183,17 +189,49 @@ class EvalEngine
 
   private:
     /**
+     * Receives one chunk of pvalueEval on the lane that computed it:
+     * the chunk's column indices and their results, in the same
+     * order. Called concurrently for disjoint chunks.
+     */
+    using PValueChunk = std::function<void(
+        std::span<const size_t> indices, std::span<EvalResult> results)>;
+
+    /**
+     * The one screen step of the screened policies: the O(N)
+     * estimate of every column over the pool, pbd::applyScreen, and
+     * the magnitude placeholder 2^llround(estimate) in every skipped
+     * slot of @p out (its config, estimates, mask and stats are set;
+     * its evaluated slots are left default). Returns the indices of
+     * the columns the screen keeps for the exact DP, in column order:
+     * the Screened policy runs pvalueEval over them into @p out.
+     */
+    std::vector<size_t>
+    screenStep(std::span<const pbd::ColumnView> columns,
+               const pbd::ScreenConfig &config, ScreenedPValueBatch &out);
+
+    /**
+     * The one batch evaluator of the p-value policies: claims chunks
+     * over @p indices (grainForBatch(indices.size())), gathers each
+     * chunk's views of @p columns into one FormatOps::pbdPValueBatch
+     * call — the SIMD formats tile across them — and hands the chunk
+     * to @p take. Results do not depend on how columns are grouped
+     * into chunks (the pbd_simd.hh contract).
+     */
+    void pvalueEval(const FormatOps &format,
+                    std::span<const pbd::ColumnView> columns,
+                    std::span<const size_t> indices, SumPolicy sum,
+                    const PValueChunk &take);
+
+    /**
      * @name Kernel stages of run()
      * One stage per kernel x policy shape, each evaluating one
-     * WorkBlock over the executor with every item in its own slot,
-     * whatever the block's source.
+     * WorkBlock's span over the executor with every item in its own
+     * slot, whatever the block's source.
      */
     ///@{
     std::vector<EvalResult>
-    pvalueFixedStage(const FormatOps &format, const WorkBlock &block,
-                     SumPolicy sum);
-    std::vector<EvalResult>
-    forwardFixedStage(const FormatOps &format, const WorkBlock &block,
+    forwardFixedStage(const FormatOps &format,
+                      std::span<const ForwardJob> jobs,
                       Dataflow dataflow);
     std::vector<EvalResult>
     backwardStage(const FormatOps &format,
@@ -208,30 +246,17 @@ class EvalEngine
     ///@}
 
     /**
-     * The one screened two-stage pipeline (estimate everywhere,
-     * exact DP inside the guard band), over any column accessor —
-     * owned Columns or mmap-backed shard views — so the memory and
-     * stream sources cannot drift. Evaluated columns carry the
-     * format's exact DP result; skipped ones the magnitude
-     * placeholder 2^round(estimate).
-     */
-    ScreenedPValueBatch
-    screenedEval(const FormatOps &format, size_t n,
-                 const std::function<pbd::ColumnView(size_t)> &column,
-                 const pbd::ScreenConfig &config, SumPolicy sum);
-
-    /**
-     * The one adaptive escalation pipeline (engine/escalate.hh) over
-     * any column accessor: analytic bounds certify what they can,
-     * then columns climb the ladder cheapest-tier-first until the
-     * CertConfig criteria hold or the ladder tops out. With a
-     * screen, skipped columns keep their placeholder and are never
-     * escalated. run() has validated the ladder and the CertConfig
-     * (validatePlan).
+     * The adaptive policies (engine/escalate.hh): with a screen, the
+     * screen step first — skipped columns keep its placeholder and
+     * are never escalated. Analytic bounds then certify what they
+     * can, and the rest climb the ladder cheapest-tier-first, each
+     * tier one batch evaluator run, until the CertConfig criteria
+     * hold or the ladder tops out. run() has validated the ladder
+     * and the CertConfig (validatePlan).
      */
     AdaptiveBatch
-    adaptiveEval(const Ladder &ladder, size_t n,
-                 const std::function<pbd::ColumnView(size_t)> &column,
+    adaptiveEval(const Ladder &ladder,
+                 std::span<const pbd::ColumnView> columns,
                  const CertConfig &cert,
                  const std::optional<pbd::ScreenConfig> &screen,
                  SumPolicy sum);
@@ -305,17 +330,6 @@ class AccuracyTally
     /** Total samples with a nonzero oracle. */
     size_t samples() const { return samples_; }
 
-    /**
-     * Fold one adaptive batch's per-tier tallies into the running
-     * per-tier totals (matched by format_id, first-seen order), so a
-     * bench or stream accumulates escalation counts and timings
-     * across batches the same way it accumulates errors.
-     */
-    void recordTiers(std::span<const TierStats> tiers);
-
-    /** Accumulated per-tier escalation tallies (see recordTiers). */
-    const std::vector<TierStats> &tierStats() const { return tiers_; }
-
   private:
     std::string label_;
     double range_floor_;
@@ -326,7 +340,6 @@ class AccuracyTally
     int huge_errors_ = 0;
     std::optional<double> worst_log10_;
     size_t samples_ = 0;
-    std::vector<TierStats> tiers_;
 };
 
 } // namespace pstat::engine

@@ -12,11 +12,12 @@ MemoryColumnSource::next()
     if (delivered_)
         return std::nullopt;
     delivered_ = true;
+    views_.reserve(columns_.size());
+    for (const pbd::Column &column : columns_)
+        views_.push_back(column.view());
     WorkBlock block;
     block.items = columns_.size();
-    block.column = [columns = columns_](size_t i) {
-        return columns[i].view();
-    };
+    block.columns = views_;
     return block;
 }
 
@@ -38,6 +39,8 @@ ShardSource::next()
     // Release the previous shard before pulling the next one: the
     // consumer side holds at most one mapping at a time, so peak
     // memory stays bounded by the stream's queue capacity.
+    views_.clear();
+    jobs_.clear();
     current_.reset();
     auto shard = stream_.next();
     if (!shard) {
@@ -57,28 +60,29 @@ ShardSource::next()
     block.items = reader->size();
     block.shard = reader;
     if (expected_ == io::ShardPayload::Columns) {
-        block.column = [reader](size_t i) {
-            return reader->column(i);
-        };
+        views_.reserve(reader->size());
+        for (size_t i = 0; i < reader->size(); ++i)
+            views_.push_back(reader->column(i));
+        block.columns = views_;
     } else {
         // A shard's symbols come from outside the process, and every
         // HMM kernel indexes the emission table with them: check each
-        // against the bound model before any job can read one.
-        const hmm::Model *model = model_;
+        // against the bound model before the block hands out any job.
+        jobs_.reserve(reader->size());
         for (size_t i = 0; i < reader->size(); ++i) {
-            for (const int symbol : reader->sequence(i)) {
-                if (symbol < 0 || symbol >= model->num_symbols)
+            const std::span<const int> obs = reader->sequence(i);
+            for (const int symbol : obs) {
+                if (symbol < 0 || symbol >= model_->num_symbols)
                     throw io::ShardError(
                         reader->path() + ": sequence record " +
                         std::to_string(i) + " has symbol " +
                         std::to_string(symbol) + ", outside the " +
                         "model's [0, " +
-                        std::to_string(model->num_symbols) + ")");
+                        std::to_string(model_->num_symbols) + ")");
             }
+            jobs_.push_back({model_, obs});
         }
-        block.job = [reader, model](size_t i) {
-            return ForwardJob{model, reader->sequence(i)};
-        };
+        block.jobs = jobs_;
     }
     ++stats_.shards;
     stats_.items += reader->size();

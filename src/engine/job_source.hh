@@ -4,22 +4,23 @@
  *
  * The middle layer of the source → executor → sink decomposition
  * (docs/ARCHITECTURE.md). A JobSource yields WorkBlocks — batches of
- * evaluation items with uniform accessors — so the engine's kernel
- * stages iterate one loop shape regardless of whether the items live
- * in caller-owned memory (one block covering the whole span) or
- * arrive shard-by-shard off a bounded ShardStream pipeline (one block
- * per shard, unmapped before the next is pulled, so peak memory stays
- * O(shard)). The plan's PlanSource resolves to one of the concrete
- * sources here; policies and kernels never see the difference, which
- * is what keeps batch and stream results bit-identical.
+ * evaluation items as spans of column views or HMM jobs, built once
+ * per block — so the engine's kernel stages index one array shape
+ * regardless of whether the items live in caller-owned memory (one
+ * block covering the whole span) or arrive shard-by-shard off a
+ * bounded ShardStream pipeline (one block per shard, unmapped before
+ * the next is pulled, so peak memory stays O(shard)). The plan's
+ * PlanSource resolves to one of the concrete sources here; policies
+ * and kernels never see the difference, which is what keeps batch
+ * and stream results bit-identical.
  */
 
 #ifndef PSTAT_ENGINE_JOB_SOURCE_HH
 #define PSTAT_ENGINE_JOB_SOURCE_HH
 
-#include <functional>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "hmm/model.hh"
 #include "io/shard_stream.hh"
@@ -53,13 +54,14 @@ struct StreamStats
 };
 
 /**
- * One batch of evaluation work, with uniform item accessors. Only
- * the accessors matching the producing source's payload are set:
- * `column` for p-value work, `jobs` (memory) or `job` (stream) for
- * HMM work. The block — and every view it hands out — is only valid
- * until the source's next() is called again (a shard-backed block
- * points into a mapping the source unmaps before pulling the next
- * shard).
+ * One batch of evaluation work. The span matching the producing
+ * source's payload holds `items` entries — `columns` for p-value
+ * work, `jobs` for HMM work — and the other is empty. The source
+ * fills them once per block. The block, its spans and every view in
+ * them are only valid until the source's next() is called again: a
+ * shard-backed block points into a mapping the source unmaps before
+ * pulling the next shard, and into view and job arrays the source
+ * rebuilds for it.
  */
 struct WorkBlock
 {
@@ -69,12 +71,10 @@ struct WorkBlock
     size_t items = 0;
     /** The backing shard, when there is one (null for memory). */
     const io::ShardReader *shard = nullptr;
-    /** HMM jobs of a memory block (empty otherwise). */
+    /** Column views of a p-value block (empty otherwise). */
+    std::span<const pbd::ColumnView> columns;
+    /** HMM jobs of an HMM block (empty otherwise). */
     std::span<const ForwardJob> jobs;
-    /** Column accessor of a p-value block (i < items). */
-    std::function<pbd::ColumnView(size_t)> column;
-    /** Job accessor of a shard-backed HMM block (i < items). */
-    std::function<ForwardJob(size_t)> job;
 };
 
 /**
@@ -103,7 +103,7 @@ class JobSource
  * A caller-owned column span as one WorkBlock — the PValue x Memory
  * source. Always yields exactly one block (possibly empty), so the
  * downstream stage runs once, exactly like the pre-layer batch entry
- * points.
+ * points. The source owns the block's column views.
  */
 class MemoryColumnSource final : public JobSource
 {
@@ -118,6 +118,7 @@ class MemoryColumnSource final : public JobSource
 
   private:
     std::span<const pbd::Column> columns_;
+    std::vector<pbd::ColumnView> views_;
     bool delivered_ = false;
 };
 
@@ -152,7 +153,9 @@ class MemoryJobSource final : public JobSource
  * and, before its block is handed out, a sequences shard with any
  * symbol outside the bound model's [0, num_symbols), naming the
  * shard and the record: the kernels index the emission table with
- * those symbols unchecked.
+ * those symbols unchecked. A shard's column views (or, after the
+ * symbol check, its jobs) are built once, and live until the next
+ * next().
  */
 class ShardSource final : public JobSource
 {
@@ -178,6 +181,8 @@ class ShardSource final : public JobSource
     io::ShardPayload expected_;
     const hmm::Model *model_ = nullptr;
     std::optional<io::ShardReader> current_;
+    std::vector<pbd::ColumnView> views_;
+    std::vector<ForwardJob> jobs_;
     StreamStats stats_;
     size_t index_ = 0;
 };

@@ -1,6 +1,5 @@
 #include "engine/result_sink.hh"
 
-#include <algorithm>
 #include <utility>
 
 namespace pstat::engine
@@ -22,15 +21,10 @@ mergeScreened(ScreenedPValueBatch &total,
     total.estimates_log2.insert(total.estimates_log2.end(),
                                 batch.estimates_log2.begin(),
                                 batch.estimates_log2.end());
-    total.stats.columns += batch.stats.columns;
-    total.stats.skipped += batch.stats.skipped;
-    total.stats.evaluated += batch.stats.evaluated;
-    total.stats.guard_band_hits += batch.stats.guard_band_hits;
+    total.stats += batch.stats;
 }
 
-/** Fold one shard's adaptive batch into the accumulated PlanRun
- *  (tier tallies merged by format_id in first-seen order, exactly
- *  like AccuracyTally::recordTiers). */
+/** Fold one shard's adaptive batch into the accumulated PlanRun. */
 void
 mergeAdaptive(AdaptiveBatch &total, const AdaptiveBatch &batch)
 {
@@ -42,28 +36,10 @@ mergeAdaptive(AdaptiveBatch &total, const AdaptiveBatch &batch)
     total.estimates_log2.insert(total.estimates_log2.end(),
                                 batch.estimates_log2.begin(),
                                 batch.estimates_log2.end());
-    for (const TierStats &tier : batch.tiers) {
-        const auto it = std::find_if(
-            total.tiers.begin(), total.tiers.end(),
-            [&](const TierStats &t) {
-                return t.format_id == tier.format_id;
-            });
-        if (it == total.tiers.end()) {
-            total.tiers.push_back(tier);
-            continue;
-        }
-        it->evaluated += tier.evaluated;
-        it->certified += tier.certified;
-        it->bypassed += tier.bypassed;
-        it->wall_ms += tier.wall_ms;
-    }
+    mergeTiers(total.tiers, batch.tiers);
     total.certified += batch.certified;
     total.uncertified += batch.uncertified;
-    total.screen_stats.columns += batch.screen_stats.columns;
-    total.screen_stats.skipped += batch.screen_stats.skipped;
-    total.screen_stats.evaluated += batch.screen_stats.evaluated;
-    total.screen_stats.guard_band_hits +=
-        batch.screen_stats.guard_band_hits;
+    total.screen_stats += batch.screen_stats;
 }
 
 [[noreturn]] void
@@ -218,55 +194,6 @@ void
 ShardFileSink::finish()
 {
     writer_.close();
-}
-
-// -------------------------------------------------------------- tee
-
-void
-TeeSink::consumeResults(const WorkBlock &block,
-                        std::span<const EvalResult> results)
-{
-    for (ResultSink *sink : sinks_)
-        sink->consumeResults(block, results);
-}
-
-void
-TeeSink::consumeScreened(const WorkBlock &block,
-                         const ScreenedPValueBatch &batch)
-{
-    for (ResultSink *sink : sinks_)
-        sink->consumeScreened(block, batch);
-}
-
-void
-TeeSink::consumeAdaptive(const WorkBlock &block,
-                         const AdaptiveBatch &batch)
-{
-    for (ResultSink *sink : sinks_)
-        sink->consumeAdaptive(block, batch);
-}
-
-void
-TeeSink::consumePosteriors(const WorkBlock &block,
-                           std::span<const PosteriorResult> posteriors)
-{
-    for (ResultSink *sink : sinks_)
-        sink->consumePosteriors(block, posteriors);
-}
-
-void
-TeeSink::consumeDecodes(const WorkBlock &block,
-                        std::span<const ViterbiResult> decodes)
-{
-    for (ResultSink *sink : sinks_)
-        sink->consumeDecodes(block, decodes);
-}
-
-void
-TeeSink::finish()
-{
-    for (ResultSink *sink : sinks_)
-        sink->finish();
 }
 
 // --------------------------------------------- record encode/decode

@@ -3,12 +3,13 @@
  * The sink layer: where evaluation results go.
  *
  * The top layer of the source → executor → sink decomposition
- * (docs/ARCHITECTURE.md). The composition root hands each
- * WorkBlock's results to one ResultSink, block by block, so what
- * happens to results — accumulate in memory, report per shard,
- * persist to a result shard — is a policy chosen per run, not fused
- * into the evaluation loops. RecordSink is the one translation of
- * deliveries into lossless Results records; its two children only
+ * (docs/ARCHITECTURE.md). The composition root hands each WorkBlock's
+ * results to its primary route (a bound sink, or an AccumulateSink
+ * into the PlanRun) and then to a bound result sink, block by block,
+ * so what happens to results — accumulate in memory, report per
+ * shard, persist to a result shard — is a policy chosen per run, not
+ * fused into the evaluation loops. RecordSink is the one translation
+ * of deliveries into lossless Results records; its two children only
  * say where a record goes. The file sink closes the io loop: it
  * writes the shard encoding's Results payload (io/shard.hh), so a
  * distributed evaluation leaves one idempotent, CRC-validated result
@@ -122,10 +123,10 @@ class ResultSink
 /**
  * The default sink: accumulate everything into a PlanRun, exactly as
  * the pre-layer run() did — fixed results concatenated in block
- * order, screened/adaptive batches merged (tier tallies folded by
- * format_id in first-seen order). Memory plans deliver one block, so
- * the merge degenerates to plain assignment and the PlanRun is
- * bit-identical to the old direct-return fields.
+ * order, screened/adaptive batches merged (screen tallies summed,
+ * tier tallies folded by mergeTiers). Memory plans deliver one
+ * block, so the merge degenerates to plain assignment and the
+ * PlanRun is bit-identical to the old direct-return fields.
  */
 class AccumulateSink final : public ResultSink
 {
@@ -210,37 +211,6 @@ class ShardFileSink final : public RecordSink
     void emit(const io::ShardResultRecord &record) override;
 
     io::ShardWriter writer_;
-};
-
-/**
- * Fan one delivery out to several sinks, in order — how a run both
- * accumulates its PlanRun and persists a result shard at once.
- */
-class TeeSink final : public ResultSink
-{
-  public:
-    /** Forwards to `sinks` in order (borrowed; must outlive this). */
-    explicit TeeSink(std::vector<ResultSink *> sinks)
-        : sinks_(std::move(sinks))
-    {
-    }
-
-    void consumeResults(const WorkBlock &block,
-                        std::span<const EvalResult> results) override;
-    void consumeScreened(const WorkBlock &block,
-                         const ScreenedPValueBatch &batch) override;
-    void consumeAdaptive(const WorkBlock &block,
-                         const AdaptiveBatch &batch) override;
-    void consumePosteriors(
-        const WorkBlock &block,
-        std::span<const PosteriorResult> posteriors) override;
-    void
-    consumeDecodes(const WorkBlock &block,
-                   std::span<const ViterbiResult> decodes) override;
-    void finish() override;
-
-  private:
-    std::vector<ResultSink *> sinks_;
 };
 
 /**

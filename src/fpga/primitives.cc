@@ -92,14 +92,6 @@ multiplierDsp(int a_bits, int b_bits)
 }
 
 Resource
-registerStage(int width)
-{
-    Resource r;
-    r.reg = width;
-    return r;
-}
-
-Resource
 delayLine(int width, int depth)
 {
     Resource r;

@@ -40,9 +40,6 @@ Resource mux2(int width);
  */
 Resource multiplierDsp(int a_bits, int b_bits);
 
-/** One pipeline register stage of w bits. */
-Resource registerStage(int width);
-
 /**
  * Delay line of `depth` cycles for a w-bit value, implemented in
  * SRL32 shift-register LUTs (how HLS balances dataflow paths).

@@ -72,6 +72,20 @@ struct ScreenStats
      * job; zero hits means it could be narrowed.
      */
     size_t guard_band_hits = 0;
+
+    /**
+     * Add another batch's tallies to these, field by field — the one
+     * sum of screen tallies across shards or datasets.
+     */
+    ScreenStats &
+    operator+=(const ScreenStats &other)
+    {
+        columns += other.columns;
+        skipped += other.skipped;
+        evaluated += other.evaluated;
+        guard_band_hits += other.guard_band_hits;
+        return *this;
+    }
 };
 
 /**

@@ -15,8 +15,9 @@
  * finish()-time slicing by [offset, count) routes the flat record
  * vector back to the individual requests.
  *
- * Bound via PlanInputs::result_sink, so it tees alongside the
- * engine's own accumulation rather than replacing it.
+ * Bound via PlanInputs::sink, the run's primary route, so the engine
+ * accumulates no PlanRun beside it: the daemon answers from these
+ * records alone.
  */
 
 #ifndef PSTAT_SERVE_ROUTING_SINK_HH

@@ -404,7 +404,7 @@ Server::dispatchGroup(engine::EvalEngine &engine,
     RoutingSink routing;
     engine::PlanInputs inputs;
     inputs.columns = columns;
-    inputs.result_sink = &routing;
+    inputs.sink = &routing;
     const engine::EvalPlan &plan = group.front().request.plan;
     try {
         engine.run(plan, inputs);

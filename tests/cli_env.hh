@@ -6,12 +6,12 @@
  * PSTAT_GUARD_BITS move result bits, so `pstat` reads them only where
  * it builds a plan from flags, and records their values in the plan.
  * The tests that hold it to that run the CLI in a forked child with
- * the variables they choose (runCliInChild). Each run then starts
- * from a fresh process image, as it does from a shell: a reader that
- * caches the first value it sees cannot hide behind a cache an
- * earlier run of the same test filled. ScopedEnv sets a variable in
- * this process for one scope, for the in-process daemon and for
- * runs that must see the variable on every call.
+ * the variables they choose (runCliInChild, or spawnCliInChild for a
+ * daemon that keeps running). Each run then starts from a fresh
+ * process image, as it does from a shell: a reader that caches the
+ * first value it sees cannot hide behind a cache an earlier run of
+ * the same test filled. ScopedEnv sets a variable in this process
+ * for one scope, for runs that must see the variable on every call.
  */
 
 #ifndef PSTAT_TESTS_CLI_ENV_HH
@@ -57,37 +57,57 @@ applyEnv(const EnvVar &var)
 }
 
 /**
- * Run `pstat args...` in a forked child whose environment is this
- * process's with `env` applied in order. Returns the child's exit
- * code, or -1 when it did not exit normally. The child's stdout and
- * stderr go to /dev/null, and it leaves through _exit, so no
- * destructor of this process (the temp dir's among them) runs twice.
+ * Start `pstat args...` in a forked child whose environment is this
+ * process's with `env` applied in order, and return its pid without
+ * waiting (-1 when fork fails). The child's stdout and stderr go to
+ * /dev/null, and it leaves through _exit, so no destructor of this
+ * process (the temp dir's among them) runs twice.
+ */
+inline pid_t
+spawnCliInChild(const std::vector<const char *> &args,
+                const std::vector<EnvVar> &env)
+{
+    std::fflush(nullptr);
+    const pid_t pid = ::fork();
+    if (pid != 0)
+        return pid;
+    const int null = ::open("/dev/null", O_WRONLY);
+    ::dup2(null, STDOUT_FILENO);
+    ::dup2(null, STDERR_FILENO);
+    for (const EnvVar &var : env)
+        applyEnv(var);
+    std::vector<const char *> argv{"pstat"};
+    argv.insert(argv.end(), args.begin(), args.end());
+    const int rc =
+        apps::pstatMain(static_cast<int>(argv.size()), argv.data());
+    std::fflush(nullptr);
+    ::_exit(rc);
+}
+
+/**
+ * Wait for child `pid` to end. Returns its exit code, or -1 when it
+ * did not exit normally.
+ */
+inline int
+waitForChild(pid_t pid)
+{
+    int status = 0;
+    if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status))
+        return -1;
+    return WEXITSTATUS(status);
+}
+
+/**
+ * Run `pstat args...` in a forked child (spawnCliInChild) and wait
+ * for it. Returns the child's exit code, or -1 when it did not exit
+ * normally.
  */
 inline int
 runCliInChild(const std::vector<const char *> &args,
               const std::vector<EnvVar> &env)
 {
-    std::fflush(nullptr);
-    const pid_t pid = ::fork();
-    if (pid < 0)
-        return -1;
-    if (pid == 0) {
-        const int null = ::open("/dev/null", O_WRONLY);
-        ::dup2(null, STDOUT_FILENO);
-        ::dup2(null, STDERR_FILENO);
-        for (const EnvVar &var : env)
-            applyEnv(var);
-        std::vector<const char *> argv{"pstat"};
-        argv.insert(argv.end(), args.begin(), args.end());
-        const int rc =
-            apps::pstatMain(static_cast<int>(argv.size()), argv.data());
-        std::fflush(nullptr);
-        ::_exit(rc);
-    }
-    int status = 0;
-    if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status))
-        return -1;
-    return WEXITSTATUS(status);
+    const pid_t pid = spawnCliInChild(args, env);
+    return pid < 0 ? -1 : waitForChild(pid);
 }
 
 /** Applies assignments for a scope and restores the old values. */

@@ -1,6 +1,6 @@
-// Sink layer contracts: accumulation parity, tee fan-out, the two
-// routes a run delivers through (a bound sink instead of the
-// accumulated PlanRun; a result_sink teed on top of either), the
+// Sink layer contracts: accumulation parity, the two routes a run
+// delivers through (a bound sink instead of the accumulated PlanRun;
+// a result_sink fed after either, alone or beside a bound sink), the
 // lossless result-shard round trip for every registered format (the
 // file-sink acceptance criterion), and writer/reader rejection of
 // malformed result records.
@@ -97,22 +97,6 @@ TEST(ResultSink, BaseSinkRejectsUnimplementedChannels)
     std::vector<PosteriorResult> posteriors(1);
     EXPECT_THROW(sink.consumePosteriors(block, posteriors),
                  std::logic_error);
-}
-
-TEST(ResultSink, TeeFansOutToEverySink)
-{
-    PlanRun a, b;
-    AccumulateSink first(a), second(b);
-    TeeSink tee({&first, &second});
-    std::vector<EvalResult> results(3);
-    results[1].value = BigFloat::twoPow(-2);
-    WorkBlock block;
-    block.items = results.size();
-    tee.consumeResults(block, results);
-    tee.finish();
-    ASSERT_EQ(a.results.size(), 3u);
-    ASSERT_EQ(b.results.size(), 3u);
-    expectSameResult(a.results[1], b.results[1], "tee slot 1");
 }
 
 TEST(ResultSink, RecordEncodingRoundTripsEveryValueKind)
@@ -416,7 +400,42 @@ TEST(ResultSink, BoundSinkTakesEveryBlockAndRunAccumulatesNothing)
                          "delivered record " + std::to_string(i));
 }
 
-// A result_sink bound on its own is a tee on top of accumulation: the
+// Both routes at once, as `pstat eval -o` binds them: the bound sink
+// and the result_sink each see every block in stream order with the
+// same results, and one finish() each, while the returned PlanRun
+// accumulates nothing.
+TEST(ResultSink, RunFeedsTheBoundSinkAndTheResultSink)
+{
+    EvalEngine engine(2);
+    const EvalPlan plan = mixedShardPlan();
+
+    RecordingSink primary;
+    RecordingSink extra;
+    PlanInputs inputs;
+    inputs.sink = &primary;
+    inputs.result_sink = &extra;
+    const PlanRun run = engine.run(plan, inputs);
+    for (const RecordingSink *sink : {&primary, &extra}) {
+        EXPECT_EQ(sink->indices, (std::vector<size_t>{0, 1, 2, 3}));
+        EXPECT_EQ(sink->items, (std::vector<size_t>{0, 7, 0, 7}));
+        EXPECT_EQ(sink->finishes, 1);
+    }
+    EXPECT_TRUE(run.results.empty());
+    EXPECT_EQ(run.stream.shards, 4u);
+    EXPECT_EQ(run.stream.items, 14u);
+
+    const PlanRun accumulated = engine.run(plan);
+    ASSERT_EQ(primary.results.size(), accumulated.results.size());
+    ASSERT_EQ(extra.results.size(), accumulated.results.size());
+    for (size_t i = 0; i < accumulated.results.size(); ++i) {
+        expectSameResult(primary.results[i], accumulated.results[i],
+                         "primary record " + std::to_string(i));
+        expectSameResult(extra.results[i], accumulated.results[i],
+                         "result_sink record " + std::to_string(i));
+    }
+}
+
+// A result_sink bound on its own rides on top of accumulation: the
 // PlanRun is the one a run with neither sink bound returns (the
 // benchmark checks a streamed run's PlanRun while persisting it).
 TEST(ResultSink, ResultSinkAloneLeavesThePlanRunUnchanged)

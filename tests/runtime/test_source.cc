@@ -43,9 +43,9 @@ TEST(JobSource, MemoryColumnSourceYieldsExactlyOneBlock)
     EXPECT_EQ(block->index, 0u);
     EXPECT_EQ(block->items, columns.size());
     EXPECT_EQ(block->shard, nullptr);
-    ASSERT_TRUE(static_cast<bool>(block->column));
+    ASSERT_EQ(block->columns.size(), columns.size());
     for (size_t i = 0; i < columns.size(); ++i) {
-        const pbd::ColumnView view = block->column(i);
+        const pbd::ColumnView view = block->columns[i];
         EXPECT_EQ(view.k, columns[i].k);
         EXPECT_EQ(view.success_probs.data(),
                   columns[i].success_probs.data());
@@ -88,7 +88,7 @@ TEST(JobSource, MemoryJobSourceExposesTheSpan)
     EXPECT_EQ(block->items, jobs.size());
     ASSERT_EQ(block->jobs.size(), jobs.size());
     EXPECT_EQ(block->jobs.data(), jobs.data());
-    EXPECT_FALSE(static_cast<bool>(block->job));
+    EXPECT_TRUE(block->columns.empty());
     EXPECT_FALSE(source.next().has_value());
 }
 
@@ -112,8 +112,9 @@ TEST(JobSource, ShardSourceDeliversOneBlockPerShardWithStats)
         ASSERT_NE(block->shard, nullptr);
         EXPECT_EQ(block->shard->path(), paths[seen]);
         EXPECT_EQ(block->items, per_shard[seen].size());
+        ASSERT_EQ(block->columns.size(), block->items);
         for (size_t i = 0; i < block->items; ++i) {
-            const pbd::ColumnView view = block->column(i);
+            const pbd::ColumnView view = block->columns[i];
             EXPECT_EQ(view.k, per_shard[seen][i].k);
             ASSERT_EQ(view.success_probs.size(),
                       per_shard[seen][i].success_probs.size());
@@ -169,10 +170,10 @@ TEST(JobSource, ShardSourceBindsTheModelToSequenceJobs)
     ShardSource source(stream, io::ShardPayload::Sequences, &model);
     auto block = source.next();
     ASSERT_TRUE(block.has_value());
-    ASSERT_TRUE(static_cast<bool>(block->job));
+    ASSERT_EQ(block->jobs.size(), sequences.size());
     ASSERT_EQ(block->items, sequences.size());
     for (size_t i = 0; i < sequences.size(); ++i) {
-        const ForwardJob job = block->job(i);
+        const ForwardJob job = block->jobs[i];
         EXPECT_EQ(job.model, &model);
         ASSERT_EQ(job.obs.size(), sequences[i].size());
         for (size_t j = 0; j < job.obs.size(); ++j)

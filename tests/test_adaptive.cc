@@ -596,7 +596,7 @@ TEST(Adaptive, FeasibilityRoutesPastHopelessTiers)
 
 TEST(Adaptive, RecordTiersAccumulatesAcrossBatches)
 {
-    engine::AccuracyTally tally("adaptive");
+    std::vector<engine::TierStats> tiers;
     std::vector<engine::TierStats> first;
     first.push_back(engine::TierStats{"analytic", 10, 6, 0, 1.0});
     first.push_back(engine::TierStats{"binary64", 4, 4, 0, 2.0});
@@ -604,10 +604,9 @@ TEST(Adaptive, RecordTiersAccumulatesAcrossBatches)
     second.push_back(engine::TierStats{"analytic", 8, 5, 0, 0.5});
     second.push_back(engine::TierStats{"log", 3, 2, 1, 0.25});
 
-    tally.recordTiers(first);
-    tally.recordTiers(second);
+    engine::mergeTiers(tiers, first);
+    engine::mergeTiers(tiers, second);
 
-    const auto &tiers = tally.tierStats();
     ASSERT_EQ(tiers.size(), 3u);
     EXPECT_EQ(tiers[0].format_id, "analytic");
     EXPECT_EQ(tiers[0].evaluated, 18u);
@@ -617,6 +616,17 @@ TEST(Adaptive, RecordTiersAccumulatesAcrossBatches)
     EXPECT_EQ(tiers[1].evaluated, 4u);
     EXPECT_EQ(tiers[2].format_id, "log");
     EXPECT_EQ(tiers[2].bypassed, 1u);
+
+    // A tier seen again adds every field, bypassed included.
+    const std::vector<engine::TierStats> third{
+        engine::TierStats{"log", 5, 1, 2, 0.75}};
+    engine::mergeTiers(tiers, third);
+    ASSERT_EQ(tiers.size(), 3u);
+    EXPECT_EQ(tiers[2].format_id, "log");
+    EXPECT_EQ(tiers[2].evaluated, 8u);
+    EXPECT_EQ(tiers[2].certified, 3u);
+    EXPECT_EQ(tiers[2].bypassed, 3u);
+    EXPECT_DOUBLE_EQ(tiers[2].wall_ms, 1.0);
 }
 
 } // namespace

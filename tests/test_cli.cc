@@ -648,9 +648,13 @@ TEST(Cli, ReportLinesArePinned)
         shards.total, calls, invalid, underflows, shards.lanes,
         shards.peak_mapped);
 
+    // A band of 199 bits above the 2^-200 threshold: the default 64
+    // catches no column of these shards, and the total line's
+    // guard-hit sum must be checked against nonzero counts.
     engine::EvalPlan screened;
     screened.policy = engine::PlanPolicy::Screened;
     screened.format_id = "log32";
+    screened.screen.guard_band_log2 = 199.0;
     std::string screen_report;
     pbd::ScreenStats totals;
     for (size_t s = 0; s < shards.paths.size(); ++s) {
@@ -673,6 +677,7 @@ TEST(Cli, ReportLinesArePinned)
             static_cast<double>(shards.total),
         totals.evaluated, totals.guard_band_hits,
         screened.screen.guard_band_log2, shards.lanes);
+    ASSERT_GT(totals.guard_band_hits, 0u);
 
     engine::EvalPlan adaptive;
     adaptive.policy = engine::PlanPolicy::Adaptive;
@@ -680,7 +685,7 @@ TEST(Cli, ReportLinesArePinned)
     adaptive.cert = engine::defaultPValueCert();
     adaptive.cert.threshold_log2 = -200.0;
     std::string adaptive_report;
-    engine::AccuracyTally tiers("adaptive");
+    std::vector<engine::TierStats> tiers;
     size_t certified = 0;
     size_t uncertified = 0;
     size_t adaptive_calls = 0;
@@ -694,7 +699,7 @@ TEST(Cli, ReportLinesArePinned)
         certified += batch.certified;
         uncertified += batch.uncertified;
         adaptive_calls += shard_calls;
-        tiers.recordTiers(batch.tiers);
+        engine::mergeTiers(tiers, batch.tiers);
         adaptive_report += format(
             "%s: %zu columns, %zu certified, %zu uncertified, %zu "
             "calls\n",
@@ -706,8 +711,8 @@ TEST(Cli, ReportLinesArePinned)
         "0 skipped, %zu calls (p < 2^-200) [%u lanes]\n",
         shards.total, certified, uncertified, adaptive_calls,
         shards.lanes);
-    ASSERT_FALSE(tiers.tierStats().empty());
-    for (const engine::TierStats &tier : tiers.tierStats())
+    ASSERT_FALSE(tiers.empty());
+    for (const engine::TierStats &tier : tiers)
         adaptive_report += format(
             "  tier %-10s %zu evaluated, %zu certified, %zu bypassed, "
             "* ms\n",
@@ -729,7 +734,8 @@ TEST(Cli, ReportLinesArePinned)
             };
         const std::string tail = out != nullptr ? wrote : "";
         EXPECT_EQ(report({"eval", "--format", "log"}), fixed_report + tail);
-        EXPECT_EQ(report({"screen", "--format", "log32"}),
+        EXPECT_EQ(report({"screen", "--format", "log32", "--guard-bits",
+                          "199"}),
                   screen_report + tail);
         EXPECT_EQ(report({"eval", "--adaptive", "--threshold", "-200"}),
                   adaptive_report + tail);

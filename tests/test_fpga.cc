@@ -375,7 +375,6 @@ TEST(Primitives, MonotoneCosts)
     EXPECT_GT(multiplierDsp(53, 53).dsp, multiplierDsp(27, 18).dsp);
     EXPECT_EQ(multiplierDsp(27, 18).dsp, 1.0);
     EXPECT_GT(delayLine(64, 100).lut, delayLine(64, 10).lut);
-    EXPECT_EQ(registerStage(64).reg, 64.0);
 }
 
 TEST(Primitives, ClbModel)

@@ -7,7 +7,9 @@
  * memory and from a shard stream, across every registered format.
  */
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -166,6 +168,8 @@ TEST(Screen, ScreenedBatchBitMatchesUnscreenedEveryFormat)
             EXPECT_EQ(got.stats.columns, want.stats.columns);
             EXPECT_EQ(got.stats.skipped, want.stats.skipped);
             EXPECT_EQ(got.stats.evaluated, want.stats.evaluated);
+            EXPECT_EQ(got.stats.guard_band_hits,
+                      want.stats.guard_band_hits);
             ASSERT_EQ(got.results.size(), ds.columns.size());
             for (size_t i = 0; i < ds.columns.size(); ++i) {
                 EXPECT_TRUE(got.results[i].value ==
@@ -176,6 +180,65 @@ TEST(Screen, ScreenedBatchBitMatchesUnscreenedEveryFormat)
                 EXPECT_EQ(got.results[i].underflow,
                           want.results[i].underflow);
             }
+        }
+    }
+}
+
+TEST(Screen, ScreenedAdaptiveScreensLikeScreened)
+{
+    // ScreenedAdaptive runs the screen Screened runs, from memory and
+    // from a shard stream: the scalar reference's estimates (bit for
+    // bit), mask and tallies, and in every skipped slot the
+    // placeholder of the Screened batch.
+    const auto ds = screeningDataset();
+    const std::string shard = test::tempPath("screen_adaptive.shard");
+    io::writeColumnShard(shard, ds.columns);
+    engine::EvalEngine engine(4);
+    ScreenConfig config; // threshold -200, guard 64
+    const auto want = prop::scalarScreened(
+        engine::FormatRegistry::instance().at("binary64"), ds.columns,
+        config, engine::SumPolicy::Plain);
+    ASSERT_GT(want.stats.skipped, 0u);
+
+    engine::EvalPlan screened_plan;
+    screened_plan.policy = engine::PlanPolicy::Screened;
+    screened_plan.format_id = "binary64";
+    screened_plan.screen = config;
+    const auto screened =
+        prop::runMemory(engine, screened_plan, ds.columns).screened;
+
+    const engine::EvalPlan plan = prop::adaptivePlan(
+        engine::defaultPValueCert(), prop::defaultLadderIds(), config);
+    engine::EvalPlan stream_plan = plan;
+    stream_plan.source = engine::PlanSource::ShardStream;
+    stream_plan.shard_paths = {shard};
+    for (const auto &got :
+         {prop::runMemory(engine, plan, ds.columns).adaptive,
+          engine.run(stream_plan).adaptive}) {
+        EXPECT_EQ(got.skipped, want.skipped);
+        ASSERT_EQ(got.estimates_log2.size(), want.estimates_log2.size());
+        for (size_t i = 0; i < want.estimates_log2.size(); ++i)
+            EXPECT_EQ(std::bit_cast<uint64_t>(got.estimates_log2[i]),
+                      std::bit_cast<uint64_t>(want.estimates_log2[i]))
+                << "column " << i;
+        EXPECT_EQ(got.screen_stats.columns, want.stats.columns);
+        EXPECT_EQ(got.screen_stats.skipped, want.stats.skipped);
+        EXPECT_EQ(got.screen_stats.evaluated, want.stats.evaluated);
+        EXPECT_EQ(got.screen_stats.guard_band_hits,
+                  want.stats.guard_band_hits);
+        ASSERT_EQ(got.results.size(), ds.columns.size());
+        for (size_t i = 0; i < ds.columns.size(); ++i) {
+            if (!want.skipped[i])
+                continue;
+            const engine::EvalResult &placeholder = got.results[i].result;
+            EXPECT_EQ(got.results[i].tier, engine::kTierSkipped);
+            EXPECT_TRUE(placeholder.value == screened.results[i].value)
+                << "column " << i;
+            EXPECT_TRUE(placeholder.value == want.results[i].value)
+                << "column " << i;
+            EXPECT_EQ(placeholder.invalid, screened.results[i].invalid);
+            EXPECT_EQ(placeholder.underflow,
+                      screened.results[i].underflow);
         }
     }
 }

@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -1374,43 +1375,76 @@ TEST(ServeIdentity, DaemonMatchesOfflineForEveryFormatAndPolicy)
     }
 }
 
+/** SIGKILLs and reaps a child that a failed assertion left running. */
+class ReapOnExit
+{
+  public:
+    explicit ReapOnExit(pid_t child) : pid(child) {}
+
+    ~ReapOnExit()
+    {
+        if (pid > 0) {
+            ::kill(pid, SIGKILL);
+            test::waitForChild(pid);
+        }
+    }
+
+    ReapOnExit(const ReapOnExit &) = delete;
+    ReapOnExit &operator=(const ReapOnExit &) = delete;
+
+    pid_t pid; //!< the child, or -1 once the test has reaped it
+};
+
 /**
  * The plan, not the daemon's environment, decides the bits: a daemon
  * running with PSTAT_COMPENSATED=1 (and PSTAT_LADDER set) answers a
  * request built in a clean environment with the bytes of the offline
- * run in a clean environment. The client and the offline run are
- * their own processes, as from a shell; the daemon is this one.
+ * run in a clean environment. The daemon, the client and the offline
+ * run are each their own process, as from a shell, all forked from
+ * this single-threaded test process; the daemon must then shut down
+ * cleanly on SIGTERM.
  */
 TEST(ServeIdentity, DaemonIgnoresTheBitMovingKnobs)
 {
     const std::string shard = tempPath("serve_knobs.shard");
     io::writeColumnShard(shard, makeColumns(60, 17));
 
-    const test::ScopedEnv knobs({{"PSTAT_COMPENSATED", "1"},
-                                 {"PSTAT_LADDER", "log,scaled_dd"}});
-    serve::ServerConfig config;
-    config.unix_path = tempPath("serve_knobs.sock");
-    serve::Server server(config);
+    const std::string socket = tempPath("serve_knobs.sock");
+    ReapOnExit daemon(test::spawnCliInChild(
+        {"serve", "--socket", socket.c_str()},
+        {{"PSTAT_COMPENSATED", "1"}, {"PSTAT_LADDER", "log,scaled_dd"}}));
+    ASSERT_GT(daemon.pid, 0);
+    ASSERT_TRUE(waitFor([&] {
+        try {
+            serve::Client::connectUnix(socket);
+            return true;
+        } catch (const serve::FrameError &) {
+            return false;
+        }
+    })) << "the daemon never listened on " << socket;
 
     for (const std::vector<const char *> &policy :
          {std::vector<const char *>{"--format", "binary32"},
           std::vector<const char *>{"--adaptive", "--tol", "-30"}}) {
         SCOPED_TRACE(policy.front());
         const std::string offline = tempPath("serve_knobs_off.shard");
-        const std::string daemon = tempPath("serve_knobs_dmn.shard");
+        const std::string served = tempPath("serve_knobs_dmn.shard");
         std::vector<const char *> eval{"eval"};
         eval.insert(eval.end(), policy.begin(), policy.end());
         eval.insert(eval.end(), {"-o", offline.c_str(), shard.c_str()});
         ASSERT_EQ(test::runCliInChild(eval, test::cleanEnv()), 0);
 
         std::vector<const char *> request{"request", "--socket",
-                                          config.unix_path.c_str()};
+                                          socket.c_str()};
         request.insert(request.end(), policy.begin(), policy.end());
         request.insert(request.end(),
-                       {"-o", daemon.c_str(), shard.c_str()});
+                       {"-o", served.c_str(), shard.c_str()});
         ASSERT_EQ(test::runCliInChild(request, test::cleanEnv()), 0);
-        EXPECT_EQ(readFileBytes(offline), readFileBytes(daemon));
+        EXPECT_EQ(readFileBytes(offline), readFileBytes(served));
     }
+
+    ASSERT_EQ(::kill(daemon.pid, SIGTERM), 0);
+    EXPECT_EQ(test::waitForChild(std::exchange(daemon.pid, -1)), 0);
 }
 
 } // namespace

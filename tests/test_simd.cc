@@ -317,47 +317,6 @@ TEST(NaryLse, UsesTheExpKernel)
 }
 
 // ---------------------------------------------------------------------------
-// StreamingLogSumExp -inf edge cases (pinned per the logspace.hh doc)
-// ---------------------------------------------------------------------------
-
-TEST(StreamingLse, EmptyAndAllMinusInfReportMinusInf)
-{
-    StreamingLogSumExp empty;
-    EXPECT_TRUE(std::isinf(empty.value()) && empty.value() < 0);
-
-    StreamingLogSumExp zeros;
-    for (int i = 0; i < 7; ++i)
-        zeros.add(-INFINITY);
-    // Never NaN from -inf + log(0): the -inf terms are skipped.
-    EXPECT_TRUE(std::isinf(zeros.value()) && zeros.value() < 0);
-
-    const std::vector<double> none;
-    EXPECT_EQ(empty.value(), logSumExp(std::span<const double>(none)));
-}
-
-TEST(StreamingLse, LeadingMinusInfLeavesStateUntouched)
-{
-    const std::vector<double> terms = {-3.5, -0.25, -700.0, -1.0};
-    StreamingLogSumExp with, without;
-    with.add(-INFINITY);
-    for (double t : terms) {
-        with.add(t);
-        without.add(t);
-    }
-    EXPECT_TRUE(bitsEqual(with.value(), without.value()));
-
-    // Single finite term: streaming and n-ary agree exactly
-    // (max + log(1) = max).
-    StreamingLogSumExp one;
-    one.add(-INFINITY);
-    one.add(-2.75);
-    const std::vector<double> single = {-2.75};
-    EXPECT_TRUE(bitsEqual(one.value(), -2.75));
-    EXPECT_TRUE(bitsEqual(
-        one.value(), logSumExp(std::span<const double>(single))));
-}
-
-// ---------------------------------------------------------------------------
 // pbd batch kernels
 // ---------------------------------------------------------------------------
 
