@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "bigfloat/bigfloat.hh"
-#include "core/real_traits.hh"
 #include "engine/eval_engine.hh"
 #include "pbd/dataset.hh"
 #include "pbd/pbd.hh"
@@ -56,14 +55,9 @@ lofreqPValues(const pbd::ColumnDataset &dataset)
 {
     std::vector<PValueResult> out;
     out.reserve(dataset.columns.size());
-    for (const auto &column : dataset.columns) {
-        const T p = pbd::pvalue<T>(column.success_probs, column.k);
-        PValueResult r;
-        r.invalid = RealTraits<T>::isInvalid(p);
-        r.underflow = RealTraits<T>::isZero(p);
-        r.value = RealTraits<T>::toBigFloat(p);
-        out.push_back(std::move(r));
-    }
+    for (const auto &column : dataset.columns)
+        out.push_back(engine::evalResultOf(
+            pbd::pvalue<T>(column.success_probs, column.k)));
     return out;
 }
 

@@ -22,13 +22,8 @@ makeVicarWorkload(uint64_t seed, int num_states, size_t sequence_len,
 VicarResult
 vicarLikelihoodLog(const VicarWorkload &workload)
 {
-    const auto outcome =
-        hmm::forwardLogNary(workload.model, workload.obs);
-    VicarResult out;
-    out.invalid = outcome.likelihood.isNaN();
-    out.underflow = outcome.likelihood.isZero();
-    out.value = outcome.likelihood.toBigFloat();
-    return out;
+    return engine::evalResultOf(
+        hmm::forwardLogNary(workload.model, workload.obs).likelihood);
 }
 
 BigFloat

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "bigfloat/bigfloat.hh"
-#include "core/real_traits.hh"
 #include "engine/eval_engine.hh"
 #include "hmm/forward.hh"
 #include "hmm/generator.hh"
@@ -62,14 +61,10 @@ template <typename T>
 VicarResult
 vicarLikelihood(const VicarWorkload &workload)
 {
-    const auto outcome =
+    return engine::evalResultOf(
         hmm::forward<T>(workload.model, workload.obs,
-                        hmm::Reduction::Tree);
-    VicarResult out;
-    out.invalid = RealTraits<T>::isInvalid(outcome.likelihood);
-    out.underflow = RealTraits<T>::isZero(outcome.likelihood);
-    out.value = RealTraits<T>::toBigFloat(outcome.likelihood);
-    return out;
+                        hmm::Reduction::Tree)
+            .likelihood);
 }
 
 /** Likelihood via the log-space accelerator dataflow (Listing 3). */

@@ -82,6 +82,11 @@ class BFloat16
         return (bits_ & 0x7F80) == 0x7F80 && (bits_ & 0x007F) != 0;
     }
     constexpr bool isInf() const { return (bits_ & 0x7FFF) == 0x7F80; }
+    /**
+     * The format's invalid predicate (ScalarFormat): NaN or infinity,
+     * neither of which the oracle can represent.
+     */
+    constexpr bool isInvalid() const { return isNaN() || isInf(); }
     constexpr bool isNegative() const { return (bits_ & 0x8000) != 0; }
     /// @}
 

@@ -90,6 +90,8 @@ class Lns64
 
     bool isZero() const { return state_ == State::Zero; }
     bool isNaN() const { return state_ == State::NaN; }
+    /** The format's invalid predicate (ScalarFormat): NaN. */
+    bool isInvalid() const { return isNaN(); }
 
     /** The stored log2 value as a double. */
     double

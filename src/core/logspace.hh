@@ -1,23 +1,38 @@
 /**
  * @file
- * Log-space binary64 arithmetic — the paper's baseline strategy.
+ * Log-space arithmetic — the paper's baseline strategy, over a binary64
+ * or a binary32 carrier.
  *
- * LogDouble stores ln(x) in a binary64 and implements the standard
- * log-space operation set: multiplication is addition of logs,
- * addition is the Log-Sum-Exp (LSE) of Equation (2), and the n-ary
- * LSE of Equation (3) is available for reduction-style sums. Only
- * non-negative values are representable (log-probabilities); invalid
- * operations produce NaN, mirroring software like Stan and LoFreq.
+ * LogSpace<F> stores ln(x) in the IEEE type F and implements the
+ * standard log-space operation set: multiplication is addition of
+ * logs, addition is the Log-Sum-Exp (LSE) of Equation (2), and the
+ * n-ary LSE of Equation (3) is available for reduction-style sums.
+ * Every intermediate stays in F. Only non-negative values are
+ * representable (log-probabilities); invalid operations produce NaN,
+ * mirroring software like Stan and LoFreq.
+ *
+ * LogDouble (binary64) is the paper's software baseline. LogFloat
+ * (binary32) is the cheap end of the strategy: its range is
+ * effectively unbounded for probability work (ln values near -2e6 sit
+ * comfortably inside float's +-3.4e38), but precision is capped at 24
+ * significand bits, so the absolute error of the stored ln — and with
+ * it the relative error of the represented value — grows linearly with
+ * |ln(x)|. It never underflows where linear 32-bit formats die, yet
+ * deep likelihoods keep only a few correct decimal digits.
  */
 
 #ifndef PSTAT_CORE_LOGSPACE_HH
 #define PSTAT_CORE_LOGSPACE_HH
 
 #include <cmath>
+#include <concepts>
+#include <limits>
 #include <span>
 #include <string>
+#include <type_traits>
 
 #include "bigfloat/bigfloat.hh"
+#include "core/binary32.hh"
 #include "core/exp_kernel.hh"
 
 namespace pstat
@@ -25,17 +40,19 @@ namespace pstat
 
 /**
  * Binary LSE on raw log values: log(exp(lx) + exp(ly)) computed
- * stably as max + log1p(exp(min - max)) (Equation 2).
+ * stably as max + log1p(exp(min - max)) (Equation 2), every
+ * intermediate in F.
  */
-inline double
-logSumExp(double lx, double ly)
+template <std::floating_point F>
+inline F
+logSumExp(F lx, F ly)
 {
     if (std::isinf(lx) && lx < 0)
         return ly;
     if (std::isinf(ly) && ly < 0)
         return lx;
-    const double m = lx > ly ? lx : ly;
-    const double other = lx > ly ? ly : lx;
+    const F m = lx > ly ? lx : ly;
+    const F other = lx > ly ? ly : lx;
     return m + std::log1p(std::exp(other - m));
 }
 
@@ -77,49 +94,86 @@ logSumExp(std::span<const double> lvals)
 }
 
 /**
- * A non-negative real number stored as its natural logarithm in
- * binary64. Drop-in scalar for the statistical kernels: operator*
- * adds logs, operator+ performs LSE.
+ * The n-ary LSE in binary32 (Equation 3 in float hardware): the same
+ * max pass and index-order sum as the binary64 overload, with libm's
+ * float exp. No vector tile runs this carrier, so there is no
+ * bit-identity partner to share a kernel with.
  */
-class LogDouble
+inline float
+logSumExp(std::span<const float> lvals)
 {
+    float m = -std::numeric_limits<float>::infinity();
+    for (float v : lvals)
+        m = v > m ? v : m;
+    if (std::isinf(m) && m < 0)
+        return m;
+    float sum = 0.0f;
+    for (float v : lvals)
+        sum += std::exp(v - m);
+    return m + std::log(sum);
+}
+
+/**
+ * A non-negative real number stored as its natural logarithm in the
+ * IEEE carrier F (double or float). Drop-in scalar for the
+ * statistical kernels: operator* adds logs, operator+ performs the
+ * binary LSE in F. It provides the ScalarFormat interface
+ * (core/real_traits.hh) itself.
+ */
+template <std::floating_point F>
+class LogSpace
+{
+    static_assert(std::is_same_v<F, double> || std::is_same_v<F, float>,
+                  "LogSpace carries ln(x) in binary64 or binary32");
+
   public:
     /** Constructs zero (log value -inf). */
-    constexpr LogDouble() = default;
+    constexpr LogSpace() = default;
 
-    /** From a linear-space value; negative input yields NaN. */
-    static LogDouble
+    /**
+     * From a linear-space value: ln taken in binary64, then rounded
+     * once to F — how software converts inputs at load time with a
+     * good libm. log(0) = -inf; negative input yields NaN.
+     */
+    static LogSpace
     fromDouble(double linear)
     {
-        LogDouble out;
-        out.ln_ = std::log(linear); // log(0) = -inf, log(<0) = NaN
-        return out;
+        return fromLn(static_cast<F>(std::log(linear)));
     }
 
     /** From an already-computed natural log. */
-    static LogDouble
-    fromLn(double ln_value)
+    static LogSpace
+    fromLn(F ln_value)
     {
-        LogDouble out;
+        LogSpace out;
         out.ln_ = ln_value;
         return out;
     }
 
-    static LogDouble zero() { return fromLn(-INFINITY); }
-    static LogDouble one() { return fromLn(0.0); }
+    static LogSpace
+    zero()
+    {
+        return fromLn(-std::numeric_limits<F>::infinity());
+    }
+    static LogSpace one() { return fromLn(F(0)); }
 
     /** The stored natural logarithm. */
-    double lnValue() const { return ln_; }
+    F lnValue() const { return ln_; }
 
     bool isZero() const { return std::isinf(ln_) && ln_ < 0; }
     bool isNaN() const { return std::isnan(ln_); }
+    /**
+     * The format's invalid predicate: a NaN log, which negative or
+     * invalid operands produce.
+     */
+    bool isInvalid() const { return isNaN(); }
 
     /**
      * Back to linear space in binary64 — underflows for the very
      * values log-space exists to protect; use toBigFloat for exact
      * comparisons.
      */
-    double toDouble() const { return std::exp(ln_); }
+    double toDouble() const { return std::exp(static_cast<double>(ln_)); }
 
     /** Exact-ish (oracle-precision) linear value: exp(ln) in BigFloat. */
     BigFloat
@@ -129,71 +183,90 @@ class LogDouble
             return BigFloat::zero();
         if (isNaN())
             return BigFloat::nan();
-        return BigFloat::exp(BigFloat::fromDouble(ln_));
+        return BigFloat::exp(
+            BigFloat::fromDouble(static_cast<double>(ln_)));
     }
 
     /**
      * Convert from the oracle: ln computed at oracle precision, then
-     * rounded to binary64 (exactly what "transform operands to
-     * log-space in MPFR" does in the paper's methodology).
+     * rounded once to F through the carrier's own conversion (exactly
+     * what "transform operands to log-space in MPFR" does in the
+     * paper's methodology). binary32 rounds directly from the oracle:
+     * going through binary64 first could land on a binary32 tie.
      */
-    static LogDouble
+    static LogSpace
     fromBigFloat(const BigFloat &value)
     {
         if (value.isZero())
             return zero();
         if (value.isNaN() || value.isNegative())
-            return fromLn(std::nan(""));
-        return fromLn(BigFloat::ln(value).toDouble());
+            return fromLn(std::numeric_limits<F>::quiet_NaN());
+        const BigFloat ln = BigFloat::ln(value);
+        if constexpr (std::is_same_v<F, float>)
+            return fromLn(binary32FromBigFloat(ln));
+        else
+            return fromLn(ln.toDouble());
     }
 
-    friend LogDouble
-    operator*(const LogDouble &a, const LogDouble &b)
+    friend LogSpace
+    operator*(const LogSpace &a, const LogSpace &b)
     {
         if (a.isZero() || b.isZero())
             return zero(); // avoid -inf + inf pitfalls
         return fromLn(a.ln_ + b.ln_);
     }
 
-    friend LogDouble
-    operator+(const LogDouble &a, const LogDouble &b)
+    friend LogSpace
+    operator+(const LogSpace &a, const LogSpace &b)
     {
         return fromLn(logSumExp(a.ln_, b.ln_));
     }
 
-    friend LogDouble
-    operator/(const LogDouble &a, const LogDouble &b)
+    friend LogSpace
+    operator/(const LogSpace &a, const LogSpace &b)
     {
         if (a.isZero() && !b.isZero())
             return zero();
         return fromLn(a.ln_ - b.ln_);
     }
 
-    LogDouble &operator*=(const LogDouble &o) { return *this = *this * o; }
-    LogDouble &operator+=(const LogDouble &o) { return *this = *this + o; }
-    LogDouble &operator/=(const LogDouble &o) { return *this = *this / o; }
+    LogSpace &operator*=(const LogSpace &o) { return *this = *this * o; }
+    LogSpace &operator+=(const LogSpace &o) { return *this = *this + o; }
+    LogSpace &operator/=(const LogSpace &o) { return *this = *this / o; }
 
     friend bool
-    operator<(const LogDouble &a, const LogDouble &b)
+    operator<(const LogSpace &a, const LogSpace &b)
     {
         return a.ln_ < b.ln_;
     }
     friend bool
-    operator>(const LogDouble &a, const LogDouble &b)
+    operator>(const LogSpace &a, const LogSpace &b)
     {
         return a.ln_ > b.ln_;
     }
     friend bool
-    operator==(const LogDouble &a, const LogDouble &b)
+    operator==(const LogSpace &a, const LogSpace &b)
     {
         return a.ln_ == b.ln_;
     }
 
-    static std::string name() { return "log(binary64)"; }
+    /** Display name: "log(binary64)" or "log(binary32)". */
+    static std::string
+    name()
+    {
+        return std::is_same_v<F, double> ? "log(binary64)"
+                                         : "log(binary32)";
+    }
 
   private:
-    double ln_ = -INFINITY;
+    F ln_ = -std::numeric_limits<F>::infinity();
 };
+
+/** Log-space binary64 — the paper's software baseline. */
+using LogDouble = LogSpace<double>;
+
+/** Log-space binary32 — the log strategy at the reduced tier. */
+using LogFloat = LogSpace<float>;
 
 } // namespace pstat
 

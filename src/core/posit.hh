@@ -105,6 +105,8 @@ class Posit
         return bits() == (uint64_t{1} << (N - 1));
     }
     constexpr bool isNegative() const { return bits_ < 0 && !isNaR(); }
+    /** The format's invalid predicate (ScalarFormat): NaR. */
+    constexpr bool isInvalid() const { return isNaR(); }
     /// @}
 
     /**

@@ -4,15 +4,18 @@
  *
  * Every kernel in src/hmm and src/pbd is a template over a scalar
  * type T; RealTraits<T> supplies construction, conversion to/from the
- * BigFloat oracle, and a display name. Specializations cover the
- * format families the paper compares — binary64, log-space binary64,
- * LNS, posits, and the oracles — plus the reduced-precision tier:
- * binary32, log-space binary32, posit(32,2), and bfloat16.
+ * BigFloat oracle, and a display name. A format class — log-space
+ * (LogSpace<F>), LNS, posits, bfloat16 — provides that interface as
+ * its own members (the ScalarFormat concept), and the primary
+ * RealTraits forwards to them. Only the types that cannot carry
+ * members or keep their own conventions specialize it: the built-in
+ * carriers binary64 and binary32, and the two oracles.
  */
 
 #ifndef PSTAT_CORE_REAL_TRAITS_HH
 #define PSTAT_CORE_REAL_TRAITS_HH
 
+#include <concepts>
 #include <string>
 
 #include "bigfloat/bigfloat.hh"
@@ -21,7 +24,6 @@
 #include "core/dd.hh"
 #include "core/lns.hh"
 #include "core/logspace.hh"
-#include "core/logspace32.hh"
 #include "core/posit.hh"
 
 /**
@@ -33,19 +35,60 @@ namespace pstat
 {
 
 /**
- * The scalar-format adapter the kernels are templated over.
- *
- * Each specialization provides the same static interface:
- * - `name()` — display name, e.g. `"posit(64,18)"`;
- * - `zero()` / `one()` — additive and multiplicative identities;
- * - `fromDouble(double)` — the format's rounding of a binary64 value;
- * - `fromBigFloat(BigFloat)` / `toBigFloat(T)` — correctly rounded
+ * The interface a number-format class provides itself, as members:
+ * - `T::name()` — display name, e.g. `"posit(64,18)"`;
+ * - `T::zero()` / `T::one()` — additive and multiplicative identities;
+ * - `T::fromDouble(double)` — the format's rounding of a binary64 value;
+ * - `T::fromBigFloat(BigFloat)` / `v.toBigFloat()` — correctly rounded
  *   conversion from, and exact conversion to, the 256-bit oracle;
- * - `isZero(T)` / `isInvalid(T)` — underflow and NaR/NaN predicates
+ * - `v.isZero()` / `v.isInvalid()` — underflow and NaR/NaN predicates
  *   used by the accuracy bookkeeping.
+ *
+ * A new format is a class that models this concept plus one line in
+ * the engine's FormatRegistry.
  */
 template <typename T>
-struct RealTraits;
+concept ScalarFormat = requires(const T &v, double d, const BigFloat &b) {
+    { T::name() } -> std::convertible_to<std::string>;
+    { T::zero() } -> std::same_as<T>;
+    { T::one() } -> std::same_as<T>;
+    { T::fromDouble(d) } -> std::same_as<T>;
+    { T::fromBigFloat(b) } -> std::same_as<T>;
+    { v.toBigFloat() } -> std::same_as<BigFloat>;
+    { v.isZero() } -> std::same_as<bool>;
+    { v.isInvalid() } -> std::same_as<bool>;
+};
+
+/**
+ * The scalar-format adapter the kernels are templated over: the
+ * ScalarFormat interface as static functions, so kernels can name it
+ * for built-in types too. This primary template forwards to a format
+ * class's own members; double, float, ScaledDD and BigFloat are
+ * specialized below with the same static interface.
+ */
+template <typename T>
+struct RealTraits
+{
+    static_assert(ScalarFormat<T>,
+                  "a number format provides the ScalarFormat members");
+
+    /** Display name. */
+    static std::string name() { return T::name(); }
+    /** Additive identity. */
+    static T zero() { return T::zero(); }
+    /** Multiplicative identity. */
+    static T one() { return T::one(); }
+    /** The format's rounding of a binary64 value. */
+    static T fromDouble(double v) { return T::fromDouble(v); }
+    /** Correctly rounded conversion from the oracle. */
+    static T fromBigFloat(const BigFloat &v) { return T::fromBigFloat(v); }
+    /** Exact conversion to the oracle. */
+    static BigFloat toBigFloat(const T &v) { return v.toBigFloat(); }
+    /** True for the format's zero (an underflowed result). */
+    static bool isZero(const T &v) { return v.isZero(); }
+    /** True for the format's NaN or NaR. */
+    static bool isInvalid(const T &v) { return v.isInvalid(); }
+};
 
 /** IEEE binary64 — the hardware baseline format. */
 template <>
@@ -98,160 +141,6 @@ struct RealTraits<float>
     static bool isZero(float v) { return v == 0.0f; }
     /** True for NaN. */
     static bool isInvalid(float v) { return v != v; }
-};
-
-/** Log-space binary64 (LogDouble) — the paper's software baseline. */
-template <>
-struct RealTraits<LogDouble>
-{
-    /** Display name. */
-    static std::string name() { return LogDouble::name(); }
-    /** Additive identity (log value -inf). */
-    static LogDouble zero() { return LogDouble::zero(); }
-    /** Multiplicative identity (log value 0). */
-    static LogDouble one() { return LogDouble::one(); }
-    /** Convert by taking ln in binary64. */
-    static LogDouble fromDouble(double v)
-    {
-        return LogDouble::fromDouble(v);
-    }
-    /** ln at oracle precision, rounded once to binary64. */
-    static LogDouble fromBigFloat(const BigFloat &v)
-    {
-        return LogDouble::fromBigFloat(v);
-    }
-    /** Exact value exp(ln) lifted into the oracle. */
-    static BigFloat toBigFloat(const LogDouble &v)
-    {
-        return v.toBigFloat();
-    }
-    /** True for the log-space zero (-inf). */
-    static bool isZero(const LogDouble &v) { return v.isZero(); }
-    /** True for NaN (negative or invalid operands). */
-    static bool isInvalid(const LogDouble &v) { return v.isNaN(); }
-};
-
-/**
- * Log-space binary32 (LogFloat) — the log strategy at the
- * reduced-precision tier: near-unbounded range, ~7 decimal digits.
- */
-template <>
-struct RealTraits<LogFloat>
-{
-    /** Display name. */
-    static std::string name() { return LogFloat::name(); }
-    /** Additive identity (log value -inf). */
-    static LogFloat zero() { return LogFloat::zero(); }
-    /** Multiplicative identity (log value 0). */
-    static LogFloat one() { return LogFloat::one(); }
-    /** Convert by taking ln, rounded to binary32. */
-    static LogFloat fromDouble(double v)
-    {
-        return LogFloat::fromDouble(v);
-    }
-    /** ln at oracle precision, rounded once to binary32. */
-    static LogFloat fromBigFloat(const BigFloat &v)
-    {
-        return LogFloat::fromBigFloat(v);
-    }
-    /** Exact value exp(ln) lifted into the oracle. */
-    static BigFloat toBigFloat(const LogFloat &v)
-    {
-        return v.toBigFloat();
-    }
-    /** True for the log-space zero (-inf). */
-    static bool isZero(const LogFloat &v) { return v.isZero(); }
-    /** True for NaN (negative or invalid operands). */
-    static bool isInvalid(const LogFloat &v) { return v.isNaN(); }
-};
-
-/** Any Posit<N, ES> configuration (the paper's primary subject). */
-template <int N, int ES>
-struct RealTraits<Posit<N, ES>>
-{
-    /** The posit configuration this specialization adapts. */
-    using P = Posit<N, ES>;
-    /** Display name, e.g. "posit(64,18)". */
-    static std::string name() { return P::name(); }
-    /** Additive identity. */
-    static P zero() { return P::zero(); }
-    /** Multiplicative identity. */
-    static P one() { return P::one(); }
-    /** Correctly rounded conversion from binary64. */
-    static P fromDouble(double v) { return P::fromDouble(v); }
-    /** Correctly rounded conversion from the oracle. */
-    static P fromBigFloat(const BigFloat &v) { return P::fromBigFloat(v); }
-    /** Exact conversion to the oracle. */
-    static BigFloat toBigFloat(const P &v) { return v.toBigFloat(); }
-    /** True for the single posit zero. */
-    static bool isZero(const P &v) { return v.isZero(); }
-    /** True for NaR. */
-    static bool isInvalid(const P &v) { return v.isNaR(); }
-};
-
-/** 64-bit fixed-point LNS (Section VII related work). */
-template <>
-struct RealTraits<Lns64>
-{
-    /** Display name. */
-    static std::string name() { return Lns64::name(); }
-    /** Additive identity. */
-    static Lns64 zero() { return Lns64::zero(); }
-    /** Multiplicative identity. */
-    static Lns64 one() { return Lns64::one(); }
-    /** Convert by taking log2, quantized to Q24.39. */
-    static Lns64 fromDouble(double v) { return Lns64::fromDouble(v); }
-    /** log2 at oracle precision, quantized to Q24.39. */
-    static Lns64 fromBigFloat(const BigFloat &v)
-    {
-        return Lns64::fromBigFloat(v);
-    }
-    /** Exact value 2^log2 lifted into the oracle. */
-    static BigFloat toBigFloat(const Lns64 &v)
-    {
-        return v.toBigFloat();
-    }
-    /** True for the LNS zero flag. */
-    static bool isZero(const Lns64 &v) { return v.isZero(); }
-    /** True for NaN (negative or invalid operands). */
-    static bool isInvalid(const Lns64 &v) { return v.isNaN(); }
-};
-
-/**
- * Software-emulated bfloat16 — 8 significand bits on binary32's
- * 8-bit exponent range, with flush-to-zero below 2^-126.
- */
-template <>
-struct RealTraits<BFloat16>
-{
-    /** Display name. */
-    static std::string name() { return BFloat16::name(); }
-    /** Additive identity. */
-    static BFloat16 zero() { return BFloat16::zero(); }
-    /** Multiplicative identity. */
-    static BFloat16 one() { return BFloat16::one(); }
-    /** Correctly rounded conversion from binary64 (single RNE). */
-    static BFloat16 fromDouble(double v)
-    {
-        return BFloat16::fromDouble(v);
-    }
-    /** Correctly rounded conversion from the oracle (single RNE). */
-    static BFloat16 fromBigFloat(const BigFloat &v)
-    {
-        return BFloat16::fromBigFloat(v);
-    }
-    /** Exact conversion to the oracle (infinities become NaN). */
-    static BigFloat toBigFloat(const BFloat16 &v)
-    {
-        return v.toBigFloat();
-    }
-    /** True when the value is (+/-) zero. */
-    static bool isZero(const BFloat16 &v) { return v.isZero(); }
-    /** True for NaN or infinity (unrepresentable in the oracle). */
-    static bool isInvalid(const BFloat16 &v)
-    {
-        return v.isNaN() || v.isInf();
-    }
 };
 
 /** Scaled double-double — the fast oracle (~31 significant digits). */

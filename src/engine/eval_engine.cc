@@ -69,9 +69,9 @@ EvalEngine::run(const EvalPlan &plan, const PlanInputs &inputs)
     };
 
     // Source resolution: memory spans become a single WorkBlock; a
-    // shard-stream plan binds the caller's open stream or opens one
-    // from the plan's own paths, then yields one block per shard.
-    std::optional<io::ShardStream> owned_stream;
+    // shard-stream plan opens a stream over the plan's own paths,
+    // which yields one block per shard.
+    std::optional<io::ShardStream> stream;
     std::unique_ptr<JobSource> source;
     if (plan.source == PlanSource::Memory) {
         if (plan.kernel == PlanKernel::PValue)
@@ -80,18 +80,12 @@ EvalEngine::run(const EvalPlan &plan, const PlanInputs &inputs)
         else
             source = std::make_unique<MemoryJobSource>(inputs.jobs);
     } else {
-        io::ShardStream *stream = inputs.stream;
-        if (stream == nullptr) {
-            if (plan.shard_paths.empty())
-                throw std::invalid_argument(
-                    "plan: shard-stream source has no shard paths and "
-                    "no bound stream");
-            io::ShardStreamConfig config;
-            config.queue_capacity =
-                static_cast<size_t>(plan.queue_capacity);
-            owned_stream.emplace(plan.shard_paths, config);
-            stream = &*owned_stream;
-        }
+        if (plan.shard_paths.empty())
+            throw std::invalid_argument(
+                "plan: shard-stream source has no shard paths");
+        io::ShardStreamConfig config;
+        config.queue_capacity = static_cast<size_t>(plan.queue_capacity);
+        stream.emplace(plan.shard_paths, config);
         if (plan.kernel == PlanKernel::Forward) {
             if (inputs.model == nullptr)
                 throw std::invalid_argument(

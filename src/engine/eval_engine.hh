@@ -41,7 +41,6 @@
 #include "engine/job_source.hh"
 #include "engine/plan.hh"
 #include "engine/result_sink.hh"
-#include "io/shard_stream.hh"
 #include "pbd/dataset.hh"
 #include "pbd/screen.hh"
 #include "stats/summary.hh"
@@ -52,7 +51,8 @@ namespace pstat::engine
 /**
  * Runtime bindings of one plan execution — everything a plan cannot
  * carry across a process boundary: the in-memory spans, the borrowed
- * HMM model, an already-open shard stream, and the result sinks. All
+ * HMM model, and the result sinks. A shard-stream plan names its own
+ * files (EvalPlan::shard_paths), and run() opens the stream. All
  * fields are optional; EvalEngine::run throws std::invalid_argument
  * when the plan needs a binding the caller did not supply (e.g. a
  * Forward shard-stream plan without a model).
@@ -65,11 +65,6 @@ struct PlanInputs
     std::span<const ForwardJob> jobs;
     /** Borrowed model of a Forward x ShardStream plan. */
     const hmm::Model *model = nullptr;
-    /**
-     * Already-open stream of a ShardStream plan; when null, run()
-     * opens one itself from plan.shard_paths / queue_capacity.
-     */
-    io::ShardStream *stream = nullptr;
     /**
      * The primary route (borrowed): when bound, every block's results
      * go here and the returned PlanRun accumulates none of them, so a
@@ -176,10 +171,10 @@ class EvalEngine
      * Every plan field is consumed here, and only the plan decides
      * result bits: kernel, source, policy, format_id / ladder_ids,
      * cert, screen, sum, dataflow, renormalize, shard_paths /
-     * queue_capacity (unless inputs.stream is bound). run() reads no
-     * environment variable that moves a bit. Lanes, grain and SIMD
-     * backend are process settings (the constructor, PSTAT_THREADS,
-     * PSTAT_GRAIN, PSTAT_SIMD), not plan fields: they move time only.
+     * queue_capacity. run() reads no environment variable that moves
+     * a bit. Lanes, grain and SIMD backend are process settings (the
+     * constructor, PSTAT_THREADS, PSTAT_GRAIN, PSTAT_SIMD), not plan
+     * fields: they move time only.
      *
      * Throws std::invalid_argument on an invalid plan, an unsupported
      * combination, or a missing binding; propagates io errors from

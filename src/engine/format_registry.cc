@@ -134,9 +134,9 @@ class FormatOpsImpl final : public FormatOps
               SumPolicy sum) const override
     {
         if (sum == SumPolicy::Compensated)
-            return wrap(
+            return evalResultOf(
                 pbd::pvalueCompensated<T>(success_probs, k_threshold));
-        return wrap(pbd::pvalue<T>(success_probs, k_threshold));
+        return evalResultOf(pbd::pvalue<T>(success_probs, k_threshold));
     }
 
     void
@@ -156,7 +156,7 @@ class FormatOpsImpl final : public FormatOps
             else
                 pbd::pvalueBatchSimd<T>(columns, values);
             for (size_t i = 0; i < values.size(); ++i)
-                out[i] = wrap(values[i]);
+                out[i] = evalResultOf(values[i]);
         } else {
             FormatOps::pbdPValueBatch(columns, sum, out);
         }
@@ -172,20 +172,21 @@ class FormatOpsImpl final : public FormatOps
             // pairwise tree over binary LSEs. On `log` it runs the
             // vectorized state tile, bit-identical to forwardLogNary.
             if constexpr (std::is_same_v<T, LogDouble>)
-                return wrap(
+                return evalResultOf(
                     hmm::forwardLogNarySimd(model, obs).likelihood);
             if constexpr (std::is_same_v<T, LogFloat>)
-                return wrap(
-                    hmm::forwardLogNary32(model, obs).likelihood);
+                return evalResultOf(
+                    hmm::forwardLogNary<float>(model, obs).likelihood);
         }
         // Software dataflow on the IEEE carriers takes the vectorized
         // state-tile kernel, bit-identical to the sequential loop.
         if constexpr (std::is_same_v<T, double> ||
                       std::is_same_v<T, float>) {
             if (dataflow == Dataflow::Software)
-                return wrap(hmm::forwardSimd<T>(model, obs).likelihood);
+                return evalResultOf(
+                    hmm::forwardSimd<T>(model, obs).likelihood);
         }
-        return wrap(
+        return evalResultOf(
             hmm::forward<T>(model, obs, reductionOf(dataflow))
                 .likelihood);
     }
@@ -198,13 +199,13 @@ class FormatOpsImpl final : public FormatOps
             // Same PE story as forward: the log accelerator runs the
             // n-ary LSE dataflow, not a tree of binary LSEs.
             if constexpr (std::is_same_v<T, LogDouble>)
-                return wrap(
+                return evalResultOf(
                     hmm::backwardLogNary(model, obs).likelihood);
             if constexpr (std::is_same_v<T, LogFloat>)
-                return wrap(
-                    hmm::backwardLogNary32(model, obs).likelihood);
+                return evalResultOf(
+                    hmm::backwardLogNary<float>(model, obs).likelihood);
         }
-        return wrap(
+        return evalResultOf(
             hmm::backward<T>(model, obs, reductionOf(dataflow))
                 .likelihood);
     }
@@ -218,8 +219,8 @@ class FormatOpsImpl final : public FormatOps
         PosteriorResult out;
         out.gamma.reserve(res.gamma.size());
         for (const T &g : res.gamma)
-            out.gamma.push_back(wrap(g));
-        out.likelihood = wrap(res.likelihood);
+            out.gamma.push_back(evalResultOf(g));
+        out.likelihood = evalResultOf(res.likelihood);
         out.first_underflow_step = res.first_underflow_step;
         return out;
     }
@@ -231,22 +232,12 @@ class FormatOpsImpl final : public FormatOps
         auto res = hmm::viterbi<T>(model, obs);
         ViterbiResult out;
         out.path = std::move(res.path);
-        out.probability = wrap(res.probability);
+        out.probability = evalResultOf(res.probability);
         out.first_underflow_step = res.first_underflow_step;
         return out;
     }
 
   private:
-    static EvalResult
-    wrap(const T &v)
-    {
-        EvalResult out;
-        out.invalid = RealTraits<T>::isInvalid(v);
-        out.underflow = RealTraits<T>::isZero(v);
-        out.value = RealTraits<T>::toBigFloat(v);
-        return out;
-    }
-
     std::string id_;
     std::string name_;
 };

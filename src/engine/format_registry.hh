@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bigfloat/bigfloat.hh"
+#include "core/real_traits.hh"
 #include "hmm/decode.hh"
 #include "hmm/forward.hh"
 #include "hmm/model.hh"
@@ -54,6 +55,22 @@ struct EvalResult
     bool invalid = false;   //!< NaR / NaN
     bool underflow = false; //!< computed exactly 0
 };
+
+/**
+ * The one conversion of a format-T value into an EvalResult: invalid
+ * is the format's NaN/NaR predicate, underflow its zero, and value its
+ * exact image in the oracle (all through RealTraits<T>).
+ */
+template <typename T>
+inline EvalResult
+evalResultOf(const T &v)
+{
+    EvalResult out;
+    out.invalid = RealTraits<T>::isInvalid(v);
+    out.underflow = RealTraits<T>::isZero(v);
+    out.value = RealTraits<T>::toBigFloat(v);
+    return out;
+}
 
 /**
  * Posterior state marginals of one sequence, exact-valued: gamma is
@@ -245,7 +262,7 @@ class FormatOps
     /**
      * HMM backward likelihood: P(O) from the backward termination
      * sum. The Accelerator dataflow maps to the tree reduction for
-     * linear formats and the n-ary LSE (backwardLogNary/32) for the
+     * linear formats and the n-ary LSE (backwardLogNary) for the
      * log formats, mirroring hmmForward.
      */
     virtual EvalResult hmmBackward(const hmm::Model &model,

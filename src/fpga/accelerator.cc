@@ -201,16 +201,6 @@ datasetSeconds(Format format, const pbd::ColumnDataset &dataset,
 }
 
 double
-datasetMmaps(Format format, const pbd::ColumnDataset &dataset,
-             int num_pes)
-{
-    const double seconds = datasetSeconds(format, dataset, num_pes);
-    if (seconds <= 0.0)
-        return 0.0;
-    return static_cast<double>(dataset.totalMulAdds()) / seconds / 1e6;
-}
-
-double
 datasetSeconds(Format format, const pbd::DatasetStats &dataset,
                int num_pes)
 {

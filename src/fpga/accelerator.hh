@@ -98,16 +98,14 @@ double columnCycles(Format format, int coverage, int k);
 double datasetSeconds(Format format, const pbd::ColumnDataset &dataset,
                       int num_pes = 8);
 
-/**
- * MMAPS: million multiply-and-add operations per second for a
- * dataset run (the paper's Figure 8 numerator).
- */
-double datasetMmaps(Format format, const pbd::ColumnDataset &dataset,
-                    int num_pes = 8);
-
-/** Shape-only overloads for full-coverage-scale datasets. */
+/** Shape-only overload for full-coverage-scale datasets. */
 double datasetSeconds(Format format, const pbd::DatasetStats &dataset,
                       int num_pes = 8);
+
+/**
+ * MMAPS: million multiply-and-add operations per second for a
+ * dataset run (the paper's Figure 8 numerator), from its shape.
+ */
 double datasetMmaps(Format format, const pbd::DatasetStats &dataset,
                     int num_pes = 8);
 /// @}

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "core/logspace.hh"
-#include "core/logspace32.hh"
 
 namespace pstat::hmm
 {
@@ -15,19 +14,13 @@ posterior<ScaledDD>(const Model &, std::span<const int>, Reduction, bool);
 template ViterbiOutcome<ScaledDD>
 viterbi<ScaledDD>(const Model &, std::span<const int>);
 
-namespace
+template <std::floating_point F>
+BackwardOutcome<LogSpace<F>>
+backwardLogNary(const Model &model, std::span<const int> obs)
 {
-
-/**
- * The n-ary-LSE backward pass with all log values held in carrier
- * type F (double for LogDouble, float for LogFloat), mirroring
- * logNaryForwardLn in forward.cc. Returns the final log-likelihood
- * from the backward termination sum.
- */
-template <typename F>
-F
-logNaryBackwardLn(const Model &model, std::span<const int> obs)
-{
+    BackwardOutcome<LogSpace<F>> out;
+    if (obs.empty())
+        return out;
     const int h = model.num_states;
 
     std::vector<F> ln_a(model.a.size());
@@ -62,31 +55,14 @@ logNaryBackwardLn(const Model &model, std::span<const int> obs)
             ln_b[static_cast<size_t>(q) * model.num_symbols + obs[0]] +
             beta_prev[q];
     }
-    return logSumExp(std::span<const F>(terms));
-}
-
-} // namespace
-
-BackwardOutcome<LogDouble>
-backwardLogNary(const Model &model, std::span<const int> obs)
-{
-    BackwardOutcome<LogDouble> out;
-    if (obs.empty())
-        return out;
     out.likelihood =
-        LogDouble::fromLn(logNaryBackwardLn<double>(model, obs));
+        LogSpace<F>::fromLn(logSumExp(std::span<const F>(terms)));
     return out;
 }
 
-BackwardOutcome<LogFloat>
-backwardLogNary32(const Model &model, std::span<const int> obs)
-{
-    BackwardOutcome<LogFloat> out;
-    if (obs.empty())
-        return out;
-    out.likelihood =
-        LogFloat::fromLn(logNaryBackwardLn<float>(model, obs));
-    return out;
-}
+template BackwardOutcome<LogDouble>
+backwardLogNary<double>(const Model &, std::span<const int>);
+template BackwardOutcome<LogFloat>
+backwardLogNary<float>(const Model &, std::span<const int>);
 
 } // namespace pstat::hmm

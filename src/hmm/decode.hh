@@ -14,14 +14,15 @@
  * accelerator's pairwise reduction, Compensated the Neumaier-summed
  * loop of the reduced-precision tier.
  *
- * backwardLogNary()/backwardLogNary32() are the Listing-3-style
- * accelerator dataflow for the log formats (n-ary LSE over raw log
- * values), mirroring forwardLogNary()/forwardLogNary32().
+ * backwardLogNary() is the Listing-3-style accelerator dataflow for
+ * the log formats (n-ary LSE over raw log values, in a binary64 or
+ * binary32 carrier), mirroring forwardLogNary().
  */
 
 #ifndef PSTAT_HMM_DECODE_HH
 #define PSTAT_HMM_DECODE_HH
 
+#include <concepts>
 #include <span>
 #include <vector>
 
@@ -393,18 +394,13 @@ viterbi<ScaledDD>(const Model &, std::span<const int>);
 /**
  * The backward recursion in log space with the n-ary LSE of Equation
  * (3) — the accelerator PE dataflow (max tree, exponentials, adder
- * tree, single log), mirroring forwardLogNary().
+ * tree, single log), mirroring forwardLogNary(): every log value and
+ * adder-tree intermediate is held in the carrier F, binary64 by
+ * default or binary32. Both carriers are compiled in decode.cc.
  */
-BackwardOutcome<LogDouble> backwardLogNary(const Model &model,
-                                           std::span<const int> obs);
-
-/**
- * backwardLogNary() at the reduced-precision tier: every log value
- * and adder-tree intermediate held in binary32, mirroring
- * forwardLogNary32().
- */
-BackwardOutcome<LogFloat> backwardLogNary32(const Model &model,
-                                            std::span<const int> obs);
+template <std::floating_point F = double>
+BackwardOutcome<LogSpace<F>> backwardLogNary(const Model &model,
+                                             std::span<const int> obs);
 
 } // namespace pstat::hmm
 

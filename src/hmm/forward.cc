@@ -9,18 +9,13 @@ namespace pstat::hmm
 template ForwardOutcome<ScaledDD>
 forward<ScaledDD>(const Model &, std::span<const int>, Reduction);
 
-namespace
+template <std::floating_point F>
+ForwardOutcome<LogSpace<F>>
+forwardLogNary(const Model &model, std::span<const int> obs)
 {
-
-/**
- * The Listing-3 n-ary-LSE forward pass with all log values held in
- * carrier type F (double for LogDouble, float for LogFloat). Returns
- * the final log-likelihood, or -inf for an empty sequence.
- */
-template <typename F>
-F
-logNaryForwardLn(const Model &model, std::span<const int> obs)
-{
+    ForwardOutcome<LogSpace<F>> out;
+    if (obs.empty())
+        return out;
     const int h = model.num_states;
 
     // Pre-computed logarithms, as LoFreq/VICAR-style software does
@@ -56,32 +51,15 @@ logNaryForwardLn(const Model &model, std::span<const int> obs)
         std::swap(alpha, alpha_prev);
     }
 
-    return logSumExp(std::span<const F>(alpha_prev));
-}
-
-} // namespace
-
-ForwardOutcome<LogDouble>
-forwardLogNary(const Model &model, std::span<const int> obs)
-{
-    ForwardOutcome<LogDouble> out;
-    if (obs.empty())
-        return out;
-    out.likelihood =
-        LogDouble::fromLn(logNaryForwardLn<double>(model, obs));
+    out.likelihood = LogSpace<F>::fromLn(
+        logSumExp(std::span<const F>(alpha_prev)));
     return out;
 }
 
-ForwardOutcome<LogFloat>
-forwardLogNary32(const Model &model, std::span<const int> obs)
-{
-    ForwardOutcome<LogFloat> out;
-    if (obs.empty())
-        return out;
-    out.likelihood =
-        LogFloat::fromLn(logNaryForwardLn<float>(model, obs));
-    return out;
-}
+template ForwardOutcome<LogDouble>
+forwardLogNary<double>(const Model &, std::span<const int>);
+template ForwardOutcome<LogFloat>
+forwardLogNary<float>(const Model &, std::span<const int>);
 
 OracleForwardResult
 forwardOracle(const Model &model, std::span<const int> obs,

@@ -19,13 +19,13 @@
 #define PSTAT_HMM_FORWARD_HH
 
 #include <cmath>
+#include <concepts>
 #include <span>
 #include <vector>
 
 #include "core/compensated.hh"
 #include "core/dd.hh"
 #include "core/logspace.hh"
-#include "core/logspace32.hh"
 #include "core/real_traits.hh"
 #include "hmm/model.hh"
 
@@ -206,18 +206,14 @@ forward<ScaledDD>(const Model &, std::span<const int>, Reduction);
  * Listing 3: the forward algorithm in log space with the n-ary LSE
  * of Equation (3), the exact dataflow of the paper's log-based
  * accelerator PE (max tree, exponentials, adder tree, single log).
+ * Every log value, exponential and adder-tree intermediate is held in
+ * the carrier F: binary64 (LogDouble) by default, or binary32
+ * (`forwardLogNary<float>`, the PE built from float function units).
+ * Both carriers are compiled in forward.cc.
  */
-ForwardOutcome<LogDouble> forwardLogNary(const Model &model,
-                                         std::span<const int> obs);
-
-/**
- * Listing 3 at the reduced-precision tier: the same n-ary-LSE
- * dataflow with every log value, exponential, and adder-tree
- * intermediate held in binary32 — the accelerator PE built from
- * float function units.
- */
-ForwardOutcome<LogFloat> forwardLogNary32(const Model &model,
-                                          std::span<const int> obs);
+template <std::floating_point F = double>
+ForwardOutcome<LogSpace<F>> forwardLogNary(const Model &model,
+                                           std::span<const int> obs);
 
 /**
  * Oracle forward run (ScaledDD scalar, ~31 significant digits with

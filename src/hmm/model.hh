@@ -43,13 +43,6 @@ struct Model
     {
         return b[static_cast<size_t>(state) * num_symbols + symbol];
     }
-
-    /**
-     * Structural validation: dimensions match, A rows and pi sum to 1
-     * within tol, all probabilities within (0, 1] (B entries are
-     * likelihoods and may be arbitrarily small but must be positive).
-     */
-    bool validate(double tol = 1e-9) const;
 };
 
 } // namespace pstat::hmm

@@ -504,16 +504,6 @@ peekShardPayload(const std::string &path)
     }
 }
 
-void
-writeColumnShard(const std::string &path,
-                 std::span<const pbd::Column> columns)
-{
-    ShardWriter writer(path, ShardPayload::Columns);
-    for (const auto &column : columns)
-        writer.add(column);
-    writer.close();
-}
-
 std::vector<pbd::Column>
 readColumnShard(const std::string &path)
 {

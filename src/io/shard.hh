@@ -302,10 +302,6 @@ const char *shardPayloadName(ShardPayload payload);
  */
 std::optional<ShardPayload> peekShardPayload(const std::string &path);
 
-/** One-shot convenience: write every column as one shard file. */
-void writeColumnShard(const std::string &path,
-                      std::span<const pbd::Column> columns);
-
 /**
  * Materialize every column of a Columns shard, in order. Throws
  * ShardError, naming the payload, on a shard of any other kind.

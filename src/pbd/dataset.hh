@@ -77,18 +77,6 @@ struct ColumnDataset
 {
     std::string name;
     std::vector<Column> columns;
-
-    /** Total multiply-add count N*K of the p-value DP (for MMAPS). */
-    uint64_t
-    totalMulAdds() const
-    {
-        uint64_t total = 0;
-        for (const auto &col : columns) {
-            total += static_cast<uint64_t>(col.coverage()) *
-                     static_cast<uint64_t>(col.k > 0 ? col.k : 1);
-        }
-        return total;
-    }
 };
 
 /**

@@ -33,33 +33,6 @@
 namespace pstat::pbd
 {
 
-/**
- * PMF after all trials: returns Pr_N(X = k) for k = 0..k_max.
- * Cost O(N * k_max).
- */
-template <typename T>
-std::vector<T>
-pmf(std::span<const double> success_probs, int k_max)
-{
-    using RT = RealTraits<T>;
-    std::vector<T> pr(static_cast<size_t>(k_max) + 1, RT::zero());
-    std::vector<T> pr_prev(static_cast<size_t>(k_max) + 1, RT::zero());
-    pr_prev[0] = RT::one();
-
-    for (size_t n = 1; n <= success_probs.size(); ++n) {
-        const double pn = success_probs[n - 1];
-        const T p = RT::fromDouble(pn);
-        const T q = RT::fromDouble(1.0 - pn);
-        const auto hi =
-            n < static_cast<size_t>(k_max) ? n : static_cast<size_t>(k_max);
-        for (size_t k = hi; k >= 1; --k)
-            pr[k] = pr_prev[k] * q + pr_prev[k - 1] * p;
-        pr[0] = pr_prev[0] * q;
-        std::swap(pr, pr_prev);
-    }
-    return pr_prev;
-}
-
 namespace detail
 {
 

@@ -4,12 +4,13 @@
  *
  * None of these run on a shipped path; each is an algorithmically
  * independent (or brute-force) cross-check of a library kernel:
- * the closed-form binomial tail, Hong's DFT-CF PMF and the
- * Stirling-style magnitude estimate for the Listing-2 p-value; the
- * H^T path enumeration, the full alpha/beta matrices, log2-domain
- * Viterbi, posterior decoding and one Baum-Welch step for the HMM
- * kernels. They keep their library namespaces so a test reads the
- * same whether a reference lives here or in src/.
+ * the full PMF, the closed-form binomial tail, Hong's DFT-CF PMF and
+ * the Stirling-style magnitude estimate for the Listing-2 p-value;
+ * the model's structural check, the H^T path enumeration, the full
+ * alpha/beta matrices, log2-domain Viterbi, posterior decoding and
+ * one Baum-Welch step for the HMM kernels. They keep their library
+ * namespaces so a test reads the same whether a reference lives here
+ * or in src/.
  */
 
 #ifndef PSTAT_TESTS_REFERENCE_HH
@@ -28,6 +29,33 @@
 
 namespace pstat::pbd
 {
+
+/**
+ * PMF after all trials: returns Pr_N(X = k) for k = 0..k_max.
+ * Cost O(N * k_max).
+ */
+template <typename T>
+std::vector<T>
+pmf(std::span<const double> success_probs, int k_max)
+{
+    using RT = RealTraits<T>;
+    std::vector<T> pr(static_cast<size_t>(k_max) + 1, RT::zero());
+    std::vector<T> pr_prev(static_cast<size_t>(k_max) + 1, RT::zero());
+    pr_prev[0] = RT::one();
+
+    for (size_t n = 1; n <= success_probs.size(); ++n) {
+        const double pn = success_probs[n - 1];
+        const T p = RT::fromDouble(pn);
+        const T q = RT::fromDouble(1.0 - pn);
+        const auto hi =
+            n < static_cast<size_t>(k_max) ? n : static_cast<size_t>(k_max);
+        for (size_t k = hi; k >= 1; --k)
+            pr[k] = pr_prev[k] * q + pr_prev[k - 1] * p;
+        pr[0] = pr_prev[0] * q;
+        std::swap(pr, pr_prev);
+    }
+    return pr_prev;
+}
 
 /**
  * Closed-form cross-check for equal success probabilities: the
@@ -161,6 +189,50 @@ estimateLog2PValue(const Column &column)
 
 namespace pstat::hmm
 {
+
+/**
+ * Structural validation of a model: dimensions match, A rows and pi
+ * sum to 1 within tol, all probabilities within (0, 1] (B entries are
+ * likelihoods and may be arbitrarily small but must be positive).
+ */
+inline bool
+validate(const Model &model, double tol = 1e-9)
+{
+    const auto h = static_cast<size_t>(model.num_states);
+    const auto m = static_cast<size_t>(model.num_symbols);
+    if (model.num_states <= 0 || model.num_symbols <= 0)
+        return false;
+    if (model.a.size() != h * h || model.b.size() != h * m ||
+        model.pi.size() != h)
+        return false;
+
+    double pi_sum = 0.0;
+    for (double p : model.pi) {
+        if (!(p >= 0.0 && p <= 1.0))
+            return false;
+        pi_sum += p;
+    }
+    if (std::fabs(pi_sum - 1.0) > tol)
+        return false;
+
+    for (int i = 0; i < model.num_states; ++i) {
+        double row = 0.0;
+        for (int j = 0; j < model.num_states; ++j) {
+            const double p = model.aAt(i, j);
+            if (!(p >= 0.0 && p <= 1.0))
+                return false;
+            row += p;
+        }
+        if (std::fabs(row - 1.0) > tol)
+            return false;
+    }
+
+    for (double p : model.b) {
+        if (!(p > 0.0 && p <= 1.0))
+            return false;
+    }
+    return true;
+}
 
 /**
  * Brute-force likelihood P(O|lambda) by enumerating all H^T hidden

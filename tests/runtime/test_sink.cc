@@ -24,6 +24,7 @@
 #include "serve/frame.hh"
 #include "serve/routing_sink.hh"
 #include "../prop_util.hh"
+#include "../shard_fixture.hh"
 #include "../test_tmp.hh"
 
 namespace

@@ -13,6 +13,7 @@
 #include "io/shard.hh"
 #include "io/shard_stream.hh"
 #include "pbd/dataset.hh"
+#include "../shard_fixture.hh"
 #include "../test_tmp.hh"
 
 namespace

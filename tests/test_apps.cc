@@ -10,6 +10,7 @@
 #include "apps/lofreq.hh"
 #include "apps/vicar.hh"
 #include "core/accuracy.hh"
+#include "reference.hh"
 
 namespace
 {
@@ -21,7 +22,7 @@ TEST(VicarIntegration, OracleMagnitudeTracksConfig)
 {
     // decay 60 bits/site x 500 sites => likelihood near 2^-30000.
     const auto w = makeVicarWorkload(1, 13, 500, 60.0);
-    ASSERT_TRUE(w.model.validate());
+    ASSERT_TRUE(hmm::validate(w.model));
     const BigFloat oracle = vicarOracle(w);
     ASSERT_FALSE(oracle.isZero());
     EXPECT_NEAR(oracle.log2Abs(), -30000.0, 4500.0);

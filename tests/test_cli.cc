@@ -31,6 +31,7 @@
 #include "io/shard.hh"
 #include "pbd/dataset.hh"
 #include "prop_util.hh"
+#include "shard_fixture.hh"
 #include "test_tmp.hh"
 
 namespace

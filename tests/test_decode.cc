@@ -140,7 +140,7 @@ TEST(Backward, LogNaryMatchesLogDoubleClosely)
     EXPECT_NEAR(nary, lg, std::fabs(lg) * 1e-9 + 1e-9);
 
     const double nary32 =
-        backwardLogNary32(model, obs).likelihood.lnValue();
+        backwardLogNary<float>(model, obs).likelihood.lnValue();
     EXPECT_NEAR(nary32, lg, std::fabs(lg) * 1e-5 + 1e-4);
 }
 
@@ -152,7 +152,7 @@ TEST(Backward, EmptyObservationGivesZeroishDefaults)
     EXPECT_EQ(out.likelihood, 0.0);
     EXPECT_EQ(out.first_underflow_step, -1);
     EXPECT_TRUE(backwardLogNary(model, obs).likelihood.isZero());
-    EXPECT_TRUE(backwardLogNary32(model, obs).likelihood.isZero());
+    EXPECT_TRUE(backwardLogNary<float>(model, obs).likelihood.isZero());
 }
 
 TEST(Backward, Binary64UnderflowDetected)

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -110,6 +111,57 @@ TEST(FormatRegistry, EveryFormatRoundTripsThroughBigFloat)
                 << format->id() << " failed to round-trip " << v;
         }
     }
+}
+
+/** The invalid predicate of format T on its rounding of each probe. */
+template <typename T>
+std::vector<bool>
+invalidRow(const std::vector<double> &probes)
+{
+    std::vector<bool> row;
+    for (double v : probes)
+        row.push_back(
+            RealTraits<T>::isInvalid(RealTraits<T>::fromDouble(v)));
+    return row;
+}
+
+TEST(FormatRegistry, InvalidPredicateTableCoversEveryFormat)
+{
+    // Probes: NaN, a negative value, zero, one, and 1e300, beyond the
+    // 8-bit-exponent formats' range: binary32 overflows to an infinity
+    // it still counts as a value, bfloat16 to one the oracle cannot
+    // hold, and posits saturate. Posits turn NaN into NaR; the log
+    // formats and LNS turn a negative value into NaN.
+    const std::vector<double> probes = {
+        std::numeric_limits<double>::quiet_NaN(), -1.0, 0.0, 1.0, 1e300};
+    const bool T = true;
+    const bool F = false;
+    struct Row
+    {
+        const char *id;
+        std::vector<bool> got;
+        std::vector<bool> want;
+    };
+    const std::vector<Row> table = {
+        {"binary64", invalidRow<double>(probes), {T, F, F, F, F}},
+        {"log", invalidRow<LogDouble>(probes), {T, T, F, F, F}},
+        {"lns64", invalidRow<Lns64>(probes), {T, T, F, F, F}},
+        {"posit64_9", invalidRow<Posit<64, 9>>(probes), {T, F, F, F, F}},
+        {"posit64_12", invalidRow<Posit<64, 12>>(probes), {T, F, F, F, F}},
+        {"posit64_18", invalidRow<Posit<64, 18>>(probes), {T, F, F, F, F}},
+        {"binary32", invalidRow<float>(probes), {T, F, F, F, F}},
+        {"log32", invalidRow<LogFloat>(probes), {T, T, F, F, F}},
+        {"posit32_2", invalidRow<Posit<32, 2>>(probes), {T, F, F, F, F}},
+        {"bfloat16", invalidRow<BFloat16>(probes), {T, F, F, F, T}},
+        {"scaled_dd", invalidRow<ScaledDD>(probes), {T, F, F, F, F}},
+        {"bigfloat256", invalidRow<BigFloat>(probes), {T, F, F, F, F}},
+    };
+    std::vector<std::string> ids;
+    for (const Row &row : table) {
+        ids.push_back(row.id);
+        EXPECT_EQ(row.got, row.want) << row.id;
+    }
+    EXPECT_EQ(ids, FormatRegistry::instance().ids());
 }
 
 TEST(EvalEngine, ParallelForCoversEveryIndexExactlyOnce)
@@ -351,7 +403,7 @@ TEST(EvalEngine, BatchedForwardBitMatchesScalarReducedTier)
         EXPECT_TRUE(
             lg32[i].value ==
             RealTraits<LogFloat>::toBigFloat(
-                hmm::forwardLogNary32(w.model, w.obs).likelihood))
+                hmm::forwardLogNary<float>(w.model, w.obs).likelihood))
             << i;
     }
 }
@@ -680,7 +732,7 @@ TEST(EvalEngine, BackwardMatchesScalarTemplatesAndLogNary)
             << i;
         EXPECT_TRUE(lg32[i].value ==
                     RealTraits<LogFloat>::toBigFloat(
-                        hmm::backwardLogNary32(m, jobs[i].obs)
+                        hmm::backwardLogNary<float>(m, jobs[i].obs)
                             .likelihood))
             << i;
         EXPECT_TRUE(oracle[i].value ==

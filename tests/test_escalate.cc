@@ -42,6 +42,7 @@
 #include "pbd/screen.hh"
 #include "prop_util.hh"
 #include "stats/rng.hh"
+#include "shard_fixture.hh"
 #include "test_tmp.hh"
 
 namespace

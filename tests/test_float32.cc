@@ -18,9 +18,10 @@
 #include "core/bfloat16.hh"
 #include "core/binary32.hh"
 #include "core/compensated.hh"
-#include "core/logspace32.hh"
+#include "core/logspace.hh"
 #include "core/real_traits.hh"
 #include "pbd/pbd.hh"
+#include "stats/rng.hh"
 
 namespace
 {
@@ -268,17 +269,96 @@ TEST(LogFloat, SurvivesMagnitudesWhereLinear32Dies)
 
 TEST(LogFloat, LseMatchesFloatReference)
 {
-    const float terms[] = {-5.5f, -6.25f, -30.0f, -5.9f};
-    // Binary LSE against the closed form in float arithmetic.
-    const float want01 =
-        -5.5f + std::log1p(std::exp(-6.25f - -5.5f));
-    EXPECT_EQ(logSumExp(-5.5f, -6.25f), want01);
-    // N-ary LSE subtracts the max then sums exponentials in float.
-    float sum = 0.0f;
-    for (float t : terms)
-        sum += std::exp(t - -5.5f);
-    EXPECT_EQ(logSumExp(std::span<const float>(terms)),
-              -5.5f + std::log(sum));
+    // Both LSEs hold every intermediate in binary32 and take libm's
+    // float exp/log1p/log: a sweep against the float expressions
+    // written out, bit for bit. Evaluating in binary64 and rounding
+    // once at the end, or running the binary64 n-ary LSE's exp kernel,
+    // gives other bits on many of these inputs.
+    stats::Rng rng(25);
+    std::vector<float> terms;
+    for (int i = 0; i < 4000; ++i) {
+        const auto a = static_cast<float>(rng.uniform(-60.0, 5.0));
+        const auto b = static_cast<float>(rng.uniform(-60.0, 5.0));
+        const float m = a > b ? a : b;
+        const float lo = a > b ? b : a;
+        const float want = m + std::log1p(std::exp(lo - m));
+        ASSERT_EQ(logSumExp(a, b), want) << a << " " << b;
+        ASSERT_EQ((LogFloat::fromLn(a) + LogFloat::fromLn(b)).lnValue(),
+                  want)
+            << a << " " << b;
+
+        // N-ary: subtract the max, sum the exponentials in index order.
+        terms.resize(1 + i % 12);
+        for (float &t : terms)
+            t = static_cast<float>(rng.uniform(-30.0, 0.0));
+        float max = terms[0];
+        for (float t : terms)
+            max = t > max ? t : max;
+        float sum = 0.0f;
+        for (float t : terms)
+            sum += std::exp(t - max);
+        ASSERT_EQ(logSumExp(std::span<const float>(terms)),
+                  max + std::log(sum))
+            << i;
+    }
+    // Points where glibc's float exp and a binary64 exp rounded to
+    // binary32 differ by an ulp that survives the sum and the log: a
+    // kernel that rounds the binary64 exp gives other bits here.
+    for (const float x : {-0x1.ff1ff2p+0f, -0x1.fd0e3cp+0f,
+                          -0x1.fc8aa8p+0f, -0x1.fb6b9p+0f}) {
+        const float pair[] = {0.0f, x};
+        EXPECT_EQ(logSumExp(std::span<const float>(pair)),
+                  std::log(1.0f + std::exp(x)))
+            << x;
+    }
+}
+
+TEST(LogFloat, FromDoubleTakesTheLogInBinary64)
+{
+    // The input's ln is taken in binary64 and rounded once to binary32;
+    // taking it in the carrier (logf of the input cast to float) loses
+    // the input's low bits and every value below binary32's range.
+    stats::Rng rng(26);
+    for (int i = 0; i < 4000; ++i) {
+        const double x = std::exp2(rng.uniform(-1070.0, 0.0));
+        ASSERT_EQ(LogFloat::fromDouble(x).lnValue(),
+                  static_cast<float>(std::log(x)))
+            << x;
+    }
+}
+
+TEST(LogFloat, OracleConversionRoundsOnceAtBinary32Ties)
+{
+    // ln(v) lies a hair (2^-70 relative) off a binary32 midpoint, so
+    // the correctly rounded float is the neighbour on that side. Going
+    // through binary64 first lands exactly on the midpoint, and the
+    // second rounding breaks the tie to even — the wrong neighbour for
+    // one side of every midpoint. fromBigFloat must round once.
+    int hazards = 0;
+    for (const float f : {-0.75f, -1.5f, -3.0f, -100.25f, -7.0e4f,
+                          0.625f, 2.5f}) {
+        for (const float toward : {-INFINITY, INFINITY}) {
+            const double mid =
+                (static_cast<double>(f) +
+                 static_cast<double>(std::nextafter(f, toward))) /
+                2.0;
+            for (const bool up : {false, true}) {
+                const BigFloat hair =
+                    BigFloat::twoPow(std::ilogb(mid) - 70);
+                const BigFloat ln = up ? BigFloat::fromDouble(mid) + hair
+                                       : BigFloat::fromDouble(mid) - hair;
+                const float want = binary32FromBigFloat(ln);
+                ASSERT_EQ(ln.toDouble(), mid);
+                if (static_cast<float>(mid) != want)
+                    ++hazards;
+                EXPECT_EQ(
+                    LogFloat::fromBigFloat(BigFloat::exp(ln)).lnValue(),
+                    want)
+                    << f << " toward " << toward << (up ? " up" : " down");
+            }
+        }
+    }
+    EXPECT_EQ(hazards, 14); // one side of each of the 14 midpoints
 }
 
 TEST(LogFloat, OracleRoundTripIsCorrectlyRounded)

@@ -37,7 +37,7 @@ TEST_P(ForwardEnumeration, MatchesBruteForce)
     const auto [h, m, t_len] = GetParam();
     stats::Rng rng(static_cast<uint64_t>(h * 1000 + m * 10 + t_len));
     const Model model = makeDirichletModel(rng, h, m, 1.0);
-    ASSERT_TRUE(model.validate());
+    ASSERT_TRUE(validate(model));
     const auto obs = sampleUniformObservations(rng, m, t_len);
 
     const double want = enumerateLikelihood(model, obs);
@@ -205,7 +205,7 @@ TEST(BaumWelch, OneStepDoesNotDecreaseLikelihood)
     const auto obs = sampleUniformObservations(rng, 4, 30);
 
     const Model updated = baumWelchStep<double>(model, obs);
-    ASSERT_TRUE(updated.validate(1e-6));
+    ASSERT_TRUE(validate(updated, 1e-6));
     const double before = forward<double>(model, obs).likelihood;
     const double after = forward<double>(updated, obs).likelihood;
     EXPECT_GE(after, before * (1.0 - 1e-9));
@@ -246,7 +246,7 @@ TEST(PosteriorDecode, PicksMostProbableStatePerPosition)
     model.a = {0.9, 0.1, 0.1, 0.9};
     model.b = {0.95, 0.05, 0.05, 0.95};
     model.pi = {0.5, 0.5};
-    ASSERT_TRUE(model.validate());
+    ASSERT_TRUE(validate(model));
     const std::vector<int> obs = {0, 0, 0, 1, 1, 1, 0, 0};
     const auto path = posteriorDecode<double>(model, obs);
     for (size_t t = 0; t < obs.size(); ++t)
@@ -278,7 +278,7 @@ TEST(Generators, DirichletModelIsValid)
     stats::Rng rng(58);
     for (int h : {2, 5, 13}) {
         const Model m = makeDirichletModel(rng, h, 16, 0.7);
-        EXPECT_TRUE(m.validate()) << h;
+        EXPECT_TRUE(validate(m)) << h;
     }
 }
 
@@ -289,7 +289,7 @@ TEST(Generators, PhyloModelStructure)
     config.num_states = 13;
     config.self_prob = 0.98;
     const Model m = makePhyloModel(rng, config);
-    ASSERT_TRUE(m.validate());
+    ASSERT_TRUE(validate(m));
     // Self-transitions dominate.
     for (int i = 0; i < m.num_states; ++i) {
         for (int j = 0; j < m.num_states; ++j) {
@@ -344,19 +344,19 @@ TEST(Generators, ObservationSymbolsInRange)
 TEST(ModelValidate, RejectsBadInputs)
 {
     Model m = smallModel(64);
-    EXPECT_TRUE(m.validate());
+    EXPECT_TRUE(validate(m));
     Model bad = m;
     bad.a[0] += 0.5; // row no longer sums to 1
-    EXPECT_FALSE(bad.validate());
+    EXPECT_FALSE(validate(bad));
     bad = m;
     bad.b[0] = 0.0; // emission likelihood must be positive
-    EXPECT_FALSE(bad.validate());
+    EXPECT_FALSE(validate(bad));
     bad = m;
     bad.pi.pop_back();
-    EXPECT_FALSE(bad.validate());
+    EXPECT_FALSE(validate(bad));
     bad = m;
     bad.num_states = 0;
-    EXPECT_FALSE(bad.validate());
+    EXPECT_FALSE(validate(bad));
 }
 
 TEST(ReduceTree, AllSizes)

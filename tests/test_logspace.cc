@@ -54,9 +54,9 @@ TEST(LogSumExp, NeverOverflows)
 
 TEST(LogSumExp, ZeroIdentity)
 {
-    EXPECT_EQ(logSumExp(-INFINITY, -5.0), -5.0);
-    EXPECT_EQ(logSumExp(-5.0, -INFINITY), -5.0);
-    EXPECT_EQ(logSumExp(-INFINITY, -INFINITY), -INFINITY);
+    EXPECT_EQ(logSumExp(-HUGE_VAL, -5.0), -5.0);
+    EXPECT_EQ(logSumExp(-5.0, -HUGE_VAL), -5.0);
+    EXPECT_EQ(logSumExp(-HUGE_VAL, -HUGE_VAL), -INFINITY);
 }
 
 TEST(LogSumExp, NaryMatchesBinaryChain)

@@ -26,6 +26,7 @@
 #include "io/shard_stream.hh"
 #include "pbd/dataset.hh"
 #include "prop_util.hh"
+#include "shard_fixture.hh"
 #include "test_tmp.hh"
 
 namespace

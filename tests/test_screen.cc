@@ -23,6 +23,7 @@
 #include "pbd/pbd.hh"
 #include "pbd/screen.hh"
 #include "prop_util.hh"
+#include "shard_fixture.hh"
 #include "test_tmp.hh"
 
 namespace

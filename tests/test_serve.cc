@@ -51,6 +51,7 @@
 #include "serve/client.hh"
 #include "serve/frame.hh"
 #include "serve/server.hh"
+#include "shard_fixture.hh"
 #include "test_tmp.hh"
 
 namespace

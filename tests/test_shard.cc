@@ -24,6 +24,7 @@
 #include "pbd/dataset.hh"
 #include "pbd/pbd.hh"
 #include "stats/rng.hh"
+#include "shard_fixture.hh"
 #include "test_tmp.hh"
 
 namespace

@@ -9,6 +9,7 @@
  */
 
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "io/shard_stream.hh"
 #include "pbd/dataset.hh"
 #include "prop_util.hh"
+#include "shard_fixture.hh"
 #include "test_tmp.hh"
 
 namespace
@@ -360,18 +362,30 @@ TEST(EvalEngineStream, ForwardStreamBitMatchesBatchEveryFormat)
     }
 }
 
-TEST(EvalEngineStream, StreamOverNoShardsIsEmpty)
+TEST(EvalEngineStream, StreamPlanWithoutShardPathsThrowsFromRun)
 {
+    // A plan names its shards: validatePlan accepts an empty list (a
+    // dumped template, filled in on replay), but run() has nothing to
+    // open and says so for every kernel with a stream source.
     engine::EvalEngine engine(2);
-    io::ShardStream stream(std::vector<std::string>{});
-    engine::EvalPlan plan = streamPlan("binary64", {});
+    stats::Rng rng(7);
+    const hmm::Model model = hmm::makeDirichletModel(rng, 2, 3);
     engine::PlanInputs inputs;
-    inputs.stream = &stream;
-    const engine::PlanRun run = engine.run(plan, inputs);
-    EXPECT_TRUE(run.results.empty());
-    EXPECT_EQ(run.stream.shards, 0u);
-    EXPECT_EQ(run.stream.items, 0u);
-    EXPECT_EQ(run.stream.peak_mapped_bytes, 0u);
+    inputs.model = &model;
+    for (const auto kernel :
+         {engine::PlanKernel::PValue, engine::PlanKernel::Forward}) {
+        engine::EvalPlan plan = streamPlan("binary64", {});
+        plan.kernel = kernel;
+        EXPECT_NO_THROW(engine::validatePlan(plan));
+        try {
+            engine.run(plan, inputs);
+            ADD_FAILURE() << "run() accepted a stream plan with no shards";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("no shard paths"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 } // namespace
