@@ -5,7 +5,9 @@
  *
  * (a) Listing-2 p-value batches: the SoA batch entry vs the scalar
  *     per-column loop, for binary64 and binary32 under both
- *     summation policies, over three realistic batch shapes:
+ *     summation policies, and for the scaled_dd oracle's plain sums
+ *     (its ScaledDD tile) on the two scans, over three realistic
+ *     batch shapes:
  *       - af_scan: the allele-fraction-threshold calling scan
  *         (K = 5% of coverage, a handful of small K classes) — the
  *         multi-column regime the SoA tiles are designed for, and
@@ -15,7 +17,9 @@
  *       - mixed: the variant-heavy deep-tail spectrum, where the
  *         few giant-K columns dominate total work, run bandwidth-
  *         bound, and cap the achievable batch speedup — reported
- *         honestly, not claimed as the vector win.
+ *         honestly, not claimed as the vector win. No scaled_dd
+ *         rows: its K ~ 1500 columns would hold the scalar oracle
+ *         for minutes.
  * (b) The shipped `log` Accelerator forward (Listing 3, n-ary LSE)
  *     with the state loop vectorized, hmm::forwardLogNarySimd, vs
  *     Isa::Scalar (forwardLogNary itself), on the forward models of
@@ -35,9 +39,11 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench_util.hh"
+#include "core/dd.hh"
 #include "core/logspace.hh"
 #include "core/simd.hh"
 #include "hmm/forward.hh"
@@ -121,7 +127,9 @@ main()
                 const auto runBatch = [&](auto tag, simd::Isa isa,
                                           auto &out) {
                     using T = decltype(tag);
-                    if (compensated)
+                    if constexpr (std::is_same_v<T, ScaledDD>)
+                        pbd::pvalueBatchSimd<T>(batch, out, isa);
+                    else if (compensated)
                         pbd::pvalueBatchCompensatedSimd<T>(batch, out,
                                                            isa);
                     else
@@ -187,6 +195,8 @@ main()
                 };
                 sweep(double{}, "binary64");
                 sweep(float{}, "binary32");
+                if (!compensated && dataset != &mixed)
+                    sweep(ScaledDD{}, "scaled_dd");
             }
         }
         table.print();

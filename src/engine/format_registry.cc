@@ -157,6 +157,19 @@ class FormatOpsImpl final : public FormatOps
                 pbd::pvalueBatchSimd<T>(columns, values);
             for (size_t i = 0; i < values.size(); ++i)
                 out[i] = evalResultOf(values[i]);
+        } else if constexpr (std::is_same_v<T, ScaledDD>) {
+            // The oracle's plain sums run its ScaledDD tile, under the
+            // same contract. Its Neumaier sum subtracts, which the
+            // tile cannot: that stays per column.
+            if (sum == SumPolicy::Compensated) {
+                FormatOps::pbdPValueBatch(columns, sum, out);
+                return;
+            }
+            assert(columns.size() == out.size());
+            std::vector<ScaledDD> values(columns.size());
+            pbd::pvalueBatchSimd<ScaledDD>(columns, values);
+            for (size_t i = 0; i < values.size(); ++i)
+                out[i] = evalResultOf(values[i]);
         } else {
             FormatOps::pbdPValueBatch(columns, sum, out);
         }

@@ -16,14 +16,23 @@ namespace pstat::pbd
 namespace
 {
 
-/** The scalar oracle for one column under either policy. */
+/**
+ * The scalar oracle for one column under either policy. ScaledDD
+ * batches are plain-sum only: the registry keeps the oracle's
+ * Neumaier sum per column.
+ */
 template <typename T>
 T
 scalarPValue(const ColumnView &column, bool compensated)
 {
-    if (compensated)
-        return pvalueCompensated<T>(column.success_probs, column.k);
-    return pvalue<T>(column.success_probs, column.k);
+    if constexpr (std::is_same_v<T, ScaledDD>) {
+        assert(!compensated);
+        return pvalueOracle(column.success_probs, column.k);
+    } else {
+        if (compensated)
+            return pvalueCompensated<T>(column.success_probs, column.k);
+        return pvalue<T>(column.success_probs, column.k);
+    }
 }
 
 /**
@@ -125,6 +134,47 @@ tileBackendFor(simd::Isa isa)
     return backend;
 }
 
+/**
+ * The oracle's backend: the ScaledDD tile on AVX2, whose L1 cap
+ * (24-byte lanes) is K <= 170, and the scalar oracle for every
+ * column the tile does not take. The oracle has no row kernel and no
+ * NEON tile.
+ */
+template <>
+TileBackend<ScaledDD>
+tileBackendFor<ScaledDD>(simd::Isa isa)
+{
+    TileBackend<ScaledDD> backend;
+#if defined(PSTAT_SIMD_HAS_AVX2)
+    if (isa == simd::Isa::Avx2 && simd::isaSupported(isa)) {
+        backend.tile = [](const ColumnView *cols, ScaledDD *out, bool) {
+            detail::pvalueTileAvx2(cols, out);
+        };
+        backend.column = [](const ColumnView &column, ScaledDD *out,
+                            bool compensated) {
+            *out = scalarPValue<ScaledDD>(column, compensated);
+        };
+        backend.width = 4;
+        backend.k_tile_cap =
+            k_l1_budget_bytes / (2 * 4 * sizeof(ScaledDD));
+    }
+#else
+    (void)isa;
+#endif
+    return backend;
+}
+
+/** Every probability in [0, 1] (NaN fails): the oracle tile's domain. */
+bool
+inOracleTileDomain(const ColumnView &column)
+{
+    for (const double p : column.success_probs) {
+        if (!(p >= 0.0 && p <= 1.0))
+            return false;
+    }
+    return true;
+}
+
 template <typename T>
 void
 pvalueBatchImpl(std::span<const ColumnView> columns, std::span<T> out,
@@ -148,10 +198,17 @@ pvalueBatchImpl(std::span<const ColumnView> columns, std::span<T> out,
     std::vector<uint32_t> order;
     order.reserve(n);
     for (uint32_t i = 0; i < n; ++i) {
-        if (columns[i].k > 0)
+        if (columns[i].k > 0) {
+            if constexpr (std::is_same_v<T, ScaledDD>) {
+                if (!inOracleTileDomain(columns[i])) {
+                    out[i] = scalarPValue<T>(columns[i], compensated);
+                    continue;
+                }
+            }
             order.push_back(i);
-        else
+        } else {
             out[i] = RealTraits<T>::one();
+        }
     }
 
     // Tile lanes run in lockstep to the deepest lane's K and N — a
@@ -242,6 +299,8 @@ template void pvalueBatchSimd<double>(std::span<const ColumnView>,
                                       std::span<double>, simd::Isa);
 template void pvalueBatchSimd<float>(std::span<const ColumnView>,
                                      std::span<float>, simd::Isa);
+template void pvalueBatchSimd<ScaledDD>(std::span<const ColumnView>,
+                                        std::span<ScaledDD>, simd::Isa);
 template void
 pvalueBatchCompensatedSimd<double>(std::span<const ColumnView>,
                                    std::span<double>, simd::Isa);
@@ -264,6 +323,12 @@ pvalueTilePortable(const ColumnView *cols, float *out,
                    bool compensated)
 {
     pvalueTileRun<simd::ArrayVec<float, 8>>(cols, out, compensated);
+}
+
+void
+pvalueTilePortable(const ColumnView *cols, ScaledDD *out)
+{
+    pvalueTileOracleImpl<simd::ArrayVec<double, 4>>(cols, out);
 }
 
 void

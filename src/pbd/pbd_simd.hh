@@ -7,8 +7,9 @@
  * tiles (pbd_simd_tile.hh) and advancing all lanes per instruction.
  * Results are bit-identical, column by column, to the scalar
  * pvalue<T> / pvalueCompensated<T> oracles — the tests enforce this
- * for binary64 and binary32 on ragged batch shapes — so routing the
- * engine's default paths through here moves no committed baseline.
+ * for binary64, binary32 and the ScaledDD oracle on ragged batch
+ * shapes — so routing the engine's default paths through here moves
+ * no committed baseline.
  *
  * Columns are internally processed in descending N*K (total DP work)
  * order so that a tile's lanes share DP depth (a tile always runs to
@@ -27,6 +28,7 @@
 #include <span>
 #include <vector>
 
+#include "core/dd.hh"
 #include "core/simd.hh"
 #include "pbd/dataset.hh"
 
@@ -36,8 +38,10 @@ namespace pstat::pbd
 /**
  * Listing-2 p-values of every column under plain accumulation;
  * out[i] is bit-identical to pvalue<T>(columns[i]). T is double or
- * float (the formats with hardware lanes); out.size() must equal
- * columns.size().
+ * float (the formats with hardware lanes), or ScaledDD (the oracle:
+ * on AVX2 its columns run a ScaledDD SoA tile, every other ISA and
+ * every column past the tile's domain runs pvalueOracle);
+ * out.size() must equal columns.size().
  */
 template <typename T>
 void pvalueBatchSimd(std::span<const ColumnView> columns,
@@ -59,6 +63,9 @@ pvalueBatchSimd<double>(std::span<const ColumnView>,
 extern template void
 pvalueBatchSimd<float>(std::span<const ColumnView>, std::span<float>,
                        simd::Isa);
+extern template void
+pvalueBatchSimd<ScaledDD>(std::span<const ColumnView>,
+                          std::span<ScaledDD>, simd::Isa);
 extern template void
 pvalueBatchCompensatedSimd<double>(std::span<const ColumnView>,
                                    std::span<double>, simd::Isa);
@@ -108,6 +115,20 @@ void pvalueTilePortable(const ColumnView *cols, double *out,
                         bool compensated);
 void pvalueTilePortable(const ColumnView *cols, float *out,
                         bool compensated);
+
+/**
+ * One AVX2 ScaledDD tile (4 lanes, pvalueTileOracleImpl over
+ * Avx2DoubleVec): the plain-sum oracle p-values of 4 columns whose
+ * probabilities all lie in [0, 1]; defined in pbd_simd_avx2.cc,
+ * callable only when isaSupported(Isa::Avx2).
+ */
+void pvalueTileAvx2(const ColumnView *cols, ScaledDD *out);
+
+/**
+ * The same ScaledDD tile over ArrayVec<double, 4>: the portable
+ * reference the tests hold to pvalueOracle on any host.
+ */
+void pvalueTilePortable(const ColumnView *cols, ScaledDD *out);
 
 /** The portable ArrayVec row-vectorized column kernel (same role). */
 void pvalueColumnRowsPortable(const ColumnView &column, double *out,

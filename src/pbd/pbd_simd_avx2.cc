@@ -1,9 +1,9 @@
 /**
  * @file
- * AVX2 instantiations of the Listing-2 SoA tile kernel and of the
- * analytic bounds' read pass. Compiled with -mavx2 (see CMakeLists);
- * callable only when simd::isaSupported(Isa::Avx2) said yes at
- * runtime.
+ * AVX2 instantiations of the Listing-2 SoA tile kernels (binary64,
+ * binary32 and the ScaledDD oracle) and of the analytic bounds' read
+ * pass. Compiled with -mavx2 (see CMakeLists); callable only when
+ * simd::isaSupported(Isa::Avx2) said yes at runtime.
  */
 
 #include "core/simd.hh"
@@ -24,6 +24,12 @@ void
 pvalueTileAvx2(const ColumnView *cols, float *out, bool compensated)
 {
     pvalueTileRun<simd::Avx2FloatVec>(cols, out, compensated);
+}
+
+void
+pvalueTileAvx2(const ColumnView *cols, ScaledDD *out)
+{
+    pvalueTileOracleImpl<simd::Avx2DoubleVec>(cols, out);
 }
 
 void

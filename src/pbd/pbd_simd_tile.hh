@@ -40,12 +40,19 @@
  * Everything else is the scalar kernel's operation sequence verbatim,
  * in the same order, with -ffp-contract=off keeping multiplies and
  * adds unfused.
+ *
+ * The scaled_dd oracle's tile (pvalueTileOracleImpl, over the
+ * ScaledDDLanes lane type) keeps this dataflow; its own argument is
+ * with it below.
  */
 
 #ifndef PSTAT_PBD_PBD_SIMD_TILE_HH
 #define PSTAT_PBD_PBD_SIMD_TILE_HH
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -224,6 +231,332 @@ pvalueTileRun(const ColumnView *cols, typename Vec::Scalar *out,
         pvalueTileImpl<Vec, true>(cols, out);
     else
         pvalueTileImpl<Vec, false>(cols, out);
+}
+
+/**
+ * W ScaledDD values, one per lane, in three simd.hh double vectors:
+ * the mantissa's hi and lo, and exp2 as a double holding an exact
+ * integer. (|exp2| < 2^53 always holds here: each Listing-2 step
+ * lowers an exponent by at most 1074, and a column has fewer than
+ * 2^32 reads.) Vec is ArrayVec<double, W> or Avx2DoubleVec: the
+ * operators use min and shiftBitsLeft.
+ *
+ * The multiply and the add perform, lane by lane, exactly the IEEE
+ * operations of ScaledDD's operator* and operator+ (core/dd.hh);
+ * each branch of the scalar code becomes a compare and a select.
+ * That holds on the tile's domain: non-negative values whose
+ * mantissa renormalize() has put in [0.5, 1), and zero (mant = 0,
+ * exp2 = 0). The scalar constructor makes such a value of every
+ * probability in [0, 1], and the products and sums of such values
+ * stay in it. There
+ *  - a value is zero exactly when its hi is not positive, and a
+ *    product is zero exactly when an operand is;
+ *  - a product of two mantissas lands in [0.25, 1), or one rounding
+ *    step below 0.25 (0.5 - 2^-55 squared), and a sum in [0.5, 2]
+ *    (rounding can carry one up to exactly 2.0), or one step below
+ *    0.5. The renormalize step reads frexp's exponent by compares,
+ *    on [0.125, 1) after a multiply and on [0.25, 4) after an add;
+ *  - Dekker's split two-product is exact: the operands are below 4
+ *    and the error term is far above the subnormal range. It
+ *    therefore equals the scalar two-product's std::fma bit for bit,
+ *    with no FMA instruction;
+ *  - an alignment or renormalize shift by 2^-d is one multiply by
+ *    the exact power of two, as the scalar ldexp does it (dd.hh).
+ * Negative values, infinities and NaN are outside it.
+ */
+template <typename Vec>
+struct ScaledDDLanes
+{
+    static_assert(std::is_same_v<typename Vec::Scalar, double>,
+                  "ScaledDD lanes are binary64 vectors");
+    static constexpr int width = Vec::width;
+    using Mask = typename Vec::Mask;
+
+    Vec hi;
+    Vec lo;
+    Vec exp; //!< exp2, an exact integer held in a double
+
+    static ScaledDDLanes
+    zero()
+    {
+        return {Vec::broadcastZero(), Vec::broadcastZero(),
+                Vec::broadcastZero()};
+    }
+
+    /** Lanes from p[0, W) (hi), p[W, 2W) (lo) and p[2W, 3W) (exp2). */
+    static ScaledDDLanes
+    load(const double *p)
+    {
+        return {Vec::load(p), Vec::load(p + width),
+                Vec::load(p + 2 * width)};
+    }
+
+    /** The inverse of load. */
+    void
+    store(double *p) const
+    {
+        hi.store(p);
+        lo.store(p + width);
+        exp.store(p + 2 * width);
+    }
+
+    /** m ? t : f per lane, all three components. */
+    static ScaledDDLanes
+    select(const Mask &m, const ScaledDDLanes &t, const ScaledDDLanes &f)
+    {
+        return {Vec::select(m, t.hi, f.hi), Vec::select(m, t.lo, f.lo),
+                Vec::select(m, t.exp, f.exp)};
+    }
+
+    /** Lanes that are not zero. */
+    Mask
+    nonZero() const
+    {
+        return Vec::lessThan(Vec::broadcastZero(), hi);
+    }
+
+    /**
+     * A multiplier with the Dekker halves of its hi computed once:
+     * a DP step multiplies every row by the same p and q.
+     */
+    struct Factor
+    {
+        ScaledDDLanes v;
+        Vec hi_hi; //!< the top 26 bits of v.hi
+        Vec hi_lo; //!< v.hi - hi_hi
+    };
+
+    /** b with its hi split (Dekker, 2^27 + 1). */
+    static Factor
+    factor(const ScaledDDLanes &b)
+    {
+        const Vec c = Vec::broadcast(134217729.0) * b.hi;
+        const Vec top = c - (c - b.hi);
+        return {b, top, b.hi - top};
+    }
+
+    /** ScaledDD::operator* per lane: a * f.v, with f.v pre-split. */
+    friend ScaledDDLanes
+    operator*(const ScaledDDLanes &a, const Factor &f)
+    {
+        const ScaledDDLanes &b = f.v;
+        const Factor fa = factor(a);
+        // DD multiply: the two-product of the his (Dekker's, in the
+        // order of Ogita, Rump and Oishi's TwoProduct), the cross
+        // terms, then quickTwoSum.
+        const Vec p = a.hi * b.hi;
+        const Vec err =
+            fa.hi_lo * f.hi_lo -
+            (((p - fa.hi_hi * f.hi_hi) - fa.hi_lo * f.hi_hi) -
+             fa.hi_hi * f.hi_lo);
+        const Vec plo = err + (a.hi * b.lo + a.lo * b.hi);
+        const Vec s = p + plo;
+        const Vec lo = plo - (s - p);
+        // renormalize(): s is in [0.125, 1), so frexp's exponent is
+        // -2, -1 or 0.
+        const Vec e = Vec::select(
+            Vec::lessThan(s, Vec::broadcast(0.5)),
+            Vec::select(Vec::lessThan(s, Vec::broadcast(0.25)),
+                        Vec::broadcast(-2.0), Vec::broadcast(-1.0)),
+            Vec::broadcastZero());
+        return select(Vec::lessThan(Vec::broadcastZero(), p),
+                      scaled(s, lo, a.exp + b.exp, e), zero());
+    }
+
+    /** ScaledDD::operator+ per lane. */
+    friend ScaledDDLanes
+    operator+(const ScaledDDLanes &a, const ScaledDDLanes &b)
+    {
+        // The operand with the larger exponent is big; ties go to a.
+        const Mask b_bigger = Vec::lessThan(a.exp, b.exp);
+        const ScaledDDLanes big = select(b_bigger, b, a);
+        const ScaledDDLanes sml = select(b_bigger, a, b);
+        const Vec d = big.exp - sml.exp;
+        // ldexp(sml.mant, -d), the shift capped where the d > 120
+        // select below discards the sum anyway.
+        const Vec shift = pow2Neg(Vec::min(d, Vec::broadcast(121.0)));
+        const Vec shi = sml.hi * shift;
+        const Vec slo = sml.lo * shift;
+        // DD add: twoSum of the his, the los folded in, quickTwoSum.
+        const Vec s = big.hi + shi;
+        const Vec v = s - big.hi;
+        const Vec t = (big.hi - (s - v)) + (shi - v);
+        const Vec tlo = t + (big.lo + slo);
+        const Vec h = s + tlo;
+        // renormalize(): h is in [0.25, 4), so frexp's exponent is
+        // -1, 0, 1 or 2.
+        const Vec e = Vec::select(
+            Vec::lessThan(h, Vec::broadcast(1.0)),
+            Vec::select(Vec::lessThan(h, Vec::broadcast(0.5)),
+                        Vec::broadcast(-1.0), Vec::broadcastZero()),
+            Vec::select(Vec::lessThan(h, Vec::broadcast(2.0)),
+                        Vec::broadcast(1.0), Vec::broadcast(2.0)));
+        ScaledDDLanes out = scaled(h, tlo - (h - s), big.exp, e);
+        // d > 120: below DD's significance, the sum is big.
+        out = select(Vec::lessThan(Vec::broadcast(120.0), d), big, out);
+        out = select(b.nonZero(), out, a);
+        return select(a.nonZero(), out, b);
+    }
+
+  private:
+    /** 2^-e for integer lanes e with 1023 - e in [1, 2046]. */
+    static Vec
+    pow2Neg(const Vec &e)
+    {
+        // 2^52 + (1023 - e) holds the biased exponent of 2^-e in its
+        // low mantissa bits; shifting them into the exponent field
+        // leaves a zero fraction and sign.
+        return (Vec::broadcast(0x1p52 + 1023.0) - e)
+            .template shiftBitsLeft<52>();
+    }
+
+    /**
+     * The end of renormalize() on a nonzero mantissa hi + lo whose
+     * frexp exponent is e: both components times 2^-e, and exp2 + e.
+     * For e = 0 the multiply by 1 changes nothing, as the scalar
+     * code's skipped ldexp.
+     */
+    static ScaledDDLanes
+    scaled(const Vec &hi, const Vec &lo, const Vec &exp, const Vec &e)
+    {
+        const Vec scale = pow2Neg(e);
+        return {hi * scale, lo * scale, exp + e};
+    }
+};
+
+/** Steps of p and 1 - p the oracle tile transposes at a time. */
+inline constexpr size_t k_oracle_block_steps = 64;
+
+/**
+ * The Listing-2 DP in ScaledDD over one SoA tile of Vec::width
+ * columns (the scaled_dd oracle's plain-sum batch); out gets each
+ * lane's p-value, bit-identical to pvalueOracle on its column.
+ *
+ * The dataflow is pvalueTileImpl's: one DP row of every lane per
+ * load, lanes past their own N padded with p = 0 and q = 1, k <= 0
+ * lanes inert. Two things differ, because ScaledDD is not an IEEE
+ * scalar:
+ *  - p and 1 - p are converted by the scalar ScaledDD constructor
+ *    (so zero and subnormal probabilities never reach lane code),
+ *    k_oracle_block_steps steps at a time: a whole column of three
+ *    components per lane would be megabytes on deep columns;
+ *  - a ragged-K tile adds every lane's tail term without the 0/1
+ *    flag factor, since x * one() is a ScaledDD multiply, which can
+ *    round a subnormal lo. No gate is needed: DP row k is first
+ *    written at step k, so before a lane's step K its tail row is
+ *    still the zero it started as, and after its own N its p is
+ *    zero. Either way the term is zero, and adding zero returns the
+ *    sum unchanged. (k <= 0 lanes add garbage; their slot is
+ *    overwritten with one().)
+ * Every probability must lie in [0, 1]: the batch dispatcher sends
+ * other columns to the scalar oracle.
+ */
+template <typename Vec>
+void
+pvalueTileOracleImpl(const ColumnView *cols, ScaledDD *out)
+{
+    using Lanes = ScaledDDLanes<Vec>;
+    constexpr int W = Vec::width;
+    constexpr size_t R = 3 * W; // doubles per DP row: hi, lo, exp2
+
+    size_t kcap[W];
+    size_t kmax = 1;
+    size_t kmin = 0;
+    size_t nmax = 0;
+    bool kequal = true;
+    for (int c = 0; c < W; ++c) {
+        kcap[c] = cols[c].k > 0 ? static_cast<size_t>(cols[c].k) : 1;
+        if (kcap[c] > kmax)
+            kmax = kcap[c];
+        if (kcap[c] < kmin || kmin == 0)
+            kmin = kcap[c];
+        kequal = kequal && kcap[c] == kcap[0];
+        if (cols[c].success_probs.size() > nmax)
+            nmax = cols[c].success_probs.size();
+    }
+
+    TileScratch<double> &scratch = TileScratch<double>::get();
+    if (scratch.pq.size() < k_oracle_block_steps * 2 * R)
+        scratch.pq.resize(k_oracle_block_steps * 2 * R);
+    double *pq = scratch.pq.data();
+
+    // Double-buffered DP rows, all zero but row 0 of pr_prev, which
+    // is one() = 0.5 * 2^1.
+    scratch.dp.assign(2 * kmax * R, 0.0);
+    double *pr_prev = scratch.dp.data();
+    double *pr = scratch.dp.data() + kmax * R;
+    for (int c = 0; c < W; ++c) {
+        pr_prev[c] = 0.5;
+        pr_prev[2 * W + c] = 1.0;
+    }
+
+    const auto put = [](double *lanes, int c, const ScaledDD &v) {
+        lanes[c] = v.mant.hi;
+        lanes[W + c] = v.mant.lo;
+        lanes[2 * W + c] = static_cast<double>(v.exp2);
+    };
+
+    Lanes sum = Lanes::zero();
+    alignas(64) double tbuf[R];
+
+    for (size_t n0 = 0; n0 < nmax; n0 += k_oracle_block_steps) {
+        const size_t steps = std::min(k_oracle_block_steps, nmax - n0);
+        // Step s of the block: p at pq[2Rs], q at pq[2Rs + R].
+        for (int c = 0; c < W; ++c) {
+            const std::span<const double> probs = cols[c].success_probs;
+            for (size_t s = 0; s < steps; ++s) {
+                const size_t n = n0 + s;
+                double *step = pq + 2 * R * s;
+                if (n < probs.size()) {
+                    put(step, c, ScaledDD(probs[n]));
+                    put(step + R, c, ScaledDD(1.0 - probs[n]));
+                } else {
+                    put(step, c, ScaledDD::zero());
+                    put(step + R, c, ScaledDD::one());
+                }
+            }
+        }
+
+        for (size_t s = 0; s < steps; ++s) {
+            const size_t n = n0 + s + 1;
+            const auto p = Lanes::factor(Lanes::load(pq + 2 * R * s));
+            const auto q = Lanes::factor(Lanes::load(pq + 2 * R * s + R));
+
+            if (n >= kmin) {
+                if (kequal) {
+                    sum = sum + Lanes::load(pr_prev + (kmin - 1) * R) * p;
+                } else {
+                    for (int c = 0; c < W; ++c) {
+                        const double *row = pr_prev + (kcap[c] - 1) * R;
+                        tbuf[c] = row[c];
+                        tbuf[W + c] = row[W + c];
+                        tbuf[2 * W + c] = row[2 * W + c];
+                    }
+                    sum = sum + Lanes::load(tbuf) * p;
+                }
+            }
+
+            const size_t hi = n < kmax - 1 ? n : kmax - 1;
+            for (size_t k = hi; k >= 1; --k) {
+                (Lanes::load(pr_prev + k * R) * q +
+                 Lanes::load(pr_prev + (k - 1) * R) * p)
+                    .store(pr + k * R);
+            }
+            (Lanes::load(pr_prev) * q).store(pr);
+            std::swap(pr, pr_prev);
+        }
+    }
+
+    alignas(64) double total[R];
+    sum.store(total);
+    for (int c = 0; c < W; ++c) {
+        if (cols[c].k <= 0) {
+            out[c] = ScaledDD::one();
+            continue;
+        }
+        out[c].mant = DD(total[c], total[W + c]);
+        out[c].exp2 = static_cast<int64_t>(total[2 * W + c]);
+    }
 }
 
 /**

@@ -17,7 +17,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <initializer_list>
-#include <regex>
 #include <string>
 #include <vector>
 
@@ -550,19 +549,53 @@ format(const char *fmt, ...)
     return buf;
 }
 
+/** The length of the run of decimal digits at text[pos]. */
+size_t
+digitRun(const std::string &text, size_t pos)
+{
+    size_t end = pos;
+    while (end < text.size() && text[end] >= '0' && text[end] <= '9')
+        ++end;
+    return end - pos;
+}
+
 /**
  * Mask the report's two timing-dependent fields: how far the shard
- * prefetch thread got ahead (peak queue depth) and the per-tier
- * wall-clock column.
+ * prefetch thread got ahead ("peak queue N" becomes "peak queue *")
+ * and the per-tier wall-clock column (", D+.DD ms" ending a line
+ * becomes ", * ms"). A plain left-to-right scan with no <regex>: GCC
+ * 12 warns inside <regex>'s std::function when it compiles under
+ * the sanitizers.
  */
 std::string
 maskTimings(const std::string &report)
 {
-    static const std::regex queue("peak queue [0-9]+");
-    static const std::regex tier_ms(", [0-9]+\\.[0-9]{2} ms\n");
-    return std::regex_replace(
-        std::regex_replace(report, queue, "peak queue *"), tier_ms,
-        ", * ms\n");
+    const auto at = [&report](size_t pos, const std::string &word) {
+        return report.compare(pos, word.size(), word) == 0;
+    };
+    const std::string queue = "peak queue ";
+    std::string masked;
+    for (size_t i = 0; i < report.size();) {
+        if (at(i, queue)) {
+            const size_t depth = digitRun(report, i + queue.size());
+            if (depth > 0) {
+                masked += queue + "*";
+                i += queue.size() + depth;
+                continue;
+            }
+        }
+        if (at(i, ", ")) {
+            const size_t dot = i + 2 + digitRun(report, i + 2);
+            if (dot > i + 2 && at(dot, ".") &&
+                digitRun(report, dot + 1) >= 2 && at(dot + 3, " ms\n")) {
+                masked += ", * ms\n";
+                i = dot + 7;
+                continue;
+            }
+        }
+        masked += report[i++];
+    }
+    return masked;
 }
 
 /** Fixture of the pinned report lines: two fixed shards + references. */

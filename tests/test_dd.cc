@@ -4,6 +4,9 @@
  */
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -162,6 +165,124 @@ TEST(ScaledDd, TraitsConversions)
     if (!err.isZero()) {
         EXPECT_LT(err.log2Abs(), -100.0);
     }
+}
+
+/** Bitwise equality of two doubles (NaN payloads and zero signs). */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** The libm form of ldexp(DD, e): each component through std::ldexp. */
+DD
+libmLdexp(const DD &a, int e)
+{
+    return {std::ldexp(a.hi, e), std::ldexp(a.lo, e)};
+}
+
+/** The libm form of ScaledDD(mant, exp2): frexp, then libmLdexp. */
+ScaledDD
+libmScaledDD(const DD &mant, int64_t exp2)
+{
+    ScaledDD out;
+    out.mant = mant;
+    out.exp2 = exp2;
+    if (mant.isZero()) {
+        out.exp2 = 0;
+        return out;
+    }
+    int e = 0;
+    std::frexp(mant.hi, &e);
+    if (e != 0) {
+        out.mant = libmLdexp(mant, -e);
+        out.exp2 += e;
+    }
+    return out;
+}
+
+TEST(ScaledDd, ExponentArithmeticMatchesLibm)
+{
+    // renormalize() reads frexp's exponent off a normal hi's bits,
+    // and ldexp(DD, e) multiplies by the exact 2^e where that rounds
+    // as std::ldexp does. Both must return libm's bits everywhere,
+    // edges and special values included.
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    constexpr double denorm = std::numeric_limits<double>::denorm_min();
+    std::vector<double> values{
+        0.0, -0.0, denorm, -denorm, 0x1.2345p-1030, -0x1.fffffp-1023,
+        0x1p-1023, 0x1p-1024, 0x1p-1025, 0x1p-1022, -0x1p-1022,
+        0x1.fffffffffffffp1023, -0x1.fffffffffffffp1023, 0x1p1023,
+        0x1.8p1000, 0.5, 0.75, 1.0, -1.0, 2.0, -0.3, 1e300, -1e-300,
+        inf, -inf, nan};
+    pstat::stats::Rng rng(29);
+    for (int i = 0; i < 400; ++i) {
+        const double v = std::ldexp(rng.uniform(0.5, 1.0),
+                                    static_cast<int>(rng.below(2100)) -
+                                        1050);
+        values.push_back(rng.chance(0.5) ? v : -v);
+    }
+
+    // ldexp(DD, e): every value as hi and as lo, every exponent edge
+    // (2^e subnormal at -1023, infinite at 1024), and scales that
+    // take a normal value subnormal or to zero.
+    const std::vector<int> exps{-2100, -1100, -1075, -1074, -1060,
+                                -1024, -1023, -1022, -1021, -120,
+                                -60,   -1,    0,     1,     60,
+                                1021,  1022,  1023,  1024,  1025,
+                                2100};
+    for (const double hi : values) {
+        for (const int e : exps) {
+            const DD a(hi, values[static_cast<size_t>(e + 2100) %
+                                  values.size()]);
+            const DD got = pstat::ldexp(a, e);
+            const DD want = libmLdexp(a, e);
+            EXPECT_TRUE(sameBits(got.hi, want.hi) &&
+                        sameBits(got.lo, want.lo))
+                << std::hexfloat << a.hi << " " << a.lo << " e=" << e;
+        }
+    }
+    for (int i = 0; i < 2000; ++i) {
+        const DD a(values[rng.below(values.size())],
+                   values[rng.below(values.size())]);
+        const int e = static_cast<int>(rng.below(4301)) - 2150;
+        const DD got = pstat::ldexp(a, e);
+        const DD want = libmLdexp(a, e);
+        EXPECT_TRUE(sameBits(got.hi, want.hi) &&
+                    sameBits(got.lo, want.lo))
+            << std::hexfloat << a.hi << " " << a.lo << " e=" << e;
+    }
+
+    // renormalize(), through ScaledDD(DD, exp2): every value as hi,
+    // with a lo of its own size class that the scale can make
+    // subnormal, and the constructor's result already normalized (so
+    // the operators' former second renormalize() was a no-op).
+    for (const double hi : values) {
+        for (const double lo :
+             {0.0, -0.0, denorm, std::ldexp(hi, -53),
+              std::ldexp(hi, -60) * 0x1.fffffffffffffp0, -0x1.555p-30,
+              0x1p-1070}) {
+            const DD mant(hi, std::isfinite(lo) ? lo : 0.0);
+            for (const int64_t exp2 : {int64_t{0}, int64_t{-7},
+                                       int64_t{1} << 40}) {
+                const ScaledDD got(mant, exp2);
+                const ScaledDD want = libmScaledDD(mant, exp2);
+                EXPECT_TRUE(sameBits(got.mant.hi, want.mant.hi) &&
+                            sameBits(got.mant.lo, want.mant.lo) &&
+                            got.exp2 == want.exp2)
+                    << std::hexfloat << mant.hi << " " << mant.lo;
+                ScaledDD again = got;
+                again.renormalize();
+                EXPECT_TRUE(sameBits(again.mant.hi, got.mant.hi) &&
+                            sameBits(again.mant.lo, got.mant.lo) &&
+                            again.exp2 == got.exp2)
+                    << std::hexfloat << mant.hi << " " << mant.lo;
+            }
+        }
+    }
+    EXPECT_TRUE(sameBits(ScaledDD(denorm).mant.hi, 0.5));
+    EXPECT_EQ(ScaledDD(denorm).exp2, -1073);
 }
 
 } // namespace

@@ -3,9 +3,10 @@
  * Bit-identity tests for the SIMD layer (core/simd.hh and friends).
  *
  * The contract under test: every vector kernel returns results
- * bit-identical to its scalar oracle for binary64 / binary32 on any
- * input, including ragged sizes (n % lane_width != 0, n < width,
- * empty spans) and special-value lanes (-inf / NaN / subnormal).
+ * bit-identical to its scalar oracle for binary64 / binary32 (and
+ * ScaledDD, for the scaled_dd oracle's p-value tile) on any input,
+ * including ragged sizes (n % lane_width != 0, n < width, empty
+ * spans) and special-value lanes (-inf / NaN / subnormal).
  * Unsupported ISA requests must fall back to the scalar path, so
  * every test loops over simd::supportedIsas() via the public
  * dispatch — plus the portable ArrayVec backends directly, which
@@ -13,10 +14,14 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <span>
+#include <sstream>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,6 +36,7 @@
 #include "pbd/dataset.hh"
 #include "pbd/pbd.hh"
 #include "pbd/pbd_simd.hh"
+#include "pbd/pbd_simd_tile.hh"
 #include "pbd/read_pass.hh"
 #include "stats/rng.hh"
 
@@ -55,6 +61,20 @@ oracle(const pbd::ColumnView &view, bool compensated)
     if (compensated)
         return pbd::pvalueCompensated<T>(view.success_probs, view.k);
     return pbd::pvalue<T>(view.success_probs, view.k);
+}
+
+/** A value for a failure message; ScaledDD shows its three fields. */
+template <typename T>
+std::string
+describe(const T &v)
+{
+    std::ostringstream os;
+    if constexpr (std::is_same_v<T, ScaledDD>)
+        os << std::hexfloat << v.mant.hi << " + " << v.mant.lo
+           << " * 2^" << std::dec << v.exp2;
+    else
+        os << v;
+    return os.str();
 }
 
 /** The all-ISAs list, including ones this host cannot run. */
@@ -389,14 +409,23 @@ template <typename T>
 void
 runPbdBatchAgainstOracle(const std::vector<pbd::Column> &cols)
 {
+    // ScaledDD batches are plain-sum only: the registry keeps the
+    // oracle's Neumaier sum per column.
+    constexpr bool kPlainOnly = std::is_same_v<T, ScaledDD>;
     const std::vector<pbd::ColumnView> views = pbd::viewsOf(cols);
     std::vector<T> out(views.size());
     for (simd::Isa isa : allIsas()) {
         for (bool compensated : {false, true}) {
-            if (compensated)
-                pbd::pvalueBatchCompensatedSimd<T>(views, out, isa);
-            else
+            if constexpr (kPlainOnly) {
+                if (compensated)
+                    continue;
                 pbd::pvalueBatchSimd<T>(views, out, isa);
+            } else {
+                if (compensated)
+                    pbd::pvalueBatchCompensatedSimd<T>(views, out, isa);
+                else
+                    pbd::pvalueBatchSimd<T>(views, out, isa);
+            }
             for (size_t i = 0; i < views.size(); ++i) {
                 const T want = oracle<T>(views[i], compensated);
                 EXPECT_TRUE(bitsEqual(out[i], want))
@@ -404,7 +433,8 @@ runPbdBatchAgainstOracle(const std::vector<pbd::Column> &cols)
                     << " compensated=" << compensated
                     << " column=" << i << " k=" << views[i].k
                     << " n=" << views[i].coverage()
-                    << " simd=" << out[i] << " oracle=" << want;
+                    << " simd=" << describe(out[i])
+                    << " oracle=" << describe(want);
             }
         }
     }
@@ -418,6 +448,78 @@ TEST(SimdPbd, BatchBitIdenticalToScalarOracleF64)
 TEST(SimdPbd, BatchBitIdenticalToScalarOracleF32)
 {
     runPbdBatchAgainstOracle<float>(makeRaggedColumns());
+}
+
+/**
+ * The oracle's ragged batch: makeRaggedColumns without its nine
+ * K > 600 columns (a scalar ScaledDD DP each), plus what the
+ * ScaledDD tile and its dispatcher must get right on their own.
+ */
+std::vector<pbd::Column>
+makeOracleColumns()
+{
+    std::vector<pbd::Column> cols = makeRaggedColumns();
+    cols.resize(cols.size() - 9);
+    stats::Rng rng(17);
+    const auto column = [&cols](std::vector<double> probs, int k) {
+        pbd::Column col;
+        col.success_probs = std::move(probs);
+        col.k = k;
+        cols.push_back(std::move(col));
+    };
+
+    // Exact factors: p = 0 zeroes a product, p = 1 zeroes q. A
+    // column of zeros has an exactly zero tail; -0.0 is a zero too.
+    column({0.0, 0.0, 0.0, 0.0, 0.0, 0.0}, 2);
+    column({1.0, 0.0, 1.0, 0.25, 0.0, 1.0, -0.0, 0.5}, 3);
+    column({1.0, 1.0, 1.0, 1.0}, 2);
+    column({0.0, 0.1, -0.0, 0.2, 0.0, 0.3, 0.0}, 1);
+
+    // Subnormal probabilities: ScaledDD's constructor takes libm's
+    // frexp path, and the DP spans thousands of binary exponents.
+    column({5e-324, 2.2e-308, 0x1p-1050, 0.3, 1e-310, 0.7}, 2);
+    column({0x1.fffffffffffffp-1023, 5e-324, 5e-324, 0.5}, 1);
+
+    // Columns at the tile's L1 cap (K = 170 tiles) and past it
+    // (K = 171 and up run the scalar oracle), each a full lane
+    // group.
+    for (int i = 0; i < 4; ++i) {
+        std::vector<double> probs(190 + i * 3);
+        for (auto &p : probs)
+            p = rng.uniform(0.2, 0.9);
+        column(std::move(probs), 170);
+    }
+    for (int i = 0; i < 5; ++i) {
+        std::vector<double> probs(200 + i * 7);
+        for (auto &p : probs)
+            p = rng.uniform(0.2, 0.9);
+        column(std::move(probs), 171 + i);
+    }
+
+    // Outside [0, 1] (and NaN): the dispatcher hands these to the
+    // scalar oracle, whose bits they must keep.
+    column({0.2, 1.5, 0.1, 0.3}, 1);
+    column({0.1, std::numeric_limits<double>::quiet_NaN(), 0.2}, 1);
+    column({0.4, -0.25, 0.3, 0.2}, 2);
+
+    // Whole 4-lane groups: with no sub-tile remainder, every column
+    // the tile may take, the special values above included, runs in
+    // a tile (or, past the cap, its group runs the scalar oracle).
+    const auto tiled = std::count_if(
+        cols.begin(), cols.end(), [](const pbd::Column &col) {
+            return col.k > 0 &&
+                   std::all_of(col.success_probs.begin(),
+                               col.success_probs.end(),
+                               [](double p) { return p >= 0.0 && p <= 1.0; });
+        });
+    for (auto i = tiled; i % 4 != 0; ++i)
+        column({0.5, 0.25, 0.125}, 1);
+    return cols;
+}
+
+TEST(SimdPbd, BatchBitIdenticalToScalarOracleScaledDD)
+{
+    runPbdBatchAgainstOracle<ScaledDD>(makeOracleColumns());
 }
 
 TEST(SimdPbd, BatchesSmallerThanLaneWidth)
@@ -509,6 +611,182 @@ TEST(SimdPbd, PortableTileMatchesOracleF64)
 TEST(SimdPbd, PortableTileMatchesOracleF32)
 {
     runPortableTileAgainstOracle<float, 8>();
+}
+
+TEST(SimdPbd, PortableTileMatchesOracleScaledDD)
+{
+    // The ScaledDD tile called directly, one 4-lane group at a time:
+    // ragged K (the select-gated tail), shared K, and lanes that
+    // the batch dispatcher would never hand it (K <= 0, K > N, an
+    // empty column, K past the L1 cap).
+    constexpr int W = 4;
+    stats::Rng rng(23);
+    const auto random = [&rng](size_t n, double lo, double hi) {
+        std::vector<double> probs(n);
+        for (auto &p : probs)
+            p = rng.uniform(lo, hi);
+        return probs;
+    };
+    struct Lane
+    {
+        std::vector<double> probs;
+        int k;
+    };
+    const std::vector<std::array<Lane, W>> groups = {
+        {{{random(20, 1e-5, 0.3), 2},
+          {random(27, 1e-5, 0.3), 5},
+          {random(34, 1e-5, 0.3), 8},
+          {random(41, 1e-5, 0.3), 11}}},
+        {{{random(30, 1e-5, 0.3), 6},
+          {random(31, 1e-5, 0.3), 6},
+          {random(32, 1e-5, 0.3), 6},
+          {random(33, 1e-5, 0.3), 6}}},
+        {{{random(12, 1e-5, 0.3), 4},
+          {random(15, 1e-5, 0.3), 0},
+          {random(18, 1e-5, 0.3), -2},
+          {random(21, 1e-5, 0.3), 4}}},
+        {{{random(10, 0.01, 0.2), 15},
+          {{}, 3},
+          {{}, 0},
+          {random(9, 0.01, 0.2), 2}}},
+        {{{{0.0, 1.0, 0.0, 0.5, 1.0, 0.0}, 2},
+          {{5e-324, 0.5, 2.2e-308, 1e-300, 0.25}, 2},
+          {{1.0, 1.0, 1.0}, 3},
+          {{0.0, 0.0, 0.0, 0.0}, 1}}},
+        {{{random(200, 0.3, 0.8), 180},
+          {random(150, 0.3, 0.8), 171},
+          {random(190, 0.3, 0.8), 175},
+          {random(220, 0.05, 0.8), 3}}},
+        // Long enough to cross the transposition's step blocks.
+        {{{random(300, 0.01, 0.5), 9},
+          {random(64, 0.01, 0.5), 9},
+          {random(129, 0.01, 0.5), 4},
+          {random(65, 0.01, 0.5), 1}}},
+    };
+    for (size_t g = 0; g < groups.size(); ++g) {
+        std::vector<pbd::ColumnView> views;
+        for (const Lane &lane : groups[g])
+            views.push_back({lane.probs, lane.k});
+        ScaledDD out[W];
+        pbd::detail::pvalueTilePortable(views.data(), out);
+        for (int c = 0; c < W; ++c) {
+            const ScaledDD want = oracle<ScaledDD>(views[c], false);
+            EXPECT_TRUE(bitsEqual(out[c], want))
+                << "group=" << g << " lane=" << c << " k=" << views[c].k
+                << " tile=" << describe(out[c])
+                << " oracle=" << describe(want);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The ScaledDD lane operators of the oracle tile
+// ---------------------------------------------------------------------------
+
+using OracleLanes = pbd::detail::ScaledDDLanes<simd::ArrayVec<double, 4>>;
+
+/** A ScaledDD with exactly these fields (no renormalize). */
+ScaledDD
+scaledOf(double hi, double lo, int64_t exp2)
+{
+    ScaledDD v;
+    v.mant = DD(hi, lo);
+    v.exp2 = exp2;
+    return v;
+}
+
+/** a[op]b per lane against ScaledDD's own operator, field by field. */
+void
+checkLaneOps(const std::vector<std::pair<ScaledDD, ScaledDD>> &pairs)
+{
+    constexpr int W = OracleLanes::width;
+    for (size_t first = 0; first < pairs.size(); first += W) {
+        OracleLanes a = OracleLanes::zero();
+        OracleLanes b = OracleLanes::zero();
+        for (int c = 0; c < W && first + c < pairs.size(); ++c) {
+            const auto &[x, y] = pairs[first + c];
+            a.hi.lane[c] = x.mant.hi;
+            a.lo.lane[c] = x.mant.lo;
+            a.exp.lane[c] = static_cast<double>(x.exp2);
+            b.hi.lane[c] = y.mant.hi;
+            b.lo.lane[c] = y.mant.lo;
+            b.exp.lane[c] = static_cast<double>(y.exp2);
+        }
+        const OracleLanes prod = a * OracleLanes::factor(b);
+        const OracleLanes sum = a + b;
+        for (int c = 0; c < W && first + c < pairs.size(); ++c) {
+            const auto &[x, y] = pairs[first + c];
+            const auto lane = [c](const OracleLanes &v) {
+                return scaledOf(v.hi.lane[c], v.lo.lane[c],
+                                static_cast<int64_t>(v.exp.lane[c]));
+            };
+            EXPECT_TRUE(bitsEqual(lane(prod), x * y))
+                << describe(x) << " * " << describe(y) << ": lanes "
+                << describe(lane(prod)) << ", scalar "
+                << describe(x * y);
+            EXPECT_TRUE(bitsEqual(lane(sum), x + y))
+                << describe(x) << " + " << describe(y) << ": lanes "
+                << describe(lane(sum)) << ", scalar "
+                << describe(x + y);
+        }
+    }
+}
+
+TEST(SimdPbd, ScaledDdLanesMatchScalarOperators)
+{
+    const ScaledDD zero = ScaledDD::zero();
+    const ScaledDD x = scaledOf(0.75, 0x1p-56, -10);
+    const ScaledDD y = scaledOf(0.625, -0x1p-57, -3);
+    std::vector<std::pair<ScaledDD, ScaledDD>> pairs = {
+        // A zero operand, either side, and both.
+        {zero, x}, {x, zero}, {zero, zero}, {zero, y},
+    };
+
+    // Exponent gaps 0, 1, 120 and 121, the bigger exponent either
+    // side (a tie goes to the left operand).
+    for (const int64_t gap : {0, 1, 2, 119, 120, 121, 122, 500}) {
+        const ScaledDD small = scaledOf(0x1.fedcba9876543p-1,
+                                        0x1.3p-55, -10 - gap);
+        pairs.emplace_back(x, small);
+        pairs.emplace_back(small, x);
+    }
+
+    // lo at +-ulp(hi)/2, at both ends of the mantissa range.
+    const double top = std::nextafter(1.0, 0.0); // 1 - 2^-53
+    const std::vector<ScaledDD> edges = {
+        scaledOf(0.5, -0x1p-55, 0),  scaledOf(0.5, 0x1p-54, 0),
+        scaledOf(top, 0x1p-54, 0),   scaledOf(top, -0x1p-54, 0),
+        scaledOf(0.75, 0x1p-54, 0),  scaledOf(0.75, -0x1p-54, 0),
+        scaledOf(0.5, 0.0, 0),       scaledOf(0.5, 5e-324, -1),
+    };
+    for (const ScaledDD &a : edges) {
+        for (const ScaledDD &b : edges)
+            pairs.emplace_back(a, b);
+    }
+
+    // A sum that rounds up to exactly 2.0: (1 - 2^-53) + (1 - 2^-53)
+    // is 2 - 2^-52, and the los' 2^-53 ties it to even.
+    pairs.emplace_back(scaledOf(top, 0x1p-54, 7), scaledOf(top, 0x1p-54, 7));
+    // Products near 0.25: exactly 0.25, and one step below it.
+    pairs.emplace_back(scaledOf(0.5, 0.0, 3), scaledOf(0.5, 0.0, -9));
+    pairs.emplace_back(scaledOf(0.5, -0x1p-55, 3),
+                       scaledOf(0.5, -0x1p-55, -9));
+
+    // Values the DP forms: products and sums of probabilities.
+    stats::Rng rng(37);
+    for (int i = 0; i < 400; ++i) {
+        const double p = rng.chance(0.2) ? std::ldexp(rng.uniform(),
+                                                      -1070)
+                                         : rng.uniform(1e-9, 1.0);
+        ScaledDD a(p);
+        ScaledDD b(1.0 - rng.uniform(0.0, 0.5));
+        for (int j = 0; j < static_cast<int>(rng.below(6)); ++j) {
+            a = a * ScaledDD(rng.uniform(0.01, 1.0)) + b;
+            b = b * ScaledDD(rng.uniform(1e-6, 1.0));
+        }
+        pairs.emplace_back(a, b);
+    }
+    checkLaneOps(pairs);
 }
 
 // ---------------------------------------------------------------------------
@@ -760,6 +1038,14 @@ TEST(SimdEngine, PbdPValueBatchMatchesPerColumnEveryFormat)
     }
     const std::vector<pbd::ColumnView> views =
         pbd::viewsOf(ds.columns);
+    // On AVX2 the four K > 0 columns, K = {40, 1, 1} and the empty
+    // K = 1 one, make one ragged-K 4-lane tile: the binary64 and the
+    // scaled_dd oracle tile each run it.
+    ASSERT_EQ(std::count_if(views.begin(), views.end(),
+                            [](const pbd::ColumnView &v) {
+                                return v.k > 0;
+                            }),
+              4);
 
     const auto &registry = engine::FormatRegistry::instance();
     for (const auto *format : registry.all()) {
