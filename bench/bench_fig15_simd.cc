@@ -5,8 +5,9 @@
  *
  * (a) Listing-2 p-value batches: the SoA batch entry vs the scalar
  *     per-column loop, for binary64 and binary32 under both
- *     summation policies, and for the scaled_dd oracle's plain sums
- *     (its ScaledDD tile) on the two scans, over three realistic
+ *     summation policies, and for the plain sums of the scaled_dd
+ *     oracle (its ScaledDD tile) and of `log` (its ln-lanes tile on
+ *     the in-house LSE) on the two scans, over three realistic
  *     batch shapes:
  *       - af_scan: the allele-fraction-threshold calling scan
  *         (K = 5% of coverage, a handful of small K classes) — the
@@ -17,15 +18,22 @@
  *       - mixed: the variant-heavy deep-tail spectrum, where the
  *         few giant-K columns dominate total work, run bandwidth-
  *         bound, and cap the achievable batch speedup — reported
- *         honestly, not claimed as the vector win. No scaled_dd
- *         rows: its K ~ 1500 columns would hold the scalar oracle
- *         for minutes.
+ *         honestly, not claimed as the vector win. No scaled_dd or
+ *         log rows: their K ~ 1500 columns would hold the scalar
+ *         kernels for minutes.
  * (b) The shipped `log` Accelerator forward (Listing 3, n-ary LSE)
  *     with the state loop vectorized, hmm::forwardLogNarySimd, vs
  *     Isa::Scalar (forwardLogNary itself), on the forward models of
  *     (c).
  * (c) HMM forward with the state loop vectorized, vs the sequential
  *     scalar oracle.
+ * (d) The `log` tile's K cap (AVX2): per K, batches of equal-K
+ *     columns through the ln-lanes tile (4 columns a tile) and
+ *     through the row-vectorized column kernel, the two forms the
+ *     batch dispatcher chooses between. The tile wins while a step's
+ *     few rows leave it latency-bound on one LSE chain per step; the
+ *     row kernel wins once K rows fill its vectors. The dispatcher's
+ *     compiled cap (pbd_simd.cc) sits at the crossover.
  *
  * Every vector result is checked bit-identical against the scalar
  * path (the simd.hh contract): those booleans are accuracy fields in
@@ -127,7 +135,8 @@ main()
                 const auto runBatch = [&](auto tag, simd::Isa isa,
                                           auto &out) {
                     using T = decltype(tag);
-                    if constexpr (std::is_same_v<T, ScaledDD>)
+                    if constexpr (std::is_same_v<T, ScaledDD> ||
+                                  std::is_same_v<T, LogDouble>)
                         pbd::pvalueBatchSimd<T>(batch, out, isa);
                     else if (compensated)
                         pbd::pvalueBatchCompensatedSimd<T>(batch, out,
@@ -195,8 +204,10 @@ main()
                 };
                 sweep(double{}, "binary64");
                 sweep(float{}, "binary32");
-                if (!compensated && dataset != &mixed)
+                if (!compensated && dataset != &mixed) {
                     sweep(ScaledDD{}, "scaled_dd");
+                    sweep(LogDouble{}, "log");
+                }
             }
         }
         table.print();
@@ -342,6 +353,64 @@ main()
         table.print();
     }
 
+    // ---- (d) the log tile's K cap: tile vs row kernel per K
+    std::printf("\n--- (d) log tile cap (avx2): tile vs row kernel "
+                "---\n");
+    std::vector<bench::Json> cap_records;
+    const size_t log_tile_cap =
+        pbd::pvalueTileShape<LogDouble>(simd::Isa::Avx2).k_cap;
+    if (simd::isaSupported(simd::Isa::Avx2)) {
+        stats::TextTable table({"K", "columns", "tile ms", "rows ms",
+                                "tile speedup", "bit-identical"});
+        stats::Rng crng(1504);
+        const size_t count = static_cast<size_t>(bench::scaled(64, 16));
+        for (const int k : {2, 4, 8, 12, 16, 20, 24, 32, 48}) {
+            std::vector<pbd::Column> owned(count);
+            for (pbd::Column &col : owned) {
+                col.success_probs.resize(150 + crng.below(100));
+                for (double &p : col.success_probs)
+                    p = crng.uniform(1e-3, 0.05);
+                col.k = k;
+            }
+            const auto views = pbd::viewsOf(owned);
+            std::vector<LogDouble> tile_out(count);
+            std::vector<LogDouble> rows_out(count);
+            const auto tile_stats = bench::timeStats(5, [&] {
+                for (size_t i = 0; i + 4 <= count; i += 4)
+                    pbd::detail::pvalueTileAvx2(&views[i],
+                                                &tile_out[i]);
+            });
+            const auto rows_stats = bench::timeStats(5, [&] {
+                for (size_t i = 0; i < count; ++i)
+                    pbd::detail::pvalueColumnRowsAvx2(views[i],
+                                                      &rows_out[i]);
+            });
+            const bool identical =
+                bitsEqual(tile_out.data(), rows_out.data(),
+                          count * sizeof(LogDouble));
+            all_bit_identical = all_bit_identical && identical;
+            const double speedup =
+                tile_stats.min_ms > 0.0
+                    ? rows_stats.min_ms / tile_stats.min_ms
+                    : 0.0;
+            table.addRow({std::to_string(k), std::to_string(count),
+                          stats::formatDouble(tile_stats.min_ms, 2),
+                          stats::formatDouble(rows_stats.min_ms, 2),
+                          stats::formatDouble(speedup, 2),
+                          identical ? "yes" : "NO"});
+            cap_records.push_back(
+                bench::Json()
+                    .add("k", k)
+                    .add("columns", count)
+                    .add("tile_ms", tile_stats.min_ms)
+                    .add("rows_ms", rows_stats.min_ms)
+                    .add("tile_speedup", speedup)
+                    .add("bit_identical", identical));
+        }
+        table.print();
+        std::printf("compiled log tile cap: K <= %zu\n", log_tile_cap);
+    }
+
     const double wall_ms = total_timer.elapsedMs();
     std::printf("\nheadline: p-value af-scan batch %.2fx, forward "
                 "%.2fx, log forward %.2fx "
@@ -364,6 +433,8 @@ main()
             .add("all_bit_identical", all_bit_identical)
             .add("pbd", pbd_records)
             .add("log_forward", log_forward_records)
-            .add("forward", forward_records));
+            .add("forward", forward_records)
+            .add("log_tile_cap_k", log_tile_cap)
+            .add("log_tile_cap", cap_records));
     return all_bit_identical ? 0 : 1;
 }

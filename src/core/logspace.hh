@@ -11,6 +11,12 @@
  * representable (log-probabilities); invalid operations produce NaN,
  * mirroring software like Stan and LoFreq.
  *
+ * In binary64 the exps and the log1p of the LSEs are the in-house
+ * kernels of core/exp_kernel.hh, each within 1 ulp, which the SIMD
+ * tiles run per lane, so scalar and vector LogDouble arithmetic agree
+ * bit for bit. Input conversion (fromDouble) and the n-ary LSE's
+ * final log keep libm, and so does every binary32 operation.
+ *
  * LogDouble (binary64) is the paper's software baseline. LogFloat
  * (binary32) is the cheap end of the strategy: its range is
  * effectively unbounded for probability work (ln values near -2e6 sit
@@ -39,20 +45,32 @@ namespace pstat
 {
 
 /**
- * Binary LSE on raw log values: log(exp(lx) + exp(ly)) computed
- * stably as max + log1p(exp(min - max)) (Equation 2), every
- * intermediate in F.
+ * Binary LSE on raw binary64 log values: log(exp(lx) + exp(ly))
+ * computed stably as max + log1p(exp(min - max)) (Equation 2). It is
+ * the one-lane simd::logSumExp (core/exp_kernel.hh), on the in-house
+ * exp and log1p kernels, so every scalar LogDouble add and the lanes
+ * of the `log` p-value tile (pbd/pbd_simd_tile.hh) return the same
+ * bits. An operand of -inf returns the other operand.
  */
-template <std::floating_point F>
-inline F
-logSumExp(F lx, F ly)
+inline double
+logSumExp(double lx, double ly)
+{
+    return simd::logSumExp(lx, ly);
+}
+
+/**
+ * The binary LSE in binary32, every intermediate in float, on libm's
+ * exp and log1p: no vector tile runs this carrier.
+ */
+inline float
+logSumExp(float lx, float ly)
 {
     if (std::isinf(lx) && lx < 0)
         return ly;
     if (std::isinf(ly) && ly < 0)
         return lx;
-    const F m = lx > ly ? lx : ly;
-    const F other = lx > ly ? ly : lx;
+    const float m = lx > ly ? lx : ly;
+    const float other = lx > ly ? ly : lx;
     return m + std::log1p(std::exp(other - m));
 }
 
@@ -76,8 +94,9 @@ logAddNaive(double lx, double ly)
  * libm: every v - m lies in [-inf, 0] or is NaN, the kernel's
  * domain, and hmm::forwardLogNarySimd's vector tile runs the same
  * kernel per lane, so it stays bit-identical to the scalar n-ary
- * forward (and backward) built on this function. The binary LSE
- * above, and with it every p-value, keeps libm.
+ * forward (and backward) built on this function. Its final log
+ * keeps libm, so the n-ary results do not depend on the log1p
+ * kernel of the binary LSE above.
  */
 inline double
 logSumExp(std::span<const double> lvals)

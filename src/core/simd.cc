@@ -139,6 +139,20 @@ expKernelBatch(std::span<const double> x, std::span<double> out,
         out[i] = expKernel(x[i]);
 }
 
+void
+logSumExpBatch(std::span<const double> a, std::span<const double> b,
+               std::span<double> out, Isa isa)
+{
+    size_t i = 0;
+#if defined(PSTAT_SIMD_HAS_AVX2)
+    if (isa == Isa::Avx2 && isaSupported(Isa::Avx2))
+        i = logSumExpBatchAvx2(a, b, out);
+#endif
+    (void)isa;
+    for (; i < a.size(); ++i)
+        out[i] = logSumExp(a[i], b[i]);
+}
+
 } // namespace detail
 
 } // namespace pstat::simd

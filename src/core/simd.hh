@@ -13,7 +13,7 @@
  *     expose the same tiny interface (load/store/broadcast, + - *,
  *     abs, compare-lt + select; min, max, gather and shiftBitsLeft
  *     on ArrayVec and Avx2DoubleVec, for the analytic bounds' read
- *     pass and the in-house exp), and every operation is
+ *     pass and the in-house exp, log1p and LSE), and every operation is
  *     lane-wise — no horizontal instruction ever mixes lanes — so a
  *     kernel templated over a wrapper executes, per lane, exactly
  *     the scalar kernel's IEEE operation sequence. That is the whole
@@ -32,12 +32,15 @@
  *
  *  3. Two bit-level lane operations, gather (a table lookup by
  *     integer-valued lanes) and shiftBitsLeft (a lane's bit pattern
- *     shifted), which is all that core/exp_kernel.hh needs beyond
- *     arithmetic to write one branch-free exp over these wrappers.
- *     Both are exact, so that exp, too, runs the same IEEE operations
- *     per lane on every backend, and the scalar n-ary LSE
- *     (logSumExp(span) in core/logspace.hh) and the vector log-space
- *     forward tile (hmm::forwardLogNarySimd) share its bits.
+ *     shifted), which with min and max is all that
+ *     core/exp_kernel.hh needs beyond arithmetic to write one
+ *     branch-free exp, log1p and binary LSE over these wrappers.
+ *     Both are exact, so those kernels, too, run the same IEEE
+ *     operations per lane on every backend: the scalar LSEs of
+ *     core/logspace.hh (LogDouble's add and the n-ary logSumExp)
+ *     share their bits with the vector log-space forward tile
+ *     (hmm::forwardLogNarySimd) and the `log` p-value tile
+ *     (pbd::pvalueBatchSimd<LogDouble>).
  */
 
 #ifndef PSTAT_CORE_SIMD_HH

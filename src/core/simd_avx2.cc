@@ -1,9 +1,9 @@
 /**
  * @file
- * AVX2 instantiation of the in-house exp (core/exp_kernel.hh). This
- * translation unit is compiled with -mavx2 (see CMakeLists); nothing
- * in it may be called unless isaSupported(Isa::Avx2) said yes at
- * runtime.
+ * AVX2 instantiations of the in-house exp and of the lane LSE
+ * (core/exp_kernel.hh). This translation unit is compiled with
+ * -mavx2 (see CMakeLists); nothing in it may be called unless
+ * isaSupported(Isa::Avx2) said yes at runtime.
  */
 
 #include "core/exp_kernel.hh"
@@ -19,6 +19,18 @@ expKernelBatchAvx2(std::span<const double> x, std::span<double> out)
     size_t i = 0;
     for (; i + W <= x.size(); i += W)
         expKernel(Avx2DoubleVec::load(&x[i])).store(&out[i]);
+    return i;
+}
+
+size_t
+logSumExpBatchAvx2(std::span<const double> a, std::span<const double> b,
+                   std::span<double> out)
+{
+    constexpr size_t W = Avx2DoubleVec::width;
+    size_t i = 0;
+    for (; i + W <= a.size(); i += W)
+        logSumExp(Avx2DoubleVec::load(&a[i]), Avx2DoubleVec::load(&b[i]))
+            .store(&out[i]);
     return i;
 }
 

@@ -100,11 +100,19 @@ pbdFlushMassLog2(size_t n, int k, const ErrorModel &model)
 
 /**
  * Absolute wobble of the carried ln x accumulated by the Listing-2
- * DP in a log-domain format: per-operation error <= 8*u*(L+4) (one
- * LSE costs a subtraction of two budget-bounded logs, an exp, a
- * log1p, and an add, each relatively accurate to u), times a doubled
- * 5-per-trial-plus-accumulation path count. L is the column's
- * log-magnitude budget with ln(N+1) headroom for the partial sums.
+ * DP in a log-domain format: per-operation error <= 8*u*(L+4), times
+ * a doubled 5-per-trial-plus-accumulation path count. L is the
+ * column's log-magnitude budget with ln(N+1) headroom for the partial
+ * sums. The worst operation is one LSE, max + log1p(exp(min - max)),
+ * whose exp and log1p are each within one ulp, 2u relative (the
+ * in-house kernels of core/exp_kernel.hh in binary64; libm's in
+ * binary32): the subtraction errs by at most u|min - max| <= 2uL, of
+ * which at most half reaches the result; the exp errs by 2u
+ * relative, which moves the log1p by at most u; the log1p by 2u of a
+ * value at most ln 2; and the final add by u(L + 1). That sums to
+ * u(2L + 3.4), inside 8u(L + 4) by a factor of 4. A multiply (an add
+ * of logs) and an input conversion (libm's log) each err by at most
+ * 2uL.
  */
 double
 pbdLogWobble(const pbd::ColumnView &column, const ErrorModel &model)

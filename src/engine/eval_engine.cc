@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <utility>
@@ -25,6 +26,55 @@ storeInto(std::vector<EvalResult> &out)
         for (size_t j = 0; j < indices.size(); ++j)
             out[indices[j]] = std::move(results[j]);
     };
+}
+
+/** Chunks of a batch: chunk c is order[ends[c - 1], ends[c]). */
+struct TileChunks
+{
+    std::vector<size_t> order;
+    std::vector<size_t> ends;
+};
+
+/**
+ * Chunks shaped like a p-value tile: the indices sorted once by the
+ * batch kernel's packed (K, N) key, descending, as
+ * pbd::pvalueBatchSimd sorts inside a batch (K <= 0 columns, which it
+ * answers outright, key 0 and sort last), then cut into runs of
+ * tile.width columns. Each column past the tile's K cap, which the
+ * kernel runs alone anyway, is a chunk of its own, so lanes can
+ * spread them.
+ */
+TileChunks
+planTileChunks(std::span<const pbd::ColumnView> columns,
+               std::span<const size_t> indices, const pbd::TileShape &tile)
+{
+    std::vector<std::pair<uint64_t, size_t>> keyed(indices.size());
+    for (size_t j = 0; j < indices.size(); ++j) {
+        const pbd::ColumnView &col = columns[indices[j]];
+        const uint64_t len =
+            std::min<size_t>(col.success_probs.size(), 0xffffffff);
+        keyed[j] = {col.k > 0 ? (static_cast<uint64_t>(col.k) << 32) | len
+                              : 0,
+                    indices[j]};
+    }
+    std::sort(keyed.begin(), keyed.end(),
+              [](const auto &a, const auto &b) {
+                  return a.first != b.first ? a.first > b.first
+                                            : a.second < b.second;
+              });
+
+    TileChunks plan;
+    plan.order.reserve(keyed.size());
+    for (const auto &entry : keyed)
+        plan.order.push_back(entry.second);
+    size_t i = 0;
+    while (i < keyed.size() && (keyed[i].first >> 32) > tile.k_cap)
+        plan.ends.push_back(++i);
+    while (i < keyed.size()) {
+        i = std::min(i + tile.width, keyed.size());
+        plan.ends.push_back(i);
+    }
+    return plan;
 }
 
 } // namespace
@@ -210,9 +260,7 @@ EvalEngine::pvalueEval(const FormatOps &format,
                        std::span<const size_t> indices, SumPolicy sum,
                        const PValueChunk &take)
 {
-    parallelForChunks(indices.size(), [&](size_t begin, size_t end) {
-        const std::span<const size_t> chunk =
-            indices.subspan(begin, end - begin);
+    const auto evalChunk = [&](std::span<const size_t> chunk) {
         std::vector<pbd::ColumnView> views;
         views.reserve(chunk.size());
         for (const size_t i : chunk)
@@ -220,6 +268,33 @@ EvalEngine::pvalueEval(const FormatOps &format,
         std::vector<EvalResult> results(chunk.size());
         format.pbdPValueBatch(views, sum, results);
         take(chunk, results);
+    };
+
+    // A batch too small for the auto grain to hand a lane a whole
+    // tile (a 32-column shard over 3 lanes has grain 1) gets chunks
+    // shaped like the format's tile instead. Only then: a one-lane
+    // executor runs the whole batch as one chunk, an explicit grain
+    // is the caller's, and a big batch's chunks already hold tiles.
+    // And only for a format that cannot flush: a tile runs every lane
+    // to its deepest lane's K, and in binary64 or binary32 those extra
+    // rows can sink through subnormals, whose arithmetic is slow
+    // enough that binary32 streams of LoFreq shards ran 2.7x slower
+    // in tiles than one column at a time.
+    const pbd::TileShape tile = format.pbdTileShape(sum);
+    if (executor_.laneCount() > 1 && executor_.autoGrain() &&
+        executor_.grainFor(indices.size()) < tile.width &&
+        !std::isfinite(format.errorModel().flush_abs_log2)) {
+        const TileChunks plan = planTileChunks(columns, indices, tile);
+        parallelFor(plan.ends.size(), [&](size_t c) {
+            const size_t begin = c == 0 ? 0 : plan.ends[c - 1];
+            evalChunk(std::span<const size_t>(plan.order)
+                          .subspan(begin, plan.ends[c] - begin));
+        });
+        return;
+    }
+
+    parallelForChunks(indices.size(), [&](size_t begin, size_t end) {
+        evalChunk(indices.subspan(begin, end - begin));
     });
 }
 

@@ -88,6 +88,9 @@ class Executor
         return auto_grain == 0 ? 1 : auto_grain;
     }
 
+    /** True when grainFor auto-sizes (no constructor/PSTAT_GRAIN grain). */
+    bool autoGrain() const { return grain_override_ == 0; }
+
     /**
      * Run fn(i) for every i in [0, n), distributed over the pool.
      * Blocks until all items finish; exceptions from fn are rethrown

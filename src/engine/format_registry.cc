@@ -30,6 +30,12 @@ FormatOps::errorModel() const
     return {}; // Domain::None: not certifiable by the ladder.
 }
 
+pbd::TileShape
+FormatOps::pbdTileShape(SumPolicy) const
+{
+    return {}; // the per-column loop: no tile
+}
+
 namespace
 {
 
@@ -157,22 +163,43 @@ class FormatOpsImpl final : public FormatOps
                 pbd::pvalueBatchSimd<T>(columns, values);
             for (size_t i = 0; i < values.size(); ++i)
                 out[i] = evalResultOf(values[i]);
-        } else if constexpr (std::is_same_v<T, ScaledDD>) {
-            // The oracle's plain sums run its ScaledDD tile, under the
-            // same contract. Its Neumaier sum subtracts, which the
-            // tile cannot: that stays per column.
-            if (sum == SumPolicy::Compensated) {
+        } else if constexpr (std::is_same_v<T, ScaledDD> ||
+                             std::is_same_v<T, LogDouble>) {
+            // The oracle's plain sums and both of `log`'s policies
+            // (log is not Compensable: they are the same sum) run
+            // their lanes tiles, under the same contract. The
+            // oracle's Neumaier sum subtracts, which its tile cannot:
+            // that stays per column.
+            if (std::is_same_v<T, ScaledDD> &&
+                sum == SumPolicy::Compensated) {
                 FormatOps::pbdPValueBatch(columns, sum, out);
                 return;
             }
             assert(columns.size() == out.size());
-            std::vector<ScaledDD> values(columns.size());
-            pbd::pvalueBatchSimd<ScaledDD>(columns, values);
+            std::vector<T> values(columns.size());
+            pbd::pvalueBatchSimd<T>(columns, values);
             for (size_t i = 0; i < values.size(); ++i)
                 out[i] = evalResultOf(values[i]);
         } else {
             FormatOps::pbdPValueBatch(columns, sum, out);
         }
+    }
+
+    pbd::TileShape
+    pbdTileShape(SumPolicy sum) const override
+    {
+        // The formats pbdPValueBatch sends to pvalueBatchSimd, under
+        // the policies it sends.
+        if constexpr (std::is_same_v<T, double> ||
+                      std::is_same_v<T, float> ||
+                      std::is_same_v<T, LogDouble> ||
+                      std::is_same_v<T, ScaledDD>) {
+            if (!std::is_same_v<T, ScaledDD> ||
+                sum == SumPolicy::Plain)
+                return pbd::pvalueTileShape<T>();
+        }
+        (void)sum;
+        return {};
     }
 
     EvalResult

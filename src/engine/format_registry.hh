@@ -33,6 +33,7 @@
 #include "hmm/forward.hh"
 #include "hmm/model.hh"
 #include "pbd/dataset.hh"
+#include "pbd/pbd_simd.hh"
 
 /**
  * @namespace pstat::engine
@@ -244,15 +245,23 @@ class FormatOps
     /**
      * pbdPValue over a span of columns in one call — the multi-column
      * SoA entry the SIMD backends hook into. The base implementation
-     * is the per-column scalar loop; the binary64/binary32
-     * implementations override it with the vectorized batch kernel
-     * (pbd::pvalueBatchSimd), which is bit-identical to the scalar
-     * path by the simd.hh contract. @p out must have columns.size()
-     * entries.
+     * is the per-column scalar loop; binary64, binary32, `log` and
+     * the scaled_dd oracle's plain sums override it with the
+     * vectorized batch kernel (pbd::pvalueBatchSimd), which is
+     * bit-identical to the scalar path by the simd.hh contract.
+     * @p out must have columns.size() entries.
      */
     virtual void pbdPValueBatch(std::span<const pbd::ColumnView> columns,
                                 SumPolicy sum,
                                 std::span<EvalResult> out) const;
+
+    /**
+     * The SoA tile pbdPValueBatch runs under @p sum on the active
+     * ISA (pbd::pvalueTileShape): its lane count and K cap, width 0
+     * when there is none. The engine cuts small batches into chunks
+     * of this shape.
+     */
+    virtual pbd::TileShape pbdTileShape(SumPolicy sum) const;
 
     /** Listing-1/3 HMM forward likelihood. */
     virtual EvalResult hmmForward(const hmm::Model &model,

@@ -19,7 +19,8 @@ namespace
 /**
  * The scalar oracle for one column under either policy. ScaledDD
  * batches are plain-sum only: the registry keeps the oracle's
- * Neumaier sum per column.
+ * Neumaier sum per column. LogDouble is not Compensable: both
+ * policies are its plain sum.
  */
 template <typename T>
 T
@@ -28,6 +29,9 @@ scalarPValue(const ColumnView &column, bool compensated)
     if constexpr (std::is_same_v<T, ScaledDD>) {
         assert(!compensated);
         return pvalueOracle(column.success_probs, column.k);
+    } else if constexpr (std::is_same_v<T, LogDouble>) {
+        (void)compensated;
+        return pvalue<LogDouble>(column.success_probs, column.k);
     } else {
         if (compensated)
             return pvalueCompensated<T>(column.success_probs, column.k);
@@ -37,14 +41,15 @@ scalarPValue(const ColumnView &column, bool compensated)
 
 /**
  * One ISA's kernels for scalar type T: the SoA tile, the
- * row-vectorized single-column kernel for K beyond the tile's L1
- * budget, the lane count, and that budget expressed as the largest
- * group K the tile may run with (k_tile_cap). The cap keeps the
- * tile's double-buffered 2 * kmax * width DP state inside a 32 KiB
- * L1 slice — past it the tile's loads fall out of L1 and lose to
- * the scalar kernel's compact buffers, so deep-tail columns go
- * through the row kernel instead. The measured AVX2 crossover sits
- * near the resulting K = 512 for both carriers.
+ * row-vectorized single-column kernel for K beyond the tile's cap,
+ * the lane count, and the cap: the largest group K the tile may run
+ * with (k_tile_cap). For the IEEE carriers the cap keeps the tile's
+ * double-buffered 2 * kmax * width DP state inside a 32 KiB L1
+ * slice — past it the tile's loads fall out of L1 and lose to the
+ * scalar kernel's compact buffers, so deep-tail columns go through
+ * the row kernel instead. The measured AVX2 crossover sits near the
+ * resulting K = 512 for both carriers. (`log` sets its cap by a
+ * measured crossover: k_log_tile_cap.)
  */
 template <typename T>
 struct TileBackend
@@ -164,9 +169,52 @@ tileBackendFor<ScaledDD>(simd::Isa isa)
     return backend;
 }
 
-/** Every probability in [0, 1] (NaN fails): the oracle tile's domain. */
+/**
+ * The largest K the `log` tile takes: the measured crossover with
+ * the row kernel, not an L1 budget (the LSE, not the loads, bounds
+ * both forms). fig15's (d) rows time both forms on equal-K columns
+ * (N 150-250, one AVX2 thread): the tile is 2.1-2.4x faster at
+ * K = 2 and 1.3x at K = 8, where a step's few rows leave the row
+ * kernel's vectors part empty; the two are within 10% from K = 12 to
+ * 20, and the row kernel is 5-13% faster from K = 24 on. The cap
+ * takes the low end of the even range: a real tile mixes Ks and runs
+ * every lane to the deepest, which the equal-K rows do not charge.
+ */
+constexpr size_t k_log_tile_cap = 16;
+
+/**
+ * `log`'s backend: the ln-lanes tile and its row kernel on AVX2.
+ * The NEON double wrapper has no gather, min or max, so `log` has no
+ * NEON tile.
+ */
+template <>
+TileBackend<LogDouble>
+tileBackendFor<LogDouble>(simd::Isa isa)
+{
+    TileBackend<LogDouble> backend;
+#if defined(PSTAT_SIMD_HAS_AVX2)
+    if (isa == simd::Isa::Avx2 && simd::isaSupported(isa)) {
+        backend.tile = [](const ColumnView *cols, LogDouble *out,
+                          bool) { detail::pvalueTileAvx2(cols, out); };
+        backend.column = [](const ColumnView &column, LogDouble *out,
+                            bool) {
+            detail::pvalueColumnRowsAvx2(column, out);
+        };
+        backend.width = 4;
+        backend.k_tile_cap = k_log_tile_cap;
+    }
+#else
+    (void)isa;
+#endif
+    return backend;
+}
+
+/**
+ * Every probability in [0, 1] (NaN fails): the domain of the
+ * ScaledDD and `log` tiles and of the `log` row kernel.
+ */
 bool
-inOracleTileDomain(const ColumnView &column)
+inLanesTileDomain(const ColumnView &column)
 {
     for (const double p : column.success_probs) {
         if (!(p >= 0.0 && p <= 1.0))
@@ -199,8 +247,9 @@ pvalueBatchImpl(std::span<const ColumnView> columns, std::span<T> out,
     order.reserve(n);
     for (uint32_t i = 0; i < n; ++i) {
         if (columns[i].k > 0) {
-            if constexpr (std::is_same_v<T, ScaledDD>) {
-                if (!inOracleTileDomain(columns[i])) {
+            if constexpr (std::is_same_v<T, ScaledDD> ||
+                          std::is_same_v<T, LogDouble>) {
+                if (!inLanesTileDomain(columns[i])) {
                     out[i] = scalarPValue<T>(columns[i], compensated);
                     continue;
                 }
@@ -280,6 +329,21 @@ pvalueBatchImpl(std::span<const ColumnView> columns, std::span<T> out,
 } // namespace
 
 template <typename T>
+TileShape
+pvalueTileShape(simd::Isa isa)
+{
+    const TileBackend<T> backend = tileBackendFor<T>(isa);
+    if (backend.tile == nullptr)
+        return {};
+    return {static_cast<size_t>(backend.width), backend.k_tile_cap};
+}
+
+template TileShape pvalueTileShape<double>(simd::Isa);
+template TileShape pvalueTileShape<float>(simd::Isa);
+template TileShape pvalueTileShape<ScaledDD>(simd::Isa);
+template TileShape pvalueTileShape<LogDouble>(simd::Isa);
+
+template <typename T>
 void
 pvalueBatchSimd(std::span<const ColumnView> columns, std::span<T> out,
                 simd::Isa isa)
@@ -301,6 +365,8 @@ template void pvalueBatchSimd<float>(std::span<const ColumnView>,
                                      std::span<float>, simd::Isa);
 template void pvalueBatchSimd<ScaledDD>(std::span<const ColumnView>,
                                         std::span<ScaledDD>, simd::Isa);
+template void pvalueBatchSimd<LogDouble>(std::span<const ColumnView>,
+                                         std::span<LogDouble>, simd::Isa);
 template void
 pvalueBatchCompensatedSimd<double>(std::span<const ColumnView>,
                                    std::span<double>, simd::Isa);
@@ -328,7 +394,14 @@ pvalueTilePortable(const ColumnView *cols, float *out,
 void
 pvalueTilePortable(const ColumnView *cols, ScaledDD *out)
 {
-    pvalueTileOracleImpl<simd::ArrayVec<double, 4>>(cols, out);
+    pvalueTileLanesImpl<ScaledDDLanes<simd::ArrayVec<double, 4>>>(cols,
+                                                                  out);
+}
+
+void
+pvalueTilePortable(const ColumnView *cols, LogDouble *out)
+{
+    pvalueTileLanesImpl<LnLanes<simd::ArrayVec<double, 4>>>(cols, out);
 }
 
 void
@@ -345,6 +418,12 @@ pvalueColumnRowsPortable(const ColumnView &column, float *out,
 {
     *out = pvalueColumnRowsRun<simd::ArrayVec<float, 8>>(column,
                                                          compensated);
+}
+
+void
+pvalueColumnRowsPortable(const ColumnView &column, LogDouble *out)
+{
+    *out = pvalueColumnRowsLogImpl<simd::ArrayVec<double, 4>>(column);
 }
 
 } // namespace detail

@@ -1,9 +1,10 @@
 /**
  * @file
  * AVX2 instantiations of the Listing-2 SoA tile kernels (binary64,
- * binary32 and the ScaledDD oracle) and of the analytic bounds' read
- * pass. Compiled with -mavx2 (see CMakeLists); callable only when
- * simd::isaSupported(Isa::Avx2) said yes at runtime.
+ * binary32, the ScaledDD oracle and `log`), of `log`'s row kernel,
+ * and of the analytic bounds' read pass. Compiled with -mavx2 (see
+ * CMakeLists); callable only when simd::isaSupported(Isa::Avx2) said
+ * yes at runtime.
  */
 
 #include "core/simd.hh"
@@ -29,7 +30,19 @@ pvalueTileAvx2(const ColumnView *cols, float *out, bool compensated)
 void
 pvalueTileAvx2(const ColumnView *cols, ScaledDD *out)
 {
-    pvalueTileOracleImpl<simd::Avx2DoubleVec>(cols, out);
+    pvalueTileLanesImpl<ScaledDDLanes<simd::Avx2DoubleVec>>(cols, out);
+}
+
+void
+pvalueTileAvx2(const ColumnView *cols, LogDouble *out)
+{
+    pvalueTileLanesImpl<LnLanes<simd::Avx2DoubleVec>>(cols, out);
+}
+
+void
+pvalueColumnRowsAvx2(const ColumnView &column, LogDouble *out)
+{
+    *out = pvalueColumnRowsLogImpl<simd::Avx2DoubleVec>(column);
 }
 
 void

@@ -20,19 +20,20 @@
  *  - lanes shorter than the tile's longest column run padded steps
  *    with p = 0, q = 1: rows pass through unchanged (x*1 = x,
  *    x*0 = +0, x + +0 = x for x >= +0) and the tail term is +0;
- *  - the tail accumulation P(X >= K) += pr_prev[K-1] * p is gated
- *    per lane by a 0.0/1.0 flag factor: before step K the term is
- *    multiplied by 0.0 into +0, and folding +0 into either
- *    accumulator policy (plain or Neumaier) is a bitwise no-op —
- *    for Neumaier because t = sum + 0 = sum, the dominance test
- *    |sum| < |0| is false, and the error term (sum - t) + 0 is +0
- *    (the compensation value can be negative but never -0, since
- *    IEEE round-to-nearest only produces -0 from sums of two -0s).
- *    Steps before the tile's smallest K skip the accumulation
- *    outright (no lane can fire — the scalar guard's image), and a
- *    tile whose lanes share one K drops the flag and the gather:
- *    the tail row is a single contiguous vector load, and x*1 = x
- *    makes the flag multiply it replaces bitwise invisible;
+ *  - every lane adds its tail term P(X >= K) += pr_prev[K-1] * p at
+ *    every step, ungated. DP row k is first written at step k, so
+ *    before a lane's step K its tail row is still the +0 it started
+ *    as, and after its own N its p is +0: either way the term is
+ *    +0 * p or x * +0, the same value the scalar kernel's skipped
+ *    step leaves, and folding +0 into either accumulator policy
+ *    (plain or Neumaier) is a bitwise no-op — for Neumaier because
+ *    t = sum + 0 = sum, the dominance test |sum| < |0| is false, and
+ *    the error term (sum - t) + 0 is +0 (the compensation value can
+ *    be negative but never -0, since IEEE round-to-nearest only
+ *    produces -0 from sums of two -0s). Steps before the tile's
+ *    smallest K skip the accumulation outright, and a tile whose
+ *    lanes share one K reads its tail row as one contiguous vector
+ *    instead of gathering it;
  *  - rows above a lane's own K-1 (up to the tile's kmax) are genuine
  *    PMF extensions — finite, non-negative, and never read by that
  *    lane's tail gather.
@@ -41,9 +42,11 @@
  * in the same order, with -ffp-contract=off keeping multiplies and
  * adds unfused.
  *
- * The scaled_dd oracle's tile (pvalueTileOracleImpl, over the
- * ScaledDDLanes lane type) keeps this dataflow; its own argument is
- * with it below.
+ * The tiles of the scaled_dd oracle and of `log` (pvalueTileLanesImpl
+ * over the ScaledDDLanes and LnLanes lane types) keep this dataflow,
+ * ragged-K argument included: there the untouched tail row holds the
+ * format's zero, and a zero term leaves the sum unchanged. Their own
+ * argument is with them below.
  */
 
 #ifndef PSTAT_PBD_PBD_SIMD_TILE_HH
@@ -52,11 +55,13 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "core/exp_kernel.hh"
 #include "core/real_traits.hh"
 #include "pbd/dataset.hh"
 #include "pbd/pbd.hh"
@@ -101,8 +106,8 @@ pvalueTileImpl(const ColumnView *cols, typename Vec::Scalar *out)
     bool kequal = true;
     for (int c = 0; c < W; ++c) {
         // k <= 0 lanes (P(X >= k) = 1 by definition) ride along
-        // inertly with kcap 1 and a never-raised tail flag; their
-        // slot is overwritten with one() at the end.
+        // with kcap 1; their slot is overwritten with one() at the
+        // end.
         kcap[c] = cols[c].k > 0 ? static_cast<size_t>(cols[c].k) : 1;
         if (kcap[c] > kmax)
             kmax = kcap[c];
@@ -172,9 +177,6 @@ pvalueTileImpl(const ColumnView *cols, typename Vec::Scalar *out)
     };
 
     alignas(64) T tbuf[W];
-    alignas(64) T fbuf[W];
-    for (int c = 0; c < W; ++c)
-        fbuf[c] = RT::zero();
 
     for (size_t n = 1; n <= nmax; ++n) {
         const Vec p = Vec::load(pt + (n - 1) * W);
@@ -182,22 +184,17 @@ pvalueTileImpl(const ColumnView *cols, typename Vec::Scalar *out)
 
         // pval.add(pr_prev[kcap - 1] * p). Before step kmin no lane
         // can fire, exactly as the scalar kernel's n >= kcap guard —
-        // skipping the add entirely is its bit-identical image. When
-        // every lane shares one kcap the tail row is a contiguous
-        // vector and the 0/1 flag factor disappears (k <= 0 lanes
-        // may then accumulate garbage tails, but their slot is
-        // overwritten with one() below); ragged-K tiles gather the
-        // per-lane tail row and gate it with the flag.
+        // skipping the add entirely is its bit-identical image. A
+        // lane before its own step K adds +0 (see the file comment);
+        // k <= 0 lanes accumulate garbage tails, but their slot is
+        // overwritten with one() below.
         if (n >= kmin) {
             if (kequal) {
                 accumulate(Vec::load(pr_prev + (kmin - 1) * W) * p);
             } else {
-                for (int c = 0; c < W; ++c) {
-                    if (cols[c].k > 0 && n == kcap[c])
-                        fbuf[c] = RT::one(); // tail term starts
+                for (int c = 0; c < W; ++c)
                     tbuf[c] = pr_prev[(kcap[c] - 1) * W + c];
-                }
-                accumulate((Vec::load(tbuf) * p) * Vec::load(fbuf));
+                accumulate(Vec::load(tbuf) * p);
             }
         }
 
@@ -269,7 +266,9 @@ struct ScaledDDLanes
 {
     static_assert(std::is_same_v<typename Vec::Scalar, double>,
                   "ScaledDD lanes are binary64 vectors");
+    using Scalar = ScaledDD;
     static constexpr int width = Vec::width;
+    static constexpr int components = 3; //!< doubles per lane
     using Mask = typename Vec::Mask;
 
     Vec hi;
@@ -298,6 +297,25 @@ struct ScaledDDLanes
         hi.store(p);
         lo.store(p + width);
         exp.store(p + 2 * width);
+    }
+
+    /** Lane c of the stored lanes p becomes v. */
+    static void
+    put(double *p, int c, const ScaledDD &v)
+    {
+        p[c] = v.mant.hi;
+        p[width + c] = v.mant.lo;
+        p[2 * width + c] = static_cast<double>(v.exp2);
+    }
+
+    /** Lane c of the stored lanes p. */
+    static ScaledDD
+    get(const double *p, int c)
+    {
+        ScaledDD v;
+        v.mant = DD(p[c], p[width + c]);
+        v.exp2 = static_cast<int64_t>(p[2 * width + c]);
+        return v;
     }
 
     /** m ? t : f per lane, all three components. */
@@ -424,40 +442,95 @@ struct ScaledDDLanes
     }
 };
 
-/** Steps of p and 1 - p the oracle tile transposes at a time. */
-inline constexpr size_t k_oracle_block_steps = 64;
+/**
+ * W LogDouble values, one per lane: their ln in one simd.hh double
+ * vector. The multiply is a lane add, and the add is the lane LSE
+ * simd::logSumExp (core/exp_kernel.hh), whose one-lane instantiation
+ * is LogDouble's own add. So both perform, lane by lane, exactly the
+ * IEEE operations of LogDouble's operator* and operator+ on the
+ * tile's domain: lns in [-inf, 0] and slightly above (what
+ * probabilities in [0, 1] and the DP's roundings make), never NaN or
+ * +inf, where LogDouble's zero test in operator* changes nothing
+ * (-inf + x = -inf). Vec is ArrayVec<double, W> or Avx2DoubleVec.
+ */
+template <typename Vec>
+struct LnLanes
+{
+    static_assert(std::is_same_v<typename Vec::Scalar, double>,
+                  "ln lanes are binary64 vectors");
+    using Scalar = LogDouble;
+    static constexpr int width = Vec::width;
+    static constexpr int components = 1; //!< doubles per lane
+
+    Vec ln;
+
+    static LnLanes load(const double *p) { return {Vec::load(p)}; }
+    void store(double *p) const { ln.store(p); }
+
+    /** Lane c of the stored lanes p becomes v. */
+    static void
+    put(double *p, int c, const LogDouble &v)
+    {
+        p[c] = v.lnValue();
+    }
+
+    /** Lane c of the stored lanes p. */
+    static LogDouble
+    get(const double *p, int c)
+    {
+        return LogDouble::fromLn(p[c]);
+    }
+
+    /** A step's p or q as a multiplier: nothing to precompute. */
+    using Factor = LnLanes;
+    static const LnLanes &factor(const LnLanes &b) { return b; }
+
+    friend LnLanes
+    operator*(const LnLanes &a, const LnLanes &b)
+    {
+        return {a.ln + b.ln};
+    }
+
+    friend LnLanes
+    operator+(const LnLanes &a, const LnLanes &b)
+    {
+        return {simd::logSumExp(a.ln, b.ln)};
+    }
+};
+
+/** Steps of p and 1 - p the lanes tile transposes at a time. */
+inline constexpr size_t k_tile_block_steps = 64;
 
 /**
- * The Listing-2 DP in ScaledDD over one SoA tile of Vec::width
- * columns (the scaled_dd oracle's plain-sum batch); out gets each
- * lane's p-value, bit-identical to pvalueOracle on its column.
+ * The Listing-2 DP in a non-IEEE format over one SoA tile of
+ * Lanes::width columns: the scaled_dd oracle's plain-sum batch
+ * (Lanes = ScaledDDLanes<Vec>) and `log`'s (LnLanes<Vec>). out gets
+ * each lane's p-value, bit-identical to pvalue<Lanes::Scalar> on its
+ * column.
  *
  * The dataflow is pvalueTileImpl's: one DP row of every lane per
  * load, lanes past their own N padded with p = 0 and q = 1, k <= 0
- * lanes inert. Two things differ, because ScaledDD is not an IEEE
- * scalar:
- *  - p and 1 - p are converted by the scalar ScaledDD constructor
- *    (so zero and subnormal probabilities never reach lane code),
- *    k_oracle_block_steps steps at a time: a whole column of three
- *    components per lane would be megabytes on deep columns;
- *  - a ragged-K tile adds every lane's tail term without the 0/1
- *    flag factor, since x * one() is a ScaledDD multiply, which can
- *    round a subnormal lo. No gate is needed: DP row k is first
- *    written at step k, so before a lane's step K its tail row is
- *    still the zero it started as, and after its own N its p is
- *    zero. Either way the term is zero, and adding zero returns the
- *    sum unchanged. (k <= 0 lanes add garbage; their slot is
- *    overwritten with one().)
+ * lanes inert, and every lane's tail term added ungated (a term of
+ * an untouched tail row, or past N, is the format's zero, and
+ * adding zero returns the sum unchanged: ScaledDD's add returns its
+ * nonzero operand, and the LSE its finite one). One thing differs:
+ * p and 1 - p are converted by the format's scalar conversion
+ * (ScaledDD's constructor, so zero and subnormal probabilities never
+ * reach lane code; LogDouble::fromDouble, libm's log),
+ * k_tile_block_steps steps at a time, so the scratch stays a few
+ * KiB per thread however deep the columns are.
  * Every probability must lie in [0, 1]: the batch dispatcher sends
- * other columns to the scalar oracle.
+ * other columns to the scalar kernel.
  */
-template <typename Vec>
+template <typename Lanes>
 void
-pvalueTileOracleImpl(const ColumnView *cols, ScaledDD *out)
+pvalueTileLanesImpl(const ColumnView *cols,
+                    typename Lanes::Scalar *out)
 {
-    using Lanes = ScaledDDLanes<Vec>;
-    constexpr int W = Vec::width;
-    constexpr size_t R = 3 * W; // doubles per DP row: hi, lo, exp2
+    using T = typename Lanes::Scalar;
+    using RT = pstat::RealTraits<T>;
+    constexpr int W = Lanes::width;
+    constexpr size_t R = Lanes::components * W; // doubles per DP row
 
     size_t kcap[W];
     size_t kmax = 1;
@@ -476,31 +549,28 @@ pvalueTileOracleImpl(const ColumnView *cols, ScaledDD *out)
     }
 
     TileScratch<double> &scratch = TileScratch<double>::get();
-    if (scratch.pq.size() < k_oracle_block_steps * 2 * R)
-        scratch.pq.resize(k_oracle_block_steps * 2 * R);
+    if (scratch.pq.size() < k_tile_block_steps * 2 * R)
+        scratch.pq.resize(k_tile_block_steps * 2 * R);
     double *pq = scratch.pq.data();
 
-    // Double-buffered DP rows, all zero but row 0 of pr_prev, which
-    // is one() = 0.5 * 2^1.
-    scratch.dp.assign(2 * kmax * R, 0.0);
+    // Double-buffered DP rows, all zero but row 0 of pr_prev.
+    scratch.dp.resize(2 * kmax * R);
     double *pr_prev = scratch.dp.data();
     double *pr = scratch.dp.data() + kmax * R;
-    for (int c = 0; c < W; ++c) {
-        pr_prev[c] = 0.5;
-        pr_prev[2 * W + c] = 1.0;
+    for (size_t row = 0; row < 2 * kmax; ++row) {
+        for (int c = 0; c < W; ++c)
+            Lanes::put(scratch.dp.data() + row * R, c, RT::zero());
     }
+    for (int c = 0; c < W; ++c)
+        Lanes::put(pr_prev, c, RT::one());
 
-    const auto put = [](double *lanes, int c, const ScaledDD &v) {
-        lanes[c] = v.mant.hi;
-        lanes[W + c] = v.mant.lo;
-        lanes[2 * W + c] = static_cast<double>(v.exp2);
-    };
-
-    Lanes sum = Lanes::zero();
     alignas(64) double tbuf[R];
+    for (int c = 0; c < W; ++c)
+        Lanes::put(tbuf, c, RT::zero());
+    Lanes sum = Lanes::load(tbuf);
 
-    for (size_t n0 = 0; n0 < nmax; n0 += k_oracle_block_steps) {
-        const size_t steps = std::min(k_oracle_block_steps, nmax - n0);
+    for (size_t n0 = 0; n0 < nmax; n0 += k_tile_block_steps) {
+        const size_t steps = std::min(k_tile_block_steps, nmax - n0);
         // Step s of the block: p at pq[2Rs], q at pq[2Rs + R].
         for (int c = 0; c < W; ++c) {
             const std::span<const double> probs = cols[c].success_probs;
@@ -508,11 +578,12 @@ pvalueTileOracleImpl(const ColumnView *cols, ScaledDD *out)
                 const size_t n = n0 + s;
                 double *step = pq + 2 * R * s;
                 if (n < probs.size()) {
-                    put(step, c, ScaledDD(probs[n]));
-                    put(step + R, c, ScaledDD(1.0 - probs[n]));
+                    Lanes::put(step, c, RT::fromDouble(probs[n]));
+                    Lanes::put(step + R, c,
+                               RT::fromDouble(1.0 - probs[n]));
                 } else {
-                    put(step, c, ScaledDD::zero());
-                    put(step + R, c, ScaledDD::one());
+                    Lanes::put(step, c, RT::zero());
+                    Lanes::put(step + R, c, RT::one());
                 }
             }
         }
@@ -528,9 +599,8 @@ pvalueTileOracleImpl(const ColumnView *cols, ScaledDD *out)
                 } else {
                     for (int c = 0; c < W; ++c) {
                         const double *row = pr_prev + (kcap[c] - 1) * R;
-                        tbuf[c] = row[c];
-                        tbuf[W + c] = row[W + c];
-                        tbuf[2 * W + c] = row[2 * W + c];
+                        for (int j = 0; j < Lanes::components; ++j)
+                            tbuf[j * W + c] = row[j * W + c];
                     }
                     sum = sum + Lanes::load(tbuf) * p;
                 }
@@ -549,14 +619,8 @@ pvalueTileOracleImpl(const ColumnView *cols, ScaledDD *out)
 
     alignas(64) double total[R];
     sum.store(total);
-    for (int c = 0; c < W; ++c) {
-        if (cols[c].k <= 0) {
-            out[c] = ScaledDD::one();
-            continue;
-        }
-        out[c].mant = DD(total[c], total[W + c]);
-        out[c].exp2 = static_cast<int64_t>(total[2 * W + c]);
-    }
+    for (int c = 0; c < W; ++c)
+        out[c] = cols[c].k > 0 ? Lanes::get(total, c) : RT::one();
 }
 
 /**
@@ -623,6 +687,69 @@ pvalueColumnRowsImpl(const ColumnView &column)
         std::swap(pr, pr_prev);
     }
     return pval.value();
+}
+
+/**
+ * `log`'s row-vectorized column kernel: ONE column, pvalueImpl's
+ * dataflow in ln values, with every row of a step, row 0 included,
+ * updated Vec::width rows at a time by the lane LSE. The rows are
+ * stored from row -width up; the rows below 0 start at -inf and stay
+ * there, so a vector that reaches below row 0 needs no mask:
+ *  - a padding row computes LSE(-inf + q, -inf + p) = -inf;
+ *  - row 0 computes LSE(pr_prev[0] + q, -inf), which the LSE returns
+ *    as pr_prev[0] + q exactly: the scalar pr_prev[0] * q;
+ *  - rows 1..hi compute the scalar pr_prev[k] * q + pr_prev[k-1] * p
+ *    lane by lane (LogDouble's multiply is the lane add on the
+ *    tile's domain, and its add the one-lane LSE).
+ * The running p-value rides in every lane of one vector, each lane
+ * adding the same tail term, so lane 0 is PlainSum's value. So no
+ * step calls a scalar LogDouble operation: an -mavx2 translation
+ * unit that did would emit its own copy of that inline function,
+ * which the linker may hand to callers on hosts without AVX2. Every
+ * probability must lie in [0, 1], as for the tiles.
+ */
+template <typename Vec>
+LogDouble
+pvalueColumnRowsLogImpl(const ColumnView &column)
+{
+    constexpr size_t W = Vec::width;
+    constexpr double ninf = -std::numeric_limits<double>::infinity();
+    if (column.k <= 0)
+        return LogDouble::one();
+    const auto kcap = static_cast<size_t>(column.k);
+
+    // Row k of a step is at index k + W.
+    std::vector<double> pr(kcap + W, ninf);
+    std::vector<double> pr_prev(kcap + W, ninf);
+    pr_prev[W] = 0.0; // row 0: Pr_0(X = 0) = 1
+    Vec sum = Vec::broadcast(ninf);
+
+    const std::span<const double> probs = column.success_probs;
+    for (size_t n = 1; n <= probs.size(); ++n) {
+        const double pn = probs[n - 1];
+        const Vec p = Vec::broadcast(LogDouble::fromDouble(pn).lnValue());
+        const Vec q =
+            Vec::broadcast(LogDouble::fromDouble(1.0 - pn).lnValue());
+
+        if (n >= kcap)
+            sum = simd::logSumExp(
+                sum, Vec::broadcast(pr_prev[kcap - 1 + W]) + p);
+
+        // Vectors of rows [top - W + 1, top], from row hi down to the
+        // vector that holds row 0 (index W).
+        const size_t hi = n < kcap - 1 ? n : kcap - 1;
+        for (size_t top = hi + W;; top -= W) {
+            simd::logSumExp(Vec::load(&pr_prev[top - W + 1]) + q,
+                            Vec::load(&pr_prev[top - W]) + p)
+                .store(&pr[top - W + 1]);
+            if (top < 2 * W)
+                break;
+        }
+        std::swap(pr, pr_prev);
+    }
+    alignas(64) double lanes[W];
+    sum.store(lanes);
+    return LogDouble::fromLn(lanes[0]);
 }
 
 /** Runtime-policy front end for the row-vectorized column kernel. */

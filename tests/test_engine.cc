@@ -28,6 +28,7 @@
 #include "hmm/forward.hh"
 #include "pbd/pbd.hh"
 #include "prop_util.hh"
+#include "stats/rng.hh"
 
 // ThreadSanitizer detection (the tsan CI job runs these suites).
 #if defined(__SANITIZE_THREAD__)
@@ -449,6 +450,82 @@ TEST(EvalEngine, BatchedPValuesBitMatchScalarReducedTier)
                         pbd::pvalue<BFloat16>(col.success_probs,
                                               col.k)))
             << i;
+    }
+}
+
+TEST(EvalEngine, PValueRunsBitIdenticalOverLanesAndGrains)
+{
+    // 32-column blocks, the shard size of lofreq-stream: over two or
+    // more lanes the auto grain is below a tile, so run() hands lanes
+    // tile-shaped chunks. No lane count, chunking or grain may move a
+    // bit: every run matches the per-column scalar kernel.
+    // Small noise K classes, with every seventh column past the `log`
+    // tile's K cap and a few K <= 0 ones, as in LoFreq shards.
+    stats::Rng rng(31);
+    pbd::ColumnDataset ds;
+    for (int i = 0; i < 96; ++i) {
+        pbd::Column col;
+        col.success_probs.resize(40 + rng.below(120));
+        for (auto &p : col.success_probs)
+            p = rng.uniform(1e-3, 0.1);
+        col.k = i % 7 == 0 ? 20 + static_cast<int>(rng.below(30))
+                           : static_cast<int>(rng.below(9));
+        ds.columns.push_back(std::move(col));
+    }
+    const auto &registry = FormatRegistry::instance();
+
+    struct Setting
+    {
+        unsigned lanes;
+        size_t grain; // 0: auto
+    };
+    const Setting settings[] = {{1, 0}, {2, 0}, {3, 0}, {4, 0},
+                                {3, 1}, {4, 5}};
+    for (const char *id : {"log", "binary64", "binary32", "scaled_dd"}) {
+        SCOPED_TRACE(id);
+        const FormatOps &format = registry.at(id);
+        std::vector<EvalResult> want;
+        for (const pbd::Column &col : ds.columns)
+            want.push_back(format.pbdPValue(col.success_probs, col.k,
+                                            SumPolicy::Plain));
+        EvalPlan plan;
+        plan.format_id = id;
+        for (const Setting &setting : settings) {
+            SCOPED_TRACE(setting.lanes);
+            SCOPED_TRACE(setting.grain);
+            EvalEngine engine(setting.lanes, setting.grain);
+            size_t chunks = 0;
+            engine.executor().setChunkHook(
+                [&chunks](size_t, size_t, double) { ++chunks; });
+            for (size_t b = 0; b < ds.columns.size(); b += 32) {
+                const std::span<const pbd::Column> block(
+                    ds.columns.data() + b, 32);
+                const auto got =
+                    prop::runMemory(engine, plan, block).results;
+                ASSERT_EQ(got.size(), block.size());
+                for (size_t i = 0; i < block.size(); ++i) {
+                    const EvalResult &w = want[b + i];
+                    EXPECT_TRUE(got[i].value == w.value) << b + i;
+                    EXPECT_EQ(got[i].invalid, w.invalid) << b + i;
+                    EXPECT_EQ(got[i].underflow, w.underflow) << b + i;
+                }
+            }
+            // Tile-shaped chunks run only with several lanes, the auto
+            // grain, and a format that cannot flush with a tile on this
+            // ISA (`log` and `scaled_dd` on AVX2).
+            const size_t width =
+                format.pbdTileShape(SumPolicy::Plain).width;
+            const bool flushes =
+                std::isfinite(format.errorModel().flush_abs_log2);
+            const size_t blocks = ds.columns.size() / 32;
+            const size_t grain = engine.grainForBatch(32);
+            if (setting.lanes == 1)
+                EXPECT_EQ(chunks, blocks);
+            else if (setting.grain != 0 || width <= grain || flushes)
+                EXPECT_EQ(chunks, blocks * ((32 + grain - 1) / grain));
+            else
+                EXPECT_LT(chunks, blocks * 32 / grain);
+        }
     }
 }
 

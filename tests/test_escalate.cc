@@ -294,6 +294,33 @@ TEST(DiffEscalate, EveryTierDecisionCertificatesAreSound)
     }
 }
 
+TEST(DiffEscalate, LogTierCertificatesAreSound)
+{
+    // A ladder whose log tier evaluates columns: its batches run the
+    // ln-lanes tile and the in-house LSE, and every certificate the
+    // tier issues, on decisions and on values, must hold against the
+    // BigFloat oracle.
+    const DiffSet &set = diffSet();
+    CertConfig decide;
+    decide.threshold_log2 = -200.0;
+    CertConfig value;
+    value.tol_rel_log2 = -30.0;
+    for (const CertConfig &cert : {decide, value}) {
+        const AdaptiveBatch batch =
+            prop::runMemory(sharedEngine(),
+                            prop::adaptivePlan(cert, {"log", "scaled_dd"}),
+                            set.columns)
+                .adaptive;
+        auditBatch(batch, set.oracle, set.seeds);
+        const auto log_tier = std::find_if(
+            batch.tiers.begin(), batch.tiers.end(),
+            [](const engine::TierStats &ts) { return ts.format_id == "log"; });
+        ASSERT_NE(log_tier, batch.tiers.end());
+        EXPECT_GT(log_tier->evaluated, 0u);
+        EXPECT_GT(log_tier->certified, 0u);
+    }
+}
+
 TEST(DiffEscalate, ValueCertificatesHonorClaimedBound)
 {
     const DiffSet &set = diffSet();

@@ -63,7 +63,10 @@ oracle(const pbd::ColumnView &view, bool compensated)
     return pbd::pvalue<T>(view.success_probs, view.k);
 }
 
-/** A value for a failure message; ScaledDD shows its three fields. */
+/**
+ * A value for a failure message; ScaledDD shows its three fields and
+ * LogDouble its ln.
+ */
 template <typename T>
 std::string
 describe(const T &v)
@@ -72,6 +75,8 @@ describe(const T &v)
     if constexpr (std::is_same_v<T, ScaledDD>)
         os << std::hexfloat << v.mant.hi << " + " << v.mant.lo
            << " * 2^" << std::dec << v.exp2;
+    else if constexpr (std::is_same_v<T, LogDouble>)
+        os << "exp(" << std::hexfloat << v.lnValue() << ")";
     else
         os << v;
     return os.str();
@@ -216,6 +221,225 @@ TEST(ExpKernel, EveryIsaBitIdenticalToScalar)
     for (; i < xs.size(); ++i)
         portable[i] = simd::expKernel(xs[i]);
     check(portable, "ArrayVec<double, 4>");
+}
+
+// ---------------------------------------------------------------------------
+// The in-house log1p and the lane LSE (core/exp_kernel.hh)
+// ---------------------------------------------------------------------------
+
+/**
+ * |got - log1p(y)| in ulps of the exact log1p(y) against BigFloat:
+ * the binary64 spacing at the exact value, 2^-1074 below 2^-1022.
+ * Below 2^-60, 1 + y would lose y at BigFloat's precision, so the
+ * exact value is the series, whose next term is below 2^-240 y.
+ */
+double
+log1pUlpError(double y, double got)
+{
+    const BigFloat by = BigFloat::fromDouble(y);
+    BigFloat exact;
+    if (y < 0x1p-60) {
+        const BigFloat y2 = by * by;
+        exact = (by - y2.divSmall(2)) +
+                ((y2 * by).divSmall(3) - (y2 * y2).divSmall(4));
+    } else {
+        exact = BigFloat::ln(BigFloat::one() + by);
+    }
+    if (exact.isZero())
+        return got == 0.0 ? 0.0 : INFINITY;
+    const int64_t e = std::max<int64_t>(exact.exponent(), -1022);
+    const BigFloat ulp =
+        BigFloat::fromDouble(std::ldexp(1.0, static_cast<int>(e - 52)));
+    return ((BigFloat::fromDouble(got) - exact).abs() / ulp).toDouble();
+}
+
+/** The log1p test inputs: sweeps, table-row edges, tiny y. */
+std::vector<double>
+log1pInputs()
+{
+    std::vector<double> ys = sweep(0.0, 1.0, 12000);
+    // Around every table row i/256 and every rounding boundary
+    // (i + 1/2)/256: where ln c and log1p(r) nearly cancel (rows 1
+    // and 2), and where a lane picks its row.
+    for (int i = 0; i <= 256; ++i) {
+        for (const double centre : {i / 256.0, (i + 0.5) / 256.0}) {
+            double y = centre;
+            for (int j = 0; j < 4; ++j)
+                y = std::nextafter(y, 0.0);
+            for (int j = 0; j < 9; ++j) {
+                if (y >= 0.0 && y <= 1.0)
+                    ys.push_back(y);
+                y = std::nextafter(y, 2.0);
+            }
+        }
+    }
+    for (const double y : sweep(1.0 / 1024, 3.0 / 256, 4000))
+        ys.push_back(y);
+    // Rows 1 to 4 at random, where ln c and log1p(r) nearly cancel
+    // and the residual rl carries the last bits.
+    stats::Rng rng(47);
+    for (int i = 0; i < 6000; ++i)
+        ys.push_back(rng.uniform(1.0 / 512, 9.0 / 512));
+    // Tiny and subnormal y, where log1p(y) is y or one rounding off.
+    for (int i = 0; i < 3000; ++i)
+        ys.push_back(std::ldexp(rng.uniform(1.0, 2.0),
+                                -1 - static_cast<int>(rng.below(1080))));
+    ys.push_back(std::numeric_limits<double>::denorm_min());
+    ys.push_back(std::numeric_limits<double>::min());
+    ys.push_back(0x1p-53);
+    ys.push_back(std::nextafter(1.0, 0.0));
+    return ys;
+}
+
+TEST(Log1pKernel, WithinOneUlpOfBigFloat)
+{
+    // The LSE's certificate needs 1 ulp; the kernel's own bound is
+    // 0.6, which a kernel without its residual rl misses near rows 1
+    // to 4 (0.77 ulp there) while still inside 1 ulp.
+    double worst = 0.0;
+    double worst_y = 0.0;
+    for (const double y : log1pInputs()) {
+        const double err = log1pUlpError(y, simd::log1pKernel(y));
+        if (err > worst) {
+            worst = err;
+            worst_y = y;
+        }
+    }
+    EXPECT_LE(worst, 0.6) << "at y = " << std::hexfloat << worst_y;
+}
+
+TEST(Log1pKernel, SpecialValues)
+{
+    EXPECT_TRUE(bitsEqual(simd::log1pKernel(0.0), 0.0));
+    EXPECT_TRUE(bitsEqual(simd::log1pKernel(1.0), std::log(2.0)));
+    EXPECT_TRUE(std::isnan(
+        simd::log1pKernel(std::numeric_limits<double>::quiet_NaN())));
+    // log1p(y) rounds to y below 2^-53.
+    for (const double y : {std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::min(), 0x1p-60})
+        EXPECT_TRUE(bitsEqual(simd::log1pKernel(y), y)) << y;
+}
+
+/** Hand-built LSE operand pairs: every rule and domain edge. */
+std::vector<std::pair<double, double>>
+lanePairs()
+{
+    const double ninf = -std::numeric_limits<double>::infinity();
+    const double pinf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::vector<std::pair<double, double>> pairs = {
+        // -inf on either side, both, against zeros of either sign.
+        {ninf, -3.5}, {-3.5, ninf}, {ninf, ninf}, {ninf, -0.0},
+        {-0.0, ninf}, {ninf, 0.0}, {0.0, ninf}, {ninf, -1e300},
+        // Equal operands.
+        {-2.0, -2.0}, {0.0, 0.0}, {-0.0, -0.0}, {0.0, -0.0},
+        {-0.0, 0.0}, {-1e300, -1e300}, {-700.25, -700.25},
+        // NaN on either side, both, and against -inf or +inf.
+        {nan, -1.0}, {-1.0, nan}, {nan, nan}, {nan, ninf},
+        {ninf, nan}, {nan, pinf}, {pinf, nan},
+        // +inf, outside the p-value domain.
+        {pinf, -1.0}, {-1.0, pinf}, {pinf, ninf}, {ninf, pinf},
+        {pinf, pinf},
+    };
+    // Differences near the exp kernel's underflow edge (-745.13) and
+    // its subnormal range, in both operand orders.
+    for (const double gap :
+         {-745.2, -745.14, -745.1332191019412, -745.13, -744.5,
+          -708.4, -708.39, -1000.0, -1e300}) {
+        for (const double top : {0.0, -1.0, -12.5, 3.0}) {
+            pairs.push_back({top, top + gap});
+            pairs.push_back({top + gap, top});
+        }
+    }
+    stats::Rng rng(53);
+    for (int i = 0; i < 600; ++i) {
+        const double a = -std::exp(rng.uniform(-30.0, 7.0));
+        const double b = i % 3 == 0 ? a - rng.uniform(0.0, 2.0)
+                                    : -std::exp(rng.uniform(-30.0, 7.0));
+        pairs.push_back({a, b});
+    }
+    return pairs;
+}
+
+TEST(LaneLse, EveryIsaBitIdenticalToTheScalarLse)
+{
+    const auto pairs = lanePairs();
+    std::vector<double> a;
+    std::vector<double> b;
+    for (const auto &[x, y] : pairs) {
+        a.push_back(x);
+        b.push_back(y);
+    }
+    // The scalar LSE is LogDouble's add.
+    std::vector<double> want(pairs.size());
+    for (size_t i = 0; i < pairs.size(); ++i) {
+        want[i] = logSumExp(a[i], b[i]);
+        const LogDouble sum =
+            LogDouble::fromLn(a[i]) + LogDouble::fromLn(b[i]);
+        EXPECT_TRUE(bitsEqual(sum.lnValue(), want[i]) ||
+                    (std::isnan(want[i]) && sum.isNaN()))
+            << a[i] << " " << b[i];
+    }
+    const auto check = [&](const std::vector<double> &got,
+                           const char *label) {
+        for (size_t i = 0; i < pairs.size(); ++i) {
+            if (std::isnan(want[i]))
+                EXPECT_TRUE(std::isnan(got[i])) << label << " " << i;
+            else
+                EXPECT_TRUE(bitsEqual(got[i], want[i]))
+                    << label << " a=" << a[i] << " b=" << b[i];
+        }
+    };
+    for (const simd::Isa isa : allIsas()) {
+        std::vector<double> got(pairs.size());
+        simd::detail::logSumExpBatch(a, b, got, isa);
+        check(got, simd::isaName(isa));
+    }
+    using Portable = simd::ArrayVec<double, 4>;
+    std::vector<double> portable(pairs.size());
+    size_t i = 0;
+    for (; i + 4 <= pairs.size(); i += 4)
+        simd::logSumExp(Portable::load(&a[i]), Portable::load(&b[i]))
+            .store(&portable[i]);
+    for (; i < pairs.size(); ++i)
+        portable[i] = simd::logSumExp(a[i], b[i]);
+    check(portable, "ArrayVec<double, 4>");
+}
+
+TEST(LaneLse, KeepsTheScalarRules)
+{
+    const double ninf = -std::numeric_limits<double>::infinity();
+    for (const auto &[a, b] : lanePairs()) {
+        const double got = logSumExp(a, b);
+        if (a == ninf) {
+            // The other operand, bit for bit (NaN stays NaN).
+            EXPECT_TRUE(bitsEqual(got, b) || (std::isnan(b) &&
+                                              std::isnan(got)))
+                << b;
+        } else if (b == ninf) {
+            EXPECT_TRUE(bitsEqual(got, a) || (std::isnan(a) &&
+                                              std::isnan(got)))
+                << a;
+        } else if (std::isnan(a) || std::isnan(b)) {
+            EXPECT_TRUE(std::isnan(got)) << a << " " << b;
+        } else if (std::isfinite(a) && std::isfinite(b)) {
+            // log(e^a + e^b) to a few ulps, against BigFloat (a
+            // term below e^-1000 cannot move the larger one).
+            const double m = std::max(a, b);
+            const BigFloat gap = BigFloat::fromDouble(std::min(a, b)) -
+                                 BigFloat::fromDouble(m);
+            const double want =
+                gap.toDouble() < -1000.0
+                    ? m
+                    : m + BigFloat::ln(BigFloat::one() +
+                                       BigFloat::exp(gap))
+                              .toDouble();
+            EXPECT_NEAR(got, want,
+                        4 * std::numeric_limits<double>::epsilon() *
+                            std::max(1.0, std::fabs(want)))
+                << a << " " << b;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -410,8 +634,10 @@ void
 runPbdBatchAgainstOracle(const std::vector<pbd::Column> &cols)
 {
     // ScaledDD batches are plain-sum only: the registry keeps the
-    // oracle's Neumaier sum per column.
-    constexpr bool kPlainOnly = std::is_same_v<T, ScaledDD>;
+    // oracle's Neumaier sum per column. LogDouble is not Compensable:
+    // both policies are its plain sum.
+    constexpr bool kPlainOnly =
+        std::is_same_v<T, ScaledDD> || std::is_same_v<T, LogDouble>;
     const std::vector<pbd::ColumnView> views = pbd::viewsOf(cols);
     std::vector<T> out(views.size());
     for (simd::Isa isa : allIsas()) {
@@ -522,6 +748,33 @@ TEST(SimdPbd, BatchBitIdenticalToScalarOracleScaledDD)
     runPbdBatchAgainstOracle<ScaledDD>(makeOracleColumns());
 }
 
+TEST(SimdPbd, BatchBitIdenticalToScalarOracleLog)
+{
+    // The oracle's batch (ragged K, K <= 0, K > N, empty columns,
+    // exact 0/1 and subnormal probabilities, out-of-domain and NaN
+    // columns for the scalar kernel) plus whole 4-lane groups at the
+    // `log` tile's cap (K = 16, a tile) and past it (K = 17, the row
+    // kernel).
+    std::vector<pbd::Column> cols = makeOracleColumns();
+    // Out of the domain and telling: q = ln(1 - 1.5) is NaN, which
+    // the scalar multiply absorbs against a zero row (its zero test)
+    // and a lane add does not, so only the scalar kernel gives this
+    // column's finite p-value.
+    cols.push_back({{1.5, 0.5}, 2});
+    stats::Rng rng(29);
+    for (const int k : {16, 17}) {
+        for (int i = 0; i < 4; ++i) {
+            pbd::Column col;
+            col.success_probs.resize(40 + i * 9);
+            for (auto &p : col.success_probs)
+                p = rng.uniform(0.05, 0.6);
+            col.k = k;
+            cols.push_back(std::move(col));
+        }
+    }
+    runPbdBatchAgainstOracle<LogDouble>(cols);
+}
+
 TEST(SimdPbd, BatchesSmallerThanLaneWidth)
 {
     // Batches below and not divisible by any lane width still route
@@ -613,12 +866,17 @@ TEST(SimdPbd, PortableTileMatchesOracleF32)
     runPortableTileAgainstOracle<float, 8>();
 }
 
-TEST(SimdPbd, PortableTileMatchesOracleScaledDD)
+/**
+ * A lanes tile (ScaledDD or `log`) called directly, one 4-lane group
+ * at a time: ragged K (the ungated tail), shared K, and lanes that
+ * the batch dispatcher would never hand it (K <= 0, K > N, an empty
+ * column, K past the tile's cap). `log` also runs its row kernel on
+ * every lane.
+ */
+template <typename T>
+void
+runPortableLanesTileAgainstOracle()
 {
-    // The ScaledDD tile called directly, one 4-lane group at a time:
-    // ragged K (the select-gated tail), shared K, and lanes that
-    // the batch dispatcher would never hand it (K <= 0, K > N, an
-    // empty column, K past the L1 cap).
     constexpr int W = 4;
     stats::Rng rng(23);
     const auto random = [&rng](size_t n, double lo, double hi) {
@@ -667,16 +925,35 @@ TEST(SimdPbd, PortableTileMatchesOracleScaledDD)
         std::vector<pbd::ColumnView> views;
         for (const Lane &lane : groups[g])
             views.push_back({lane.probs, lane.k});
-        ScaledDD out[W];
+        T out[W];
         pbd::detail::pvalueTilePortable(views.data(), out);
         for (int c = 0; c < W; ++c) {
-            const ScaledDD want = oracle<ScaledDD>(views[c], false);
+            const T want = oracle<T>(views[c], false);
             EXPECT_TRUE(bitsEqual(out[c], want))
                 << "group=" << g << " lane=" << c << " k=" << views[c].k
                 << " tile=" << describe(out[c])
                 << " oracle=" << describe(want);
+            if constexpr (std::is_same_v<T, LogDouble>) {
+                T row_out;
+                pbd::detail::pvalueColumnRowsPortable(views[c], &row_out);
+                EXPECT_TRUE(bitsEqual(row_out, want))
+                    << "row kernel: group=" << g << " lane=" << c
+                    << " k=" << views[c].k
+                    << " rows=" << describe(row_out)
+                    << " oracle=" << describe(want);
+            }
         }
     }
+}
+
+TEST(SimdPbd, PortableTileMatchesOracleScaledDD)
+{
+    runPortableLanesTileAgainstOracle<ScaledDD>();
+}
+
+TEST(SimdPbd, PortableTileMatchesOracleLog)
+{
+    runPortableLanesTileAgainstOracle<LogDouble>();
 }
 
 // ---------------------------------------------------------------------------
