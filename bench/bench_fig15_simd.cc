@@ -357,9 +357,10 @@ main()
     std::printf("\n--- (d) log tile cap (avx2): tile vs row kernel "
                 "---\n");
     std::vector<bench::Json> cap_records;
-    const size_t log_tile_cap =
-        pbd::pvalueTileShape<LogDouble>(simd::Isa::Avx2).k_cap;
-    if (simd::isaSupported(simd::Isa::Avx2)) {
+    const pbd::TileShape log_tile =
+        pbd::pvalueTileShape<LogDouble>(simd::Isa::Avx2);
+    const size_t log_tile_cap = log_tile.k_cap;
+    if (log_tile.width > 0) {
         stats::TextTable table({"K", "columns", "tile ms", "rows ms",
                                 "tile speedup", "bit-identical"});
         stats::Rng crng(1504);
@@ -376,14 +377,15 @@ main()
             std::vector<LogDouble> tile_out(count);
             std::vector<LogDouble> rows_out(count);
             const auto tile_stats = bench::timeStats(5, [&] {
-                for (size_t i = 0; i + 4 <= count; i += 4)
-                    pbd::detail::pvalueTileAvx2(&views[i],
-                                                &tile_out[i]);
+                for (size_t i = 0; i + log_tile.width <= count;
+                     i += log_tile.width)
+                    pbd::detail::pvalueTileLog(&views[i], &tile_out[i],
+                                               simd::Isa::Avx2);
             });
             const auto rows_stats = bench::timeStats(5, [&] {
                 for (size_t i = 0; i < count; ++i)
-                    pbd::detail::pvalueColumnRowsAvx2(views[i],
-                                                      &rows_out[i]);
+                    pbd::detail::pvalueColumnRowsLog(
+                        views[i], &rows_out[i], simd::Isa::Avx2);
             });
             const bool identical =
                 bitsEqual(tile_out.data(), rows_out.data(),

@@ -624,6 +624,20 @@ expKernelNonPositive(const Vec &x)
     return (scale + scale * poly) * Vec::broadcast(0x1p-1000);
 }
 
+/**
+ * The log1p table row of ys = y + 1.5 * 2^44, for y in [0, 1] or
+ * NaN, as a lane whose low 9 bits are the row: ys itself, which is
+ * 1.5 * 2^44 + i * 2^-8 with i in [0, 256], and for a NaN lane
+ * 1.5 * 2^44 + 1, row 256, so that every lane reads inside the
+ * table whatever its NaN's payload bits.
+ */
+template <typename Vec>
+[[gnu::always_inline]] inline Vec
+log1pRow(const Vec &ys)
+{
+    return Vec::min(ys, Vec::broadcast(0x1.8p44 + 1.0));
+}
+
 } // namespace detail
 
 /**
@@ -654,17 +668,20 @@ log1pKernel(const Vec &y)
     // where d = y - t is exact (Sterbenz: y lies in [t/2, 2t] for
     // i >= 1, and d = y for i = 0) and |r| <= |d| <= 2^-9.
     const Vec shifter = Vec::broadcast(0x1.8p44);
-    const Vec t = (y + shifter) - shifter;
+    const Vec ys = y + shifter;
+    const Vec t = ys - shifter;
     const Vec d = y - t;
     const Vec c = Vec::broadcast(1.0) + t;
 
-    // The table row is i in [0, 256]; min maps a NaN lane to row
-    // 256, so every lane reads inside the table.
-    const Vec row =
-        Vec::min(t * Vec::broadcast(256.0), Vec::broadcast(256.0));
-    const Vec invc = Vec::gather(detail::log1p_table_invc, row);
-    const Vec lnc_hi = Vec::gather(detail::log1p_table_hi, row);
-    const Vec lnc_lo = Vec::gather(detail::log1p_table_lo, row);
+    // The table row is i in [0, 256], the low 9 mantissa bits of ys,
+    // so the lookup takes it straight from the bits of log1pRow.
+    const Vec row = detail::log1pRow(ys);
+    const Vec invc =
+        Vec::template gatherLowBits<9>(detail::log1p_table_invc, row);
+    const Vec lnc_hi =
+        Vec::template gatherLowBits<9>(detail::log1p_table_hi, row);
+    const Vec lnc_lo =
+        Vec::template gatherLowBits<9>(detail::log1p_table_lo, row);
 
     // log1p(r) = log1p(rh) + rl, with rh = d * (1/c) and rl the
     // residual d - rh * c. rh carries the roundings of the product
@@ -707,16 +724,18 @@ log1pKernel(const Vec &y)
  * The binary log-sum-exp per lane, log(exp(a) + exp(b)) as
  * max + log1p(exp(min - max)) (Equation 2) on the two kernels above;
  * Vec is a simd.hh double wrapper. The rules of the libm-based
- * scalar LSE it replaced hold lane by lane, each branch a select:
- *  - an operand of -inf returns the other operand, a tested first:
+ * scalar LSE it replaced hold lane by lane, each a lane operation:
+ *  - max(a, b) and min(b, a) are `a > b ? a : b` and
+ *    `a > b ? b : a` lane by lane, NaN operands included (each
+ *    returns its second operand when either is NaN, as x86 maxpd and
+ *    minpd do), so min - max and the sum take the operands, NaN ones
+ *    included, in the scalar rule's order, and a NaN lane returns
+ *    the NaN the scalar code returned;
+ *  - an operand of -inf returns the other operand, by one select:
  *    min(b, a) is -inf exactly then, and max(a, b) is that other
  *    operand (b when a is -inf; a when b is -inf, since a NaN a
  *    makes min(b, a) the NaN). So LSE(x, -inf) is x bit for bit,
- *    and LSE(-inf, -inf) is -inf, not the NaN of -inf - -inf;
- *  - min - max is b - a where a > b and a - b elsewhere, and the
- *    sum adds max(a, b): the operands, NaN ones included, in the
- *    order of the scalar `a > b ? a : b` and `a > b ? b : a`, so a
- *    NaN lane returns the NaN the scalar code returned.
+ *    and LSE(-inf, -inf) is -inf, not the NaN of -inf - -inf.
  * Every min - max lies in [-inf, 0] or is NaN, the domain of the exp
  * kernel without its positive clamp, and its exp in [0, 1] or NaN,
  * the log1p kernel's.
@@ -726,10 +745,11 @@ template <typename Vec>
 logSumExp(const Vec &a, const Vec &b)
 {
     const Vec m = Vec::max(a, b);
-    const Vec x = Vec::select(Vec::lessThan(b, a), b - a, a - b);
-    const Vec sum = m + log1pKernel(detail::expKernelNonPositive(x));
+    const Vec other = Vec::min(b, a);
+    const Vec sum =
+        m + log1pKernel(detail::expKernelNonPositive(other - m));
     const Vec below = Vec::broadcast(-0x1.fffffffffffffp+1023);
-    return Vec::select(Vec::lessThan(Vec::min(b, a), below), m, sum);
+    return Vec::select(Vec::lessThan(other, below), m, sum);
 }
 
 /*

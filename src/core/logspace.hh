@@ -149,19 +149,28 @@ class LogSpace
     /** Constructs zero (log value -inf). */
     constexpr LogSpace() = default;
 
+    /*
+     * The members the `log` p-value tile and row kernel call
+     * (fromDouble, fromLn, zero, one, lnValue) are always inlined:
+     * those kernels are also built into an -mavx2 translation unit,
+     * and an out-of-line copy emitted there would share its name with
+     * every other unit's copy, so the linker could hand the AVX2 one
+     * to callers on hosts without AVX2.
+     */
+
     /**
      * From a linear-space value: ln taken in binary64, then rounded
      * once to F — how software converts inputs at load time with a
      * good libm. log(0) = -inf; negative input yields NaN.
      */
-    static LogSpace
+    [[gnu::always_inline]] static LogSpace
     fromDouble(double linear)
     {
         return fromLn(static_cast<F>(std::log(linear)));
     }
 
     /** From an already-computed natural log. */
-    static LogSpace
+    [[gnu::always_inline]] static LogSpace
     fromLn(F ln_value)
     {
         LogSpace out;
@@ -169,15 +178,15 @@ class LogSpace
         return out;
     }
 
-    static LogSpace
+    [[gnu::always_inline]] static LogSpace
     zero()
     {
         return fromLn(-std::numeric_limits<F>::infinity());
     }
-    static LogSpace one() { return fromLn(F(0)); }
+    [[gnu::always_inline]] static LogSpace one() { return fromLn(F(0)); }
 
     /** The stored natural logarithm. */
-    F lnValue() const { return ln_; }
+    [[gnu::always_inline]] F lnValue() const { return ln_; }
 
     bool isZero() const { return std::isinf(ln_) && ln_ < 0; }
     bool isNaN() const { return std::isnan(ln_); }

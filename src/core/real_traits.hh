@@ -74,12 +74,19 @@ struct RealTraits
 
     /** Display name. */
     static std::string name() { return T::name(); }
+    // zero, one and fromDouble are always inlined: the SoA tiles call
+    // them from -mavx2 translation units (see LogSpace's members in
+    // core/logspace.hh).
     /** Additive identity. */
-    static T zero() { return T::zero(); }
+    [[gnu::always_inline]] static T zero() { return T::zero(); }
     /** Multiplicative identity. */
-    static T one() { return T::one(); }
+    [[gnu::always_inline]] static T one() { return T::one(); }
     /** The format's rounding of a binary64 value. */
-    static T fromDouble(double v) { return T::fromDouble(v); }
+    [[gnu::always_inline]] static T
+    fromDouble(double v)
+    {
+        return T::fromDouble(v);
+    }
     /** Correctly rounded conversion from the oracle. */
     static T fromBigFloat(const BigFloat &v) { return T::fromBigFloat(v); }
     /** Exact conversion to the oracle. */

@@ -11,17 +11,18 @@
  *     (4 x double / 8 x float), NEON (2 x double / 4 x float), and a
  *     scalar-array fallback (ArrayVec) that compiles everywhere. All
  *     expose the same tiny interface (load/store/broadcast, + - *,
- *     abs, compare-lt + select; min, max, gather and shiftBitsLeft
- *     on ArrayVec and Avx2DoubleVec, for the analytic bounds' read
- *     pass and the in-house exp, log1p and LSE), and every operation is
- *     lane-wise — no horizontal instruction ever mixes lanes — so a
- *     kernel templated over a wrapper executes, per lane, exactly
- *     the scalar kernel's IEEE operation sequence. That is the whole
- *     bit-identity argument for the SoA tile kernels
- *     (pbd::pvalueBatchSimd, hmm::forwardSimd): lane c of the vector
- *     run performs the same multiplies and adds, in the same order,
- *     as a scalar run of column c. (-ffp-contract=off project-wide
- *     keeps compilers from fusing any of those into FMAs.)
+ *     abs, compare-lt + select; min, max, gather, gatherLowBits and
+ *     shiftBitsLeft on ArrayVec and Avx2DoubleVec, for the analytic
+ *     bounds' read pass and the in-house exp, log1p and LSE), and
+ *     every operation is lane-wise — no horizontal instruction ever
+ *     mixes lanes — so a kernel templated over a wrapper executes,
+ *     per lane, exactly the scalar kernel's IEEE operation sequence.
+ *     That is the whole bit-identity argument for the SoA tile
+ *     kernels (pbd::pvalueBatchSimd, hmm::forwardSimd): lane c of
+ *     the vector run performs the same multiplies and adds, in the
+ *     same order, as a scalar run of column c. (-ffp-contract=off
+ *     project-wide keeps compilers from fusing any of those into
+ *     FMAs.)
  *
  *  2. Runtime ISA dispatch: Isa names a backend, activeIsa() resolves
  *     the PSTAT_SIMD knob (auto|scalar|avx2|neon, strict-parsed like
@@ -30,12 +31,13 @@
  *     original per-column scalar kernels — the forced-scalar CI leg
  *     runs the legacy code paths, not a 1-lane emulation.
  *
- *  3. Two bit-level lane operations, gather (a table lookup by
- *     integer-valued lanes) and shiftBitsLeft (a lane's bit pattern
- *     shifted), which with min and max is all that
+ *  3. Three bit-level lane operations, gather (a table lookup by
+ *     integer-valued lanes), gatherLowBits (a lookup by the low bits
+ *     of a lane's bit pattern) and shiftBitsLeft (a lane's bit
+ *     pattern shifted), which with min and max is all that
  *     core/exp_kernel.hh needs beyond arithmetic to write one
  *     branch-free exp, log1p and binary LSE over these wrappers.
- *     Both are exact, so those kernels, too, run the same IEEE
+ *     All are exact, so those kernels, too, run the same IEEE
  *     operations per lane on every backend: the scalar LSEs of
  *     core/logspace.hh (LogDouble's add and the n-ary logSumExp)
  *     share their bits with the vector log-space forward tile
@@ -214,6 +216,25 @@ struct ArrayVec
         return out;
     }
 
+    /**
+     * Lane-wise table[i], i the low N bits of the index lane's bit
+     * pattern: a lookup whose row is already in the lane's bits (a
+     * value rounded by a shifter), with no float-to-integer
+     * conversion.
+     */
+    template <int N>
+    static ArrayVec
+    gatherLowBits(const T *table, const ArrayVec &index)
+    {
+        using Bits = std::conditional_t<sizeof(T) == 8, uint64_t,
+                                        uint32_t>;
+        ArrayVec out;
+        for (int i = 0; i < W; ++i)
+            out.lane[i] = table[std::bit_cast<Bits>(index.lane[i]) &
+                                ((Bits(1) << N) - 1)];
+        return out;
+    }
+
     /** Each lane's bit pattern shifted left by N, zeros shifted in. */
     template <int N>
     ArrayVec
@@ -331,6 +352,18 @@ struct Avx2DoubleVec
         // _mm256_i32gather_pd warns on its undefined source operand.
         return {_mm256_mask_i32gather_pd(
             _mm256_setzero_pd(), table, _mm256_cvttpd_epi32(index.r),
+            _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8)};
+    }
+
+    template <int N>
+    static Avx2DoubleVec
+    gatherLowBits(const double *table, const Avx2DoubleVec &index)
+    {
+        const __m256i row =
+            _mm256_and_si256(_mm256_castpd_si256(index.r),
+                             _mm256_set1_epi64x((int64_t(1) << N) - 1));
+        return {_mm256_mask_i64gather_pd(
+            _mm256_setzero_pd(), table, row,
             _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8)};
     }
 

@@ -275,15 +275,9 @@ EvalEngine::pvalueEval(const FormatOps &format,
     // shaped like the format's tile instead. Only then: a one-lane
     // executor runs the whole batch as one chunk, an explicit grain
     // is the caller's, and a big batch's chunks already hold tiles.
-    // And only for a format that cannot flush: a tile runs every lane
-    // to its deepest lane's K, and in binary64 or binary32 those extra
-    // rows can sink through subnormals, whose arithmetic is slow
-    // enough that binary32 streams of LoFreq shards ran 2.7x slower
-    // in tiles than one column at a time.
     const pbd::TileShape tile = format.pbdTileShape(sum);
     if (executor_.laneCount() > 1 && executor_.autoGrain() &&
-        executor_.grainFor(indices.size()) < tile.width &&
-        !std::isfinite(format.errorModel().flush_abs_log2)) {
+        executor_.grainFor(indices.size()) < tile.width) {
         const TileChunks plan = planTileChunks(columns, indices, tile);
         parallelFor(plan.ends.size(), [&](size_t c) {
             const size_t begin = c == 0 ? 0 : plan.ends[c - 1];

@@ -206,11 +206,15 @@ class EvalEngine
 
     /**
      * The one batch evaluator of the p-value policies: claims chunks
-     * over @p indices (grainForBatch(indices.size())), gathers each
-     * chunk's views of @p columns into one FormatOps::pbdPValueBatch
-     * call — the SIMD formats tile across them — and hands the chunk
-     * to @p take. Results do not depend on how columns are grouped
-     * into chunks (the pbd_simd.hh contract).
+     * over @p indices, gathers each chunk's views of @p columns into
+     * one FormatOps::pbdPValueBatch call — the SIMD formats tile
+     * across them — and hands the chunk to @p take. Chunks are
+     * grainForBatch(indices.size()) columns, except where several
+     * lanes share a batch too small for the auto grain to hold one
+     * FormatOps::pbdTileShape tile: then they are tile-shaped, the
+     * indices sorted by (K, N) and cut into runs of the tile's width,
+     * each column past its K cap alone. Results do not depend on how
+     * columns are grouped into chunks (the pbd_simd.hh contract).
      */
     void pvalueEval(const FormatOps &format,
                     std::span<const pbd::ColumnView> columns,

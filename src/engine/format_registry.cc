@@ -188,14 +188,14 @@ class FormatOpsImpl final : public FormatOps
     pbd::TileShape
     pbdTileShape(SumPolicy sum) const override
     {
-        // The formats pbdPValueBatch sends to pvalueBatchSimd, under
-        // the policies it sends.
-        if constexpr (std::is_same_v<T, double> ||
-                      std::is_same_v<T, float> ||
-                      std::is_same_v<T, LogDouble> ||
-                      std::is_same_v<T, ScaledDD>) {
-            if (!std::is_same_v<T, ScaledDD> ||
-                sum == SumPolicy::Plain)
+        // The lanes tiles pbdPValueBatch runs: `log` under both
+        // policies, the oracle under its plain sum. binary64 and
+        // binary32 report none (see the FormatOps comment).
+        if constexpr (std::is_same_v<T, LogDouble>) {
+            (void)sum;
+            return pbd::pvalueTileShape<T>();
+        } else if constexpr (std::is_same_v<T, ScaledDD>) {
+            if (sum == SumPolicy::Plain)
                 return pbd::pvalueTileShape<T>();
         }
         (void)sum;

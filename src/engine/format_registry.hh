@@ -256,10 +256,15 @@ class FormatOps
                                 std::span<EvalResult> out) const;
 
     /**
-     * The SoA tile pbdPValueBatch runs under @p sum on the active
-     * ISA (pbd::pvalueTileShape): its lane count and K cap, width 0
-     * when there is none. The engine cuts small batches into chunks
-     * of this shape.
+     * The tile the engine cuts small batches into chunks of: the SoA
+     * tile pbdPValueBatch runs under @p sum on the active ISA
+     * (pbd::pvalueTileShape), its lane count and K cap, for `log` and
+     * the scaled_dd oracle's plain sum; width 0 otherwise. binary64
+     * and binary32 run tiles too but report none: a tile runs every
+     * lane to its deepest lane's K, and in those formats the extra
+     * rows can sink through subnormals, whose arithmetic is slow
+     * enough that binary32 streams of LoFreq shards ran 2.7x slower
+     * in tiles than one column at a time.
      */
     virtual pbd::TileShape pbdTileShape(SumPolicy sum) const;
 

@@ -170,15 +170,21 @@ tileBackendFor<ScaledDD>(simd::Isa isa)
 }
 
 /**
- * The largest K the `log` tile takes: the measured crossover with
- * the row kernel, not an L1 budget (the LSE, not the loads, bounds
- * both forms). fig15's (d) rows time both forms on equal-K columns
- * (N 150-250, one AVX2 thread): the tile is 2.1-2.4x faster at
- * K = 2 and 1.3x at K = 8, where a step's few rows leave the row
- * kernel's vectors part empty; the two are within 10% from K = 12 to
- * 20, and the row kernel is 5-13% faster from K = 24 on. The cap
- * takes the low end of the even range: a real tile mixes Ks and runs
- * every lane to the deepest, which the equal-K rows do not charge.
+ * The largest K the `log` tile takes: near the measured crossover
+ * with the row kernel, not an L1 budget (the LSE, not the loads,
+ * bounds both forms). fig15's (d) rows time both forms on equal-K
+ * columns (N 150-250, one AVX2 thread; four runs, three at
+ * PSTAT_SCALE=1 and one at 0.2, Xeon VM): the tile is 1.9-2.0x
+ * faster at K = 2 and 1.3-1.45x at K = 8, where a step's few rows
+ * leave the row kernel's vectors part empty; from K = 16 to 24 the
+ * two forms are within 8% of each other either way (one run read
+ * the tile 1.25x faster at 20), and from K = 32 the row kernel is
+ * ahead (tile 0.76-0.99x). On lofreq-stream, caps of 16 and 24 ran
+ * the same: 41.7k against 41.3k columns/s in 10 alternating pairs,
+ * 24 ahead in 5. The cap takes 16, the low end of the even range,
+ * because a real tile mixes Ks and runs every lane to the deepest.
+ * The equal-K rows do not charge that cost; the argument is
+ * reasoned, not measured.
  */
 constexpr size_t k_log_tile_cap = 16;
 
@@ -338,8 +344,6 @@ pvalueTileShape(simd::Isa isa)
     return {static_cast<size_t>(backend.width), backend.k_tile_cap};
 }
 
-template TileShape pvalueTileShape<double>(simd::Isa);
-template TileShape pvalueTileShape<float>(simd::Isa);
 template TileShape pvalueTileShape<ScaledDD>(simd::Isa);
 template TileShape pvalueTileShape<LogDouble>(simd::Isa);
 
@@ -376,6 +380,27 @@ pvalueBatchCompensatedSimd<float>(std::span<const ColumnView>,
 
 namespace detail
 {
+
+bool
+pvalueTileLog(const ColumnView *cols, LogDouble *out, simd::Isa isa)
+{
+    const TileBackend<LogDouble> backend = tileBackendFor<LogDouble>(isa);
+    if (backend.tile == nullptr)
+        return false;
+    backend.tile(cols, out, false);
+    return true;
+}
+
+bool
+pvalueColumnRowsLog(const ColumnView &column, LogDouble *out,
+                    simd::Isa isa)
+{
+    const TileBackend<LogDouble> backend = tileBackendFor<LogDouble>(isa);
+    if (backend.column == nullptr)
+        return false;
+    backend.column(column, out, false);
+    return true;
+}
 
 void
 pvalueTilePortable(const ColumnView *cols, double *out,

@@ -96,14 +96,12 @@ struct TileShape
 };
 
 /**
- * The tile shape of T's batches on @p isa; T is double, float,
- * ScaledDD or LogDouble.
+ * The tile shape of T's batches on @p isa; T is ScaledDD or
+ * LogDouble, the lanes tiles.
  */
 template <typename T>
 TileShape pvalueTileShape(simd::Isa isa = simd::activeIsa());
 
-extern template TileShape pvalueTileShape<double>(simd::Isa);
-extern template TileShape pvalueTileShape<float>(simd::Isa);
 extern template TileShape pvalueTileShape<ScaledDD>(simd::Isa);
 extern template TileShape pvalueTileShape<LogDouble>(simd::Isa);
 
@@ -164,6 +162,20 @@ void pvalueTileAvx2(const ColumnView *cols, LogDouble *out);
  * the `log` tile's cap whose probabilities all lie in [0, 1].
  */
 void pvalueColumnRowsAvx2(const ColumnView &column, LogDouble *out);
+
+/**
+ * The two vector forms a `log` batch splits its columns between, on
+ * @p isa: one tile of pvalueTileShape<LogDouble>(isa).width columns,
+ * and one column through the row kernel, whatever their K. fig15
+ * times them against each other to place the tile's K cap. Every
+ * probability must lie in [0, 1]. Each returns false, and writes
+ * nothing, when @p isa runs no `log` tile (width 0), so callers need
+ * not know which ISAs are compiled in.
+ */
+bool pvalueTileLog(const ColumnView *cols, LogDouble *out,
+                   simd::Isa isa);
+bool pvalueColumnRowsLog(const ColumnView &column, LogDouble *out,
+                         simd::Isa isa);
 
 /**
  * The same ScaledDD and `log` tiles over ArrayVec<double, 4>: the

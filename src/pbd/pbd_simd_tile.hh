@@ -703,10 +703,11 @@ pvalueColumnRowsImpl(const ColumnView &column)
  *    tile's domain, and its add the one-lane LSE).
  * The running p-value rides in every lane of one vector, each lane
  * adding the same tail term, so lane 0 is PlainSum's value. So no
- * step calls a scalar LogDouble operation: an -mavx2 translation
- * unit that did would emit its own copy of that inline function,
- * which the linker may hand to callers on hosts without AVX2. Every
- * probability must lie in [0, 1], as for the tiles.
+ * step runs LogDouble's scalar add or multiply; the only scalar
+ * LogDouble calls are the conversions (fromDouble, lnValue, fromLn,
+ * one), which logspace.hh marks always-inline, so the -mavx2 unit
+ * emits no copy of them. Every probability must lie in [0, 1], as
+ * for the tiles.
  */
 template <typename Vec>
 LogDouble

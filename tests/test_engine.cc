@@ -27,6 +27,7 @@
 #include "hmm/decode.hh"
 #include "hmm/forward.hh"
 #include "pbd/pbd.hh"
+#include "pbd/pbd_simd.hh"
 #include "prop_util.hh"
 #include "stats/rng.hh"
 
@@ -511,17 +512,24 @@ TEST(EvalEngine, PValueRunsBitIdenticalOverLanesAndGrains)
                 }
             }
             // Tile-shaped chunks run only with several lanes, the auto
-            // grain, and a format that cannot flush with a tile on this
-            // ISA (`log` and `scaled_dd` on AVX2).
+            // grain, and a format that reports a tile shape on this
+            // ISA: `log` and `scaled_dd` where their tiles run (AVX2),
+            // never binary64 or binary32, whose mixed-K tiles can run
+            // through subnormals.
             const size_t width =
                 format.pbdTileShape(SumPolicy::Plain).width;
-            const bool flushes =
-                std::isfinite(format.errorModel().flush_abs_log2);
+            const std::string name = id;
+            if (name == "log")
+                EXPECT_EQ(width, pbd::pvalueTileShape<LogDouble>().width);
+            else if (name == "scaled_dd")
+                EXPECT_EQ(width, pbd::pvalueTileShape<ScaledDD>().width);
+            else
+                EXPECT_EQ(width, 0U);
             const size_t blocks = ds.columns.size() / 32;
             const size_t grain = engine.grainForBatch(32);
             if (setting.lanes == 1)
                 EXPECT_EQ(chunks, blocks);
-            else if (setting.grain != 0 || width <= grain || flushes)
+            else if (setting.grain != 0 || width <= grain)
                 EXPECT_EQ(chunks, blocks * ((32 + grain - 1) / grain));
             else
                 EXPECT_LT(chunks, blocks * 32 / grain);

@@ -15,7 +15,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <span>
@@ -314,10 +316,41 @@ TEST(Log1pKernel, SpecialValues)
     EXPECT_TRUE(bitsEqual(simd::log1pKernel(1.0), std::log(2.0)));
     EXPECT_TRUE(std::isnan(
         simd::log1pKernel(std::numeric_limits<double>::quiet_NaN())));
+    for (const uint64_t bits :
+         {0x7ff80000000001ffULL, 0xfff00000000001ffULL,
+          0x7ff0000000000101ULL})
+        EXPECT_TRUE(std::isnan(
+            simd::log1pKernel(std::bit_cast<double>(bits))))
+            << std::hex << bits;
     // log1p(y) rounds to y below 2^-53.
     for (const double y : {std::numeric_limits<double>::denorm_min(),
                            std::numeric_limits<double>::min(), 0x1p-60})
         EXPECT_TRUE(bitsEqual(simd::log1pKernel(y), y)) << y;
+}
+
+TEST(Log1pKernel, EveryLaneReadsInsideTheTable)
+{
+    // The table row is the low 9 bits of log1pRow(y + 1.5 * 2^44):
+    // i for y = i/256, and at most 256 for every y in [0, 1] and
+    // every NaN, whose payload bits could otherwise name a row past
+    // the table's 257 (a read no test could see).
+    const auto row = [](double y) {
+        using One = simd::ArrayVec<double, 1>;
+        const One ys = One::broadcast(y) + One::broadcast(0x1.8p44);
+        return std::bit_cast<uint64_t>(
+                   simd::detail::log1pRow(ys).lane[0]) &
+               0x1ff;
+    };
+    for (int i = 0; i <= 256; ++i)
+        EXPECT_EQ(row(i / 256.0), static_cast<uint64_t>(i)) << i;
+    for (const double y : {std::nextafter(1.0, 0.0), 0x1p-9, 3 * 0x1p-9,
+                           std::numeric_limits<double>::denorm_min()})
+        EXPECT_LE(row(y), 256U) << y;
+    for (const uint64_t bits :
+         {0x7ff8000000000000ULL, 0x7ff80000000001ffULL,
+          0xfff00000000001ffULL, 0x7ff0000000000101ULL})
+        EXPECT_EQ(row(std::bit_cast<double>(bits)), 256U)
+            << std::hex << bits;
 }
 
 /** Hand-built LSE operand pairs: every rule and domain edge. */
